@@ -4,7 +4,7 @@ Every command writes deterministic CSV/JSON payloads (identical bytes
 for identical configs and seeds, whatever --threads says) plus a
 manifest that holds the config hash, timings and library versions - the
 only place a timestamp appears.  Exit codes: 0 success, 2 config
-validation error, 3 numerical failure.
+validation error or inputs outside the model, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .dimension import image_dimension_experiment
 from .energy import capacity_estimate
 from .fractal_sets import RatioOverflowError, build_cantor, cantor_measure
 from .gp_sim import (
+    _MAX_D,
     PSDError,
     QuadratureError,
     cov_stationary_increments,
@@ -36,6 +37,8 @@ from .gp_sim import (
     sample_paths,
 )
 from .hitting import (
+    OutOfModelError,
+    check_hit_grid,
     delta_metric_fn,
     hit_probability_mc,
     product_atoms,
@@ -94,6 +97,10 @@ def _parse_grid(cfg, scale):
     if b > scale.x_max:
         raise ConfigError("grid.b", f"exceeds the scale domain x_max={scale.x_max}")
     return np.linspace(a, b, n)
+
+
+def _parse_d(cfg) -> int:
+    return _require(cfg, "d", int, lambda v: 1 <= v <= _MAX_D, f"must be in [1, {_MAX_D}]")
 
 
 def _parse_E(cfg, scale):
@@ -191,7 +198,7 @@ def _build_cov(cfg, scale, grid):
 def cmd_simulate(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
-    d = _require(cfg, "d", int, lambda v: v >= 1, "must be >= 1")
+    d = _parse_d(cfg)
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     seed = _seed(cfg)
     cov = _build_cov(cfg, scale, grid)
@@ -207,7 +214,7 @@ def cmd_simulate(cfg, out_dir: Path, threads: int, trace: bool) -> list:
 def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     scale = _parse_gamma(cfg)
     E = _parse_E(cfg, scale)
-    d = _require(cfg, "d", int, lambda v: v >= 1, "must be >= 1")
+    d = _parse_d(cfg)
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     grid_n = _require(cfg, "grid_n", int, lambda v: 16 <= v <= 8192, "must be in [16, 8192]")
     seed = _seed(cfg)
@@ -227,12 +234,13 @@ def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
 def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
-    d = _require(cfg, "d", int, lambda v: v >= 1, "must be >= 1")
+    d = _parse_d(cfg)
     E = _parse_E(cfg, scale)
     F = _parse_F(cfg, d)
     tol = _require(cfg, "tol", float, lambda v: v > 0, "must be > 0")
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     seed = _seed(cfg)
+    check_hit_grid(scale, grid, E, d, tol)
     cov = _build_cov(cfg, scale, grid)
     report = hit_probability_mc(scale, cov, E, F, d=d, tol=tol, n_paths=n_paths, seed=seed)
     json_path = out_dir / "hit_report.json"
@@ -250,7 +258,7 @@ def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     else:
         times = E.atoms()
     if "F" in cfg:
-        d = _require(cfg, "d", int, lambda v: v >= 1, "must be >= 1")
+        d = _parse_d(cfg)
         F = _parse_F(cfg, d)
         f_pts, _ = sample_F_points(F)
         atoms = product_atoms(times[:: max(1, len(times) // 64)], f_pts)
@@ -351,25 +359,28 @@ def cmd_cantor(cfg, out_dir: Path, threads: int, trace: bool) -> list:
 def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
-    d = _require(cfg, "d", int, lambda v: v >= 1, "must be >= 1")
+    d = _parse_d(cfg)
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     tol = _require(cfg, "tol", float, lambda v: v > 0, "must be > 0")
     seed = _seed(cfg)
     instances = _require(cfg, "instances", list, lambda v: len(v) >= 6, "need >= 6 instances")
-    cov = _build_cov(cfg, scale, grid)
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
-    reports = []
+    parsed = []
     for i, inst in enumerate(instances):
         if not isinstance(inst, dict):
             raise ConfigError(f"instances[{i}]", "expected an object")
         E = _parse_E(inst, scale)
         F = _parse_F(inst, d)
-        reports.append(
-            hit_probability_mc(
-                scale, cov, E, F, d=d, tol=float(inst.get("tol", tol)),
-                n_paths=n_paths, seed=seed, batch=batch,
-            )
+        inst_tol = float(inst.get("tol", tol))
+        check_hit_grid(scale, grid, E, d, inst_tol)
+        parsed.append((E, F, inst_tol))
+    cov = _build_cov(cfg, scale, grid)
+    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
+    reports = [
+        hit_probability_mc(
+            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, batch=batch
         )
+        for E, F, inst_tol in parsed
+    ]
     verdict = sandwich_report(reports, d=d)
     json_path = out_dir / "battery_verdict.json"
     csv_path = out_dir / "battery_verdict.csv"
@@ -425,6 +436,9 @@ def main(argv=None) -> int:
         outputs = _COMMANDS[args.command](cfg, out_dir, max(args.threads, 1), args.trace)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutOfModelError as err:
+        print(f"out of model: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -283,7 +283,8 @@ def image_dimension_experiment(
     min(d, dim_delta(E)).
 
     E is an interval (a, b) or a CantorSet.  The covariance is the
-    stationary-increment model for the scale.
+    stationary-increment model for the scale; ``params`` records which
+    sampler drew the paths and its certificate.
     """
     grid, e_grid = _experiment_grid(E, grid_n)
     cov = cov_stationary_increments(scale, grid)
@@ -313,6 +314,7 @@ def image_dimension_experiment(
             "n_paths": n_paths,
             "grid_n": len(grid),
             "seed": seed,
+            **cov.certificate(),
         },
     )
 

@@ -4,15 +4,36 @@ Covariance matrices come from either the stationary-increment model
 R(s,t) = (g2(s) + g2(t) - g2(|t-s|)) / 2 (the canonical model attaining
 commensurability with l = 1) or the Volterra representation
 R(s,t) = int_0^{s^t} sqrt(g2'(t-u)) sqrt(g2'(s-u)) du, where g2 = gamma^2.
-Sampling is exact: Cholesky factor times i.i.d. standard normals, one
-counter-based substream per (path, component), so results are bit-stable
-regardless of worker count.
+
+Two exact samplers draw the paths; the covariance builder picks one and
+nothing else selects it:
+
+- circulant embedding, for the stationary-increment model on a uniform
+  grid (every step within 1e-9 relative of h = (b - a)/(n - 1), n >= 3).
+  The increments X_k = B(t_{k+1}) - B(t_k) are stationary with
+  autocovariance c_k = (g2((k+1)h) - 2 g2(kh) + g2(|k-1|h)) / 2 and are
+  drawn in O(n log n) from the minimal circulant embedding of size
+  2(n - 2) (Davies & Harte 1987; Dietrich & Newsam 1997).  B(a) is then
+  drawn from its law given X, whose mean weights come from one Levinson
+  solve, and B = B(a) + cumsum(X).  The dense R is never formed.
+- Cholesky factor times i.i.d. standard normals, for everything else:
+  the Volterra model, non-uniform grids, and any stationary grid whose
+  embedding has an eigenvalue below -1e-10 lambda_max or whose increment
+  Toeplitz matrix is numerically singular.
+
+The embedding is PSD-certified by its eigenvalues (its Toeplitz block is
+the covariance T of X) and the conditional variance g2(a) - s^T T^-1 s of
+B(a) by its sign; R is PSD exactly when both hold (Schur complement), so
+a negative conditional variance raises PSDError as a failed Cholesky
+does.  Normals come from one counter-based substream per (path,
+component), so results are bit-stable regardless of worker count or
+chunking.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +49,12 @@ __all__ = [
 ]
 
 _MAX_N = 8192  # dense Cholesky cap; estimators upstream never need more
+_MAX_D = 65535  # the substream key (path << 16) ^ comp needs comp < 2^16
 _JITTER_BASE = 1e-14
 _JITTER_STEPS = 6
+_UNIFORM_RTOL = 1e-9  # a grid step this close to h counts as h
+_EIG_RTOL = 1e-10  # eigenvalues / prediction errors below this are not positive
+_PATH_CHUNK = 64  # paths drawn per block; bounds the sampler's temporaries
 
 
 class PSDError(RuntimeError):
@@ -40,45 +65,87 @@ class QuadratureError(RuntimeError):
     """Volterra quadrature failed to converge."""
 
 
-@dataclass
 class CovMatrix:
-    """Grid covariance with a lazy Cholesky certificate."""
+    """Grid covariance with a lazy dense matrix and a lazy Cholesky factor.
 
-    grid: np.ndarray
-    R: np.ndarray
-    label: str = "cov"
-    jitter_used: float = 0.0
-    _chol: np.ndarray | None = field(default=None, repr=False)
+    ``R`` is either given or built by ``build()`` on first access (reading
+    ``.R``, calling ``.cholesky()``, or a ``FromCovariance`` metric).  A
+    covariance that carries a circulant sampler never needs it.
+    """
 
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
-        n = self.grid.size
-        if self.R.shape != (n, n):
-            raise ValueError("covariance shape does not match grid")
+    def __init__(self, grid, R=None, label: str = "cov", build=None, circulant=None):
+        self.grid = np.asarray(grid, dtype=float)
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid times must be strictly increasing")
-        if not np.array_equal(self.R, self.R.T):
-            self.R = 0.5 * (self.R + self.R.T)
+        self.label = label
+        self.jitter_used = 0.0
+        self._chol = None
+        self._R = None
+        self._build = build
+        self._circulant = circulant
+        if R is not None:
+            self.R = R
+
+    @property
+    def R(self) -> np.ndarray:
+        if self._R is None:
+            self.R = self._build()
+        return self._R
+
+    @R.setter
+    def R(self, value):
+        R = np.asarray(value, dtype=float)
+        if R.shape != (self.n, self.n):
+            raise ValueError("covariance shape does not match grid")
+        if not np.array_equal(R, R.T):
+            R = 0.5 * (R + R.T)
+        self._R = R
 
     @property
     def n(self) -> int:
         return self.grid.size
+
+    @property
+    def sampler(self) -> str:
+        """``"circulant"`` or ``"cholesky"``: how ``sample_paths`` draws."""
+        return "cholesky" if self._circulant is None else "circulant"
+
+    def certificate(self) -> dict:
+        """The sampler and the certificate that admitted it, for reports.
+
+        Circulant: the smallest embedding eigenvalue relative to the
+        largest, and the conditional variance of B(a) given the
+        increments.  Cholesky: the jitter added to the diagonal.
+        """
+        if self._circulant is not None:
+            return {
+                "sampler": "circulant",
+                "min_embedding_eig": self._circulant.min_eig,
+                "start_cond_var": self._circulant.cond_var,
+            }
+        self.cholesky()
+        return {"sampler": "cholesky", "jitter_used": self.jitter_used}
 
     def cholesky(self) -> np.ndarray:
         """Lower factor L with L L^T = R, escalating jitter on failure.
 
         Jitter level k adds 1e-14 * mean(diag) * 10^k to the diagonal,
         k = 0..6; failure beyond that rejects the (family, grid) pair.
+        Level 0 factors R itself; later levels factor a jittered copy.
         """
         if self._chol is not None:
             return self._chol
-        base = _JITTER_BASE * float(np.mean(np.diag(self.R)))
+        R = self.R
+        base = _JITTER_BASE * float(np.mean(np.diag(R)))
         last_err = None
         for k in range(_JITTER_STEPS + 1):
             jitter = 0.0 if k == 0 else base * 10.0**k
+            A = R
+            if jitter:
+                A = R.copy()
+                A.flat[:: self.n + 1] += jitter
             try:
-                L = np.linalg.cholesky(self.R + jitter * np.eye(self.n))
+                L = np.linalg.cholesky(A)
             except np.linalg.LinAlgError as err:
                 last_err = err
                 continue
@@ -114,17 +181,154 @@ def _check_grid(scale, grid):
     return grid
 
 
+def _levinson(col, rhs):
+    """Solve T x = rhs for the symmetric Toeplitz T with first column ``col``.
+
+    Levinson's algorithm (Golub & Van Loan, Matrix Computations, Alg.
+    4.7.2) in O(N^2) time and O(N) memory, for N >= 2.  Returns None when a
+    prediction error, relative to col[0], falls to _EIG_RTOL or below:
+    T is then numerically singular and the recursion would amplify
+    round-off without bound.
+    """
+    N = col.size
+    r = col[1:] / col[0]
+    b = rhs / col[0]
+    x = np.empty(N)
+    y = np.empty(N - 1)
+    x[0] = b[0]
+    y[0] = alpha = -r[0]
+    beta = 1.0
+    for k in range(1, N):
+        beta *= 1.0 - alpha * alpha
+        if not beta > _EIG_RTOL:
+            return None
+        mu = (b[k] - r[:k] @ x[k - 1 :: -1]) / beta
+        x[:k] += mu * y[k - 1 :: -1]
+        x[k] = mu
+        if k < N - 1:
+            alpha = (-r[k] - r[:k] @ y[k - 1 :: -1]) / beta
+            y[:k] += alpha * y[k - 1 :: -1]
+            y[k] = alpha
+    return x
+
+
+@dataclass(frozen=True)
+class _Circulant:
+    """Exact sampler of B on a uniform grid from its stationary increments.
+
+    weights[j] scales the j-th rfft coefficient of the size-m embedding
+    (m = 2(n - 2)); mu gives E[B(a) | X] = mu . X and start_sd the
+    conditional standard deviation.
+    """
+
+    weights: np.ndarray
+    mu: np.ndarray
+    start_sd: float
+    min_eig: float
+    cond_var: float
+
+    @property
+    def m(self) -> int:
+        return 2 * (self.weights.size - 1)
+
+    def paths(self, z: np.ndarray) -> np.ndarray:
+        """Paths (k, n) from normals z of shape (k, m + 1).
+
+        z[:, 0] drives B(a) given the increments; z[:, 1:] fill the
+        Hermitian rfft coefficients: the real parts at j = 0 and m/2 and
+        the real and imaginary parts in between, m normals in all.
+        """
+        half = self.weights.size - 1
+        coef = np.zeros((z.shape[0], half + 1), dtype=complex)
+        coef.real[:, 0] = z[:, 1]
+        coef.real[:, half] = z[:, 2]
+        coef.real[:, 1:half] = z[:, 3 : half + 2]
+        coef.imag[:, 1:half] = z[:, half + 2 :]
+        coef *= self.weights
+        X = np.fft.irfft(coef, n=self.m, norm="forward")[:, : self.mu.size]
+        out = np.empty((z.shape[0], self.mu.size + 1))
+        out[:, 0] = np.einsum("ij,j->i", X, self.mu) + self.start_sd * z[:, 0]
+        np.cumsum(X, axis=1, out=out[:, 1:])
+        out[:, 1:] += out[:, :1]
+        return out
+
+
+def _circulant_sampler(scale, grid):
+    """The circulant sampler for the stationary model on ``grid``, or None.
+
+    None when the grid is not uniform or has fewer than 3 points, when
+    the embedding has an eigenvalue below -_EIG_RTOL * lambda_max, or when
+    the increments' Toeplitz matrix is numerically singular; the caller
+    then falls back to Cholesky.  A negative conditional variance of
+    B(a) beyond round-off means R itself is not PSD: PSDError.
+    """
+    n = grid.size
+    if n < 3:
+        return None
+    h = (grid[-1] - grid[0]) / (n - 1)
+    if np.max(np.abs(np.diff(grid) - h)) > _UNIFORM_RTOL * h:
+        return None
+    N = n - 1  # increments
+    lags = h * np.arange(N + 1)
+    g2 = scale.gamma2(lags)
+    c = np.empty(N)
+    c[0] = g2[1]
+    c[1:] = 0.5 * (g2[2:] - 2.0 * g2[1:-1] + g2[:-2])
+    row = np.concatenate([c, c[N - 2 : 0 : -1]])
+    lam = np.fft.rfft(row).real
+    lam_max = float(np.max(lam))
+    min_eig = float(np.min(lam)) / lam_max
+    if min_eig < -_EIG_RTOL:
+        return None
+    # Cov(B(a), X_k) = R(a, t_{k+1}) - R(a, t_k)
+    g2_t = scale.gamma2(grid)
+    s = 0.5 * (np.diff(g2_t) - np.diff(g2))
+    mu = _levinson(c, s)
+    if mu is None:
+        return None
+    g2_a = float(g2_t[0])
+    cond_var = g2_a - float(s @ mu)
+    # round-off allowance: the largest jitter Cholesky may add, relative
+    if cond_var < -_JITTER_BASE * 10.0**_JITTER_STEPS * g2_a:
+        raise PSDError(
+            f"stationary[{scale.name}]: Var(B(a) | increments) = {cond_var:.3e} < 0 "
+            f"on the uniform grid [{grid[0]:g}, {grid[-1]:g}], n={n}; "
+            "rejecting this family/grid combination"
+        )
+    m = row.size
+    weights = np.sqrt(np.maximum(lam, 0.0) / (2.0 * m))
+    weights[[0, -1]] *= np.sqrt(2.0)
+    return _Circulant(
+        weights=weights,
+        mu=mu,
+        start_sd=float(np.sqrt(max(cond_var, 0.0))),
+        min_eig=min_eig,
+        cond_var=cond_var,
+    )
+
+
+def _stationary_R(scale, grid) -> np.ndarray:
+    g2 = scale.gamma2(grid)
+    g2diff = scale.gamma2(np.abs(grid[:, None] - grid[None, :]))
+    return 0.5 * (g2[:, None] + g2[None, :] - g2diff)
+
+
 def cov_stationary_increments(scale, grid) -> CovMatrix:
     """R(s,t) = (g2(s) + g2(t) - g2(|t-s|)) / 2 for g2 = gamma^2.
 
-    PSD is certified a posteriori by the Cholesky factorization.
+    On a uniform grid the covariance carries the circulant sampler and R
+    stays unbuilt until read; otherwise R is built and PSD is certified
+    a posteriori by the Cholesky factorization.
     """
     grid = _check_grid(scale, grid)
-    g2 = scale.gamma2(grid)
-    g2diff = scale.gamma2(np.abs(grid[:, None] - grid[None, :]))
-    R = 0.5 * (g2[:, None] + g2[None, :] - g2diff)
-    cov = CovMatrix(grid=grid, R=R, label=f"stationary[{scale.name}]")
-    cov.cholesky()
+    cov = CovMatrix(
+        grid=grid,
+        label=f"stationary[{scale.name}]",
+        build=lambda: _stationary_R(scale, grid),
+        circulant=_circulant_sampler(scale, grid),
+    )
+    if cov.sampler == "cholesky":
+        cov.cholesky()
     return cov
 
 
@@ -262,22 +466,38 @@ def _substream(seed: int, path: int, comp: int) -> np.random.Generator:
 
 
 def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int) -> PathBatch:
-    """Draw exact Gaussian paths: each component is chol(R) @ z.
+    """Draw exact Gaussian paths with the sampler ``cov`` carries.
 
     Components are independent copies of the scalar process; the normals
     for (path p, component c) come from the Philox substream keyed by
-    (seed, p, c).
+    (seed, p, c), so d is limited to _MAX_D.  Cholesky paths are
+    chol(R) @ z; circulant paths are drawn _PATH_CHUNK at a time, and a
+    path's values depend only on (seed, p, c), never on n_paths.
     """
     if d < 1 or n_paths < 1:
         raise ValueError("d and n_paths must be positive")
-    L = cov.cholesky()
+    if d > _MAX_D:
+        raise ValueError(
+            f"d = {d} exceeds {_MAX_D}: the (path, component) substreams would collide"
+        )
     n = cov.n
     values = np.empty((n_paths, n, d))
-    for c in range(d):
-        Z = np.empty((n, n_paths))
-        for p in range(n_paths):
-            Z[:, p] = _substream(seed, p, c).standard_normal(n)
-        values[:, :, c] = (L @ Z).T
+    circ = cov._circulant
+    if circ is None:
+        L = cov.cholesky()
+        for c in range(d):
+            Z = np.empty((n, n_paths))
+            for p in range(n_paths):
+                Z[:, p] = _substream(seed, p, c).standard_normal(n)
+            values[:, :, c] = (L @ Z).T
+    else:
+        for p0 in range(0, n_paths, _PATH_CHUNK):
+            chunk = range(p0, min(p0 + _PATH_CHUNK, n_paths))
+            for c in range(d):
+                z = np.empty((len(chunk), circ.m + 1))
+                for i, p in enumerate(chunk):
+                    _substream(seed, p, c).standard_normal(out=z[i])
+                values[chunk.start : chunk.stop, :, c] = circ.paths(z)
     return PathBatch(grid=cov.grid, d=d, n_paths=n_paths, values=values, seed=seed)
 
 

@@ -23,10 +23,12 @@ from .gp_sim import CovMatrix, sample_paths
 from .metrics import FromCovariance
 
 __all__ = [
+    "OutOfModelError",
     "HitProbReport",
     "SmallBallReport",
     "wilson_interval",
     "grid_tolerance_guard",
+    "check_hit_grid",
     "sample_F_points",
     "product_atoms",
     "rho_metric_fn",
@@ -36,6 +38,13 @@ __all__ = [
     "hausdorff_content_estimate",
     "sandwich_report",
 ]
+
+
+_HIT_CHUNK = 8  # paths per indicator block: small enough to stay in cache
+
+
+class OutOfModelError(ValueError):
+    """The grid, E and tol of a hitting experiment fall outside its model."""
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple[float, float]:
@@ -174,6 +183,27 @@ def _e_grid(E, grid, scale):
     return grid[(grid >= a - 1e-12) & (grid <= b + 1e-12)]
 
 
+def check_hit_grid(scale, grid, E, d: int, tol: float):
+    """Grid indices of E and the tolerance guard, or OutOfModelError.
+
+    The hitting model needs E to contain grid points and ``tol`` to be at
+    least grid_tolerance_guard on this grid.  Both checks need only the
+    grid, so callers can run them before any covariance work.
+    """
+    e_idx = np.searchsorted(grid, _e_grid(E, grid, scale))
+    e_idx = np.unique(np.clip(e_idx, 0, len(grid) - 1))
+    if e_idx.size == 0:
+        raise OutOfModelError("E contains no grid points")
+    step = float(np.max(np.diff(grid))) if len(grid) > 1 else 0.0
+    guard = grid_tolerance_guard(scale, step, len(grid), d) if step else 0.0
+    if tol < guard * (1.0 - 1e-9):
+        raise OutOfModelError(
+            f"grid too coarse for tol: tol = {tol:g} < guard {guard:g} "
+            f"(3 gamma(step) sqrt(2 log n) sqrt(d))"
+        )
+    return e_idx, guard
+
+
 def hit_probability_mc(
     scale,
     cov: CovMatrix,
@@ -193,27 +223,18 @@ def hit_probability_mc(
     of F.  ``batch`` allows reusing a PathBatch across several F at a
     fixed seed (the per-path indicator is then monotone in F and in tol
     by construction).  ``with_terms`` adds the capacity and content
-    terms of E x F used by the sandwich.
+    terms of E x F used by the sandwich.  Inputs outside the model
+    raise OutOfModelError (see check_hit_grid).
     """
     grid = cov.grid
-    e_idx = np.searchsorted(grid, _e_grid(E, grid, scale))
-    e_idx = np.unique(np.clip(e_idx, 0, len(grid) - 1))
-    if e_idx.size == 0:
-        raise ValueError("E contains no grid points")
-    step = float(np.max(np.diff(grid))) if len(grid) > 1 else 0.0
-    guard = grid_tolerance_guard(scale, step, len(grid), d) if step else 0.0
-    if tol < guard * (1.0 - 1e-9):
-        raise ValueError(
-            f"grid too coarse for tol: tol = {tol:g} < guard {guard:g} "
-            f"(3 gamma(step) sqrt(2 log n) sqrt(d))"
-        )
+    e_idx, guard = check_hit_grid(scale, grid, E, d, tol)
     if batch is None:
         batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     hits = 0
-    for p in range(batch.n_paths):
-        pts = batch.values[p][e_idx]
-        if float(np.min(_dist_to_members(pts, F_members))) <= tol:
-            hits += 1
+    for p0 in range(0, batch.n_paths, _HIT_CHUNK):
+        pts = np.take(batch.values[p0 : p0 + _HIT_CHUNK], e_idx, axis=1)
+        dist = _dist_to_members(pts.reshape(-1, batch.d), F_members)
+        hits += int(np.count_nonzero(dist.reshape(len(pts), -1).min(axis=1) <= tol))
     p_hat = hits / batch.n_paths
     lo, hi = wilson_interval(hits, batch.n_paths)
 
@@ -265,7 +286,7 @@ def hit_probability_mc(
         content_term=content,
         dim_rho_est=dim_rho,
         capacity_verdict=cap_verdict,
-        extras={"hits": hits, "seed": seed, "guard": guard},
+        extras={"hits": hits, "seed": seed, "guard": guard, **cov.certificate()},
     )
 
 

@@ -281,9 +281,24 @@ def test_criterion_9_determinism(tmp_path):
         "grid_n": 256,
         "seed": 77,
     }
+    battery_cfg = {
+        "gamma": "power:H=0.5",
+        "grid": {"a": 0.2, "b": 1.0, "n": 64},
+        "d": 1,
+        "n_paths": 20,
+        "tol": 1.0,
+        "seed": 77,
+        "instances": [
+            {
+                "E": {"type": "interval", "a": 0.2, "b": 1.0},
+                "F": [{"type": "box", "lo": [lo], "hi": [lo + 0.5]}],
+            }
+            for lo in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)
+        ],
+    }
     identical = True
     details = []
-    for name, cfg in (("simulate", sim_cfg), ("dims", dims_cfg)):
+    for name, cfg in (("simulate", sim_cfg), ("dims", dims_cfg), ("battery", battery_cfg)):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         payloads = []

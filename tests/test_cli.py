@@ -108,6 +108,18 @@ class TestDims:
         assert 0.5 <= report["mean"] <= 1.2
         assert (out / "dims_counts.csv").read_text().startswith("scale,count")
 
+    def test_reports_sampler(self, tmp_path):
+        base = {"gamma": "power:H=0.5", "d": 1, "n_paths": 2, "grid_n": 64, "seed": 5}
+        for E, sampler in (
+            ({"type": "interval", "a": 0.2, "b": 1.0}, "circulant"),
+            ({"type": "cantor", "zeta": 0.6, "depth": 5}, "cholesky"),
+        ):
+            out = tmp_path / sampler
+            cfg = _write_config(tmp_path, dict(base, E=E), name=f"{sampler}.json")
+            assert main(["dims", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            params = json.loads((out / "dims_report.json").read_text())["params"]
+            assert params["sampler"] == sampler
+
     def test_threads_do_not_change_payloads(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -201,6 +213,29 @@ class TestHitAndCapacity:
         assert rep["verdict"] in {"positive", "zero", "inconclusive"}
         assert (out / "capacity_trace.csv").exists()
 
+    def test_hit_reports_sampler(self, tmp_path):
+        base = {
+            "gamma": "power:H=0.5",
+            "grid": {"a": 0.2, "b": 1.0, "n": 64},
+            "d": 1,
+            "E": {"type": "interval", "a": 0.2, "b": 1.0},
+            "F": [{"type": "box", "lo": [0.5], "hi": [1.0]}],
+            "tol": 1.0,
+            "n_paths": 10,
+            "seed": 3,
+        }
+        expected = {
+            "stationary": ("circulant", {"min_embedding_eig", "start_cond_var"}),
+            "volterra": ("cholesky", {"jitter_used"}),
+        }
+        for model, (sampler, certificate) in expected.items():
+            out = tmp_path / model
+            cfg = _write_config(tmp_path, dict(base, cov=model), name=f"{model}.json")
+            assert main(["hit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            extras = json.loads((out / "hit_report.json").read_text())["extras"]
+            assert extras["sampler"] == sampler
+            assert certificate <= set(extras)
+
     def test_bad_F_member(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -216,6 +251,56 @@ class TestHitAndCapacity:
             },
         )
         assert main(["hit", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+class TestOutOfModel:
+    """Inputs outside the hitting model exit 2 before any covariance work."""
+
+    HIT = {
+        "gamma": "power:H=0.5",
+        "grid": {"a": 0.9, "b": 1.0, "n": 256},
+        "d": 2,
+        "E": {"type": "interval", "a": 0.9, "b": 1.0},
+        "F": [{"type": "ball", "center": [0.5, 0.0], "radius": 0.2}],
+        "tol": 1.0,
+        "n_paths": 5,
+        "seed": 7,
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_covariance(self, monkeypatch):
+        from gpfractal import cli
+
+        def boom(*_):
+            raise AssertionError("covariance built for an out-of-model config")
+
+        monkeypatch.setattr(cli, "_build_cov", boom)
+
+    def _run(self, tmp_path, capsys, command, cfg, message):
+        path = _write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_tol_below_guard(self, tmp_path, capsys):
+        self._run(tmp_path, capsys, "hit", dict(self.HIT, tol=1e-3), "grid too coarse for tol")
+
+    def test_E_outside_grid(self, tmp_path, capsys):
+        cfg = dict(self.HIT, E={"type": "interval", "a": 0.2, "b": 0.5})
+        self._run(tmp_path, capsys, "hit", cfg, "E contains no grid points")
+
+    def test_battery_checks_every_instance_first(self, tmp_path, capsys):
+        inst = {"E": self.HIT["E"], "F": self.HIT["F"]}
+        bad = dict(inst, E={"type": "interval", "a": 0.2, "b": 0.5})
+        cfg = {k: v for k, v in self.HIT.items() if k not in ("E", "F")}
+        cfg["instances"] = [inst] * 5 + [bad]
+        self._run(tmp_path, capsys, "battery", cfg, "E contains no grid points")
+
+    @pytest.mark.parametrize("command", ["hit", "simulate"])
+    def test_d_with_colliding_substreams(self, tmp_path, capsys, command):
+        cfg = dict(self.HIT, d=65536, n_paths=10**12)
+        cfg["F"] = [{"type": "ball", "center": [0.0] * 65536, "radius": 0.2}]
+        self._run(tmp_path, capsys, command, cfg, "'d'")
 
 
 class TestBattery:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gpfractal import gp_sim
 from gpfractal.gp_sim import (
     CovMatrix,
     PSDError,
@@ -13,7 +14,7 @@ from gpfractal.gp_sim import (
     sample_paths,
 )
 from gpfractal.metrics import FromCovariance
-from gpfractal.scale import ExpLogScale, PowerScale
+from gpfractal.scale import ExpLogScale, LogScale, PowerScale
 
 
 class TestStationaryCov:
@@ -54,6 +55,15 @@ class TestStationaryCov:
         cov = CovMatrix(grid=grid, R=R, label="bogus")
         with pytest.raises(PSDError):
             cov.cholesky()
+
+    def test_jitter_escalation_leaves_R_unchanged(self):
+        # rank one: level 0 fails, a jittered copy of R is factored
+        R = np.ones((4, 4))
+        cov = CovMatrix(grid=np.linspace(0.1, 1.0, 4), R=R)
+        L = cov.cholesky()
+        assert cov.jitter_used > 0
+        assert np.array_equal(cov.R, np.ones((4, 4)))
+        assert np.allclose(L @ L.T, R + cov.jitter_used * np.eye(4), atol=1e-12)
 
 
 class TestVolterraCov:
@@ -143,6 +153,92 @@ class TestSampling:
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 4))
         with pytest.raises(ValueError):
             sample_paths(cov, d=0, n_paths=1, seed=0)
+
+    def test_rejects_colliding_substream_keys(self):
+        # comp >= 2^16 would collide in the key (path << 16) ^ comp; the
+        # check comes before any allocation, so a huge batch is never built
+        f = PowerScale(0.5)
+        cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 4))
+        with pytest.raises(ValueError, match="substreams"):
+            sample_paths(cov, d=65536, n_paths=10**12, seed=0)
+
+
+def _dense_stationary_R(f, grid):
+    """Independent oracle: (g2(s) + g2(t) - g2(|t-s|)) / 2 entry by entry."""
+    g2 = f.gamma2(grid)
+    return 0.5 * (g2[:, None] + g2[None, :] - f.gamma2(np.abs(grid[:, None] - grid[None, :])))
+
+
+class TestCirculantSampler:
+    @pytest.mark.parametrize(
+        "f, seed",
+        [(PowerScale(0.3), 31), (PowerScale(0.75), 32), (PowerScale(0.9), 33), (ExpLogScale(0.3), 34)],
+    )
+    def test_sample_covariance_matches_dense_R(self, f, seed):
+        grid = np.linspace(0.1, 0.5, 17)
+        cov = cov_stationary_increments(f, grid)
+        assert cov.sampler == "circulant"
+        R = _dense_stationary_R(f, grid)
+        n = 20_000
+        X = sample_paths(cov, d=1, n_paths=n, seed=seed).values[:, :, 0]
+        S = X.T @ X / n
+        stderr = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / n)
+        assert np.max(np.abs(S - R) / stderr) <= 4.0
+
+    def test_negative_start_variance_rejected(self):
+        # the embedding passes, but Var(B(a) | increments) = -0.249
+        with pytest.raises(PSDError, match="increments"):
+            cov_stationary_increments(LogScale(1.0), np.linspace(0.2, 0.5, 17))
+
+    def test_paths_independent_of_n_paths_and_chunk(self):
+        f = PowerScale(0.75)
+        cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 40))
+        chunk = gp_sim._PATH_CHUNK
+        big = sample_paths(cov, d=2, n_paths=3 * chunk + 1, seed=17).values
+        one = sample_paths(cov, d=2, n_paths=1, seed=17).values
+        some = sample_paths(cov, d=2, n_paths=chunk + 5, seed=17).values
+        assert one[0].tobytes() == big[0].tobytes()
+        assert some.tobytes() == big[: chunk + 5].tobytes()
+
+    def test_dense_R_never_built(self, monkeypatch):
+        def boom(*_):
+            raise AssertionError("dense R built on the circulant path")
+
+        monkeypatch.setattr(gp_sim, "_stationary_R", boom)
+        cov = cov_stationary_increments(PowerScale(0.5), np.linspace(0.9, 1.0, 512))
+        sample_paths(cov, d=3, n_paths=10, seed=1)
+        assert cov.sampler == "circulant" and cov._R is None and cov._chol is None
+
+    def test_selection_rule(self):
+        f = PowerScale(0.5)
+        assert cov_stationary_increments(f, np.linspace(0.2, 1.0, 64)).sampler == "circulant"
+        bent = np.linspace(0.2, 1.0, 64)
+        bent[10] += 1e-6
+        assert cov_stationary_increments(f, bent).sampler == "cholesky"
+        assert cov_stationary_increments(f, np.array([0.2, 1.0])).sampler == "cholesky"
+        assert cov_volterra(f, np.linspace(0.2, 1.0, 16)).sampler == "cholesky"
+
+    def test_certificates(self):
+        f = PowerScale(0.5)
+        circ = cov_stationary_increments(f, np.linspace(0.2, 1.0, 64)).certificate()
+        assert set(circ) == {"sampler", "min_embedding_eig", "start_cond_var"}
+        # Brownian increments are white, and B(a) is independent of them
+        assert circ["min_embedding_eig"] == pytest.approx(1.0)
+        assert circ["start_cond_var"] == pytest.approx(0.2)
+        chol = cov_volterra(f, np.linspace(0.2, 1.0, 16)).certificate()
+        assert chol == {"sampler": "cholesky", "jitter_used": 0.0}
+
+    @pytest.mark.parametrize("f", [PowerScale(0.3), PowerScale(0.9), ExpLogScale(0.3)])
+    def test_levinson_matches_scipy(self, f):
+        from scipy.linalg import solve_toeplitz
+
+        h = 0.4 / 63
+        g2 = f.gamma2(h * np.arange(65))
+        col = 0.5 * (g2[1:-1] - 2.0 * g2[:-2] + np.concatenate([[g2[1]], g2[:-3]]))
+        rhs = np.random.default_rng(3).standard_normal(col.size)
+        got = gp_sim._levinson(col, rhs)
+        want = solve_toeplitz(col, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestConditionalVariance:

@@ -3,8 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gpfractal.dimension import _dist_to_members
 from gpfractal.gp_sim import cov_stationary_increments, sample_paths
 from gpfractal.hitting import (
+    OutOfModelError,
     grid_tolerance_guard,
     hausdorff_content_estimate,
     hit_probability_mc,
@@ -56,6 +58,36 @@ class TestHitProbability:
                 [{"type": "box", "lo": [-1.0], "hi": [1.0]}],
                 d=1, tol=1e-6, n_paths=10, seed=1,
             )
+
+    def test_E_without_grid_points_rejected(self, brownian_setup):
+        scale, grid, cov = brownian_setup
+        with pytest.raises(OutOfModelError, match="no grid points"):
+            hit_probability_mc(
+                scale, cov, (0.05, 0.1),
+                [{"type": "box", "lo": [-1.0], "hi": [1.0]}],
+                d=1, tol=1.0, n_paths=10, seed=1,
+            )
+
+    def test_chunked_indicator_matches_per_path_loop(self, brownian_setup):
+        scale, grid, cov = brownian_setup
+        tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 2)
+        batch = sample_paths(cov, d=2, n_paths=203, seed=8)
+        members = [
+            {"type": "ball", "center": [0.5, -0.3], "radius": 0.2},
+            {"type": "box", "lo": [-0.9, 0.4], "hi": [-0.6, 0.8]},
+        ]
+        e_idx = np.flatnonzero((grid >= 0.3 - 1e-12) & (grid <= 0.7 + 1e-12))
+        for F in (members[:1], members[1:], members):
+            want = sum(
+                float(np.min(_dist_to_members(batch.values[p][e_idx], F))) <= tol
+                for p in range(batch.n_paths)
+            )
+            rep = hit_probability_mc(
+                scale, cov, (0.3, 0.7), F, d=2, tol=tol, n_paths=203, seed=8,
+                batch=batch, with_terms=False,
+            )
+            assert 0 < want < batch.n_paths
+            assert rep.extras["hits"] == want
 
     def test_everything_window_hits_surely(self, brownian_setup):
         scale, grid, cov = brownian_setup
