@@ -19,26 +19,18 @@ from .dimension import (
     image_dimension_experiment,
     intersection_dimension_experiment,
 )
-from .energy import (
-    capacity_estimate,
-    energy_discrete,
-    frostman_exponent,
-    kernel_matrix,
-    minimize_energy,
-)
+from .energy import capacity_estimate, kernel_matrix, minimize_energy
 from .fractal_sets import (
     CantorSet,
     DiscreteMeasure,
+    Target,
+    TimeSet,
     build_cantor,
     cantor_measure,
-    covering_number_delta,
-    gamma_dyadic_cover,
-    packing_number_delta,
 )
 from .gp_sim import (
     CovMatrix,
     PathBatch,
-    conditional_variance,
     cov_stationary_increments,
     cov_volterra,
     sample_paths,
@@ -60,7 +52,6 @@ from .scale import (
     PowerLogScale,
     PowerScale,
     ScaleFunction,
-    lower_index_report,
     parse_scale_spec,
     phi_kernel,
 )

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,26 +27,26 @@ from .conditions import (
     psi_sqrtlog_criterion,
 )
 from .dimension import image_dimension_experiment
-from .energy import capacity_estimate
-from .fractal_sets import RatioOverflowError, build_cantor, cantor_measure
+from .energy import _MAX_ATOMS, capacity_estimate
+from .fractal_sets import (
+    OutOfModelError,
+    RatioOverflowError,
+    Target,
+    TimeSet,
+    build_cantor,
+    cantor_measure,
+)
 from .gp_sim import (
     _MAX_D,
+    _MAX_N,
     PSDError,
     QuadratureError,
     cov_stationary_increments,
     cov_volterra,
     sample_paths,
 )
-from .hitting import (
-    OutOfModelError,
-    check_hit_grid,
-    delta_metric_fn,
-    hit_probability_mc,
-    product_atoms,
-    rho_metric_fn,
-    sample_F_points,
-    sandwich_report,
-)
+from .hitting import check_hit_grid, hit_probability_mc, product_atoms, sandwich_report
+from .metrics import StationaryGamma
 from .scale import ScaleDomainError, parse_scale_spec
 
 EXIT_OK = 0
@@ -103,42 +104,36 @@ def _parse_d(cfg) -> int:
     return _require(cfg, "d", int, lambda v: 1 <= v <= _MAX_D, f"must be in [1, {_MAX_D}]")
 
 
-def _parse_E(cfg, scale):
+def _parse_cantor(cfg, scale):
+    zeta = _require(cfg, "zeta", float, lambda v: v > 0, "must be > 0")
+    depth = _require(cfg, "depth", int, lambda v: 0 <= v <= 40, "must be in [0, 40]")
+    # optional keys: a default merged under the config, then the same checks
+    eps0 = _require({"eps0": 1.0, **cfg}, "eps0", float, lambda v: 0 < v <= 1, "must be in (0, 1]")
+    return build_cantor(scale, zeta, depth, eps0)
+
+
+def _parse_E(cfg, scale) -> TimeSet:
     e = _require(cfg, "E", dict)
     etype = _require(e, "type", str)
     if etype == "interval":
         a = _require(e, "a", float, lambda v: v > 0, "must be > 0")
-        b = _require(e, "b", float, lambda v: v > a, "must exceed a")
-        return (a, b)
-    if etype == "cantor":
-        zeta = _require(e, "zeta", float, lambda v: v > 0, "must be > 0")
-        depth = _require(e, "depth", int, lambda v: 0 <= v <= 40, "must be in [0, 40]")
-        eps0 = float(e.get("eps0", 1.0))
-        return build_cantor(scale, zeta, depth, eps0)
-    raise ConfigError("E.type", f"unknown set type {etype!r}")
+        E = (a, _require(e, "b", float, lambda v: v > a, "must exceed a"))
+    elif etype == "cantor":
+        E = _parse_cantor(e, scale)
+    else:
+        raise ConfigError("E.type", f"unknown set type {etype!r}")
+    try:
+        return TimeSet.of(E, scale)
+    except OutOfModelError as err:
+        raise ConfigError("E", str(err))
 
 
-def _parse_F(cfg, d):
-    members = _require(cfg, "F", list, lambda v: len(v) > 0, "must be non-empty")
-    out = []
-    for i, m in enumerate(members):
-        if not isinstance(m, dict) or "type" not in m:
-            raise ConfigError(f"F[{i}]", "expected an object with a 'type'")
-        if m["type"] == "box":
-            lo = m.get("lo")
-            hi = m.get("hi")
-            if not (isinstance(lo, list) and isinstance(hi, list) and len(lo) == d and len(hi) == d):
-                raise ConfigError(f"F[{i}]", f"box needs lo/hi of length d={d}")
-            out.append({"type": "box", "lo": [float(v) for v in lo], "hi": [float(v) for v in hi]})
-        elif m["type"] == "ball":
-            c = m.get("center")
-            r = m.get("radius")
-            if not (isinstance(c, list) and len(c) == d and isinstance(r, (int, float)) and r > 0):
-                raise ConfigError(f"F[{i}]", f"ball needs center of length d={d} and radius > 0")
-            out.append({"type": "ball", "center": [float(v) for v in c], "radius": float(r)})
-        else:
-            raise ConfigError(f"F[{i}].type", f"unknown member type {m['type']!r}")
-    return out
+def _parse_F(cfg, d) -> Target:
+    members = _require(cfg, "F", list)
+    try:
+        return Target(members, d)
+    except ValueError as err:
+        raise ConfigError("F", str(err))
 
 
 def _json_payload(obj) -> str:
@@ -188,7 +183,8 @@ def _build_cov(cfg, scale, grid):
     if model == "stationary":
         return cov_stationary_increments(scale, grid)
     if model == "volterra":
-        return cov_volterra(scale, grid, n_quad=int(cfg.get("n_quad", 64)))
+        n_quad = _require({"n_quad": 64, **cfg}, "n_quad", int, lambda v: v >= 64, "must be >= 64")
+        return cov_volterra(scale, grid, n_quad=n_quad)
     raise ConfigError("cov", f"unknown covariance model {model!r}")
 
 
@@ -218,12 +214,14 @@ def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     grid_n = _require(cfg, "grid_n", int, lambda v: 16 <= v <= 8192, "must be in [16, 8192]")
     seed = _seed(cfg)
+    if E.atoms is not None and E.atoms.size > _MAX_N:
+        raise ConfigError("E.depth", f"{E.atoms.size} atoms exceed the grid cap {_MAX_N}")
     report = image_dimension_experiment(
         scale, E, d=d, n_paths=n_paths, grid_n=grid_n, seed=seed, threads=threads
     )
     json_path = out_dir / "dims_report.json"
     csv_path = out_dir / "dims_counts.csv"
-    _write(json_path, _json_payload(report.to_dict()))
+    _write(json_path, _json_payload(asdict(report)))
     lines = ["scale,count"]
     for s, c in report.dim_delta.counts:
         lines.append(f"{s!r},{c!r}")
@@ -244,7 +242,7 @@ def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     cov = _build_cov(cfg, scale, grid)
     report = hit_probability_mc(scale, cov, E, F, d=d, tol=tol, n_paths=n_paths, seed=seed)
     json_path = out_dir / "hit_report.json"
-    _write(json_path, _json_payload(report.to_dict()))
+    _write(json_path, _json_payload(asdict(report)))
     return [json_path]
 
 
@@ -252,22 +250,17 @@ def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     scale = _parse_gamma(cfg)
     beta = _require(cfg, "beta", float)
     E = _parse_E(cfg, scale)
-    if isinstance(E, tuple):
-        n_atoms = int(cfg.get("n_atoms", 512))
-        times = np.linspace(E[0], E[1], n_atoms)
-    else:
-        times = E.atoms()
+    n_atoms = _require(
+        {"n_atoms": 512, **cfg}, "n_atoms", int, lambda v: 2 <= v <= _MAX_ATOMS,
+        f"must be in [2, {_MAX_ATOMS}]",
+    )
+    times = E.sample(n_atoms)
+    atoms = times
     if "F" in cfg:
-        d = _parse_d(cfg)
-        F = _parse_F(cfg, d)
-        f_pts, _ = sample_F_points(F)
-        atoms = product_atoms(times[:: max(1, len(times) // 64)], f_pts)
-        metric = rho_metric_fn(scale, atoms)
-        diam_hint = scale.gamma(min(float(times[-1] - times[0]), scale.x_max))
-    else:
-        atoms = times
-        metric = delta_metric_fn(scale, atoms)
-        diam_hint = scale.gamma(min(float(times[-1] - times[0]), scale.x_max))
+        F = _parse_F(cfg, _parse_d(cfg))
+        atoms = product_atoms(times[:: max(1, len(times) // 64)], F.lattice()[0])
+    metric = StationaryGamma(scale)
+    diam_hint = metric.delta(times[0], times[-1])
     resolutions = cfg.get("resolutions")
     if resolutions is None:
         resolutions = [diam_hint / 2.0**j for j in range(1, 7)]
@@ -278,11 +271,11 @@ def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
             raise ConfigError("resolutions", "must be a list of positive numbers")
     fw_trace = [] if trace else None
     report = capacity_estimate(
-        atoms, metric, beta=beta, resolutions=resolutions, trace=fw_trace
+        atoms, metric.rows(atoms), beta=beta, resolutions=resolutions, trace=fw_trace
     )
     json_path = out_dir / "capacity_report.json"
     outputs = [json_path]
-    _write(json_path, _json_payload(report.to_dict()))
+    _write(json_path, _json_payload(asdict(report)))
     if trace:
         csv_path = out_dir / "capacity_trace.csv"
         lines = ["h,iteration,energy,gap"]
@@ -299,7 +292,7 @@ def cmd_check_scale(cfg, out_dir: Path, threads: int, trace: bool) -> list:
         specs = [_require(cfg, "gamma", str)]
     if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
         raise ConfigError("families", "must be a list of scale spec strings")
-    eps = float(cfg.get("eps", 0.1))
+    eps = _require({"eps": 0.1, **cfg}, "eps", float)
     rows = []
     traces = ["family,condition,x,ratio"]
     for spec in specs:
@@ -316,9 +309,9 @@ def cmd_check_scale(cfg, out_dir: Path, threads: int, trace: bool) -> list:
         rows.append(
             {
                 "family": spec,
-                "strong": strong.to_dict(),
-                "weak": weak.to_dict(),
-                "psi_sqrtlog": crit.to_dict(),
+                "strong": asdict(strong),
+                "weak": asdict(weak),
+                "psi_sqrtlog": asdict(crit),
             }
         )
     json_path = out_dir / "check_scale.json"
@@ -342,11 +335,7 @@ def cmd_check_scale(cfg, out_dir: Path, threads: int, trace: bool) -> list:
 
 
 def cmd_cantor(cfg, out_dir: Path, threads: int, trace: bool) -> list:
-    scale = _parse_gamma(cfg)
-    zeta = _require(cfg, "zeta", float, lambda v: v > 0, "must be > 0")
-    depth = _require(cfg, "depth", int, lambda v: 0 <= v <= 40, "must be in [0, 40]")
-    eps0 = float(cfg.get("eps0", 1.0))
-    cs = build_cantor(scale, zeta, depth, eps0)
+    cs = _parse_cantor(cfg, _parse_gamma(cfg))
     measure = cantor_measure(cs)
     json_path = out_dir / "cantor_set.json"
     csv_path = out_dir / "cantor_atoms.csv"
@@ -370,7 +359,7 @@ def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
             raise ConfigError(f"instances[{i}]", "expected an object")
         E = _parse_E(inst, scale)
         F = _parse_F(inst, d)
-        inst_tol = float(inst.get("tol", tol))
+        inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
         check_hit_grid(scale, grid, E, d, inst_tol)
         parsed.append((E, F, inst_tol))
     cov = _build_cov(cfg, scale, grid)
@@ -386,7 +375,7 @@ def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     csv_path = out_dir / "battery_verdict.csv"
     payload = {
         "verdict": verdict,
-        "reports": [r.to_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
     }
     _write(json_path, _json_payload(payload))
     lines = ["instance,p_hat,ci_low,ci_high,capacity,content,dim_rho,status"]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimension import _fit_slope
 from .scale import ExpLogScale, ScaleFunction
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "psi_sqrtlog_criterion",
     "f_gamma",
     "default_x_grid",
-    "classification_table",
 ]
 
 SATISFIED = "Satisfied"
@@ -58,19 +58,6 @@ class ConditionVerdict:
     override: str | None = None
     paper_open: bool = False
     notes: str = ""
-
-    def to_dict(self):
-        return {
-            "condition": self.condition,
-            "x_grid": self.x_grid,
-            "ratios": self.ratios,
-            "verdict": self.verdict,
-            "fitted_constant": self.fitted_constant,
-            "trend_verdict": self.trend_verdict,
-            "override": self.override,
-            "paper_open": self.paper_open,
-            "notes": self.notes,
-        }
 
 
 def default_x_grid():
@@ -282,9 +269,7 @@ def psi_sqrtlog_criterion(f: ScaleFunction, r_grid=None) -> ConditionVerdict:
     except NotImplementedError:
         psi = np.array([f.psi(float(t)) for t in r])
     vals = psi * np.sqrt(u)
-    lv = np.log(np.maximum(vals, 1e-300))
-    lu = np.log(u)
-    slope = float(np.sum((lu - lu.mean()) * (lv - lv.mean())) / np.sum((lu - lu.mean()) ** 2))
+    slope, _ = _fit_slope(np.log(u), np.log(np.maximum(vals, 1e-300)))
     decreasing = vals[-1] < vals[0]
     if (slope <= -0.05 and decreasing) or (vals[-1] < 0.05 and decreasing):
         verdict = SATISFIED
@@ -399,20 +384,3 @@ def check_weak_condition(
         notes=f"eps={eps:g}; variation {variation:.3f}, growth/decade {growth:.3f}",
     )
 
-
-def classification_table(scales, eps: float = 0.1, x_grid=None):
-    """Strong/weak/elasticity verdict rows for a family registry."""
-    rows = []
-    for f in scales:
-        strong = check_strong_condition(f, x_grid=x_grid)
-        weak = check_weak_condition(f, eps=eps, x_grid=x_grid)
-        crit = psi_sqrtlog_criterion(f)
-        rows.append(
-            {
-                "family": f.spec_string(),
-                "strong": strong,
-                "weak": weak,
-                "psi_sqrtlog": crit,
-            }
-        )
-    return rows

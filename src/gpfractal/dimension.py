@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractal_sets import CantorSet, gamma_dyadic_count
+from .fractal_sets import Target, TimeSet, gamma_dyadic_count
 from .gp_sim import cov_stationary_increments, sample_paths
 
 __all__ = [
@@ -37,16 +37,6 @@ class DimensionEstimate:
     counts: list  # (scale, count) pairs; count may be inf in divergent regimes
     method: str
     diverged: bool = False
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "window": list(self.window),
-            "counts": [[s, c] for s, c in self.counts],
-            "method": self.method,
-            "diverged": self.diverged,
-        }
 
 
 def _fit_slope(x, y):
@@ -121,9 +111,10 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
     geometrically, as in the logarithmic scale) the estimate is flagged
     divergent and the value is +inf.
     """
+    E = TimeSet.of(E, scale)
     if n_range is None:
-        if isinstance(E, CantorSet):
-            top = max(4, int(E.depth / E.zeta) - 2)
+        if E.cantor is not None:
+            top = max(4, int(E.cantor.depth / E.cantor.zeta) - 2)
             n_range = range(2, min(top, 40) + 1)
         else:
             n_range = range(2, 15)
@@ -167,24 +158,6 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
     )
 
 
-def _box_count_euclidean_boxes(members, s: float) -> float:
-    """Surrogate box count of a union of boxes/balls via bounding boxes.
-
-    Exact only up to a bounded factor, which leaves dimension slopes
-    unchanged.
-    """
-    total = 0.0
-    for m in members:
-        if m["type"] == "box":
-            lo = np.asarray(m["lo"], dtype=float)
-            hi = np.asarray(m["hi"], dtype=float)
-        else:
-            c = np.asarray(m["center"], dtype=float)
-            lo, hi = c - m["radius"], c + m["radius"]
-        total += float(np.prod(np.floor(hi / s) - np.floor(lo / s) + 1))
-    return total
-
-
 def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
     """Product-metric dimension estimate of E x F.
 
@@ -194,15 +167,10 @@ def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
     default levels start below the smallest feature of F (a ball only
     scales three-dimensionally once boxes are smaller than it).
     """
+    E = TimeSet.of(E, scale)
+    F = Target.of(F_members)
     if levels is None:
-        feature = math.inf
-        for m in F_members:
-            if m["type"] == "box":
-                side = float(np.min(np.asarray(m["hi"]) - np.asarray(m["lo"])))
-            else:
-                side = 2.0 * m["radius"]
-            feature = min(feature, side)
-        start = max(2, int(math.ceil(math.log2(2.0 / feature))))
+        start = max(2, int(math.ceil(math.log2(2.0 / F.feature))))
         levels = range(start, start + 6)
     ms = list(levels)
     if len(ms) < 4:
@@ -210,7 +178,7 @@ def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
     ys = []
     for m in ms:
         ce = gamma_dyadic_count(E, m, scale)
-        cf = _box_count_euclidean_boxes(F_members, 2.0**-m)
+        cf = F.box_count(2.0**-m)
         ys.append(math.log2(ce) + math.log2(cf))
     slope, se = _fit_slope(ms, ys)
     return DimensionEstimate(
@@ -226,26 +194,6 @@ def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
 # experiment drivers
 
 
-def _experiment_grid(E, grid_n: int, a: float = 0.2, b: float = 1.0):
-    """Simulation grid for a set E: Cantor atoms verbatim, else uniform.
-
-    For a CantorSet the grid *is* the atom set (the covariance cap allows
-    up to 2^13 atoms), which sidesteps nearest-grid-point aliasing
-    entirely; for intervals a uniform grid over [a, b] is used.
-    """
-    if isinstance(E, CantorSet):
-        atoms = np.unique(E.atoms())
-        if atoms.size > 8192:
-            raise ValueError("Cantor set too deep for the dense-Cholesky cap")
-        return atoms, atoms
-    iv = np.asarray(E, dtype=float).reshape(-1)
-    a, b = float(iv[0]), float(iv[-1])
-    grid = np.linspace(a, b, grid_n)
-    if grid[0] <= 0:
-        grid = grid + (grid[1] - grid[0])
-    return grid, grid
-
-
 @dataclass
 class ImageDimensionReport:
     per_path: list
@@ -255,17 +203,6 @@ class ImageDimensionReport:
     theory: float
     d: int
     params: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "per_path": self.per_path,
-            "mean": self.mean,
-            "spread": self.spread,
-            "dim_delta": self.dim_delta.to_dict(),
-            "theory": self.theory,
-            "d": self.d,
-            "params": self.params,
-        }
 
 
 def image_dimension_experiment(
@@ -282,11 +219,14 @@ def image_dimension_experiment(
     """Estimate dim of the image B(E) per path and compare with
     min(d, dim_delta(E)).
 
-    E is an interval (a, b) or a CantorSet.  The covariance is the
-    stationary-increment model for the scale; ``params`` records which
-    sampler drew the paths and its certificate.
+    E is an interval (a, b), a CantorSet or a TimeSet.  A Cantor set's
+    atoms are the simulation grid itself, so no atom is moved to a
+    nearby grid time; an interval gets ``grid_n`` equispaced times.  The
+    covariance is the stationary-increment model for the scale;
+    ``params`` records which sampler drew the paths and its certificate.
     """
-    grid, e_grid = _experiment_grid(E, grid_n)
+    E = TimeSet.of(E, scale)
+    grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
     batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     if scales is None:
@@ -300,7 +240,7 @@ def image_dimension_experiment(
             per_path = list(ex.map(one, range(n_paths)))
     else:
         per_path = [one(p) for p in range(n_paths)]
-    dd = dim_delta_estimate(E if isinstance(E, CantorSet) else [(grid[0], grid[-1])], scale)
+    dd = dim_delta_estimate(E, scale)
     theory = min(float(d), dd.value)
     return ImageDimensionReport(
         per_path=per_path,
@@ -319,25 +259,6 @@ def image_dimension_experiment(
     )
 
 
-def _dist_to_members(points, members):
-    """Euclidean distance from each point to a union of boxes/balls."""
-    pts = np.atleast_2d(points)
-    best = np.full(pts.shape[0], np.inf)
-    for m in members:
-        if m["type"] == "box":
-            lo = np.asarray(m["lo"], dtype=float)
-            hi = np.asarray(m["hi"], dtype=float)
-            gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-            dist = np.linalg.norm(gap, axis=1)
-        elif m["type"] == "ball":
-            c = np.asarray(m["center"], dtype=float)
-            dist = np.maximum(np.linalg.norm(pts - c, axis=1) - m["radius"], 0.0)
-        else:
-            raise ValueError(f"unknown member type {m['type']!r}")
-        best = np.minimum(best, dist)
-    return best
-
-
 @dataclass
 class IntersectionDimensionReport:
     per_path_time_dim: list
@@ -353,22 +274,6 @@ class IntersectionDimensionReport:
     flagged_empty: bool
     params: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "per_path_time_dim": self.per_path_time_dim,
-            "per_path_image_dim": self.per_path_image_dim,
-            "per_path_time_dim_delta": self.per_path_time_dim_delta,
-            "hit_paths": self.hit_paths,
-            "n_paths": self.n_paths,
-            "max_time_dim": self.max_time_dim,
-            "max_image_dim": self.max_image_dim,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "dim_rho": self.dim_rho.to_dict(),
-            "flagged_empty": self.flagged_empty,
-            "params": self.params,
-        }
-
 
 def _dim_delta_of_sample(points, scale, max_level: int = 16) -> float:
     """Gamma-dyadic dimension of a finite sample, saturation-aware.
@@ -377,10 +282,11 @@ def _dim_delta_of_sample(points, scale, max_level: int = 16) -> float:
     the sampling, so the fit stops at a third of it.
     """
     pts = np.asarray(points, dtype=float).ravel()
+    E = TimeSet.points(pts)
     ns, logs = [], []
     for n in range(2, max_level):
         try:
-            c = gamma_dyadic_count(pts, n, scale)
+            c = gamma_dyadic_count(E, n, scale)
         except (ValueError, OverflowError):
             break
         if c > max(2.0, pts.size / 3.0):
@@ -414,7 +320,9 @@ def intersection_dimension_experiment(
     evaluated from the report's own estimates with H taken from the
     elasticity at mid-grid.
     """
-    grid, _ = _experiment_grid(E, grid_n)
+    E = TimeSet.of(E, scale)
+    F = Target.of(F_members)
+    grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
     batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     if scales is None:
@@ -423,7 +331,7 @@ def intersection_dimension_experiment(
     hits = 0
     for p in range(n_paths):
         pts = batch.points(p)
-        sel = _dist_to_members(pts, F_members) <= tol
+        sel = F.distance(pts) <= tol
         if not np.any(sel):
             time_dims.append(math.nan)
             image_dims.append(math.nan)
@@ -438,7 +346,7 @@ def intersection_dimension_experiment(
     h_eff = float(scale.psi(math.sqrt(grid[0] * grid[-1])))
     e_dim = box_dimension_euclidean(grid[:, None], scales, trim=trim).value
     f_dim = float(d)  # members are full-dimensional boxes/balls
-    rho_est = dim_rho_product([(grid[0], grid[-1])] if not isinstance(E, CantorSet) else E, F_members, scale)
+    rho_est = dim_rho_product(E, F, scale)
     lower = e_dim + h_eff * (f_dim - d)
     upper = h_eff * (rho_est.value - d)
     valid_t = [v for v in time_dims if not math.isnan(v)]

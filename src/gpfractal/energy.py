@@ -14,20 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractal_sets import DiscreteMeasure
+from .fractal_sets import DiscreteMeasure, OutOfModelError
 from .scale import phi_kernel
 
 __all__ = [
     "KernelMatrix",
     "CapacityReport",
     "kernel_matrix",
-    "energy_discrete",
     "minimize_energy",
     "farthest_point_subsample",
     "capacity_estimate",
-    "frostman_exponent",
-    "frostman_ratio_band",
 ]
+
+_MAX_ATOMS = 10_000  # atom cap of the subsample and of the capacity sweep
 
 
 @dataclass
@@ -50,14 +49,6 @@ def kernel_matrix(atoms, dists, beta: float, h: float) -> KernelMatrix:
     K = phi_kernel(beta, np.maximum(dists, h))
     K = 0.5 * (K + K.T)
     return KernelMatrix(atoms=np.asarray(atoms), K=K, h=h, beta=beta)
-
-
-def energy_discrete(measure: DiscreteMeasure, kernel: KernelMatrix) -> float:
-    """Quadratic form w^T K w of the measure's weights."""
-    if measure.n != kernel.n:
-        raise ValueError("measure atoms do not match kernel atoms")
-    w = measure.weights
-    return float(w @ kernel.K @ w)
 
 
 def minimize_energy(
@@ -114,7 +105,7 @@ def minimize_energy(
     return DiscreteMeasure(kernel.atoms, w), e, gap
 
 
-def farthest_point_subsample(atoms, metric, spacing: float, cap: int = 10_000):
+def farthest_point_subsample(atoms, metric, spacing: float, cap: int = _MAX_ATOMS):
     """Greedy farthest-point selection down to the given spacing.
 
     ``metric(i, idx)`` returns distances from atom i to atoms[idx].
@@ -146,19 +137,6 @@ class CapacityReport:
     n_atoms: list = field(default_factory=list)
     beta: float = 0.0
 
-    def to_dict(self):
-        return {
-            "resolutions": self.resolutions,
-            "e_min": self.e_min,
-            "gaps": self.gaps,
-            "capacity_estimates": self.capacity_estimates,
-            "verdict": self.verdict,
-            "extrapolated": self.extrapolated,
-            "slope_per_octave": self.slope_per_octave,
-            "n_atoms": self.n_atoms,
-            "beta": self.beta,
-        }
-
     @property
     def capacity_value(self) -> float:
         return 0.0 if self.verdict == "zero" else self.extrapolated
@@ -171,7 +149,7 @@ def capacity_estimate(
     resolutions,
     tol: float = 1e-5,
     max_iter: int = 20_000,
-    cap: int = 10_000,
+    cap: int = _MAX_ATOMS,
     trace=None,
 ) -> CapacityReport:
     """Capacity 1/inf-energy across a decreasing resolution sweep.
@@ -183,14 +161,15 @@ def capacity_estimate(
     -0.1) reads "zero", a near-flat tail reads "positive" with a
     geometric-series extrapolation, and the band in between is
     "inconclusive" (the critical-order regime that discretization cannot
-    settle).
+    settle).  More than ``cap`` atoms, fewer than 2 resolutions, or atoms
+    too coarse for the second resolution raise OutOfModelError.
     """
     atoms = np.asarray(atoms)
     if len(atoms) > cap:
-        raise ValueError(f"atom count {len(atoms)} exceeds cap {cap}")
+        raise OutOfModelError(f"atom count {len(atoms)} exceeds cap {cap}")
     res = sorted((float(h) for h in resolutions), reverse=True)
     if len(res) < 2:
-        raise ValueError("need at least 2 resolutions")
+        raise OutOfModelError("need at least 2 resolutions")
     e_mins, gaps, caps_est, n_atoms = [], [], [], []
     used = []
     saturated = False
@@ -217,7 +196,7 @@ def capacity_estimate(
         n_atoms.append(len(idx))
     res = used
     if len(res) < 2:
-        raise ValueError(
+        raise OutOfModelError(
             "atom set too coarse for the requested resolutions "
             "(subsample saturates immediately)"
         )
@@ -262,60 +241,3 @@ def capacity_estimate(
         beta=beta,
     )
 
-
-# ---------------------------------------------------------------------------
-# Frostman exponents
-
-
-def _sup_ball_mass(measure: DiscreteMeasure, scale, r: float) -> float:
-    """sup over atoms t of nu(B_{delta*}(t, r)) for a time-line measure."""
-    times = measure.atoms
-    order = np.argsort(times)
-    t = times[order]
-    w = measure.weights[order]
-    cum = np.concatenate([[0.0], np.cumsum(w)])
-    rad = float(scale.inverse(min(r, scale.gamma(scale.x_max)), tol=1e-15))
-    hi = np.searchsorted(t, t + rad, side="right")
-    lo = np.searchsorted(t, t - rad, side="left")
-    return float(np.max(cum[hi] - cum[lo]))
-
-
-def frostman_exponent(measure: DiscreteMeasure, scale, r_grid=None) -> float:
-    """Slope of log sup_t nu(B_delta(t, r)) against log r.
-
-    The default radius menu spans the dyadic range between the measure's
-    delta-diameter and the scale where single atoms dominate.
-    """
-    times = np.sort(measure.atoms)
-    if times.ndim != 1:
-        raise ValueError("frostman_exponent expects a time-line measure")
-    if r_grid is None:
-        diam = scale.gamma(min(times[-1] - times[0], scale.x_max)) if times.size > 1 else 1.0
-        r_grid = [diam / 2.0**j for j in range(1, 13)]
-    masses = []
-    kept = []
-    wmax = float(np.max(measure.weights))
-    for r in sorted(r_grid, reverse=True):
-        m = _sup_ball_mass(measure, scale, r)
-        if m <= wmax * (1 + 1e-12) and kept:
-            break  # saturated at single-atom mass: below sampling resolution
-        kept.append(r)
-        masses.append(m)
-    if len(kept) < 2 or masses[0] <= wmax * (1 + 1e-12):
-        return 0.0
-    xs = [math.log2(r) for r in kept]
-    ys = [math.log2(m) for m in masses]
-    xm, ym = np.mean(xs), np.mean(ys)
-    return float(
-        np.sum((np.array(xs) - xm) * (np.array(ys) - ym))
-        / np.sum((np.array(xs) - xm) ** 2)
-    )
-
-
-def frostman_ratio_band(measure: DiscreteMeasure, scale, zeta: float, r_grid):
-    """Empirical [c1, c2] with c1 r^zeta <= sup-ball-mass <= c2 r^zeta."""
-    ratios = []
-    for r in r_grid:
-        m = _sup_ball_mass(measure, scale, r)
-        ratios.append(m / r**zeta)
-    return float(np.min(ratios)), float(np.max(ratios))

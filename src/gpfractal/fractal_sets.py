@@ -1,5 +1,6 @@
-"""Generalized Cantor sets in the gamma metric, their mass measure, and
-covering machinery.
+"""Generalized Cantor sets in the gamma metric, their mass measure, the
+time set E and target F of the hitting and dimension experiments, and
+gamma-dyadic coverings.
 
 The construction keeps two children of length t_k * eps0 at the extreme
 ends of each parent interval, with t_k = gamma^{-1}(2^{-k/zeta}), so the
@@ -17,14 +18,23 @@ import numpy as np
 __all__ = [
     "CantorSet",
     "DiscreteMeasure",
+    "OutOfModelError",
     "RatioOverflowError",
+    "Target",
+    "TimeSet",
     "build_cantor",
     "cantor_measure",
     "gamma_dyadic_count",
-    "gamma_dyadic_cover",
-    "covering_number_delta",
-    "packing_number_delta",
+    "grid_lookup",
 ]
+
+_LATTICE_CAP = 400  # points in a target's lattice sample
+
+
+class OutOfModelError(ValueError):
+    """Inputs outside the model: E beyond the scale's domain or off the
+    simulation grid, a construction the scale cannot carry, or a hitting
+    tolerance below the grid guard."""
 
 
 class RatioOverflowError(ValueError):
@@ -128,7 +138,7 @@ def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> CantorSet
     for k in range(1, depth + 1):
         target = 2.0 ** (-k / zeta)
         if target > gxmax * (1 + 1e-12):
-            raise ValueError(
+            raise OutOfModelError(
                 f"t_{k} not computable: 2^(-k/zeta) = {target:.3e} exceeds "
                 f"gamma(x_max) = {gxmax:.3e}"
             )
@@ -174,23 +184,213 @@ def cantor_measure(cs: CantorSet) -> DiscreteMeasure:
 
 
 # ---------------------------------------------------------------------------
-# gamma-dyadic coverings
+# the time set E and the target F
 
 
-def _intervals_of(E) -> np.ndarray:
-    """Normalize E to an (m, 2) array of closed intervals.
+def grid_lookup(grid, times):
+    """Nearest grid index of each time, and whether the time is that point.
 
-    Accepts a CantorSet (its deepest level), an array of points
-    (degenerate intervals), or a sequence of (a, b) pairs.
+    A time is a grid point when it lies within 1e-9 * max(1, |t|) of it;
+    ``grid`` must be strictly increasing.  Nothing is snapped: callers
+    reject the times that are not grid points.
     """
-    if isinstance(E, CantorSet):
-        return E.intervals()
-    arr = np.asarray(E, dtype=float)
-    if arr.ndim == 1:
-        return np.column_stack([arr, arr])
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr
-    raise ValueError("E must be a CantorSet, points, or (a, b) interval pairs")
+    grid = np.asarray(grid, dtype=float)
+    times = np.asarray(times, dtype=float)
+    right = np.minimum(np.searchsorted(grid, times), grid.size - 1)
+    left = np.maximum(right - 1, 0)
+    idx = np.where(np.abs(grid[left] - times) < np.abs(grid[right] - times), left, right)
+    return idx, np.abs(grid[idx] - times) <= 1e-9 * np.maximum(1.0, np.abs(times))
+
+
+@dataclass(frozen=True, eq=False)
+class TimeSet:
+    """A time set E in [0, x_max]: one closed interval, a Cantor set or points.
+
+    ``intervals`` is the (m, 2) array of closed components that coverings
+    tile (degenerate ones for points).  ``atoms`` are the times a
+    simulation uses, or None for an interval, whose grid the caller
+    chooses.  ``spec`` describes E in reports, and ``cantor`` is the
+    CantorSet E was built from, if any.
+    """
+
+    intervals: np.ndarray
+    atoms: np.ndarray | None
+    spec: dict
+    cantor: CantorSet | None = None
+
+    @classmethod
+    def of(cls, E, scale) -> TimeSet:
+        """The one conversion of E: a TimeSet, a CantorSet or an interval (a, b).
+
+        Raises OutOfModelError unless E lies in [0, x_max] of ``scale``, so
+        no time lag between points of E ever exceeds the scale's domain.
+        """
+        if isinstance(E, CantorSet):
+            spec = {"type": "cantor", "zeta": E.zeta, "depth": E.depth, "eps0": E.eps0}
+            E = cls(E.intervals(), np.unique(E.atoms()), spec, E)
+        elif not isinstance(E, TimeSet):
+            a, b = (float(v) for v in np.asarray(E, dtype=float).reshape(2))
+            E = cls(np.array([[a, b]]), None, {"type": "interval", "a": a, "b": b})
+        iv = E.intervals
+        if not (
+            iv.min() >= 0
+            and np.all(iv[:, 0] <= iv[:, 1])
+            and iv.max() <= scale.x_max * (1 + 1e-12)
+        ):
+            raise OutOfModelError(
+                f"E {E.spec} is not a closed subset of [0, x_max = {scale.x_max:g}]"
+            )
+        return E
+
+    @classmethod
+    def points(cls, times) -> TimeSet:
+        """Finitely many times, each a degenerate component."""
+        t = np.asarray(times, dtype=float).ravel()
+        return cls(np.column_stack([t, t]), t, {"type": "points", "n": int(t.size)})
+
+    def sample(self, n: int) -> np.ndarray:
+        """The atoms of E, or n equispaced times spanning its interval."""
+        if self.atoms is not None:
+            return self.atoms
+        return np.linspace(self.intervals[0, 0], self.intervals[0, 1], n)
+
+    def grid_indices(self, grid) -> np.ndarray:
+        """Indices of the grid times that stand for E.
+
+        An interval takes every grid point inside it.  Each atom must be a
+        grid point itself (see grid_lookup); atoms are never moved to a
+        neighbouring grid time.  Raises OutOfModelError for an atom off
+        the grid or when E holds no grid point.
+        """
+        grid = np.asarray(grid, dtype=float)
+        if self.atoms is None:
+            a, b = self.intervals[0]
+            idx = np.flatnonzero((grid >= a - 1e-12) & (grid <= b + 1e-12))
+        else:
+            idx, on_grid = grid_lookup(grid, self.atoms)
+            if not np.all(on_grid):
+                raise OutOfModelError(
+                    f"E has atoms off the grid: {np.count_nonzero(~on_grid)} of "
+                    f"{on_grid.size}, the first at t = {float(self.atoms[~on_grid][0])!r}"
+                )
+        if idx.size == 0:
+            raise OutOfModelError("E contains no grid points")
+        return idx
+
+
+def _coords(member: dict, key: str, i: int) -> list:
+    v = member.get(key)
+    if not (
+        isinstance(v, (list, tuple, np.ndarray))
+        and len(v) > 0
+        and all(isinstance(x, (int, float, np.number)) and math.isfinite(x) for x in v)
+    ):
+        raise ValueError(f"member {i}: {key} must be a non-empty list of finite numbers")
+    return [float(x) for x in v]
+
+
+class Target:
+    """A target F in R^d: a finite union of closed boxes and balls.
+
+    Members are ``{"type": "box", "lo": [...], "hi": [...]}`` with
+    lo <= hi on every axis, or ``{"type": "ball", "center": [...],
+    "radius": r}`` with r > 0, all of one length d (``d``, when given).
+    Anything else raises ValueError naming the member.  ``spec`` holds
+    the members with their numbers as floats, as reports print them.
+    """
+
+    def __init__(self, members, d: int | None = None):
+        if not isinstance(members, (list, tuple)) or not members:
+            raise ValueError("F must be a non-empty list of members")
+        self.spec = []
+        # (type, lo, hi, extent, center, radius): lo/hi bound the member
+        self._parts = []
+        for i, m in enumerate(members):
+            if not isinstance(m, dict) or "type" not in m:
+                raise ValueError(f"member {i}: expected an object with a 'type'")
+            if m["type"] == "box":
+                lo, hi = _coords(m, "lo", i), _coords(m, "hi", i)
+                if len(lo) != len(hi) or not all(l <= h for l, h in zip(lo, hi)):
+                    raise ValueError(f"member {i}: box needs lo <= hi on every axis")
+                self.spec.append({"type": "box", "lo": lo, "hi": hi})
+                lo, hi = np.array(lo), np.array(hi)
+                self._parts.append(("box", lo, hi, hi - lo, None, None))
+            elif m["type"] == "ball":
+                c, r = _coords(m, "center", i), m.get("radius")
+                if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
+                    raise ValueError(f"member {i}: ball needs a radius > 0")
+                self.spec.append({"type": "ball", "center": c, "radius": float(r)})
+                c, r = np.array(c), float(r)
+                self._parts.append(("ball", c - r, c + r, np.full(c.size, 2.0 * r), c, r))
+            else:
+                raise ValueError(f"member {i}: unknown member type {m['type']!r}")
+            d = self._parts[0][1].size if d is None else d
+            if self._parts[-1][1].size != d:
+                raise ValueError(f"member {i}: coordinates must have length d={d}")
+        self.d = d
+
+    @classmethod
+    def of(cls, F) -> Target:
+        """A Target, or one built from a list of members."""
+        return F if isinstance(F, Target) else cls(F)
+
+    @property
+    def feature(self) -> float:
+        """The smallest member extent: a box's shortest side or a diameter."""
+        return min(float(np.min(extent)) for _, _, _, extent, _, _ in self._parts)
+
+    def distance(self, points) -> np.ndarray:
+        """Euclidean distance from each point (one per row) to F."""
+        pts = np.atleast_2d(points)
+        best = np.full(pts.shape[0], np.inf)
+        for kind, lo, hi, _, c, r in self._parts:
+            if kind == "box":
+                gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+                dist = np.linalg.norm(gap, axis=1)
+            else:
+                dist = np.maximum(np.linalg.norm(pts - c, axis=1) - r, 0.0)
+            best = np.minimum(best, dist)
+        return best
+
+    def lattice(self):
+        """Deterministic lattice sample of F and its pitch, as (points, pitch).
+
+        The pitch is a sixth of the smallest member's longest extent, and
+        downstream estimators use it as their resolution floor.  A sample
+        above _LATTICE_CAP points is thinned by a constant stride.
+        """
+        pitch = min(float(np.max(extent)) for _, _, _, extent, _, _ in self._parts) / 6.0
+        pts = []
+        for kind, lo, hi, _, c, r in self._parts:
+            axes = [
+                np.arange(l, u + 1e-12, pitch) if u > l else np.array([l])
+                for l, u in zip(lo, hi)
+            ]
+            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+            if kind == "ball":
+                mesh = mesh[np.linalg.norm(mesh - c, axis=1) <= r + 1e-12]
+                if mesh.size == 0:
+                    mesh = c[None, :]
+            pts.append(mesh)
+        out = np.vstack(pts)
+        if len(out) > _LATTICE_CAP:
+            out = out[:: int(math.ceil(len(out) / _LATTICE_CAP))]
+        return out, pitch
+
+    def box_count(self, s: float) -> float:
+        """Surrogate count of side-s grid boxes meeting F, via bounding boxes.
+
+        Exact only up to a bounded factor, which leaves dimension slopes
+        unchanged.
+        """
+        return sum(
+            float(np.prod(np.floor(hi / s) - np.floor(lo / s) + 1))
+            for _, lo, hi, _, _, _ in self._parts
+        )
+
+
+# ---------------------------------------------------------------------------
+# gamma-dyadic coverings
 
 
 def _tile_ranges(E, n: int, scale):
@@ -205,7 +405,7 @@ def _tile_ranges(E, n: int, scale):
     w = float(scale.inverse(2.0 ** (-n), tol=1e-15))
     if w <= 0 or not math.isfinite(w):
         raise ValueError(f"gamma-dyadic width underflows at level {n}")
-    iv = _intervals_of(E)
+    iv = TimeSet.of(E, scale).intervals
     a, b = iv[:, 0], iv[:, 1]
     j1 = np.floor(a / w) + 1.0
     j2 = np.where(b > a, np.ceil(b / w), j1)
@@ -228,66 +428,3 @@ def gamma_dyadic_count(E, n: int, scale) -> float:
             count += hi - cur_end
             cur_end = hi
     return float(count)
-
-
-def gamma_dyadic_cover(E, n: int, scale, max_tiles: int = 1_000_000) -> np.ndarray:
-    """The minimal set of level-n gamma-dyadic intervals meeting E.
-
-    Returns an (m, 2) array of [left, right] tiles.  Refuses to
-    materialize more than ``max_tiles`` (use gamma_dyadic_count for
-    super-geometric regimes).
-    """
-    w, j1, j2 = _tile_ranges(E, n, scale)
-    total = gamma_dyadic_count(E, n, scale)
-    if total > max_tiles:
-        raise ValueError(f"cover would materialize {total:.3e} tiles")
-    if np.any(j2 > 2.0**53):
-        raise ValueError(f"tile indices at level {n} exceed exact integer range")
-    tiles = set()
-    for lo, hi in zip(j1, j2):
-        tiles.update(range(int(lo), int(hi) + 1))
-    js = np.array(sorted(tiles), dtype=float)
-    return np.column_stack([(js - 1) * w, js * w])
-
-
-# ---------------------------------------------------------------------------
-# covering and packing numbers in an arbitrary time metric
-
-
-def covering_number_delta(E, r: float, model) -> int:
-    """Greedy covering count: repeatedly cover the leftmost uncovered
-    point with a delta-ball.
-
-    The ball is centered at the rightmost set point still within r of
-    the uncovered point, so it reaches as far right as the point
-    placement allows (centering at the point itself would waste half of
-    every ball on already-covered territory).
-    """
-    pts = np.sort(np.asarray(E, dtype=float).ravel())
-    if pts.size == 0:
-        return 0
-    covered = np.zeros(pts.size, dtype=bool)
-    count = 0
-    while not covered.all():
-        i = int(np.argmin(covered))  # leftmost uncovered
-        d_from_p = np.asarray(model.delta(pts[i], pts))
-        candidates = np.flatnonzero(d_from_p <= r)
-        c = int(candidates[-1]) if candidates.size else i
-        d = np.asarray(model.delta(pts[c], pts))
-        covered |= d <= r
-        covered[i] = True
-        count += 1
-    return count
-
-
-def packing_number_delta(E, r: float, model) -> int:
-    """Left-to-right maximal r-separated subset size."""
-    pts = np.sort(np.asarray(E, dtype=float).ravel())
-    if pts.size == 0:
-        return 0
-    chosen = [pts[0]]
-    for p in pts[1:]:
-        d = np.asarray(model.delta(p, np.array(chosen)))
-        if np.all(d > r):
-            chosen.append(p)
-    return len(chosen)

@@ -45,7 +45,6 @@ __all__ = [
     "cov_stationary_increments",
     "cov_volterra",
     "sample_paths",
-    "conditional_variance",
 ]
 
 _MAX_N = 8192  # dense Cholesky cap; estimators upstream never need more
@@ -157,13 +156,6 @@ class CovMatrix:
             f"escalations (base {base:.3e}); rejecting this family/grid "
             f"combination ({last_err})"
         )
-
-    def index_of(self, t: float) -> int:
-        i = int(np.searchsorted(self.grid, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.n and abs(self.grid[j] - t) <= 1e-9 * max(1.0, abs(t)):
-                return j
-        raise KeyError(f"time {t} is not a grid point")
 
 
 def _check_grid(scale, grid):
@@ -416,9 +408,6 @@ class PathBatch:
     values: np.ndarray
     seed: int
 
-    def component(self, p: int, c: int) -> np.ndarray:
-        return self.values[p, :, c]
-
     def points(self, p: int) -> np.ndarray:
         """The image points {B(t_i)} in R^d for path p, shape (n, d)."""
         return self.values[p]
@@ -500,12 +489,3 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int) -> PathBatch:
                 values[chunk.start : chunk.stop, :, c] = circ.paths(z)
     return PathBatch(grid=cov.grid, d=d, n_paths=n_paths, values=values, seed=seed)
 
-
-def conditional_variance(cov: CovMatrix, s: float, t: float) -> float:
-    """Var(B0(t) | B0(s)) = R(t,t) - R(s,t)^2 / R(s,s)."""
-    i = cov.index_of(s)
-    j = cov.index_of(t)
-    R = cov.R
-    if R[i, i] < 1e-14:
-        raise ZeroDivisionError("conditioning on a degenerate coordinate")
-    return float(R[j, j] - R[i, j] ** 2 / R[i, i])

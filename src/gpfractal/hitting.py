@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimension import _dist_to_members, dim_rho_product
+from .conditions import IntegralError, f_gamma
+from .dimension import dim_rho_product
 from .energy import capacity_estimate
-from .fractal_sets import CantorSet
+from .fractal_sets import OutOfModelError, Target, TimeSet
 from .gp_sim import CovMatrix, sample_paths
-from .metrics import FromCovariance
+from .metrics import FromCovariance, StationaryGamma
 
 __all__ = [
     "OutOfModelError",
@@ -29,9 +30,8 @@ __all__ = [
     "wilson_interval",
     "grid_tolerance_guard",
     "check_hit_grid",
-    "sample_F_points",
     "product_atoms",
-    "rho_metric_fn",
+    "delta_metric_fn",
     "hit_probability_mc",
     "small_ball_mc",
     "small_ball_sweep",
@@ -41,10 +41,6 @@ __all__ = [
 
 
 _HIT_CHUNK = 8  # paths per indicator block: small enough to stay in cache
-
-
-class OutOfModelError(ValueError):
-    """The grid, E and tol of a hitting experiment fall outside its model."""
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple[float, float]:
@@ -76,71 +72,13 @@ class HitProbReport:
     n_paths: int
     tol: float
     grid_n: int
-    e_spec: dict
-    f_spec: list
+    E: dict
+    F: list
     capacity_term: float
     content_term: float
     dim_rho_est: float = math.nan
     capacity_verdict: str = ""
     extras: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_paths": self.n_paths,
-            "tol": self.tol,
-            "grid_n": self.grid_n,
-            "E": self.e_spec,
-            "F": self.f_spec,
-            "capacity_term": self.capacity_term,
-            "content_term": self.content_term,
-            "dim_rho_est": self.dim_rho_est,
-            "capacity_verdict": self.capacity_verdict,
-            "extras": self.extras,
-        }
-
-
-def sample_F_points(members, spacing: float | None = None, cap: int = 400):
-    """Deterministic lattice sample of a union of boxes/balls.
-
-    Returns (points, spacing_used); the spacing is the lattice pitch,
-    which downstream estimators use as their resolution floor.
-    """
-    pitch = spacing
-    if pitch is None:
-        sides = []
-        for m in members:
-            if m["type"] == "box":
-                sides.append(float(np.max(np.asarray(m["hi"]) - np.asarray(m["lo"]))))
-            else:
-                sides.append(2.0 * m["radius"])
-        pitch = min(sides) / 6.0
-    pts = []
-    for m in members:
-        if m["type"] == "box":
-            lo = np.asarray(m["lo"], dtype=float)
-            hi = np.asarray(m["hi"], dtype=float)
-            c = None
-        else:
-            c = np.asarray(m["center"], dtype=float)
-            lo, hi = c - m["radius"], c + m["radius"]
-        axes = [
-            np.arange(l, u + 1e-12, pitch) if u > l else np.array([l])
-            for l, u in zip(lo, hi)
-        ]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
-        if m["type"] == "ball":
-            mesh = mesh[np.linalg.norm(mesh - c, axis=1) <= m["radius"] + 1e-12]
-            if mesh.size == 0:
-                mesh = c[None, :]
-        pts.append(mesh)
-    out = np.vstack(pts)
-    if len(out) > cap:
-        stride = int(math.ceil(len(out) / cap))
-        out = out[::stride]
-    return out, pitch
 
 
 def product_atoms(times, f_points) -> np.ndarray:
@@ -152,35 +90,9 @@ def product_atoms(times, f_points) -> np.ndarray:
     return np.column_stack([t_rep, x_rep])
 
 
-def rho_metric_fn(scale, atoms):
-    """metric(i, idx) -> rho distances for product atoms (t, x)."""
-    atoms = np.atleast_2d(atoms)
-    times = atoms[:, 0]
-    space = atoms[:, 1:]
-
-    def metric(i, idx):
-        dt = scale.gamma(np.abs(times[idx] - times[i]))
-        dx = np.linalg.norm(space[idx] - space[i], axis=1)
-        return np.maximum(dt, dx)
-
-    return metric
-
-
 def delta_metric_fn(scale, times):
-    times = np.asarray(times, dtype=float).ravel()
-
-    def metric(i, idx):
-        return scale.gamma(np.abs(times[idx] - times[i]))
-
-    return metric
-
-
-def _e_grid(E, grid, scale):
-    """Grid times of E: Cantor atoms or the sub-grid inside an interval."""
-    if isinstance(E, CantorSet):
-        return np.unique(E.atoms())
-    a, b = float(E[0]), float(E[1])
-    return grid[(grid >= a - 1e-12) & (grid <= b + 1e-12)]
+    """metric(i, idx) -> delta* distances between times."""
+    return StationaryGamma(scale).rows(np.asarray(times, dtype=float).ravel())
 
 
 def check_hit_grid(scale, grid, E, d: int, tol: float):
@@ -190,10 +102,7 @@ def check_hit_grid(scale, grid, E, d: int, tol: float):
     least grid_tolerance_guard on this grid.  Both checks need only the
     grid, so callers can run them before any covariance work.
     """
-    e_idx = np.searchsorted(grid, _e_grid(E, grid, scale))
-    e_idx = np.unique(np.clip(e_idx, 0, len(grid) - 1))
-    if e_idx.size == 0:
-        raise OutOfModelError("E contains no grid points")
+    e_idx = TimeSet.of(E, scale).grid_indices(grid)
     step = float(np.max(np.diff(grid))) if len(grid) > 1 else 0.0
     guard = grid_tolerance_guard(scale, step, len(grid), d) if step else 0.0
     if tol < guard * (1.0 - 1e-9):
@@ -227,13 +136,15 @@ def hit_probability_mc(
     raise OutOfModelError (see check_hit_grid).
     """
     grid = cov.grid
+    E = TimeSet.of(E, scale)
+    F = Target.of(F_members)
     e_idx, guard = check_hit_grid(scale, grid, E, d, tol)
     if batch is None:
         batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     hits = 0
     for p0 in range(0, batch.n_paths, _HIT_CHUNK):
         pts = np.take(batch.values[p0 : p0 + _HIT_CHUNK], e_idx, axis=1)
-        dist = _dist_to_members(pts.reshape(-1, batch.d), F_members)
+        dist = F.distance(pts.reshape(-1, batch.d))
         hits += int(np.count_nonzero(dist.reshape(len(pts), -1).min(axis=1) <= tol))
     p_hat = hits / batch.n_paths
     lo, hi = wilson_interval(hits, batch.n_paths)
@@ -244,35 +155,32 @@ def hit_probability_mc(
     cap_verdict = ""
     if with_terms:
         times = grid[e_idx]
-        f_pts, f_pitch = sample_F_points(F_members)
+        f_pts, f_pitch = F.lattice()
         t_budget = max(16, 9000 // max(len(f_pts), 1))
         t_sub = times[:: max(1, int(math.ceil(len(times) / t_budget)))]
         # resolution floor: below the sampling pitch of either factor the
         # product atoms are isolated and capacity/content see only
         # discreteness artifacts
-        dt = float(np.min(np.diff(t_sub))) if len(t_sub) > 1 else 0.0
-        floor = max(scale.gamma(dt) if dt else 0.0, f_pitch)
+        metric = StationaryGamma(scale)
+        # the closest pair of sampled times sets the time resolution
+        k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
+        floor = max(metric.delta(t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
         atoms = product_atoms(t_sub, f_pts)
-        metric = rho_metric_fn(scale, atoms)
-        diam = _product_diameter(scale, atoms)
+        diam = _product_diameter(metric, atoms)
         if capacity_resolutions is None:
             capacity_resolutions = [
                 r for j in range(1, 9) if (r := diam / 2.0**j) >= floor
             ] or [diam / 2.0, diam / 4.0]
-        rep = capacity_estimate(atoms, metric, beta=float(d), resolutions=capacity_resolutions)
+        rep = capacity_estimate(
+            atoms, metric.rows(atoms), beta=float(d), resolutions=capacity_resolutions
+        )
         cap_val = rep.capacity_value
         cap_verdict = rep.verdict
         content = hausdorff_content_estimate(
             t_sub, f_pts, s_exponent=float(d), scale=scale, r_floor=floor
         )
-        e_arg = E if isinstance(E, CantorSet) else [(float(E[0]), float(E[1]))]
-        dim_rho = dim_rho_product(e_arg, F_members, scale).value
+        dim_rho = dim_rho_product(E, F, scale).value
 
-    e_spec = (
-        {"type": "cantor", "zeta": E.zeta, "depth": E.depth, "eps0": E.eps0}
-        if isinstance(E, CantorSet)
-        else {"type": "interval", "a": float(E[0]), "b": float(E[1])}
-    )
     return HitProbReport(
         p_hat=p_hat,
         ci_low=lo,
@@ -280,8 +188,8 @@ def hit_probability_mc(
         n_paths=batch.n_paths,
         tol=tol,
         grid_n=len(grid),
-        e_spec=e_spec,
-        f_spec=list(F_members),
+        E=E.spec,
+        F=F.spec,
         capacity_term=cap_val,
         content_term=content,
         dim_rho_est=dim_rho,
@@ -290,12 +198,9 @@ def hit_probability_mc(
     )
 
 
-def _product_diameter(scale, atoms) -> float:
-    t = atoms[:, 0]
-    x = atoms[:, 1:]
-    dt = scale.gamma(min(float(t.max() - t.min()), scale.x_max))
-    dx = float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
-    return max(dt, dx, 1e-12)
+def _product_diameter(metric, atoms) -> float:
+    """rho between the corners of the atoms' bounding box, at least 1e-12."""
+    return max(float(metric.rho(atoms.min(axis=0), atoms.max(axis=0))), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +216,6 @@ class SmallBallReport:
     n_ball_points: int
     ref_r_d: float
     ref_fgamma_d: float
-
-    def to_dict(self):
-        return {
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "r": self.r,
-            "n_ball_points": self.n_ball_points,
-            "ref_r_d": self.ref_r_d,
-            "ref_fgamma_d": self.ref_fgamma_d,
-        }
 
 
 def small_ball_mc(
@@ -346,7 +240,7 @@ def small_ball_mc(
     (f is the entropy-integral majorant).
     """
     if scale is not None:
-        dvec = np.asarray(scale.gamma(np.minimum(np.abs(cov.grid - t0), scale.x_max)))
+        dvec = np.asarray(StationaryGamma(scale).delta(t0, cov.grid))
     else:
         model = FromCovariance(cov)
         t0 = float(cov.grid[int(np.argmin(np.abs(cov.grid - t0)))])
@@ -366,11 +260,9 @@ def small_ball_mc(
     lo, hi = wilson_interval(hits, batch.n_paths)
     ref_f = math.nan
     if scale is not None:
-        from .conditions import f_gamma
-
         try:
             ref_f = (r + f_gamma(scale, r, l=l)) ** d
-        except Exception:
+        except (ValueError, IntegralError):
             ref_f = math.nan
     return SmallBallReport(
         p_hat=p_hat,
@@ -419,9 +311,8 @@ def hausdorff_content_estimate(
     times = np.asarray(E_times, dtype=float).ravel()
     f_pts = np.atleast_2d(F_points)
     atoms = product_atoms(times, f_pts)
-    t = atoms[:, 0]
-    x = atoms[:, 1:]
-    diam = _product_diameter(scale, atoms)
+    metric = StationaryGamma(scale)
+    diam = _product_diameter(metric, atoms)
     best = math.inf
     for depth in range(1, menu_depth + 1):
         menu = [diam / 2.0**j for j in range(depth + 1)]
@@ -430,9 +321,7 @@ def hausdorff_content_estimate(
         covered = np.zeros(len(atoms), dtype=bool)
         while not covered.all() and total < best:
             i = int(np.argmin(covered))
-            dt = scale.gamma(np.minimum(np.abs(t - t[i]), scale.x_max))
-            dx = np.linalg.norm(x - x[i], axis=1)
-            rho = np.maximum(dt, dx)
+            rho = metric.rho(atoms[i], atoms)
             best_cost, best_r, best_mask = math.inf, menu[0], None
             for r in menu:
                 mask = ~covered & (rho <= r)

@@ -1,10 +1,10 @@
 """Canonical metrics of the process and the commensurability diagnostic.
 
-Two interchangeable backends: the stationary-increment model
+Two metrics on the time line: the stationary-increment model
 delta*(s, t) = gamma(|t - s|), used for set geometry, and the
 covariance-derived delta(s, t) = sqrt(R(t,t) + R(s,s) - 2 R(s,t)) of a
 simulated process.  The product metric on time x space is
-rho(u, v) = max(delta, Euclidean).
+rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||).
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fractal_sets import grid_lookup
+
 __all__ = [
-    "MetricModel",
     "StationaryGamma",
     "FromCovariance",
     "CommensurabilityReport",
@@ -25,36 +26,13 @@ __all__ = [
 _NEG_VAR_TOL = 1e-10
 
 
-class MetricModel:
-    """Base class: a metric on the time domain."""
+class StationaryGamma:
+    """delta*(s, t) = gamma(|t - s|) and the product metric rho built on it.
 
-    def delta(self, s, t):
-        raise NotImplementedError
-
-    def delta_matrix(self, times):
-        times = np.asarray(times, dtype=float)
-        n = times.size
-        out = np.empty((n, n))
-        for i in range(n):
-            out[i] = self.delta(times[i], times)
-        return out
-
-    def rho(self, sx, ty):
-        """Product metric max{delta(s,t), ||x - y||} on time x space points.
-
-        Each argument is (s, x) with x an R^d vector; d must agree.
-        """
-        s, x = sx
-        t, y = ty
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape:
-            raise ValueError("rho: spatial dimension mismatch")
-        return max(float(self.delta(s, t)), float(np.linalg.norm(x - y)))
-
-
-class StationaryGamma(MetricModel):
-    """delta*(s, t) = gamma(|t - s|)."""
+    The one place that evaluates either.  E is validated to lie in
+    [0, x_max] (fractal_sets.TimeSet), so |t - s| never leaves the
+    scale's domain and is not clipped.
+    """
 
     def __init__(self, scale):
         self.scale = scale
@@ -64,27 +42,54 @@ class StationaryGamma(MetricModel):
 
     def delta_matrix(self, times):
         times = np.asarray(times, dtype=float)
-        return self.scale.gamma(np.abs(times[:, None] - times[None, :]))
+        return self.delta(times[:, None], times[None, :])
+
+    def rho(self, u, v):
+        """max(delta*(s, t), ||x - y||) for points u = (s, x), v = (t, y).
+
+        Points are rows (t, x_1, ..., x_d), and a block of rows
+        broadcasts against one point.  A single pair goes through norm's
+        vector path (a dot product) and a block through its row
+        reduction; the two can differ in the last bit, and each keeps the
+        rounding that recorded outputs of its callers were made with.
+        """
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if u.shape[-1] != v.shape[-1]:
+            raise ValueError("rho: spatial dimension mismatch")
+        dx = v[..., 1:] - u[..., 1:]
+        dx = np.linalg.norm(dx, axis=-1) if dx.ndim > 1 else np.linalg.norm(dx)
+        return np.maximum(self.delta(u[..., 0], v[..., 0]), dx)
+
+    def rows(self, atoms):
+        """metric(i, idx): distances from atoms[i] to atoms[idx].
+
+        rho for (m, 1 + d) product atoms, delta* for (m,) times.
+        """
+        atoms = np.asarray(atoms, dtype=float)
+        dist = self.delta if atoms.ndim == 1 else self.rho
+
+        def metric(i, idx):
+            return dist(atoms[i], atoms[idx])
+
+        return metric
 
 
-class FromCovariance(MetricModel):
+class FromCovariance:
     """delta(s, t)^2 = R(t,t) + R(s,s) - 2 R(s,t) on the covariance grid."""
 
     def __init__(self, cov):
         self.cov = cov
 
-    def _index(self, t):
-        grid = self.cov.grid
-        i = int(np.searchsorted(grid, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < grid.size and abs(grid[j] - t) <= 1e-9 * max(1.0, abs(t)):
-                return j
-        raise KeyError(f"time {t} is not on the covariance grid")
+    def _index(self, times):
+        idx, on_grid = grid_lookup(self.cov.grid, times)
+        if not np.all(on_grid):
+            raise KeyError(f"time {np.asarray(times)[~on_grid]} is not on the covariance grid")
+        return idx
 
     def delta(self, s, t):
         i = self._index(s)
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        j = np.array([self._index(x) for x in t_arr])
+        j = self._index(np.atleast_1d(np.asarray(t, dtype=float)))
         R = self.cov.R
         d2 = R[j, j] + R[i, i] - 2.0 * R[i, j]
         d2 = _clamp_var(d2)
@@ -94,7 +99,7 @@ class FromCovariance(MetricModel):
     def delta_matrix(self, times=None):
         R = self.cov.R
         if times is not None:
-            idx = np.array([self._index(t) for t in np.asarray(times, dtype=float)])
+            idx = self._index(times)
             R = R[np.ix_(idx, idx)]
         d = np.diag(R)
         d2 = d[:, None] + d[None, :] - 2.0 * R
@@ -124,15 +129,6 @@ class CommensurabilityReport:
     ratio_max: float
     n_pairs: int
     grid: np.ndarray
-
-    def to_dict(self):
-        return {
-            "l_hat": self.l_hat,
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "n_pairs": self.n_pairs,
-            "grid": self.grid.tolist(),
-        }
 
 
 def commensurability_report(cov, scale) -> CommensurabilityReport:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +25,8 @@ __all__ = [
     "ExpLogScale",
     "LogCorrectedScale",
     "CustomScale",
-    "IndexReport",
     "parse_scale_spec",
     "phi_kernel",
-    "lower_index_report",
 ]
 
 
@@ -494,51 +491,6 @@ def phi_kernel(beta: float, r):
     else:
         out = np.ones_like(a)
     return float(out) if scalar else out
-
-
-@dataclass
-class IndexReport:
-    """Tabulated elasticity and the lower-index bracket it implies."""
-
-    psi_values: list = field(default_factory=list)  # (r, psi(r)) pairs
-    liminf_est: float = math.nan
-    limsup_est: float = math.nan
-    ind_lower: float = math.nan
-    ind_upper: float = math.nan
-    psi_sqrtlog_limit_est: float = math.nan
-
-    def to_dict(self):
-        return {
-            "psi_values": [[r, p] for r, p in self.psi_values],
-            "liminf_est": self.liminf_est,
-            "limsup_est": self.limsup_est,
-            "ind_lower": self.ind_lower,
-            "ind_upper": self.ind_upper,
-            "psi_sqrtlog_limit_est": self.psi_sqrtlog_limit_est,
-        }
-
-
-def lower_index_report(f: ScaleFunction, r_grid) -> IndexReport:
-    """Bracket the lower index of gamma by sampling psi on a decreasing grid.
-
-    The liminf/limsup estimates are taken over the smallest sampled decade
-    (true limits are unobservable numerically; the grid is recorded so a
-    reviewer can extend it).  The report also evaluates
-    psi(r) * sqrt(log(1/r)) at the smallest grid point.
-    """
-    r = np.asarray(sorted(r_grid, reverse=True), dtype=float)
-    if r.size < 4 or r[0] / r[-1] < 1e4:
-        raise ValueError("r_grid must span at least 4 decades")
-    psi = np.array([f.psi(x) for x in r])
-    last = r <= r[-1] * 10.0
-    rep = IndexReport()
-    rep.psi_values = list(zip(r.tolist(), psi.tolist()))
-    rep.liminf_est = float(np.min(psi[last]))
-    rep.limsup_est = float(np.max(psi[last]))
-    rep.ind_lower = rep.liminf_est
-    rep.ind_upper = rep.limsup_est
-    rep.psi_sqrtlog_limit_est = float(psi[-1] * math.sqrt(math.log(1.0 / r[-1])))
-    return rep
 
 
 # ---------------------------------------------------------------------------

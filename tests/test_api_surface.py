@@ -1,0 +1,87 @@
+"""The package's public names resolve, and the benchmark's tracing hooks
+still attach to them (bench/tracing.py wraps functions by name and binds
+some of their parameters by name)."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import gpfractal
+from gpfractal.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = [
+    "conditions",
+    "dimension",
+    "energy",
+    "fractal_sets",
+    "gp_sim",
+    "hitting",
+    "metrics",
+    "scale",
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(f"gpfractal.{name}")
+    missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert not missing
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse((ROOT / "src" / "gpfractal" / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level]
+    assert imports
+    for node in imports:
+        source = importlib.import_module(f"gpfractal.{node.module}")
+        for alias in node.names:
+            assert getattr(gpfractal, alias.name) is getattr(source, alias.name), alias.name
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    yield tracing
+    sys.modules.pop("tracing", None)
+
+
+def test_tracer_installs_runs_and_uninstalls(tracing, tmp_path):
+    from gpfractal import energy, hitting
+
+    original = (hitting.hit_probability_mc, energy.farthest_point_subsample)
+    tracer, probe = tracing.Tracer(), tracing.MemoryProbe()
+    tracer.install()
+    probe.install()
+    try:
+        assert hitting.hit_probability_mc is not original[0]
+        hit = {
+            "gamma": "power:H=0.5", "grid": {"a": 0.5, "b": 1.0, "n": 64}, "d": 1,
+            "E": {"type": "interval", "a": 0.5, "b": 1.0},
+            "F": [{"type": "ball", "center": [0.5], "radius": 0.2}],
+            "tol": 1.0, "n_paths": 10, "seed": 1,
+        }
+        capacity = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
+                    "beta": 1.5, "n_atoms": 100, "seed": 0}
+        for command, cfg in (("hit", hit), ("capacity", capacity)):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    finally:
+        probe.uninstall()
+        tracer.uninstall()
+    assert (hitting.hit_probability_mc, energy.farthest_point_subsample) == original
+    for span in ("hitting.hit_probability_mc", "hitting.hausdorff_content_estimate",
+                 "energy.capacity_estimate", "dimension.dim_rho_product",
+                 "fractal_sets.gamma_dyadic_count", "gp_sim.sample_paths"):
+        assert tracer.calls[span] > 0, span
+    assert tracer.counts["energy.farthest_point_subsample.metric_calls"] > 0
+    assert tracer.counts["energy.minimize_energy.solves"] > 0

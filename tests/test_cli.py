@@ -213,6 +213,16 @@ class TestHitAndCapacity:
         assert rep["verdict"] in {"positive", "zero", "inconclusive"}
         assert (out / "capacity_trace.csv").exists()
 
+    def test_capacity_too_few_atoms(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
+             "beta": 1.5, "n_atoms": 2, "seed": 0},
+        )
+        assert main(["capacity", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "atom set too coarse" in err and "Traceback" not in err
+
     def test_hit_reports_sampler(self, tmp_path):
         base = {
             "gamma": "power:H=0.5",
@@ -296,6 +306,18 @@ class TestOutOfModel:
         cfg["instances"] = [inst] * 5 + [bad]
         self._run(tmp_path, capsys, "battery", cfg, "E contains no grid points")
 
+    def test_cantor_E_off_the_grid(self, tmp_path, capsys):
+        cfg = dict(self.HIT, grid={"a": 0.2, "b": 1.0, "n": 4096},
+                   E={"type": "cantor", "zeta": 0.5, "depth": 8})
+        self._run(tmp_path, capsys, "hit", cfg, "E has atoms off the grid")
+
+    def test_battery_with_cantor_E_off_the_grid(self, tmp_path, capsys):
+        inst = {"E": self.HIT["E"], "F": self.HIT["F"]}
+        bad = dict(inst, E={"type": "cantor", "zeta": 0.5, "depth": 5})
+        cfg = {k: v for k, v in self.HIT.items() if k not in ("E", "F")}
+        cfg["instances"] = [inst] * 5 + [bad]
+        self._run(tmp_path, capsys, "battery", cfg, "E has atoms off the grid")
+
     @pytest.mark.parametrize("command", ["hit", "simulate"])
     def test_d_with_colliding_substreams(self, tmp_path, capsys, command):
         cfg = dict(self.HIT, d=65536, n_paths=10**12)
@@ -330,3 +352,39 @@ class TestBattery:
         assert len(verdict["verdict"]["rows"]) == 6
         csv_text = (out / "battery_verdict.csv").read_text()
         assert csv_text.startswith("instance,p_hat")
+
+
+LOG = "logscale:beta=1.0"  # x_max = 0.5
+CANTOR = {"type": "cantor", "zeta": 0.5, "depth": 4}
+DIMS = {"gamma": "power:H=0.5", "d": 1, "n_paths": 2, "grid_n": 64, "seed": 1}
+CAPACITY = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
+            "beta": 1.5, "seed": 0}
+REJECTED = {
+    "dims_interval_beyond_x_max": ("dims", dict(
+        DIMS, gamma=LOG, E={"type": "interval", "a": 0.2, "b": 0.9})),
+    "dims_cantor_eps0_beyond_x_max": ("dims", dict(DIMS, gamma=LOG, E=dict(CANTOR, eps0=1.0))),
+    "capacity_cantor_eps0_beyond_x_max": ("capacity", dict(
+        CAPACITY, gamma=LOG, E=dict(CANTOR, eps0=1.0))),
+    "capacity_interval_beyond_x_max": ("capacity", dict(
+        CAPACITY, gamma=LOG, E={"type": "interval", "a": 0.2, "b": 0.9})),
+    "capacity_one_atom": ("capacity", dict(CAPACITY, n_atoms=1)),
+    "capacity_atoms_above_cap": ("capacity", dict(CAPACITY, n_atoms=20000)),
+    "E_eps0_above_one": ("dims", dict(DIMS, E=dict(CANTOR, eps0=2.0))),
+    "E_eps0_not_a_number": ("capacity", dict(CAPACITY, E=dict(CANTOR, eps0="x"))),
+    "cantor_eps0_above_one": ("cantor", {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 4,
+                                         "eps0": 2.0}),
+    "cantor_eps0_not_a_number": ("cantor", {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 4,
+                                            "eps0": "x"}),
+    "check_scale_eps_not_a_number": ("check-scale", {"gamma": "power:H=0.5", "eps": "x"}),
+    "box_lo_above_hi": ("hit", dict(
+        TestOutOfModel.HIT, F=[{"type": "box", "lo": [0.5, 0.0], "hi": [0.2, 0.4]}])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_invalid_config_exits_2_at_parse_time(tmp_path, capsys, name):
+    command, cfg = REJECTED[name]
+    path = _write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err

@@ -7,15 +7,13 @@ from oracles import exact_min_energy
 
 from gpfractal.energy import (
     capacity_estimate,
-    energy_discrete,
     farthest_point_subsample,
-    frostman_exponent,
-    frostman_ratio_band,
     kernel_matrix,
     minimize_energy,
 )
 from gpfractal.fractal_sets import DiscreteMeasure, build_cantor, cantor_measure
 from gpfractal.hitting import delta_metric_fn
+from gpfractal.metrics import StationaryGamma
 from gpfractal.scale import PowerScale, phi_kernel
 
 
@@ -26,30 +24,32 @@ def _random_kernel(rng, n, beta=0.8, h=0.05):
 
 
 class TestEnergyDiscrete:
+    """The energy w^T K w of a measure's weights against kernel_matrix."""
+
     def test_point_mass_diagonal(self):
         kern = kernel_matrix([0.5], np.zeros((1, 1)), beta=0.7, h=0.02)
-        nu = DiscreteMeasure(np.array([0.5]), np.array([1.0]))
-        assert energy_discrete(nu, kern) == pytest.approx(phi_kernel(0.7, 0.02))
+        w = np.array([1.0])
+        assert w @ kern.K @ w == pytest.approx(phi_kernel(0.7, 0.02))
 
     def test_two_atoms_hand_expansion(self):
         r, h, beta = 0.3, 0.01, 1.2
         atoms = np.array([0.2, 0.5])
         dists = np.array([[0.0, r], [r, 0.0]])
         kern = kernel_matrix(atoms, dists, beta=beta, h=h)
-        nu = DiscreteMeasure(atoms, np.array([0.5, 0.5]))
+        w = np.array([0.5, 0.5])
         expected = 0.5 * (phi_kernel(beta, h) + phi_kernel(beta, r))
-        assert energy_discrete(nu, kern) == pytest.approx(expected)
+        assert w @ kern.K @ w == pytest.approx(expected)
 
     def test_negative_beta_constant(self, rng):
         kern = _random_kernel(rng, 6, beta=-1.0)
-        nu = DiscreteMeasure(kern.atoms, np.full(6, 1 / 6))
-        assert energy_discrete(nu, kern) == pytest.approx(1.0)
+        w = np.full(6, 1 / 6)
+        assert w @ kern.K @ w == pytest.approx(1.0)
 
     def test_mismatch_rejected(self, rng):
+        # a measure's weights must align with its atoms, one per kernel row
         kern = _random_kernel(rng, 4)
-        nu = DiscreteMeasure(np.array([0.5]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            energy_discrete(nu, kern)
+        with pytest.raises(ValueError, match="align"):
+            DiscreteMeasure(kern.atoms, np.array([1.0]))
 
 
 class TestMinimizeEnergy:
@@ -90,9 +90,9 @@ class TestMinimizeEnergy:
         for _ in range(10):
             n = int(rng.integers(2, 30))
             kern = _random_kernel(rng, n)
-            nu_u = DiscreteMeasure(kern.atoms, np.full(n, 1.0 / n))
+            w = np.full(n, 1.0 / n)
             _, e, _ = minimize_energy(kern)
-            assert e <= energy_discrete(nu_u, kern) + 1e-12
+            assert e <= w @ kern.K @ w + 1e-12
 
 
 class TestCapacity:
@@ -137,24 +137,36 @@ class TestCapacity:
         assert np.all(gaps > 0.05 - 1e-12)
 
 
+def _sup_ball_mass(nu, f, r, stride=16):
+    """max over every stride-th atom t of nu(B_delta(t, r))."""
+    model = StationaryGamma(f)
+    return max(nu.ball_mass_time(model, t, r) for t in nu.atoms[::stride])
+
+
 class TestFrostman:
+    """Ball masses sup_t nu(B_delta(t, r)) of the measures the energies use."""
+
     def test_uniform_measure_inverse_holder(self):
+        # the delta-ball of radius r is |s - t| <= r^2 for H = 1/2: mass ~ r^2
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 4096)
         nu = DiscreteMeasure(atoms, np.full(4096, 1 / 4096))
-        assert frostman_exponent(nu, f) == pytest.approx(2.0, abs=0.1)
+        radii = [2.0**-j for j in range(1, 6)]
+        mass = [_sup_ball_mass(nu, f, r, stride=64) for r in radii]
+        slope = np.polyfit(np.log2(radii), np.log2(mass), 1)[0]
+        assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_point_mass_zero(self):
+        # a point mass fills every ball around its atom: exponent 0
         nu = DiscreteMeasure(np.array([0.4]), np.array([1.0]))
-        assert frostman_exponent(nu, PowerScale(0.5)) == 0.0
+        assert all(_sup_ball_mass(nu, PowerScale(0.5), 2.0**-j) == 1.0 for j in range(12))
 
     def test_ratio_band_for_regular_set(self):
         f = PowerScale(0.5)
         cs = build_cantor(f, 0.8, depth=12)
         nu = cantor_measure(cs)
-        r_grid = [2.0 ** (-k / 0.8) for k in range(2, 10)]
-        c1, c2 = frostman_ratio_band(nu, f, 0.8, r_grid)
-        assert 0 < c1 <= c2 <= 8.0 + 1e-9
+        ratios = [_sup_ball_mass(nu, f, r) / r**0.8 for r in (2.0 ** (-k / 0.8) for k in range(2, 10))]
+        assert 0 < min(ratios) <= max(ratios) <= 8.0 + 1e-9
 
     def test_energy_bounded_when_exponent_dominates(self):
         # measures with frostman exponent >= beta + 0.2 keep bounded
@@ -167,5 +179,5 @@ class TestFrostman:
         dists = f.gamma(np.abs(nu.atoms[:, None] - nu.atoms[None, :]))
         for h in [2.0**-j for j in range(2, 9)]:
             kern = kernel_matrix(nu.atoms, dists, beta=beta, h=h)
-            energies.append(energy_discrete(nu, kern))
+            energies.append(nu.weights @ kern.K @ nu.weights)
         assert energies[-1] <= 2.0 * energies[0] + 5.0

@@ -7,16 +7,17 @@ import pytest
 
 from gpfractal.fractal_sets import (
     DiscreteMeasure,
+    OutOfModelError,
     RatioOverflowError,
+    Target,
+    TimeSet,
     build_cantor,
     cantor_measure,
-    covering_number_delta,
     gamma_dyadic_count,
-    gamma_dyadic_cover,
-    packing_number_delta,
+    grid_lookup,
 )
 from gpfractal.metrics import StationaryGamma
-from gpfractal.scale import PowerScale
+from gpfractal.scale import LogScale, PowerScale
 
 
 class TestBuildCantor:
@@ -107,23 +108,26 @@ class TestCantorMeasure:
 
 class TestGammaDyadic:
     def test_single_tile_interval(self):
+        # tiles are half-open: [0, w] with w a tile width meets one tile
         f = PowerScale(1.0)
         w = f.inverse(2.0**-3)
-        cover = gamma_dyadic_cover([(0.0, w)], 3, f)
-        assert cover.shape[0] == 1
+        assert gamma_dyadic_count([(0.0, w)], 3, f) == 1
 
     def test_unit_interval_dyadic(self):
         f = PowerScale(1.0)
-        cover = gamma_dyadic_cover([(0.0, 1.0)], 3, f)
-        assert cover.shape[0] == 8
         assert gamma_dyadic_count([(0.0, 1.0)], 3, f) == 8
 
     def test_count_matches_cover(self):
+        # the merged count equals the size of the union of tile ranges
         f = PowerScale(0.5)
         cs = build_cantor(f, 0.8, depth=8)
         for n in (2, 4, 6):
-            cover = gamma_dyadic_cover(cs, n, f)
-            assert cover.shape[0] == gamma_dyadic_count(cs, n, f)
+            w = f.inverse(2.0**-n, tol=1e-15)
+            tiles = set()
+            for a, b in cs.intervals():
+                first = math.floor(a / w) + 1
+                tiles.update(range(first, max(first, math.ceil(b / w)) + 1))
+            assert len(tiles) == gamma_dyadic_count(cs, n, f)
 
     def test_cantor_slope(self):
         # tiles meeting C_zeta at level n number ~ 2^(n zeta)
@@ -135,47 +139,91 @@ class TestGammaDyadic:
         slope = np.polyfit(ns, np.log2(counts), 1)[0]
         assert slope == pytest.approx(zeta, abs=0.05)
 
-    def test_materialization_guard(self):
-        from gpfractal.scale import LogScale
 
-        f = LogScale(1.0)
-        with pytest.raises(ValueError):
-            gamma_dyadic_cover([(0.01, 0.5)], 7, f, max_tiles=10_000)
+class TestTimeSet:
+    def test_interval_and_cantor_specs(self):
+        f = PowerScale(0.5)
+        assert TimeSet.of((0.2, 1.0), f).spec == {"type": "interval", "a": 0.2, "b": 1.0}
+        cs = build_cantor(f, 0.5, 3, eps0=0.5)
+        E = TimeSet.of(cs, f)
+        assert E.spec == {"type": "cantor", "zeta": 0.5, "depth": 3, "eps0": 0.5}
+        assert np.array_equal(E.atoms, cs.atoms()) and E.cantor is cs
+        assert TimeSet.of(E, f) is E
+
+    @pytest.mark.parametrize("E", [(0.2, 0.9), (-0.1, 0.3), (0.4, 0.2)])
+    def test_interval_outside_domain_rejected(self, E):
+        with pytest.raises(OutOfModelError, match="x_max = 0.5"):
+            TimeSet.of(E, LogScale(1.0))
+
+    def test_cantor_beyond_domain_rejected(self):
+        cs = build_cantor(LogScale(1.0), 0.5, 3, eps0=1.0)
+        with pytest.raises(OutOfModelError):
+            TimeSet.of(cs, LogScale(1.0))
+
+    def test_interval_grid_indices(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        E = TimeSet.of((0.3, 0.6), PowerScale(0.5))
+        assert E.grid_indices(grid).tolist() == [3, 4, 5, 6]
+
+    def test_grid_lookup(self):
+        grid = np.array([0.1, 0.2, 0.4, 0.8])
+        idx, on_grid = grid_lookup(grid, [0.8, 0.1 + 1e-12, 0.3, 0.05, 0.9])
+        assert idx.tolist() == [3, 0, 1, 0, 3]
+        assert on_grid.tolist() == [True, True, False, False, False]
 
 
-class TestCoveringPacking:
-    def test_singleton(self):
-        model = StationaryGamma(PowerScale(0.5))
-        assert covering_number_delta([0.3], 0.1, model) == 1
-        assert packing_number_delta([0.3], 0.1, model) == 1
+class TestTarget:
+    BOX = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]}
+    BALL = {"type": "ball", "center": [3.0, 0.0], "radius": 0.5}
 
-    def test_uniform_grid_interval_arithmetic(self):
-        # m points on [0, 1], euclidean scale, r = 1/(2k): about k balls
-        f = PowerScale(1.0)
-        model = StationaryGamma(f)
-        pts = np.linspace(0.0, 1.0, 501)
-        for k in (4, 8, 16):
-            n = covering_number_delta(pts, 1.0 / (2 * k), model)
-            assert abs(n - k) <= 1
+    def test_distance(self):
+        F = Target([self.BOX, self.BALL])
+        pts = np.array([[0.5, 1.0], [2.0, 2.0], [3.0, 1.5], [-3.0, -4.0]])
+        assert F.distance(pts) == pytest.approx([0.0, 1.0, 1.0, 5.0])
 
-    def test_covering_packing_relation(self, rng):
-        # N(E, 2r) <= P(E, r) for any metric with the triangle inequality
-        model = StationaryGamma(PowerScale(0.5))
-        for _ in range(200):
-            pts = rng.uniform(0.0, 1.0, size=rng.integers(5, 60))
-            r = rng.uniform(0.01, 0.4)
-            assert covering_number_delta(pts, 2 * r, model) <= packing_number_delta(
-                pts, r, model
-            )
+    def test_geometry(self):
+        F = Target([self.BOX, self.BALL], d=2)
+        assert F.d == 2 and F.feature == 1.0
+        pts, pitch = F.lattice()
+        assert pitch == pytest.approx(1.0 / 6.0)
+        assert np.all(F.distance(pts) <= 1e-12)
+        # side-1 boxes: 2 x 3 for the box, 2 x 2 for the ball's bounding box
+        assert F.box_count(1.0) == 6 + 4
+
+    def test_spec_in_floats(self):
+        F = Target([{"type": "ball", "center": [1, 0], "radius": 2}])
+        assert F.spec == [{"type": "ball", "center": [1.0, 0.0], "radius": 2.0}]
+        assert Target.of(F) is F
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([], "non-empty"),
+            ([{"lo": [0.0], "hi": [1.0]}], "'type'"),
+            ([{"type": "box", "lo": [1.0, 0.0], "hi": [0.5, 1.0]}], "lo <= hi"),
+            ([{"type": "box", "lo": ["x"], "hi": [1.0]}], "finite numbers"),
+            ([{"type": "ball", "center": [0.0, 0.0], "radius": 0.0}], "radius > 0"),
+            ([{"type": "cube", "lo": [0.0]}], "unknown member type"),
+            ([BOX, {"type": "ball", "center": [0.0], "radius": 1.0}], "length d=2"),
+        ],
+    )
+    def test_invalid_members_rejected(self, members, message):
+        with pytest.raises(ValueError, match=message):
+            Target(members)
+
+    def test_dimension_must_match_d(self):
+        with pytest.raises(ValueError, match="length d=3"):
+            Target([self.BOX], d=3)
 
 
 class TestFrostmanConsistency:
     def test_exponent_fit_near_zeta(self):
-        from gpfractal.energy import frostman_exponent
-
+        # log2 sup_t nu(B_delta(t, r)) against log2 r has slope zeta
         f = PowerScale(0.5)
+        model = StationaryGamma(f)
         for zeta in (0.5, 0.8):
-            cs = build_cantor(f, zeta, depth=12)
-            nu = cantor_measure(cs)
-            fit = frostman_exponent(nu, f)
-            assert fit == pytest.approx(zeta, abs=0.1)
+            nu = cantor_measure(build_cantor(f, zeta, depth=12))
+            radii = [2.0 ** (-k / zeta) for k in range(2, 10)]
+            mass = [max(nu.ball_mass_time(model, t, r) for t in nu.atoms[::16]) for r in radii]
+            slope = np.polyfit(np.log2(radii), np.log2(mass), 1)[0]
+            assert slope == pytest.approx(zeta, abs=0.1)

@@ -8,7 +8,6 @@ from gpfractal.gp_sim import (
     CovMatrix,
     PSDError,
     PathBatch,
-    conditional_variance,
     cov_stationary_increments,
     cov_volterra,
     sample_paths,
@@ -242,16 +241,6 @@ class TestCirculantSampler:
 
 
 class TestConditionalVariance:
-    def test_zero_at_same_point(self):
-        f = PowerScale(0.5)
-        cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 10))
-        assert conditional_variance(cov, 0.2, 0.2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_brownian_hand_value(self):
-        grid = np.array([0.5, 1.0])
-        cov = CovMatrix(grid=grid, R=np.minimum.outer(grid, grid))
-        assert conditional_variance(cov, 0.5, 1.0) == pytest.approx(0.5)
-
     def test_two_point_lnd_stable_under_refinement(self):
         # min over near pairs of Var(B(t)|B(s)) / gamma^2(|t-s|) stays
         # positive and moves by less than a factor 5 as the grid refines x4;
@@ -271,12 +260,11 @@ class TestConditionalVariance:
             mins = []
             for n in (64, 256):
                 grid = np.linspace(lo, hi, n)
-                cov = cov_stationary_increments(f, grid)
-                ratios = []
-                for i in range(n - 1):
-                    v = conditional_variance(cov, grid[i], grid[i + 1])
-                    ratios.append(v / f.gamma2(grid[i + 1] - grid[i]))
-                mins.append(min(ratios))
+                R = cov_stationary_increments(f, grid).R
+                # Var(B(t_{i+1}) | B(t_i)) = R[j, j] - R[i, j]^2 / R[i, i], j = i + 1
+                i = np.arange(n - 1)
+                v = R[i + 1, i + 1] - R[i, i + 1] ** 2 / R[i, i]
+                mins.append(float(np.min(v / f.gamma2(grid[i + 1] - grid[i]))))
             assert mins[0] > 0 and mins[1] > 0, f.name
             assert max(mins) / min(mins) < 5.0, f.name
 

@@ -3,14 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gpfractal.dimension import _dist_to_members
+from gpfractal.fractal_sets import Target, TimeSet, build_cantor
 from gpfractal.gp_sim import cov_stationary_increments, sample_paths
 from gpfractal.hitting import (
     OutOfModelError,
+    check_hit_grid,
     grid_tolerance_guard,
     hausdorff_content_estimate,
     hit_probability_mc,
-    sample_F_points,
     sandwich_report,
     small_ball_mc,
     small_ball_sweep,
@@ -68,6 +68,27 @@ class TestHitProbability:
                 d=1, tol=1.0, n_paths=10, seed=1,
             )
 
+    def test_cantor_atoms_off_the_grid_rejected(self):
+        # depth 8 puts 256 atoms in (0, 1); none may be moved to a grid time
+        scale = PowerScale(0.5)
+        cs = build_cantor(scale, 0.5, 8)
+        grid = np.linspace(0.2, 1.0, 4096)
+        with pytest.raises(OutOfModelError, match="atoms off the grid"):
+            TimeSet.of(cs, scale).grid_indices(grid)
+        with pytest.raises(OutOfModelError, match="atoms off the grid"):
+            check_hit_grid(scale, grid, cs, 1, 10.0)
+
+    def test_cantor_atoms_on_the_grid_map_to_their_indices(self):
+        scale = PowerScale(0.5)
+        cs = build_cantor(scale, 0.5, 4, eps0=0.8)
+        atoms = np.unique(cs.atoms())
+        grid = np.unique(np.concatenate([atoms, np.linspace(0.01, 0.8, 50)]))
+        want = np.searchsorted(grid, atoms)
+        assert np.array_equal(grid[want], atoms)
+        assert np.array_equal(TimeSet.of(cs, scale).grid_indices(grid), want)
+        e_idx, _ = check_hit_grid(scale, grid, cs, 1, 10.0)
+        assert np.array_equal(e_idx, want)
+
     def test_chunked_indicator_matches_per_path_loop(self, brownian_setup):
         scale, grid, cov = brownian_setup
         tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 2)
@@ -79,7 +100,7 @@ class TestHitProbability:
         e_idx = np.flatnonzero((grid >= 0.3 - 1e-12) & (grid <= 0.7 + 1e-12))
         for F in (members[:1], members[1:], members):
             want = sum(
-                float(np.min(_dist_to_members(batch.values[p][e_idx], F))) <= tol
+                float(np.min(Target(F).distance(batch.values[p][e_idx]))) <= tol
                 for p in range(batch.n_paths)
             )
             rep = hit_probability_mc(
@@ -171,7 +192,7 @@ class TestContent:
     def test_menu_refinement_never_increases(self):
         scale = PowerScale(0.5)
         times = np.linspace(0.2, 1.0, 24)
-        f_pts, _ = sample_F_points([{"type": "box", "lo": [0.0, 0.0], "hi": [0.4, 0.4]}])
+        f_pts, _ = Target([{"type": "box", "lo": [0.0, 0.0], "hi": [0.4, 0.4]}]).lattice()
         vals = [
             hausdorff_content_estimate(times, f_pts, 2.5, scale, menu_depth=d)
             for d in (2, 4, 6)
@@ -200,7 +221,7 @@ class TestSandwich:
             lo, hi = wilson_interval(int(p * 1000), 1000)
             return HitProbReport(
                 p_hat=p, ci_low=lo, ci_high=hi, n_paths=1000, tol=0.1,
-                grid_n=64, e_spec={}, f_spec=[], capacity_term=cap,
+                grid_n=64, E={}, F=[], capacity_term=cap,
                 content_term=content, dim_rho_est=dim_rho,
             )
 
@@ -220,7 +241,7 @@ class TestSandwich:
             lo, hi = wilson_interval(int(p * 1000), 1000)
             return HitProbReport(
                 p_hat=p, ci_low=lo, ci_high=hi, n_paths=1000, tol=0.1,
-                grid_n=64, e_spec={}, f_spec=[], capacity_term=cap,
+                grid_n=64, E={}, F=[], capacity_term=cap,
                 content_term=1.0, dim_rho_est=5.0,
             )
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -53,32 +55,40 @@ class TestDelta:
 
 
 class TestRho:
+    """The product metric on points given as rows (t, x_1, ..., x_d)."""
+
     def test_coincident(self):
         model = StationaryGamma(PowerScale(0.5))
-        assert model.rho((0.3, [1.0, 2.0]), (0.3, [1.0, 2.0])) == 0.0
+        assert model.rho([0.3, 1.0, 2.0], [0.3, 1.0, 2.0]) == 0.0
 
     def test_max_semantics(self):
         model = StationaryGamma(PowerScale(0.5))
         # delta = 0.5, spatial = 0.2
-        assert model.rho((0.1, [0.0]), (0.35, [0.2])) == pytest.approx(0.5)
+        assert model.rho([0.1, 0.0], [0.35, 0.2]) == pytest.approx(0.5)
         # delta = 0.1, spatial = 0.2
         s, t = 0.3, 0.31
-        assert model.rho((s, [0.0]), (t, [0.2])) == pytest.approx(0.2)
+        assert model.rho([s, 0.0], [t, 0.2]) == pytest.approx(0.2)
 
     def test_dimension_mismatch(self):
         model = StationaryGamma(PowerScale(0.5))
         with pytest.raises(ValueError):
-            model.rho((0.1, [0.0, 1.0]), (0.2, [0.0]))
+            model.rho([0.1, 0.0, 1.0], [0.2, 0.0])
 
     def test_triangle_inequality(self, rng):
         model = StationaryGamma(PowerScale(0.5))
         for _ in range(300):
-            ts = rng.uniform(0.01, 1.0, size=3)
-            xs = rng.normal(size=(3, 2))
-            a = model.rho((ts[0], xs[0]), (ts[2], xs[2]))
-            b = model.rho((ts[0], xs[0]), (ts[1], xs[1]))
-            c = model.rho((ts[1], xs[1]), (ts[2], xs[2]))
-            assert a <= b + c + 1e-12
+            u, v, w = np.column_stack([rng.uniform(0.01, 1.0, size=3), rng.normal(size=(3, 2))])
+            assert model.rho(u, w) <= model.rho(u, v) + model.rho(v, w) + 1e-12
+
+    def test_rows_match_pairs(self, rng):
+        model = StationaryGamma(PowerScale(0.5))
+        atoms = np.column_stack([rng.uniform(0.01, 1.0, size=40), rng.normal(size=(40, 3))])
+        metric = model.rows(atoms)
+        idx = np.arange(0, 40, 3)
+        want = [model.rho(atoms[5], atoms[j]) for j in idx]
+        assert metric(5, idx) == pytest.approx(want, rel=1e-15)
+        times = atoms[:, 0]
+        assert np.array_equal(model.rows(times)(5, idx), model.delta(times[5], times[idx]))
 
 
 class TestTriangleInequalityDelta:
@@ -120,5 +130,4 @@ class TestCommensurability:
         f = PowerScale(0.5)
         grid = np.linspace(0.1, 1.0, 8)
         rep = commensurability_report(cov_stationary_increments(f, grid), f)
-        d = rep.to_dict()
-        assert set(d) >= {"l_hat", "ratio_min", "ratio_max", "n_pairs"}
+        assert set(asdict(rep)) >= {"l_hat", "ratio_min", "ratio_max", "n_pairs"}

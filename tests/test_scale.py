@@ -15,7 +15,6 @@ from gpfractal.scale import (
     PowerLogScale,
     PowerScale,
     ScaleDomainError,
-    lower_index_report,
     parse_scale_spec,
     phi_kernel,
 )
@@ -170,36 +169,29 @@ class TestPhiKernel:
 
 
 class TestLowerIndexReport:
-    def test_power(self):
-        rep = lower_index_report(PowerScale(0.3), np.geomspace(1e-2, 1e-8, 20))
-        assert rep.ind_lower == pytest.approx(0.3, abs=1e-12)
-        assert rep.ind_upper == pytest.approx(0.3, abs=1e-12)
+    """psi tabulated on a deep decreasing grid, as the lower index
+    ind(gamma) = liminf psi and the limit of psi(r) sqrt(log(1/r)) read it."""
 
-    def test_bracket_ordering(self, registry):
-        for f in registry:
-            rep = lower_index_report(f, np.geomspace(1e-2, 1e-9, 25))
-            assert rep.liminf_est <= rep.limsup_est
-            assert rep.ind_lower <= rep.ind_upper
+    @staticmethod
+    def _tail(f, grid):
+        r = np.sort(grid)[::-1]
+        psi = np.array([f.psi(x) for x in r])
+        return psi[r <= r[-1] * 10.0], psi[-1] * math.sqrt(math.log(1.0 / r[-1]))
 
     def test_logscale_psi_sqrtlog_goes_to_zero(self):
-        grid = np.geomspace(1e-2, 1e-200, 30)
-        rep = lower_index_report(LogScale(1.0), grid)
-        assert rep.liminf_est == pytest.approx(0.0, abs=1e-2)
+        last_decade, limit = self._tail(LogScale(1.0), np.geomspace(1e-2, 1e-200, 30))
+        assert np.min(last_decade) == pytest.approx(0.0, abs=1e-2)
         first = LogScale(1.0).psi(1e-2) * math.sqrt(math.log(1e2))
-        assert rep.psi_sqrtlog_limit_est < first / 5.0
+        assert limit < first / 5.0
 
     def test_explog_dichotomy(self):
         grid = np.geomspace(1e-2, 1e-250, 40)
-        small = lower_index_report(ExpLogScale(0.3), grid)
-        large = lower_index_report(ExpLogScale(0.7), grid)
+        _, small = self._tail(ExpLogScale(0.3), grid)
+        _, large = self._tail(ExpLogScale(0.7), grid)
         head_small = ExpLogScale(0.3).psi(1e-2) * math.sqrt(math.log(1e2))
         head_large = ExpLogScale(0.7).psi(1e-2) * math.sqrt(math.log(1e2))
-        assert small.psi_sqrtlog_limit_est < head_small
-        assert large.psi_sqrtlog_limit_est > head_large
-
-    def test_needs_four_decades(self):
-        with pytest.raises(ValueError):
-            lower_index_report(PowerScale(0.5), np.geomspace(1e-2, 1e-3, 6))
+        assert small < head_small
+        assert large > head_large
 
 
 class TestSpecStrings:
