@@ -153,6 +153,7 @@ def hit_probability_mc(
     content = math.nan
     dim_rho = math.nan
     cap_verdict = ""
+    extras = {"hits": hits, "seed": seed, "guard": guard, **cov.certificate()}
     if with_terms:
         times = grid[e_idx]
         f_pts, f_pitch = F.lattice()
@@ -168,14 +169,19 @@ def hit_probability_mc(
         atoms = product_atoms(t_sub, f_pts)
         diam = _product_diameter(metric, atoms)
         if capacity_resolutions is None:
-            capacity_resolutions = [
-                r for j in range(1, 9) if (r := diam / 2.0**j) >= floor
-            ] or [diam / 2.0, diam / 4.0]
+            capacity_resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
+            if len(capacity_resolutions) < 2:
+                capacity_resolutions = [diam / 2.0, diam / 4.0]
         rep = capacity_estimate(
             atoms, metric.rows(atoms), beta=float(d), resolutions=capacity_resolutions
         )
         cap_val = rep.capacity_value
         cap_verdict = rep.verdict
+        extras.update(
+            capacity_resolutions=rep.resolutions,
+            capacity_gaps=rep.gaps,
+            capacity_iterations=rep.iterations,
+        )
         content = hausdorff_content_estimate(
             t_sub, f_pts, s_exponent=float(d), scale=scale, r_floor=floor
         )
@@ -194,7 +200,7 @@ def hit_probability_mc(
         content_term=content,
         dim_rho_est=dim_rho,
         capacity_verdict=cap_verdict,
-        extras={"hits": hits, "seed": seed, "guard": guard, **cov.certificate()},
+        extras=extras,
     )
 
 

@@ -85,3 +85,9 @@ def test_tracer_installs_runs_and_uninstalls(tracing, tmp_path):
         assert tracer.calls[span] > 0, span
     assert tracer.counts["energy.farthest_point_subsample.metric_calls"] > 0
     assert tracer.counts["energy.minimize_energy.solves"] > 0
+    # one greedy subsample pass per capacity sweep, and every solve converges
+    assert (tracer.calls["energy.farthest_point_subsample"]
+            == tracer.calls["energy.capacity_estimate"])
+    assert (tracer.counts["energy.minimize_energy.converged"]
+            == tracer.counts["energy.minimize_energy.solves"])
+    assert tracer.counts["energy.minimize_energy.iterations"] > 0

@@ -211,7 +211,36 @@ class TestHitAndCapacity:
         assert main(["capacity", "--config", cfg, "--out", str(out), "--trace"]) == EXIT_OK
         rep = json.loads((out / "capacity_report.json").read_text())
         assert rep["verdict"] in {"positive", "zero", "inconclusive"}
-        assert (out / "capacity_trace.csv").exists()
+        # the trace's last row per resolution is the solve's last iteration
+        rows = (out / "capacity_trace.csv").read_text().splitlines()[1:]
+        last = {}
+        for row in rows:
+            h, k = row.split(",")[:2]
+            last[float(h)] = int(k) + 1
+        assert [last[h] for h in rep["resolutions"]] == rep["iterations"]
+
+    def test_hit_short_E_keeps_two_resolutions(self, tmp_path):
+        # only diam/2 clears the resolution floor here; the sweep falls back
+        # to diam/2 and diam/4 instead of failing with one resolution
+        cfg = _write_config(
+            tmp_path,
+            {
+                "gamma": "power:H=0.5",
+                "grid": {"a": 0.2, "b": 1.0, "n": 128},
+                "d": 1,
+                "E": {"type": "interval", "a": 0.5, "b": 0.55},
+                "F": [{"type": "box", "lo": [0.0], "hi": [0.05]}],
+                "tol": 0.8,
+                "n_paths": 50,
+                "seed": 1,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["hit", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        extras = json.loads((out / "hit_report.json").read_text())["extras"]
+        res = extras["capacity_resolutions"]
+        assert len(res) == 2 and res[1] == pytest.approx(res[0] / 2)
+        assert len(extras["capacity_iterations"]) == len(extras["capacity_gaps"]) == 2
 
     def test_capacity_too_few_atoms(self, tmp_path, capsys):
         cfg = _write_config(

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import exact_min_energy
 
+from gpfractal import energy
 from gpfractal.energy import (
     capacity_estimate,
     farthest_point_subsample,
@@ -12,7 +13,7 @@ from gpfractal.energy import (
     minimize_energy,
 )
 from gpfractal.fractal_sets import DiscreteMeasure, build_cantor, cantor_measure
-from gpfractal.hitting import delta_metric_fn
+from gpfractal.hitting import delta_metric_fn, product_atoms
 from gpfractal.metrics import StationaryGamma
 from gpfractal.scale import PowerScale, phi_kernel
 
@@ -86,6 +87,26 @@ class TestMinimizeEnergy:
             exact = exact_min_energy(kern.K)
             assert e - exact <= gap + 1e-9
 
+    def test_matches_exact_where_vanilla_fw_stalled(self):
+        # vanilla FW stopped at 30.3199 after 200k iterations here; the
+        # kernel is not PSD on the simplex's tangent space
+        atoms = np.array([0.137, 0.2167, 0.3254, 0.3724, 0.5589])
+        dists = np.abs(atoms[:, None] - atoms[None, :])
+        kern = kernel_matrix(atoms, dists, beta=1.75, h=0.09)
+        _, e, _ = minimize_energy(kern, tol=1e-10, max_iter=400_000)
+        exact = exact_min_energy(kern.K)
+        assert abs(e - exact) <= 1e-9 * exact
+
+    def test_trace_ends_at_the_last_iteration(self, rng):
+        kern = _random_kernel(rng, 40)
+        trace = []
+        minimize_energy(kern, tol=1e-5, max_iter=20_000, trace=trace)
+        ks = [k for k, _, _ in trace]
+        assert ks[: min(100, len(ks))] == list(range(min(100, len(ks))))
+        assert all(k % 100 == 0 for k in ks[100:-1])
+        e, gap = trace[-1][1:]
+        assert ks[-1] == 19_999 or gap <= 1e-5 * e
+
     def test_uniform_upper_bound(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 30))
@@ -131,10 +152,77 @@ class TestCapacity:
     def test_subsample_spacing(self, rng):
         atoms = np.sort(rng.uniform(0.0, 1.0, size=500))
         metric = delta_metric_fn(PowerScale(1.0), atoms)
-        idx = farthest_point_subsample(atoms, metric, spacing=0.05)
-        sub = atoms[idx]
+        order, radii = farthest_point_subsample(atoms, metric, spacing=0.05)
+        assert radii[0] == np.inf and np.all(np.diff(radii) <= 0)
+        assert np.all(radii[1:] > 0.05)
+        sub = atoms[order]
         gaps = np.diff(np.sort(sub))
         assert np.all(gaps > 0.05 - 1e-12)
+
+    def test_one_subsample_pass_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["spacing"])
+            return farthest_point_subsample(*args, **kwargs)
+
+        monkeypatch.setattr(energy, "farthest_point_subsample", counted)
+        f = PowerScale(0.5)
+        atoms = np.linspace(0.2, 1.0, 200)
+        metric = delta_metric_fn(f, atoms)
+        _, radii = farthest_point_subsample(atoms, metric, spacing=0.0)
+        # resolutions at insertion radii, where an atom sits exactly at h
+        res = [radii[j] for j in (3, 9, 27, 81)]
+        rep = capacity_estimate(atoms, metric, beta=1.5, resolutions=res)
+        assert calls == [min(res)]
+        dist = np.array([metric(i, np.arange(200)) for i in range(200)])
+        assert rep.n_atoms == [len(_greedy_selection(dist, h)) for h in rep.resolutions]
+        assert len(rep.iterations) == len(rep.resolutions) == len(rep.gaps)
+        assert all(k > 0 for k in rep.iterations)
+
+
+def _greedy_selection(dist, spacing):
+    """Greedy farthest-point selection from atom 0 on a full distance matrix."""
+    selected = [0]
+    mind = dist[0].copy()
+    while len(selected) < len(dist):
+        i = int(np.argmax(mind))
+        if mind[i] <= spacing:
+            break
+        selected.append(i)
+        mind = np.minimum(mind, dist[i])
+    return sorted(selected)
+
+
+def _interval_atoms():
+    f = PowerScale(0.5)
+    atoms = np.linspace(0.2, 1.0, 200)
+    return atoms, StationaryGamma(f).rows(atoms), f.gamma(0.8)
+
+
+def _cantor_box_atoms():
+    # 8 Cantor times x a 5 x 5 lattice in a box of side 0.375: rho metric
+    f = PowerScale(0.5)
+    times = build_cantor(f, 0.8, depth=3).atoms()
+    side = np.linspace(0.0, 0.375, 5)
+    box = np.array([(x, y) for x in side for y in side])
+    atoms = product_atoms(times, box)
+    metric = StationaryGamma(f).rows(atoms)
+    return atoms, metric, float(np.max(metric(0, np.arange(len(atoms)))))
+
+
+@pytest.mark.parametrize("make", [_interval_atoms, _cantor_box_atoms])
+def test_one_pass_prefix_equals_fresh_greedy_run(make):
+    atoms, metric, diam = make()
+    m = len(atoms)
+    assert m == 200
+    dist = np.array([np.asarray(metric(i, np.arange(m)), dtype=float) for i in range(m)])
+    finest = diam / 2**8
+    order, radii = farthest_point_subsample(atoms, metric, spacing=finest)
+    # every sweep spacing, and every insertion radius, where ties decide
+    spacings = [diam / 2**j for j in range(1, 9)] + sorted(set(radii[1:].tolist()))
+    for h in spacings:
+        assert np.sort(order[radii > h]).tolist() == _greedy_selection(dist, h), h
 
 
 def _sup_ball_mass(nu, f, r, stride=16):
