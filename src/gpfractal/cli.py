@@ -45,8 +45,8 @@ from .gp_sim import (
     cov_volterra,
     sample_paths,
 )
-from .hitting import check_hit_grid, hit_probability_mc, product_atoms, sandwich_report
-from .metrics import StationaryGamma
+from .hitting import PathMinima, check_hit_grid, hit_probability_mc, sandwich_report
+from .metrics import ProductAtoms, StationaryGamma
 from .scale import ScaleDomainError, parse_scale_spec
 
 EXIT_OK = 0
@@ -258,7 +258,7 @@ def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     atoms = times
     if "F" in cfg:
         F = _parse_F(cfg, _parse_d(cfg))
-        atoms = product_atoms(times[:: max(1, len(times) // 64)], F.lattice()[0])
+        atoms = ProductAtoms(times[:: max(1, len(times) // 64)], F.lattice()[0])
     metric = StationaryGamma(scale)
     diam_hint = metric.delta(times[0], times[-1])
     resolutions = cfg.get("resolutions")
@@ -360,15 +360,19 @@ def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
         E = _parse_E(inst, scale)
         F = _parse_F(inst, d)
         inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
-        check_hit_grid(scale, grid, E, d, inst_tol)
-        parsed.append((E, F, inst_tol))
+        e_idx, _ = check_hit_grid(scale, grid, E, d, inst_tol)
+        parsed.append((E, F, inst_tol, e_idx))
     cov = _build_cov(cfg, scale, grid)
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
+    # one pass over the paths serves every instance's hit count
+    minima = PathMinima(
+        sample_paths(cov, d=d, n_paths=n_paths, seed=seed),
+        [(e_idx, F) for _, F, _, e_idx in parsed],
+    )
     reports = [
         hit_probability_mc(
-            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, batch=batch
+            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, minima=minima
         )
-        for E, F, inst_tol in parsed
+        for E, F, inst_tol, _ in parsed
     ]
     verdict = sandwich_report(reports, d=d)
     json_path = out_dir / "battery_verdict.json"

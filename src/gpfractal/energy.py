@@ -112,25 +112,26 @@ def minimize_energy(
 def farthest_point_subsample(atoms, metric, spacing: float, cap: int = _MAX_ATOMS):
     """Greedy farthest-point order down to the given spacing.
 
-    ``metric(i, idx)`` returns distances from atom i to atoms[idx].
-    Selection stops when every remaining atom is within ``spacing`` of the
-    selected set (or at ``cap`` points).  Returns the selected indices in
+    ``metric(i, idx)`` returns distances from atom i to atoms[idx]; every
+    call here asks for a whole row, with idx = slice(None).  Selection
+    stops when every remaining atom is within ``spacing`` of the selected
+    set (or at ``cap`` points).  Returns the selected indices in
     pick order and each pick's insertion radius, its distance to the atoms
     picked before it (inf for the first).  The radii never increase, so
     ``np.sort(order[radii > h])`` is exactly the set a greedy run at
     spacing h >= ``spacing`` selects.  Stabilizes kernel conditioning.
     """
     m = len(atoms)
+    every = slice(None)
     order, radii = [0], [math.inf]
-    mind = np.asarray(metric(0, np.arange(m)), dtype=float).copy()
+    mind = np.array(metric(0, every), dtype=float)
     while len(order) < min(m, cap):
         i = int(np.argmax(mind))
         if mind[i] <= spacing:
             break
         order.append(i)
         radii.append(float(mind[i]))
-        d = np.asarray(metric(i, np.arange(m)), dtype=float)
-        mind = np.minimum(mind, d)
+        np.minimum(mind, metric(i, every), out=mind)
     return np.array(order), np.array(radii)
 
 
@@ -164,10 +165,12 @@ def capacity_estimate(
 ) -> CapacityReport:
     """Capacity 1/inf-energy across a decreasing resolution sweep.
 
-    At each h the atom set is thinned to spacing ~h by farthest-point
-    selection (one greedy pass serves the whole sweep), the truncated
-    kernel is built, and the energy is minimized by pairwise Frank-Wolfe,
-    whose iteration count per h the report keeps.  The verdict comes from
+    ``atoms`` are (m,) times or ProductAtoms, and ``metric`` their
+    StationaryGamma.rows.  At each h the atom set is thinned to spacing ~h
+    by farthest-point selection (one greedy pass serves the whole sweep),
+    the truncated kernel is built from one distance block (metric.block),
+    and the energy is minimized by pairwise Frank-Wolfe, whose iteration
+    count per h the report keeps.  The verdict comes from
     the decay rate of the capacity estimates per octave of h: geometric
     decay (slope <= -0.1) reads "zero", a near-flat tail reads "positive"
     with a geometric-series extrapolation, and the band in between is
@@ -175,7 +178,6 @@ def capacity_estimate(
     settle).  More than ``cap`` atoms, fewer than 2 resolutions, or atoms
     too coarse for the second resolution raise OutOfModelError.
     """
-    atoms = np.asarray(atoms)
     if len(atoms) > cap:
         raise OutOfModelError(f"atom count {len(atoms)} exceeds cap {cap}")
     res = sorted((float(h) for h in resolutions), reverse=True)
@@ -187,11 +189,7 @@ def capacity_estimate(
     e_mins, gaps, iterations, caps_est, n_atoms = [], [], [], [], []
     for h in res:
         idx = np.sort(order[radii > h])
-        sub = atoms[idx]
-        dists = np.empty((len(idx), len(idx)))
-        for a, i in enumerate(idx):
-            dists[a] = np.asarray(metric(i, idx))
-        kern = kernel_matrix(sub, dists, beta=beta, h=h)
+        kern = kernel_matrix(atoms[idx], metric.block(idx), beta=beta, h=h)
         fw_trace = []
         _, e, gap = minimize_energy(kern, tol=tol, max_iter=max_iter, trace=fw_trace)
         if trace is not None:

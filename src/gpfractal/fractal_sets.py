@@ -24,6 +24,7 @@ __all__ = [
     "TimeSet",
     "build_cantor",
     "cantor_measure",
+    "core_sq_distance",
     "gamma_dyadic_count",
     "grid_lookup",
 ]
@@ -289,6 +290,29 @@ def _coords(member: dict, key: str, i: int) -> list:
     return [float(x) for x in v]
 
 
+def core_sq_distance(core, points) -> np.ndarray:
+    """Squared Euclidean distance from points to a member core (Target.cores).
+
+    Coordinates run along the last axis of ``points``, which may carry
+    any leading shape (say paths x times).  The squared components are
+    summed in axis order, one strided pass per axis, so a value depends
+    only on its own point.  For d <= 7 the sum equals np.linalg.norm's
+    reduction bit for bit; from d = 8 on NumPy sums pairwise, and the two
+    can differ in the last bit.
+    """
+    kind, a, b = core
+    total = None
+    for j in range(points.shape[-1]):
+        x = points[..., j]
+        gap = x - a[j] if kind == "ball" else np.maximum(np.maximum(a[j] - x, x - b[j]), 0.0)
+        gap *= gap
+        if total is None:
+            total = gap
+        else:
+            total += gap
+    return total
+
+
 class Target:
     """A target F in R^d: a finite union of closed boxes and balls.
 
@@ -297,6 +321,13 @@ class Target:
     "radius": r}`` with r > 0, all of one length d (``d``, when given).
     Anything else raises ValueError naming the member.  ``spec`` holds
     the members with their numbers as floats, as reports print them.
+
+    ``cores`` holds each member's core as a hashable key: ("ball",
+    center, None) or ("box", lo, hi).  The distance to a member is a
+    monotone function of the squared distance to its core: its square
+    root, less the radius for a ball, floored at 0.  So the minimum of
+    the squared core distance over a set of points is all a hit test
+    needs (see distance_from_sq).
     """
 
     def __init__(self, members, d: int | None = None):
@@ -305,6 +336,7 @@ class Target:
         self.spec = []
         # (type, lo, hi, extent, center, radius): lo/hi bound the member
         self._parts = []
+        self.cores = []
         for i, m in enumerate(members):
             if not isinstance(m, dict) or "type" not in m:
                 raise ValueError(f"member {i}: expected an object with a 'type'")
@@ -313,6 +345,7 @@ class Target:
                 if len(lo) != len(hi) or not all(l <= h for l, h in zip(lo, hi)):
                     raise ValueError(f"member {i}: box needs lo <= hi on every axis")
                 self.spec.append({"type": "box", "lo": lo, "hi": hi})
+                self.cores.append(("box", tuple(lo), tuple(hi)))
                 lo, hi = np.array(lo), np.array(hi)
                 self._parts.append(("box", lo, hi, hi - lo, None, None))
             elif m["type"] == "ball":
@@ -320,6 +353,7 @@ class Target:
                 if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
                     raise ValueError(f"member {i}: ball needs a radius > 0")
                 self.spec.append({"type": "ball", "center": c, "radius": float(r)})
+                self.cores.append(("ball", tuple(c), None))
                 c, r = np.array(c), float(r)
                 self._parts.append(("ball", c - r, c + r, np.full(c.size, 2.0 * r), c, r))
             else:
@@ -342,13 +376,17 @@ class Target:
     def distance(self, points) -> np.ndarray:
         """Euclidean distance from each point (one per row) to F."""
         pts = np.atleast_2d(points)
-        best = np.full(pts.shape[0], np.inf)
-        for kind, lo, hi, _, c, r in self._parts:
-            if kind == "box":
-                gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-                dist = np.linalg.norm(gap, axis=1)
-            else:
-                dist = np.maximum(np.linalg.norm(pts - c, axis=1) - r, 0.0)
+        return self.distance_from_sq(
+            np.stack([core_sq_distance(core, pts) for core in self.cores], axis=-1)
+        )
+
+    def distance_from_sq(self, sq) -> np.ndarray:
+        """Distance to F from squared core distances, members on the last axis."""
+        best = np.full(sq.shape[:-1], np.inf)
+        for k, (kind, _, _, _, _, r) in enumerate(self._parts):
+            dist = np.sqrt(sq[..., k])
+            if kind == "ball":
+                dist = np.maximum(dist - r, 0.0)
             best = np.minimum(best, dist)
         return best
 

@@ -19,9 +19,9 @@ import numpy as np
 from .conditions import IntegralError, f_gamma
 from .dimension import dim_rho_product
 from .energy import capacity_estimate
-from .fractal_sets import OutOfModelError, Target, TimeSet
+from .fractal_sets import OutOfModelError, Target, TimeSet, core_sq_distance
 from .gp_sim import CovMatrix, sample_paths
-from .metrics import FromCovariance, StationaryGamma
+from .metrics import ProductAtoms, StationaryGamma
 
 __all__ = [
     "OutOfModelError",
@@ -30,8 +30,8 @@ __all__ = [
     "wilson_interval",
     "grid_tolerance_guard",
     "check_hit_grid",
-    "product_atoms",
     "delta_metric_fn",
+    "PathMinima",
     "hit_probability_mc",
     "small_ball_mc",
     "small_ball_sweep",
@@ -81,15 +81,6 @@ class HitProbReport:
     extras: dict = field(default_factory=dict)
 
 
-def product_atoms(times, f_points) -> np.ndarray:
-    """All (t, x) pairs as rows of a (m, 1 + d) array."""
-    times = np.asarray(times, dtype=float).ravel()
-    f_points = np.atleast_2d(f_points)
-    t_rep = np.repeat(times, len(f_points))
-    x_rep = np.tile(f_points, (len(times), 1))
-    return np.column_stack([t_rep, x_rep])
-
-
 def delta_metric_fn(scale, times):
     """metric(i, idx) -> delta* distances between times."""
     return StationaryGamma(scale).rows(np.asarray(times, dtype=float).ravel())
@@ -113,6 +104,50 @@ def check_hit_grid(scale, grid, E, d: int, tol: float):
     return e_idx, guard
 
 
+class PathMinima:
+    """Per-path minima over E of the squared distance to target member cores.
+
+    A path hits a member within tol when max(min_t ||B(t) - c|| - r, 0)
+    <= tol for a ball, or min_t ||gap(B(t))|| <= tol for a box.  Correctly
+    rounded sqrt and fl(a - r) are monotone, so the minimum over t of the
+    squared core distance (fractal_sets.core_sq_distance) decides exactly
+    what the per-point distances decide, for every radius and tolerance;
+    a union takes the minimum over its members.
+
+    One pass over the batch, in blocks of _HIT_CHUNK paths, fills an
+    (n_paths x keys) table for the distinct (E grid indices, core) keys
+    of all the (e_idx, Target) pairs given.  ``distance`` then reads the
+    distance from each path's B(E) to F off that table.
+    """
+
+    def __init__(self, batch, pairs):
+        self.n_paths = batch.n_paths
+        self._column = {}  # (E key, core) -> table column
+        sets = {}  # E key -> (grid indices, [(core, column)])
+        for e_idx, F in pairs:
+            e_idx = np.asarray(e_idx, dtype=np.intp)
+            e_key = e_idx.tobytes()
+            _, cores = sets.setdefault(e_key, (e_idx, []))
+            for core in F.cores:
+                if (e_key, core) not in self._column:
+                    self._column[e_key, core] = len(self._column)
+                    cores.append((core, self._column[e_key, core]))
+        self.table = np.empty((self.n_paths, len(self._column)))
+        for p0 in range(0, self.n_paths, _HIT_CHUNK):
+            block = batch.values[p0 : p0 + _HIT_CHUNK]
+            for e_idx, cores in sets.values():
+                pts = np.take(block, e_idx, axis=1)
+                for core, col in cores:
+                    sq = core_sq_distance(core, pts)
+                    self.table[p0 : p0 + len(block), col] = sq.min(axis=1)
+
+    def distance(self, e_idx, F: Target) -> np.ndarray:
+        """min over the grid times e_idx of each path's distance to F."""
+        e_key = np.asarray(e_idx, dtype=np.intp).tobytes()
+        cols = [self._column[e_key, core] for core in F.cores]
+        return F.distance_from_sq(self.table[:, cols])
+
+
 def hit_probability_mc(
     scale,
     cov: CovMatrix,
@@ -123,6 +158,7 @@ def hit_probability_mc(
     n_paths: int,
     seed: int,
     batch=None,
+    minima: PathMinima | None = None,
     with_terms: bool = True,
     capacity_resolutions=None,
 ) -> HitProbReport:
@@ -131,23 +167,23 @@ def hit_probability_mc(
     A path hits when some grid point of E has its image within ``tol``
     of F.  ``batch`` allows reusing a PathBatch across several F at a
     fixed seed (the per-path indicator is then monotone in F and in tol
-    by construction).  ``with_terms`` adds the capacity and content
-    terms of E x F used by the sandwich.  Inputs outside the model
-    raise OutOfModelError (see check_hit_grid).
+    by construction), and ``minima``, a PathMinima built over a batch
+    with (E's grid indices, F) among its pairs, reuses its one pass over
+    the paths.  ``with_terms`` adds the capacity and content terms of
+    E x F used by the sandwich.  Inputs outside the model raise
+    OutOfModelError (see check_hit_grid).
     """
     grid = cov.grid
     E = TimeSet.of(E, scale)
     F = Target.of(F_members)
     e_idx, guard = check_hit_grid(scale, grid, E, d, tol)
-    if batch is None:
-        batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
-    hits = 0
-    for p0 in range(0, batch.n_paths, _HIT_CHUNK):
-        pts = np.take(batch.values[p0 : p0 + _HIT_CHUNK], e_idx, axis=1)
-        dist = F.distance(pts.reshape(-1, batch.d))
-        hits += int(np.count_nonzero(dist.reshape(len(pts), -1).min(axis=1) <= tol))
-    p_hat = hits / batch.n_paths
-    lo, hi = wilson_interval(hits, batch.n_paths)
+    if minima is None:
+        if batch is None:
+            batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
+        minima = PathMinima(batch, [(e_idx, F)])
+    hits = int(np.count_nonzero(minima.distance(e_idx, F) <= tol))
+    p_hat = hits / minima.n_paths
+    lo, hi = wilson_interval(hits, minima.n_paths)
 
     cap_val = math.nan
     content = math.nan
@@ -166,7 +202,7 @@ def hit_probability_mc(
         # the closest pair of sampled times sets the time resolution
         k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
         floor = max(metric.delta(t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
-        atoms = product_atoms(t_sub, f_pts)
+        atoms = ProductAtoms(t_sub, f_pts)
         diam = _product_diameter(metric, atoms)
         if capacity_resolutions is None:
             capacity_resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
@@ -181,6 +217,7 @@ def hit_probability_mc(
             capacity_resolutions=rep.resolutions,
             capacity_gaps=rep.gaps,
             capacity_iterations=rep.iterations,
+            capacity_n_atoms=rep.n_atoms,
         )
         content = hausdorff_content_estimate(
             t_sub, f_pts, s_exponent=float(d), scale=scale, r_floor=floor
@@ -191,7 +228,7 @@ def hit_probability_mc(
         p_hat=p_hat,
         ci_low=lo,
         ci_high=hi,
-        n_paths=batch.n_paths,
+        n_paths=minima.n_paths,
         tol=tol,
         grid_n=len(grid),
         E=E.spec,
@@ -204,9 +241,9 @@ def hit_probability_mc(
     )
 
 
-def _product_diameter(metric, atoms) -> float:
+def _product_diameter(metric, atoms: ProductAtoms) -> float:
     """rho between the corners of the atoms' bounding box, at least 1e-12."""
-    return max(float(metric.rho(atoms.min(axis=0), atoms.max(axis=0))), 1e-12)
+    return max(float(metric.rho(*atoms.corners())), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -232,44 +269,34 @@ def small_ball_mc(
     d: int,
     n_paths: int,
     seed: int,
-    scale=None,
+    scale,
     l: float = 1.0,
     batch=None,
 ) -> SmallBallReport:
     """P{ min over the delta-ball B(t0, r) of ||B(s) - z|| <= r }.
 
-    When the scale is supplied, the ball is measured with the stationary
-    surrogate gamma(|s - t0|), which handles arbitrary t0 in [a, b] and
-    can be genuinely empty on a coarse grid; otherwise t0 snaps to the
-    nearest grid point and the process's own metric is used.  Reference
-    values r^d and (r + f(r))^d are attached when the scale is supplied
-    (f is the entropy-integral majorant).
+    The ball is measured with the stationary surrogate gamma(|s - t0|),
+    which handles arbitrary t0 in [a, b] and can be genuinely empty on a
+    coarse grid.  The event is a hit of the point z (a box lo = hi = z)
+    within tol r by B over the ball, counted by PathMinima.  Reference
+    values r^d and (r + f(r))^d are attached (f is the entropy-integral
+    majorant).
     """
-    if scale is not None:
-        dvec = np.asarray(StationaryGamma(scale).delta(t0, cov.grid))
-    else:
-        model = FromCovariance(cov)
-        t0 = float(cov.grid[int(np.argmin(np.abs(cov.grid - t0)))])
-        dvec = np.asarray(model.delta(t0, cov.grid))
+    dvec = np.asarray(StationaryGamma(scale).delta(t0, cov.grid))
     idx = np.flatnonzero(dvec <= r)
     if idx.size == 0:
         raise ValueError("empty delta-ball on the grid")
     if batch is None:
         batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    hits = 0
-    for p in range(batch.n_paths):
-        pts = batch.values[p][idx]
-        if float(np.min(np.linalg.norm(pts - z, axis=1))) <= r:
-            hits += 1
+    z = np.asarray(z, dtype=float).ravel()
+    point = Target([{"type": "box", "lo": z, "hi": z}])
+    hits = int(np.count_nonzero(PathMinima(batch, [(idx, point)]).distance(idx, point) <= r))
     p_hat = hits / batch.n_paths
     lo, hi = wilson_interval(hits, batch.n_paths)
-    ref_f = math.nan
-    if scale is not None:
-        try:
-            ref_f = (r + f_gamma(scale, r, l=l)) ** d
-        except (ValueError, IntegralError):
-            ref_f = math.nan
+    try:
+        ref_f = (r + f_gamma(scale, r, l=l)) ** d
+    except (ValueError, IntegralError):
+        ref_f = math.nan
     return SmallBallReport(
         p_hat=p_hat,
         ci_low=lo,
@@ -281,7 +308,7 @@ def small_ball_mc(
     )
 
 
-def small_ball_sweep(cov, t0, radii, z, d, n_paths, seed, scale=None, l=1.0):
+def small_ball_sweep(cov, t0, radii, z, d, n_paths, seed, scale, l=1.0):
     """One shared path batch across a radius sweep (nested balls)."""
     batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     return [
@@ -314,10 +341,9 @@ def hausdorff_content_estimate(
     finite point sets: below it a cover sees isolated atoms, whose
     content vanishes no matter what the underlying set is.
     """
-    times = np.asarray(E_times, dtype=float).ravel()
-    f_pts = np.atleast_2d(F_points)
-    atoms = product_atoms(times, f_pts)
+    atoms = ProductAtoms(E_times, F_points)
     metric = StationaryGamma(scale)
+    rows = metric.rows(atoms)
     diam = _product_diameter(metric, atoms)
     best = math.inf
     for depth in range(1, menu_depth + 1):
@@ -327,7 +353,7 @@ def hausdorff_content_estimate(
         covered = np.zeros(len(atoms), dtype=bool)
         while not covered.all() and total < best:
             i = int(np.argmin(covered))
-            rho = metric.rho(atoms[i], atoms)
+            rho = rows(i, slice(None))
             best_cost, best_r, best_mask = math.inf, menu[0], None
             for r in menu:
                 mask = ~covered & (rho <= r)

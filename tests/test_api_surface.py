@@ -71,10 +71,21 @@ def test_tracer_installs_runs_and_uninstalls(tracing, tmp_path):
         }
         capacity = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
                     "beta": 1.5, "n_atoms": 100, "seed": 0}
-        for command, cfg in (("hit", hit), ("capacity", capacity)):
-            path = tmp_path / f"{command}.json"
+        # product atoms: 16 times x a 7 x 7 box lattice
+        product = {**capacity, "beta": 2.0, "n_atoms": 16, "d": 2,
+                   "F": [{"type": "box", "lo": [0.0, 0.0], "hi": [0.375, 0.375]}]}
+        battery = {key: hit[key] for key in ("gamma", "grid", "d", "tol", "n_paths", "seed")}
+        battery["instances"] = [
+            {"E": hit["E"], "F": [{"type": "ball", "center": [c], "radius": r}]}
+            for c in (0.0, 0.5) for r in (0.1, 0.2, 0.4)
+        ]
+        runs = (("hit", hit), ("capacity", capacity), ("product", product),
+                ("battery", battery))
+        for name, cfg in runs:
+            path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
-            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+            command = "capacity" if name == "product" else name
+            assert main([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
     finally:
         probe.uninstall()
         tracer.uninstall()
@@ -91,3 +102,14 @@ def test_tracer_installs_runs_and_uninstalls(tracing, tmp_path):
     assert (tracer.counts["energy.minimize_energy.converged"]
             == tracer.counts["energy.minimize_energy.solves"])
     assert tracer.counts["energy.minimize_energy.iterations"] > 0
+    # the tracer's counted(i, idx) wrapper sees every row the subsample
+    # reads: one metric call per pick, and a sweep's last subsample holds
+    # every pick of its pass
+    extras = [json.loads((tmp_path / "hit" / "hit_report.json").read_text())["extras"]]
+    extras += [rep["extras"] for rep in json.loads(
+        (tmp_path / "battery" / "battery_verdict.json").read_text())["reports"]]
+    finals = [ex["capacity_n_atoms"][-1] for ex in extras]
+    finals += [json.loads((tmp_path / name / "capacity_report.json").read_text())["n_atoms"][-1]
+               for name in ("capacity", "product")]
+    assert len(finals) == tracer.calls["energy.farthest_point_subsample"] == 9
+    assert tracer.counts["energy.farthest_point_subsample.metric_calls"] == sum(finals)

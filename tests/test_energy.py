@@ -13,8 +13,8 @@ from gpfractal.energy import (
     minimize_energy,
 )
 from gpfractal.fractal_sets import DiscreteMeasure, build_cantor, cantor_measure
-from gpfractal.hitting import delta_metric_fn, product_atoms
-from gpfractal.metrics import StationaryGamma
+from gpfractal.hitting import delta_metric_fn
+from gpfractal.metrics import ProductAtoms, StationaryGamma
 from gpfractal.scale import PowerScale, phi_kernel
 
 
@@ -206,7 +206,7 @@ def _cantor_box_atoms():
     times = build_cantor(f, 0.8, depth=3).atoms()
     side = np.linspace(0.0, 0.375, 5)
     box = np.array([(x, y) for x in side for y in side])
-    atoms = product_atoms(times, box)
+    atoms = ProductAtoms(times, box)
     metric = StationaryGamma(f).rows(atoms)
     return atoms, metric, float(np.max(metric(0, np.arange(len(atoms)))))
 
@@ -223,6 +223,41 @@ def test_one_pass_prefix_equals_fresh_greedy_run(make):
     spacings = [diam / 2**j for j in range(1, 9)] + sorted(set(radii[1:].tolist()))
     for h in spacings:
         assert np.sort(order[radii > h]).tolist() == _greedy_selection(dist, h), h
+
+
+def _greedy_order(dist, spacing):
+    """Greedy farthest-point order from atom 0 and each pick's insertion radius."""
+    order, radii = [0], [np.inf]
+    mind = dist[0].copy()
+    while len(order) < len(dist):
+        i = int(np.argmax(mind))
+        if mind[i] <= spacing:
+            break
+        order.append(i)
+        radii.append(mind[i])
+        mind = np.minimum(mind, dist[i])
+    return np.array(order), np.array(radii)
+
+
+@pytest.mark.parametrize("lattice", ["box", "ball"])
+def test_factored_fps_matches_greedy_on_materialized_rho(lattice):
+    f = PowerScale(0.5)
+    times = build_cantor(f, 0.8, depth=4).atoms()
+    if lattice == "box":
+        side = np.linspace(0.0, 0.375, 4)
+        points = np.array([(x, y) for x in side for y in side])
+    else:
+        points = np.array([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 0.1, 0.0),
+                           (0.0, 0.0, 0.1), (-0.1, 0.0, 0.0), (0.05, 0.05, 0.05)])
+    model = StationaryGamma(f)
+    mat = np.column_stack([np.repeat(times, len(points)), np.tile(points, (len(times), 1))])
+    dist = np.array([model.rho(u, mat) for u in mat])
+    atoms = ProductAtoms(times, points)
+    for spacing in (0.0, 0.05, 0.2):
+        order, radii = farthest_point_subsample(atoms, model.rows(atoms), spacing=spacing)
+        want_order, want_radii = _greedy_order(dist, spacing)
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(radii, want_radii)
 
 
 def _sup_ball_mass(nu, f, r, stride=16):

@@ -7,6 +7,7 @@ from gpfractal.fractal_sets import Target, TimeSet, build_cantor
 from gpfractal.gp_sim import cov_stationary_increments, sample_paths
 from gpfractal.hitting import (
     OutOfModelError,
+    PathMinima,
     check_hit_grid,
     grid_tolerance_guard,
     hausdorff_content_estimate,
@@ -153,10 +154,74 @@ class TestHitProbability:
         assert abs(estimates[0] - estimates[1]) < 0.15
 
 
+def _members(d, rng):
+    c = rng.normal(scale=0.3, size=d)
+    lo = rng.normal(scale=0.3, size=d)
+    return [
+        {"type": "ball", "center": c.tolist(), "radius": 0.2},
+        {"type": "ball", "center": c.tolist(), "radius": 0.4},
+        {"type": "box", "lo": lo.tolist(), "hi": (lo + 0.3).tolist()},
+    ]
+
+
+def _norm_distance(F_members, pts):
+    """Distance to a union of members via np.linalg.norm, written out here."""
+    best = np.full(len(pts), np.inf)
+    for m in F_members:
+        if m["type"] == "ball":
+            dist = np.maximum(np.linalg.norm(pts - np.array(m["center"]), axis=1) - m["radius"], 0)
+        else:
+            lo, hi = np.array(m["lo"]), np.array(m["hi"])
+            dist = np.linalg.norm(np.maximum(np.maximum(lo - pts, pts - hi), 0.0), axis=1)
+        best = np.minimum(best, dist)
+    return best
+
+
+class TestPathMinima:
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    def test_minima_equal_per_point_distances(self, brownian_setup, rng, d):
+        scale, grid, cov = brownian_setup
+        batch = sample_paths(cov, d=d, n_paths=37, seed=11)
+        members = _members(d, rng)
+        e_sets = [np.arange(len(grid)), np.flatnonzero(grid <= 0.5), np.arange(3, 400, 7)]
+        targets = [members[:1], members[1:2], members[2:], members]
+        pairs = [(e, Target(F)) for e in e_sets for F in targets]
+        minima = PathMinima(batch, pairs)
+        # two ball radii share one center: one column per (E, core)
+        assert minima.table.shape == (37, len(e_sets) * 2)
+        for e_idx, F in pairs:
+            got = minima.distance(e_idx, F)
+            want = [F.distance(batch.values[p][e_idx]).min() for p in range(37)]
+            assert np.array_equal(got, want)
+            if d <= 7:
+                spec = F.spec
+                norm = [_norm_distance(spec, batch.values[p][e_idx]).min() for p in range(37)]
+                assert np.array_equal(got, norm)
+
+    def test_battery_hits_equal_per_instance_counts(self, brownian_setup, rng):
+        scale, grid, cov = brownian_setup
+        tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 3)
+        batch = sample_paths(cov, d=3, n_paths=120, seed=12)
+        instances = [((0.2, 1.0), [{"type": "ball", "center": [0.5, 0, 0], "radius": r}])
+                     for r in (0.05, 0.1, 0.3)]
+        instances += [((0.3, 0.7), _members(3, rng)), ((0.2, 1.0), _members(3, rng)[2:])]
+        pairs = [(check_hit_grid(scale, grid, E, 3, tol)[0], Target(F)) for E, F in instances]
+        minima = PathMinima(batch, pairs)
+        for (E, F), (e_idx, _) in zip(instances, pairs):
+            kw = dict(d=3, tol=tol, n_paths=120, seed=12, with_terms=False)
+            shared = hit_probability_mc(scale, cov, E, F, minima=minima, **kw)
+            alone = hit_probability_mc(scale, cov, E, F, batch=batch, **kw)
+            want = sum(_norm_distance(F, batch.values[p][e_idx]).min() <= tol
+                       for p in range(120))
+            assert shared.extras["hits"] == alone.extras["hits"] == want
+
+
 class TestSmallBall:
     def test_trivial_large_radius(self, brownian_setup):
         scale, grid, cov = brownian_setup
-        rep = small_ball_mc(cov, 0.5, 5.0, np.zeros(1), d=1, n_paths=100, seed=5)
+        rep = small_ball_mc(
+            cov, 0.5, 5.0, np.zeros(1), d=1, n_paths=100, seed=5, scale=scale
+        )
         assert rep.p_hat == 1.0
         assert rep.ref_r_d == 5.0
 
@@ -168,6 +233,19 @@ class TestSmallBall:
             small_ball_mc(
                 cov, 0.53, 1e-8, np.zeros(1), d=1, n_paths=10, seed=5, scale=scale
             )
+
+    def test_hits_equal_per_path_loop(self, brownian_setup):
+        scale, grid, cov = brownian_setup
+        batch = sample_paths(cov, d=2, n_paths=300, seed=7)
+        z = np.array([0.1, -0.2])
+        for r in (0.1, 0.2, 0.4):
+            rep = small_ball_mc(cov, 0.5, r, z, d=2, n_paths=300, seed=7, scale=scale,
+                                batch=batch)
+            idx = np.flatnonzero(scale.gamma(np.abs(grid - 0.5)) <= r)
+            want = sum(np.min(np.linalg.norm(batch.values[p][idx] - z, axis=1)) <= r
+                       for p in range(300))
+            assert 0 < want < 300
+            assert rep.p_hat == want / 300
 
     def test_sweep_monotone_in_radius(self, brownian_setup):
         scale, grid, cov = brownian_setup

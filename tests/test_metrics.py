@@ -5,13 +5,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from gpfractal.fractal_sets import Target, build_cantor
 from gpfractal.gp_sim import CovMatrix, cov_stationary_increments, cov_volterra
 from gpfractal.metrics import (
     FromCovariance,
+    ProductAtoms,
     StationaryGamma,
     commensurability_report,
 )
-from gpfractal.scale import PowerScale
+from gpfractal.scale import LogScale, PowerScale
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +84,78 @@ class TestRho:
 
     def test_rows_match_pairs(self, rng):
         model = StationaryGamma(PowerScale(0.5))
-        atoms = np.column_stack([rng.uniform(0.01, 1.0, size=40), rng.normal(size=(40, 3))])
+        atoms = ProductAtoms(rng.uniform(0.01, 1.0, size=8), rng.normal(size=(5, 3)))
         metric = model.rows(atoms)
         idx = np.arange(0, 40, 3)
         want = [model.rho(atoms[5], atoms[j]) for j in idx]
         assert metric(5, idx) == pytest.approx(want, rel=1e-15)
-        times = atoms[:, 0]
+        times = atoms[:][:, 0]
         assert np.array_equal(model.rows(times)(5, idx), model.delta(times[5], times[idx]))
+
+    def test_rows_reject_materialized_product_arrays(self, rng):
+        with pytest.raises(ValueError, match="ProductAtoms"):
+            StationaryGamma(PowerScale(0.5)).rows(rng.normal(size=(10, 3)))
+
+
+def _materialized(times, points):
+    """Every (t, x) row in ProductAtoms order, built without ProductAtoms."""
+    points = np.atleast_2d(points)
+    return np.column_stack([np.repeat(times, len(points)), np.tile(points, (len(times), 1))])
+
+
+def _product_cases():
+    f = PowerScale(0.5)
+    interval = np.linspace(0.2, 1.0, 23)
+    ball, _ = Target([{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.3}]).lattice()
+    box, _ = Target([{"type": "box", "lo": [0.0, 0.1], "hi": [0.375, 0.475]}]).lattice()
+    cantor = build_cantor(f, 0.8, depth=4).atoms()
+    return {
+        "interval x ball lattice": (f, interval, ball),
+        "interval x box lattice": (f, interval[::2], box),
+        "cantor x box lattice": (f, cantor, box),
+        "interval x point, logscale": (LogScale(1.0), interval / 2.5, np.zeros((1, 2))),
+    }
+
+
+class TestFactoredRows:
+    """Factored rows and kernel blocks against rho on materialized atoms."""
+
+    @pytest.mark.parametrize("case", list(_product_cases()))
+    def test_product_rows_and_blocks_bit_identical(self, case, rng):
+        f, times, points = _product_cases()[case]
+        model = StationaryGamma(f)
+        atoms = ProductAtoms(times, points)
+        mat = _materialized(times, points)
+        assert len(atoms) == len(mat) and np.array_equal(atoms[:], mat)
+        metric = model.rows(atoms)
+        idx = np.sort(rng.choice(len(mat), size=min(60, len(mat)), replace=False))
+        for i in rng.choice(len(mat), size=12, replace=False):
+            assert np.array_equal(metric(i, slice(None)), model.rho(mat[i], mat))
+            assert np.array_equal(metric(i, idx), model.rho(mat[i], mat[idx]))
+        want = np.array([model.rho(mat[a], mat[idx]) for a in idx])
+        assert np.array_equal(metric.block(idx), want)
+
+    def test_time_rows_and_blocks_bit_identical(self, rng):
+        model = StationaryGamma(PowerScale(0.3))
+        times = np.sort(rng.uniform(0.1, 1.0, size=300))
+        metric = model.rows(times)
+        idx = np.sort(rng.choice(300, size=50, replace=False))
+        for i in (0, 17, 299):
+            assert np.array_equal(metric(i, slice(None)), model.delta(times[i], times))
+        want = np.array([model.delta(times[a], times[idx]) for a in idx])
+        assert np.array_equal(metric.block(idx), want)
+
+    def test_block_reads_one_gamma_table_per_block(self, monkeypatch):
+        f = PowerScale(0.5)
+        atoms = ProductAtoms(np.linspace(0.2, 1.0, 30), np.linspace(0.0, 1.0, 7)[:, None])
+        metric = StationaryGamma(f).rows(atoms)
+        sizes = []
+        gamma = f.gamma
+        monkeypatch.setattr(f, "gamma", lambda r: sizes.append(np.size(r)) or gamma(r))
+        metric.block(np.arange(0, 210, 2))
+        metric(5, slice(None))
+        # one 30 x 30 table of distinct times for the block, one 30-time row
+        assert sizes == [900, 30]
 
 
 class TestTriangleInequalityDelta:
