@@ -136,6 +136,15 @@ def _parse_F(cfg, d) -> Target:
         raise ConfigError("F", str(err))
 
 
+def _parse_full_F(cfg, d) -> Target:
+    """F for hit and battery, whose content term and f_dim = d take every
+    member full-dimensional: a box with lo = hi on some axis is rejected."""
+    F = _parse_F(cfg, d)
+    if F.feature == 0:
+        raise ConfigError("F", "a box with lo = hi on some axis has no interior in R^d")
+    return F
+
+
 def _json_payload(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -234,7 +243,7 @@ def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     grid = _parse_grid(cfg, scale)
     d = _parse_d(cfg)
     E = _parse_E(cfg, scale)
-    F = _parse_F(cfg, d)
+    F = _parse_full_F(cfg, d)
     tol = _require(cfg, "tol", float, lambda v: v > 0, "must be > 0")
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     seed = _seed(cfg)
@@ -358,7 +367,7 @@ def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
         if not isinstance(inst, dict):
             raise ConfigError(f"instances[{i}]", "expected an object")
         E = _parse_E(inst, scale)
-        F = _parse_F(inst, d)
+        F = _parse_full_F(inst, d)
         inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
         e_idx, _ = check_hit_grid(scale, grid, E, d, inst_tol)
         parsed.append((E, F, inst_tol, e_idx))

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _LATTICE_CAP = 400  # points in a target's lattice sample
+_LATTICE_CHUNK = 1 << 15  # mesh points generated at a time by Target.lattice
 
 
 class OutOfModelError(ValueError):
@@ -313,6 +314,23 @@ def core_sq_distance(core, points) -> np.ndarray:
     return total
 
 
+def _mesh_chunks(axes, ball=None):
+    """The C-order mesh of ``axes``, _LATTICE_CHUNK points at a time, as
+    (k, len(axes)) arrays; with ``ball`` = (center, radius), only the
+    points within radius + 1e-12 of the center."""
+    shape = tuple(a.size for a in axes)
+    total = math.prod(shape)
+    for k0 in range(0, total, _LATTICE_CHUNK):
+        idx = np.unravel_index(np.arange(k0, min(k0 + _LATTICE_CHUNK, total)), shape)
+        pts = np.empty((idx[0].size, len(axes)))
+        for j, (a, i) in enumerate(zip(axes, idx)):
+            pts[:, j] = a[i]
+        if ball is not None:
+            c, r = ball
+            pts = pts[np.linalg.norm(pts - c, axis=1) <= r + 1e-12]
+        yield pts
+
+
 class Target:
     """A target F in R^d: a finite union of closed boxes and balls.
 
@@ -394,26 +412,36 @@ class Target:
         """Deterministic lattice sample of F and its pitch, as (points, pitch).
 
         The pitch is a sixth of the smallest member's longest extent, and
-        downstream estimators use it as their resolution floor.  A sample
-        above _LATTICE_CAP points is thinned by a constant stride.
+        downstream estimators use it as their resolution floor.  Each
+        member contributes the points of its bounding-box mesh, in C
+        order, that lie in it (a ball that holds none, its center).  A
+        sample above _LATTICE_CAP points is thinned by a constant stride.
+        The meshes are walked in chunks, once to count the points the
+        balls keep and once to keep every stride-th point, so memory is
+        O(_LATTICE_CHUNK + _LATTICE_CAP) points in any dimension.
         """
         pitch = min(float(np.max(extent)) for _, _, _, extent, _, _ in self._parts) / 6.0
-        pts = []
+        members = []
         for kind, lo, hi, _, c, r in self._parts:
             axes = [
                 np.arange(l, u + 1e-12, pitch) if u > l else np.array([l])
                 for l, u in zip(lo, hi)
             ]
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
-            if kind == "ball":
-                mesh = mesh[np.linalg.norm(mesh - c, axis=1) <= r + 1e-12]
-                if mesh.size == 0:
-                    mesh = c[None, :]
-            pts.append(mesh)
-        out = np.vstack(pts)
-        if len(out) > _LATTICE_CAP:
-            out = out[:: int(math.ceil(len(out) / _LATTICE_CAP))]
-        return out, pitch
+            members.append((axes, (c, r) if kind == "ball" else None))
+        kept = [
+            math.prod(a.size for a in axes)
+            if ball is None
+            else sum(len(pts) for pts in _mesh_chunks(axes, ball))
+            for axes, ball in members
+        ]
+        total = sum(max(k, 1) for k in kept)
+        stride = int(math.ceil(total / _LATTICE_CAP)) if total > _LATTICE_CAP else 1
+        out, start = [], 0  # start: index in the unthinned sample of a chunk's first point
+        for (axes, ball), k in zip(members, kept):
+            for pts in _mesh_chunks(axes, ball) if k else [ball[0][None, :]]:
+                out.append(pts[(-start) % stride :: stride])
+                start += len(pts)
+        return np.vstack(out), pitch
 
     def box_count(self, s: float) -> float:
         """Surrogate count of side-s grid boxes meeting F, via bounding boxes.

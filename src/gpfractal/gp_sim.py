@@ -54,6 +54,8 @@ _JITTER_STEPS = 6
 _UNIFORM_RTOL = 1e-9  # a grid step this close to h counts as h
 _EIG_RTOL = 1e-10  # eigenvalues / prediction errors below this are not positive
 _PATH_CHUNK = 64  # paths drawn per block; bounds the sampler's temporaries
+_ROW_BLOCK = 64  # rows of a dense stationary R filled per block
+_QUAD_BLOCK = 64  # pairs (s, t > s) of one row per Volterra quadrature block
 
 
 class PSDError(RuntimeError):
@@ -78,6 +80,7 @@ class CovMatrix:
             raise ValueError("grid times must be strictly increasing")
         self.label = label
         self.jitter_used = 0.0
+        self.quad_rel_change = None  # Volterra: relative change on doubling the order
         self._chol = None
         self._R = None
         self._build = build
@@ -114,7 +117,9 @@ class CovMatrix:
 
         Circulant: the smallest embedding eigenvalue relative to the
         largest, and the conditional variance of B(a) given the
-        increments.  Cholesky: the jitter added to the diagonal.
+        increments.  Cholesky: the jitter added to the diagonal, and for
+        a checked Volterra build the relative change of R on doubling the
+        quadrature order.
         """
         if self._circulant is not None:
             return {
@@ -123,7 +128,10 @@ class CovMatrix:
                 "start_cond_var": self._circulant.cond_var,
             }
         self.cholesky()
-        return {"sampler": "cholesky", "jitter_used": self.jitter_used}
+        cert = {"sampler": "cholesky", "jitter_used": self.jitter_used}
+        if self.quad_rel_change is not None:
+            cert["quad_rel_change"] = self.quad_rel_change
+        return cert
 
     def cholesky(self) -> np.ndarray:
         """Lower factor L with L L^T = R, escalating jitter on failure.
@@ -300,9 +308,24 @@ def _circulant_sampler(scale, grid):
 
 
 def _stationary_R(scale, grid) -> np.ndarray:
+    """Dense R, filled _ROW_BLOCK rows at a time into one n x n buffer.
+
+    Each block holds the rows' upper-triangle columns; the lower triangle
+    is their mirror image.  Entries are (g2(s) + g2(t) - g2(|t - s|)) / 2
+    in that order of operations, and |t - s| is exactly symmetric, so R
+    is exactly symmetric and its temporaries stay O(_ROW_BLOCK * n).
+    """
     g2 = scale.gamma2(grid)
-    g2diff = scale.gamma2(np.abs(grid[:, None] - grid[None, :]))
-    return 0.5 * (g2[:, None] + g2[None, :] - g2diff)
+    n = grid.size
+    R = np.empty((n, n))
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        blk = R[r0:r1, r0:]
+        np.add(g2[r0:r1, None], g2[None, r0:], out=blk)
+        blk -= scale.gamma2(np.abs(grid[r0:r1, None] - grid[None, r0:]))
+        blk *= 0.5
+        R[r1:, r0:r1] = blk[:, r1 - r0 :].T
+    return R
 
 
 def cov_stationary_increments(scale, grid) -> CovMatrix:
@@ -355,7 +378,10 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
     int_0^t g2'(t-u) du = g2(t).  n_quad controls the Gauss-Legendre
     order per subinterval (n_quad // 8, at least 8).  With ``check`` the
     build is repeated at doubled order and a relative disagreement above
-    1e-6 raises QuadratureError.
+    1e-6 raises QuadratureError; the relative change is kept as the
+    covariance's ``quad_rel_change`` certificate.  The quadrature runs
+    over _QUAD_BLOCK pairs at a time, so its temporaries stay
+    O(_QUAD_BLOCK * nodes) whatever the grid.
     """
     grid = _check_grid(scale, grid)
     if n_quad < 64:
@@ -365,15 +391,21 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
     def build(order):
         p, wts = _volterra_pattern(order, levels)
         n = grid.size
-        iu, ju = np.triu_indices(n, k=1)
-        m = np.minimum(grid[iu], grid[ju])
-        gap = np.abs(grid[iu] - grid[ju])
-        X = m[:, None] * p[None, :]
-        vals = np.sqrt(scale.dgamma2(X)) * np.sqrt(scale.dgamma2(gap[:, None] + X))
-        entries = (m[:, None] * wts[None, :] * vals).sum(axis=1)
         R = np.zeros((n, n))
-        R[iu, ju] = entries
-        R += R.T
+        for i in range(n - 1):
+            # grid[i] = min(s, t) for s = grid[i] and every later t, so the
+            # first kernel factor and m * w serve the whole row
+            m = grid[i]
+            X = m * p
+            head = np.sqrt(scale.dgamma2(X))
+            mw = m * wts
+            for j0 in range(i + 1, n, _QUAD_BLOCK):
+                gap = np.abs(m - grid[j0 : j0 + _QUAD_BLOCK])
+                vals = np.sqrt(scale.dgamma2(gap[:, None] + X))
+                vals *= head
+                vals *= mw
+                # each row's sum depends on that row alone
+                R[i, j0 : j0 + _QUAD_BLOCK] = R[j0 : j0 + _QUAD_BLOCK, i] = vals.sum(axis=1)
         np.fill_diagonal(R, scale.gamma2(grid))
         return R
 
@@ -391,6 +423,8 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
             )
         R = R2
     cov = CovMatrix(grid=grid, R=R, label=f"volterra[{scale.name}]")
+    if check:
+        cov.quad_rel_change = rel
     cov.cholesky()
     return cov
 
@@ -413,25 +447,15 @@ class PathBatch:
         return self.values[p]
 
     def to_binary(self, path):
-        """Little-endian float64 dump with a fixed-size header."""
+        """The GPFB layout: b"GPFB", the header struct "<IQQQq" (version 1,
+        n, d, n_paths, seed), then the grid and values[p, i, c] in C order,
+        all little-endian float64."""
         n = self.grid.size
         with open(path, "wb") as fh:
             fh.write(b"GPFB")
             fh.write(struct.pack("<IQQQq", 1, n, self.d, self.n_paths, self.seed))
             fh.write(self.grid.astype("<f8").tobytes())
             fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path):
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != b"GPFB":
-                raise ValueError("not a PathBatch file")
-            _, n, d, n_paths, seed = struct.unpack("<IQQQq", fh.read(36))
-            grid = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-            values = np.frombuffer(fh.read(8 * n * d * n_paths), dtype="<f8")
-            values = values.reshape(n_paths, n, d).copy()
-        return cls(grid=grid, d=d, n_paths=n_paths, values=values, seed=seed)
 
     def to_csv(self, path):
         """Long format: path, component, t, value."""

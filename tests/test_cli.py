@@ -265,7 +265,7 @@ class TestHitAndCapacity:
         }
         expected = {
             "stationary": ("circulant", {"min_embedding_eig", "start_cond_var"}),
-            "volterra": ("cholesky", {"jitter_used"}),
+            "volterra": ("cholesky", {"jitter_used", "quad_rel_change"}),
         }
         for model, (sampler, certificate) in expected.items():
             out = tmp_path / model
@@ -407,6 +407,16 @@ REJECTED = {
     "check_scale_eps_not_a_number": ("check-scale", {"gamma": "power:H=0.5", "eps": "x"}),
     "box_lo_above_hi": ("hit", dict(
         TestOutOfModel.HIT, F=[{"type": "box", "lo": [0.5, 0.0], "hi": [0.2, 0.4]}])),
+    # a box flat on one axis has content 0 and feature size 0
+    "hit_flat_box": ("hit", dict(
+        TestOutOfModel.HIT, grid={"a": 0.2, "b": 1.0, "n": 64},
+        E={"type": "interval", "a": 0.2, "b": 1.0}, tol=2.0,
+        F=[{"type": "box", "lo": [0.2, 0.0], "hi": [0.5, 0.0]}])),
+    "battery_flat_box": ("battery", {
+        **{k: v for k, v in TestOutOfModel.HIT.items() if k not in ("E", "F")},
+        "instances": [{"E": TestOutOfModel.HIT["E"], "F": TestOutOfModel.HIT["F"]}] * 5
+        + [{"E": TestOutOfModel.HIT["E"], "F": [{"type": "box", "lo": [0.2, 0.1], "hi": [0.2, 0.4]}]}],
+    }),
 }
 
 

@@ -56,6 +56,49 @@ class TestBoxDimension:
         assert e_small.value <= e_big.value + 2 * (e_small.stderr + e_big.stderr) + 1e-9
 
 
+class TestBoxCounts:
+    """Occupied-box counts equal the distinct rows of the cell array."""
+
+    @staticmethod
+    def _unique_rows(pts, scales):
+        return [float(len(np.unique(np.floor(pts / s), axis=0))) for s in sorted(scales)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_counts_match_unique_rows(self, rng, d):
+        walk = np.cumsum(rng.standard_normal((3000, d)) * 0.02, axis=0)
+        scales = default_dyadic_scales(0, 10)
+        got = [c for _, c in box_dimension_euclidean(walk, scales).counts]
+        assert got == self._unique_rows(walk, scales)
+
+    @pytest.mark.parametrize("spread", [1e6, 1e15, 1e300])
+    def test_wide_spans_are_ranked(self, rng, spread):
+        # 1e6: nine axes of ~2^33 cells each overflow the mixed radix, so
+        # the key is re-ranked; 1e15: one axis spans more than 2^53 cells;
+        # 1e300: pts / s overflows to +-inf
+        pts = rng.standard_normal((2000, 9)) * spread
+        scales = default_dyadic_scales(0, 10)
+        got = [c for _, c in box_dimension_euclidean(pts, scales).counts]
+        assert got == self._unique_rows(pts, scales)
+
+    def test_mixed_radix_never_wraps(self):
+        # 2049 offsets on axis 0 times a 2^53-cell span on axis 1 passes
+        # 2^62; unranked, the key of cell (2048, 0) would wrap to 2^64 = 0,
+        # the key of cell (0, 0)
+        pts = np.zeros((2050, 2))
+        pts[:2049, 0] = np.arange(2049)
+        pts[2049, 1] = 2.0**53 - 1
+        scales = [1.0, 2.0, 4.0, 8.0]
+        got = [c for _, c in box_dimension_euclidean(pts, scales).counts]
+        assert got == self._unique_rows(pts, scales)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((10, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            box_dimension_euclidean(pts, default_dyadic_scales(0, 5))
+
+
 class TestDimDelta:
     def test_interval_inverse_holder(self):
         for h in (0.4, 0.5, 0.8):

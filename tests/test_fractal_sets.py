@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,79 @@ class TestTarget:
     def test_dimension_must_match_d(self):
         with pytest.raises(ValueError, match="length d=3"):
             Target([self.BOX], d=3)
+
+
+def _lattice_reference(members):
+    """Target.lattice written out: each member's whole meshgrid, the ball
+    filter, then one stride over the concatenation."""
+    boxes, longest = [], []
+    for m in members:
+        if m["type"] == "box":
+            lo, hi = np.array(m["lo"], float), np.array(m["hi"], float)
+            longest.append(float(np.max(hi - lo)))
+        else:
+            c, r = np.array(m["center"], float), float(m["radius"])
+            lo, hi = c - r, c + r
+            longest.append(2.0 * r)
+        boxes.append((lo, hi))
+    pitch = min(longest) / 6.0
+    pts = []
+    for m, (lo, hi) in zip(members, boxes):
+        axes = [np.arange(l, u + 1e-12, pitch) if u > l else np.array([l]) for l, u in zip(lo, hi)]
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+        if m["type"] == "ball":
+            c = np.array(m["center"], float)
+            mesh = mesh[np.linalg.norm(mesh - c, axis=1) <= m["radius"] + 1e-12]
+            if mesh.size == 0:
+                mesh = c[None, :]
+        pts.append(mesh)
+    out = np.vstack(pts)
+    if len(out) > 400:
+        out = out[:: int(math.ceil(len(out) / 400))]
+    return out, pitch
+
+
+class TestLattice:
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [{"type": "box", "lo": [0.1, 0.2], "hi": [0.5, 0.9]}],
+            [{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.2}],
+            [
+                {"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.2},
+                {"type": "box", "lo": [0.0, 0.0, 0.0], "hi": [0.1, 0.5, 0.05]},
+                {"type": "ball", "center": [0.0, 0.7, 0.0], "radius": 0.01},
+            ],
+            [{"type": "ball", "center": [0.0] * 5, "radius": 0.5}],
+            [
+                {"type": "ball", "center": [0.1] * 4, "radius": 0.3},
+                {"type": "box", "lo": [0.0] * 4, "hi": [0.6, 0.6, 0.0, 0.6]},
+            ],
+            [{"type": "box", "lo": [0.1], "hi": [0.2]}],
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [None, 37])
+    def test_matches_whole_meshgrid(self, members, chunk, monkeypatch):
+        from gpfractal import fractal_sets
+
+        if chunk is not None:
+            monkeypatch.setattr(fractal_sets, "_LATTICE_CHUNK", chunk)
+        pts, pitch = Target(members).lattice()
+        want, want_pitch = _lattice_reference(members)
+        assert pitch == want_pitch
+        assert np.array_equal(pts, want)
+
+    def test_high_dimensional_ball_memory(self):
+        # 7^8 = 5.8 million mesh points; the whole meshgrid took 369 MB
+        F = Target([{"type": "ball", "center": [0.0] * 8, "radius": 0.5}])
+        tracemalloc.start()
+        try:
+            pts, _ = F.lattice()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(pts) <= 400 and np.all(F.distance(pts) <= 1e-12)
+        assert peak < 32 * 2**20
 
 
 class TestFrostmanConsistency:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,12 @@ from gpfractal import gp_sim
 from gpfractal.gp_sim import (
     CovMatrix,
     PSDError,
-    PathBatch,
     cov_stationary_increments,
     cov_volterra,
     sample_paths,
 )
 from gpfractal.metrics import FromCovariance
-from gpfractal.scale import ExpLogScale, LogScale, PowerScale
+from gpfractal.scale import ExpLogScale, LogScale, PowerLogScale, PowerScale
 
 
 class TestStationaryCov:
@@ -225,7 +227,13 @@ class TestCirculantSampler:
         assert circ["min_embedding_eig"] == pytest.approx(1.0)
         assert circ["start_cond_var"] == pytest.approx(0.2)
         chol = cov_volterra(f, np.linspace(0.2, 1.0, 16)).certificate()
-        assert chol == {"sampler": "cholesky", "jitter_used": 0.0}
+        # Brownian kernels are constant, so doubling the order changes
+        # R only by round-off
+        assert chol == {
+            "sampler": "cholesky",
+            "jitter_used": 0.0,
+            "quad_rel_change": pytest.approx(0.0, abs=1e-14),
+        }
 
     @pytest.mark.parametrize("f", [PowerScale(0.3), PowerScale(0.9), ExpLogScale(0.3)])
     def test_levinson_matches_scipy(self, f):
@@ -278,6 +286,18 @@ class TestConditionalVariance:
             cov_stationary_increments(f, np.linspace(0.1, 0.5, 64))
 
 
+def _read_gpfb(raw: bytes) -> dict:
+    """Independent reader of the GPFB layout: b"GPFB", "<IQQQq" (version,
+    n, d, n_paths, seed), the grid, then values[p, i, c] in C order."""
+    assert raw[:4] == b"GPFB"
+    version, n, d, n_paths, seed = struct.unpack_from("<IQQQq", raw, 4)
+    off = 4 + struct.calcsize("<IQQQq")
+    assert version == 1 and len(raw) == off + 8 * n * (1 + d * n_paths)
+    grid = np.frombuffer(raw, "<f8", n, off)
+    values = np.frombuffer(raw, "<f8", n * d * n_paths, off + 8 * n).reshape(n_paths, n, d)
+    return {"d": d, "n_paths": n_paths, "seed": seed, "grid": grid, "values": values}
+
+
 class TestExport:
     def test_binary_round_trip(self, tmp_path):
         f = PowerScale(0.5)
@@ -285,10 +305,10 @@ class TestExport:
         batch = sample_paths(cov, d=2, n_paths=3, seed=4)
         p = tmp_path / "batch.bin"
         batch.to_binary(p)
-        back = PathBatch.from_binary(p)
-        assert np.array_equal(back.values, batch.values)
-        assert np.array_equal(back.grid, batch.grid)
-        assert (back.d, back.n_paths, back.seed) == (2, 3, 4)
+        back = _read_gpfb(p.read_bytes())
+        assert np.array_equal(back["values"], batch.values)
+        assert np.array_equal(back["grid"], batch.grid)
+        assert (back["d"], back["n_paths"], back["seed"]) == (2, 3, 4)
 
     def test_csv_layout(self, tmp_path):
         f = PowerScale(0.5)
@@ -302,3 +322,79 @@ class TestExport:
         path0, comp0, t0, v0 = lines[1].split(",")
         assert (int(path0), int(comp0)) == (0, 0)
         assert float(v0) == batch.values[0, 0, 0]
+
+
+BLOCK_FAMILIES = [
+    PowerScale(0.5),
+    PowerScale(0.3),
+    PowerLogScale(0.3, 1.0),
+    ExpLogScale(0.3),
+    LogScale(1.0),
+]
+
+
+def _volterra_reference(f, grid, order):
+    """The Volterra R of cov_volterra at one order, written out unblocked:
+    the geometric Gauss-Legendre pattern and every pair in one array."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    pos, wts = [], []
+    for j in range(40):
+        lo, hi = 2.0 ** -(j + 1), 2.0**-j
+        pos.append(lo + 0.5 * (hi - lo) * (x + 1.0))
+        wts.append(0.5 * (hi - lo) * w)
+    q = 0.5 * (x + 1.0)
+    pos.append(2.0**-40 * q**2)
+    wts.append(0.5 * w * 2.0**-40 * 2.0 * q)
+    p, wts = np.concatenate(pos), np.concatenate(wts)
+    n = grid.size
+    iu, ju = np.triu_indices(n, k=1)
+    m = np.minimum(grid[iu], grid[ju])
+    gap = np.abs(grid[iu] - grid[ju])
+    X = m[:, None] * p[None, :]
+    vals = np.sqrt(f.dgamma2(X)) * np.sqrt(f.dgamma2(gap[:, None] + X))
+    R = np.zeros((n, n))
+    R[iu, ju] = (m[:, None] * wts[None, :] * vals).sum(axis=1)
+    R += R.T
+    np.fill_diagonal(R, f.gamma2(grid))
+    return R
+
+
+class TestBlocks:
+    """Blocked covariance builds equal unblocked references bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("f", BLOCK_FAMILIES, ids=lambda f: f.name)
+    def test_stationary_R_matches_unblocked(self, f, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(gp_sim, "_ROW_BLOCK", block)
+        # 2 * 64 + 37 rows: the last block is partial at either block size
+        grid = np.sort(np.random.default_rng(5).uniform(0.1, 0.9, 165)) * f.x_max
+        assert grid.size % gp_sim._ROW_BLOCK != 0
+        assert np.array_equal(gp_sim._stationary_R(f, grid), _dense_stationary_R(f, grid))
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("f", BLOCK_FAMILIES, ids=lambda f: f.name)
+    def test_volterra_R_matches_unblocked(self, f, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(gp_sim, "_QUAD_BLOCK", block)
+        # 20 points: 190 pairs and rows of up to 19 pairs, neither a
+        # multiple of the block
+        grid = np.sort(np.random.default_rng(6).uniform(0.1, 0.9, 20)) * f.x_max
+        cov = cov_volterra(f, grid)  # checked: R is the doubled order, 16
+        assert np.array_equal(cov.R, _volterra_reference(f, grid, 16))
+        rel = np.max(np.abs(_volterra_reference(f, grid, 8) - cov.R)) / np.max(np.abs(cov.R))
+        assert cov.certificate()["quad_rel_change"] == rel
+        unchecked = cov_volterra(f, grid, check=False)
+        assert np.array_equal(unchecked.R, _volterra_reference(f, grid, 8))
+        assert "quad_rel_change" not in unchecked.certificate()
+
+    def test_volterra_memory_is_bounded(self):
+        # unblocked, the 32,640 pairs x 656 nodes temporaries peaked near 1 GB
+        grid = np.linspace(1 / 256, 1.0, 256)
+        tracemalloc.start()
+        try:
+            cov_volterra(PowerScale(0.5), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
