@@ -59,42 +59,11 @@ def default_dyadic_scales(j_min: int = 0, j_max: int = 10) -> list[float]:
     return [2.0**-j for j in range(j_min, j_max + 1)]
 
 
-_EXACT_SPAN = 2.0**53  # integer-valued floats below this subtract exactly
-_KEY_LIMIT = 2**62  # mixed-radix keys stay below this
-
-
-def _rank(v: np.ndarray):
-    """Dense ranks of v (equal values share one) and their count."""
-    _, inv = np.unique(v, return_inverse=True)
-    return inv.astype(np.int64), int(inv.max()) + 1
-
-
 def _occupied_boxes(cells: np.ndarray) -> int:
-    """Number of distinct rows of an (n, m) array of integer-valued floats.
-
-    Each row becomes one int64 key: the per-axis offsets from the axis
-    minimum combined in mixed radix, so distinct rows get distinct keys
-    and a 1-D unique counts them.  An axis whose span is not exact in
-    float64 (or is not finite, after overflow in pts / s) is replaced by
-    its dense ranks, and the running key is re-ranked before its radix
-    would pass _KEY_LIMIT, so the count equals np.unique(cells, axis=0)'s
-    for every m.
-    """
-    key, radix = np.zeros(len(cells), dtype=np.int64), 1
-    for col in cells.T:
-        lo = col.min()
-        span = col.max() - lo
-        if span < _EXACT_SPAN:
-            off, size = (col - lo).astype(np.int64), int(span) + 1
-        else:
-            off, size = _rank(col)
-        if radix * size > _KEY_LIMIT:
-            key, radix = _rank(key)
-            if radix * size > _KEY_LIMIT:
-                off, size = _rank(off)
-        key = key * size + off
-        radix *= size
-    return int(np.unique(key).size)
+    """Number of distinct rows of an (n, m) array: sorted lexicographically,
+    equal rows are adjacent, so one plus the row changes counts them."""
+    s = cells[np.lexsort(cells.T)]
+    return 1 + int(np.count_nonzero((s[1:] != s[:-1]).any(axis=1)))
 
 
 def box_dimension_euclidean(points, scales=None, trim: int = 0) -> DimensionEstimate:
@@ -113,6 +82,8 @@ def box_dimension_euclidean(points, scales=None, trim: int = 0) -> DimensionEsti
     scales = sorted(float(s) for s in scales)
     if len(scales) - 2 * trim < 4:
         raise ValueError("need at least 4 scales after trimming")
+    if pts.size == 0:
+        raise ValueError("box counting needs at least one point")
     if not np.all(np.isfinite(pts)):
         raise ValueError("box counting needs finite points")
     counts = [_occupied_boxes(np.floor(pts / s)) for s in scales]

@@ -314,21 +314,23 @@ def core_sq_distance(core, points) -> np.ndarray:
     return total
 
 
-def _mesh_chunks(axes, ball=None):
-    """The C-order mesh of ``axes``, _LATTICE_CHUNK points at a time, as
-    (k, len(axes)) arrays; with ``ball`` = (center, radius), only the
-    points within radius + 1e-12 of the center."""
-    shape = tuple(a.size for a in axes)
-    total = math.prod(shape)
+def _mesh_points(axes, flat):
+    """The points of the C-order mesh of ``axes`` at flat indices ``flat``,
+    as a (len(flat), len(axes)) array."""
+    idx = np.unravel_index(flat, tuple(a.size for a in axes))
+    pts = np.empty((len(flat), len(axes)))
+    for j, (a, i) in enumerate(zip(axes, idx)):
+        pts[:, j] = a[i]
+    return pts
+
+
+def _ball_chunks(axes, center, radius):
+    """The points of the C-order mesh of ``axes`` within radius + 1e-12 of
+    ``center``, in order, from _LATTICE_CHUNK mesh points at a time."""
+    total = math.prod(a.size for a in axes)
     for k0 in range(0, total, _LATTICE_CHUNK):
-        idx = np.unravel_index(np.arange(k0, min(k0 + _LATTICE_CHUNK, total)), shape)
-        pts = np.empty((idx[0].size, len(axes)))
-        for j, (a, i) in enumerate(zip(axes, idx)):
-            pts[:, j] = a[i]
-        if ball is not None:
-            c, r = ball
-            pts = pts[np.linalg.norm(pts - c, axis=1) <= r + 1e-12]
-        yield pts
+        pts = _mesh_points(axes, np.arange(k0, min(k0 + _LATTICE_CHUNK, total)))
+        yield pts[np.linalg.norm(pts - center, axis=1) <= radius + 1e-12]
 
 
 class Target:
@@ -416,9 +418,11 @@ class Target:
         member contributes the points of its bounding-box mesh, in C
         order, that lie in it (a ball that holds none, its center).  A
         sample above _LATTICE_CAP points is thinned by a constant stride.
-        The meshes are walked in chunks, once to count the points the
-        balls keep and once to keep every stride-th point, so memory is
-        O(_LATTICE_CHUNK + _LATTICE_CAP) points in any dimension.
+        A box's kept points are read straight off its mesh by flat index.
+        A ball's mesh is walked in chunks, once to count the points it
+        holds and once to keep every stride-th one, so memory is
+        O(_LATTICE_CHUNK + _LATTICE_CAP) points in any dimension; time
+        still grows with a ball's mesh.
         """
         pitch = min(float(np.max(extent)) for _, _, _, extent, _, _ in self._parts) / 6.0
         members = []
@@ -431,15 +435,19 @@ class Target:
         kept = [
             math.prod(a.size for a in axes)
             if ball is None
-            else sum(len(pts) for pts in _mesh_chunks(axes, ball))
+            else sum(len(pts) for pts in _ball_chunks(axes, *ball))
             for axes, ball in members
         ]
         total = sum(max(k, 1) for k in kept)
         stride = int(math.ceil(total / _LATTICE_CAP)) if total > _LATTICE_CAP else 1
-        out, start = [], 0  # start: index in the unthinned sample of a chunk's first point
+        out, start = [], 0  # start: index in the unthinned sample of a block's first point
         for (axes, ball), k in zip(members, kept):
-            for pts in _mesh_chunks(axes, ball) if k else [ball[0][None, :]]:
-                out.append(pts[(-start) % stride :: stride])
+            if ball is None:
+                out.append(_mesh_points(axes, np.arange((-start) % stride, k, stride)))
+                start += k
+                continue
+            for pts in _ball_chunks(axes, *ball) if k else [ball[0][None, :]]:
+                out.append(pts[(-start) % stride :: stride].copy())
                 start += len(pts)
         return np.vstack(out), pitch
 

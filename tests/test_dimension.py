@@ -71,25 +71,25 @@ class TestBoxCounts:
         assert got == self._unique_rows(walk, scales)
 
     @pytest.mark.parametrize("spread", [1e6, 1e15, 1e300])
-    def test_wide_spans_are_ranked(self, rng, spread):
-        # 1e6: nine axes of ~2^33 cells each overflow the mixed radix, so
-        # the key is re-ranked; 1e15: one axis spans more than 2^53 cells;
-        # 1e300: pts / s overflows to +-inf
+    def test_wide_spans(self, rng, spread):
+        # 1e6: nine axes of ~2^33 cells each; 1e15: one axis spans more
+        # than 2^53 cells; 1e300: pts / s overflows to +-inf
         pts = rng.standard_normal((2000, 9)) * spread
         scales = default_dyadic_scales(0, 10)
         got = [c for _, c in box_dimension_euclidean(pts, scales).counts]
         assert got == self._unique_rows(pts, scales)
 
-    def test_mixed_radix_never_wraps(self):
-        # 2049 offsets on axis 0 times a 2^53-cell span on axis 1 passes
-        # 2^62; unranked, the key of cell (2048, 0) would wrap to 2^64 = 0,
-        # the key of cell (0, 0)
-        pts = np.zeros((2050, 2))
-        pts[:2049, 0] = np.arange(2049)
-        pts[2049, 1] = 2.0**53 - 1
-        scales = [1.0, 2.0, 4.0, 8.0]
+    def test_repeated_rows(self, rng):
+        # many points per cell, in shuffled order, with -0.0 and 0.0 cells
+        pts = rng.integers(-3, 3, size=(5000, 3)) * 0.5
+        pts[::7] *= -1.0
+        scales = [0.5, 1.0, 2.0, 4.0]
         got = [c for _, c in box_dimension_euclidean(pts, scales).counts]
         assert got == self._unique_rows(pts, scales)
+
+    def test_empty_point_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            box_dimension_euclidean(np.zeros((0, 2)), default_dyadic_scales(0, 5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_rejected(self, bad):

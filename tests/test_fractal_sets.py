@@ -277,9 +277,17 @@ class TestLattice:
         assert pitch == want_pitch
         assert np.array_equal(pts, want)
 
-    def test_high_dimensional_ball_memory(self):
+    @pytest.mark.parametrize(
+        "member",
+        [
+            {"type": "ball", "center": [0.0] * 8, "radius": 0.5},
+            {"type": "box", "lo": [0.0] * 8, "hi": [1.0] * 8},
+        ],
+        ids=["ball", "box"],
+    )
+    def test_high_dimensional_memory(self, member):
         # 7^8 = 5.8 million mesh points; the whole meshgrid took 369 MB
-        F = Target([{"type": "ball", "center": [0.0] * 8, "radius": 0.5}])
+        F = Target([member])
         tracemalloc.start()
         try:
             pts, _ = F.lattice()

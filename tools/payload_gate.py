@@ -215,8 +215,6 @@ def run(args) -> int:
     work = Path(args.work)
     shutil.rmtree(work, ignore_errors=True)
     rows = ROWS + _bench_rows() + [("criterion5", None, None, [])]
-    if args.only:
-        rows = [r for r in rows if r[0] in args.only]
     table = {}
     for name, command, cfg, extra in rows:
         out = work / name
@@ -273,7 +271,6 @@ def main(argv=None) -> int:
     r.add_argument("--out", required=True, help="JSON table to write")
     r.add_argument("--work", default=".gate_work", help="scratch directory for payloads")
     r.add_argument("--strip", nargs="*", default=[], help="JSON keys removed before hashing")
-    r.add_argument("--only", nargs="*", default=[], help="run only these rows")
     c = sub.add_parser("compare", help="Markdown table of two run tables")
     c.add_argument("parent")
     c.add_argument("change")
