@@ -43,7 +43,7 @@ from .hitting import (
     small_ball_sweep,
     wilson_interval,
 )
-from .metrics import FromCovariance, StationaryGamma, commensurability_report
+from .metrics import StationaryGamma, commensurability_report, covariance_delta_matrix
 from .scale import (
     CustomScale,
     ExpLogScale,

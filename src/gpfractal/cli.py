@@ -69,14 +69,25 @@ class ConfigError(ValueError):
         super().__init__(f"config field {field!r}: {message}")
 
 
+def _is_number(val) -> bool:
+    """A finite JSON number: not a bool, NaN, an infinity or an int beyond float range."""
+    return (
+        isinstance(val, (int, float))
+        and not isinstance(val, bool)
+        and abs(val) <= sys.float_info.max
+    )
+
+
 def _require(cfg: dict, key: str, kind, predicate=None, what: str = ""):
     if key not in cfg:
         raise ConfigError(key, "missing")
     val = cfg[key]
-    if kind is float and isinstance(val, int):
+    if kind is float:
+        if not _is_number(val):
+            raise ConfigError(key, "expected a finite number")
         val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigError(key, f"expected {getattr(kind, '__name__', kind)}")
+    elif isinstance(val, bool) or not isinstance(val, kind):
+        raise ConfigError(key, f"expected {kind.__name__}")
     if predicate is not None and not predicate(val):
         raise ConfigError(key, what or "invalid value")
     return val
@@ -184,7 +195,8 @@ def _load_config(args) -> dict:
 
 
 def _seed(cfg) -> int:
-    return _require(cfg, "seed", int, lambda v: v >= 0, "must be >= 0")
+    # paths.bin stores the seed as an int64
+    return _require(cfg, "seed", int, lambda v: 0 <= v < 2**63, "must be in [0, 2^63)")
 
 
 def _build_cov(cfg, scale, grid):
@@ -238,18 +250,44 @@ def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     return [json_path, csv_path]
 
 
-def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def _hit_reports(cfg, instances) -> list:
+    """One hit report per instance (an object with E, F and an optional tol).
+
+    The grid, d, tol, n_paths, seed and cov keys come from ``cfg``.  Every
+    instance is parsed and checked against the grid before any covariance
+    work, and one batch of paths, read through one PathMinima pass,
+    serves every instance's hit count.
+    """
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
     d = _parse_d(cfg)
-    E = _parse_E(cfg, scale)
-    F = _parse_full_F(cfg, d)
-    tol = _require(cfg, "tol", float, lambda v: v > 0, "must be > 0")
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
+    tol = _require(cfg, "tol", float, lambda v: v > 0, "must be > 0")
     seed = _seed(cfg)
-    check_hit_grid(scale, grid, E, d, tol)
+    parsed = []
+    for i, inst in enumerate(instances):
+        if not isinstance(inst, dict):
+            raise ConfigError(f"instances[{i}]", "expected an object")
+        E = _parse_E(inst, scale)
+        F = _parse_full_F(inst, d)
+        inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
+        e_idx, _ = check_hit_grid(scale, grid, E, d, inst_tol)
+        parsed.append((E, F, inst_tol, e_idx))
     cov = _build_cov(cfg, scale, grid)
-    report = hit_probability_mc(scale, cov, E, F, d=d, tol=tol, n_paths=n_paths, seed=seed)
+    minima = PathMinima(
+        sample_paths(cov, d=d, n_paths=n_paths, seed=seed),
+        [(e_idx, F) for _, F, _, e_idx in parsed],
+    )
+    return [
+        hit_probability_mc(
+            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, minima=minima
+        )
+        for E, F, inst_tol, _ in parsed
+    ]
+
+
+def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+    (report,) = _hit_reports(cfg, [cfg])
     json_path = out_dir / "hit_report.json"
     _write(json_path, _json_payload(asdict(report)))
     return [json_path]
@@ -264,6 +302,8 @@ def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
         f"must be in [2, {_MAX_ATOMS}]",
     )
     times = E.sample(n_atoms)
+    if len(times) < 2:
+        raise ConfigError("E", "a capacity sweep needs at least 2 atoms")
     atoms = times
     if "F" in cfg:
         F = _parse_F(cfg, _parse_d(cfg))
@@ -273,11 +313,12 @@ def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     resolutions = cfg.get("resolutions")
     if resolutions is None:
         resolutions = [diam_hint / 2.0**j for j in range(1, 7)]
-    else:
-        if not isinstance(resolutions, list) or not all(
-            isinstance(v, (int, float)) and v > 0 for v in resolutions
-        ):
-            raise ConfigError("resolutions", "must be a list of positive numbers")
+    elif not (
+        isinstance(resolutions, list)
+        and all(_is_number(v) and v > 0 for v in resolutions)
+        and len(set(resolutions)) == len(resolutions)
+    ):
+        raise ConfigError("resolutions", "must be a list of distinct finite positive numbers")
     fw_trace = [] if trace else None
     report = capacity_estimate(
         atoms, metric.rows(atoms), beta=beta, resolutions=resolutions, trace=fw_trace
@@ -301,7 +342,8 @@ def cmd_check_scale(cfg, out_dir: Path, threads: int, trace: bool) -> list:
         specs = [_require(cfg, "gamma", str)]
     if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
         raise ConfigError("families", "must be a list of scale spec strings")
-    eps = _require({"eps": 0.1, **cfg}, "eps", float)
+    # 1 - eps is the exponent of gamma(x) in the weak condition
+    eps = _require({"eps": 0.1, **cfg}, "eps", float, lambda v: 0 < v < 1, "must be in (0, 1)")
     rows = []
     traces = ["family,condition,x,ratio"]
     for spec in specs:
@@ -355,35 +397,9 @@ def cmd_cantor(cfg, out_dir: Path, threads: int, trace: bool) -> list:
 
 
 def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
-    scale = _parse_gamma(cfg)
-    grid = _parse_grid(cfg, scale)
-    d = _parse_d(cfg)
-    n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
-    tol = _require(cfg, "tol", float, lambda v: v > 0, "must be > 0")
-    seed = _seed(cfg)
     instances = _require(cfg, "instances", list, lambda v: len(v) >= 6, "need >= 6 instances")
-    parsed = []
-    for i, inst in enumerate(instances):
-        if not isinstance(inst, dict):
-            raise ConfigError(f"instances[{i}]", "expected an object")
-        E = _parse_E(inst, scale)
-        F = _parse_full_F(inst, d)
-        inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
-        e_idx, _ = check_hit_grid(scale, grid, E, d, inst_tol)
-        parsed.append((E, F, inst_tol, e_idx))
-    cov = _build_cov(cfg, scale, grid)
-    # one pass over the paths serves every instance's hit count
-    minima = PathMinima(
-        sample_paths(cov, d=d, n_paths=n_paths, seed=seed),
-        [(e_idx, F) for _, F, _, e_idx in parsed],
-    )
-    reports = [
-        hit_probability_mc(
-            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, minima=minima
-        )
-        for E, F, inst_tol, _ in parsed
-    ]
-    verdict = sandwich_report(reports, d=d)
+    reports = _hit_reports(cfg, instances)
+    verdict = sandwich_report(reports, d=cfg["d"])
     json_path = out_dir / "battery_verdict.json"
     csv_path = out_dir / "battery_verdict.csv"
     payload = {

@@ -35,12 +35,15 @@ __all__ = [
     "check_weak_condition",
     "psi_sqrtlog_criterion",
     "f_gamma",
-    "default_x_grid",
 ]
 
 SATISFIED = "Satisfied"
 VIOLATED = "Violated"
 INCONCLUSIVE = "Inconclusive"
+
+_TOL = 1e-6  # relative error of every I(x) the checkers and f_gamma evaluate
+#: the x grid of the trend checks: ten log-spaced points from 1e-2 down to 1e-10
+_X_GRID = tuple(float(x) for x in np.geomspace(1e-2, 1e-10, 10))
 
 
 class IntegralError(RuntimeError):
@@ -58,11 +61,6 @@ class ConditionVerdict:
     override: str | None = None
     paper_open: bool = False
     notes: str = ""
-
-
-def default_x_grid():
-    """Ten log-spaced points from 1e-2 down to 1e-10."""
-    return [float(x) for x in np.geomspace(1e-2, 1e-10, 10)]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,7 @@ def _integral_I_u(f: ScaleFunction, u0: float, gamma_x: float, tol: float) -> fl
     raise IntegralError(f"integral did not converge before Z = {hi:.3e}")
 
 
-def integral_I(f: ScaleFunction, x: float, tol: float = 1e-6) -> float:
+def integral_I(f: ScaleFunction, x: float, tol: float = _TOL) -> float:
     """I(x) = int_{log 2}^inf gamma(x e^{-z}) z^{-1/2} dz, relative error ~tol.
 
     Equals int_0^{1/2} gamma(x y) dy / (y sqrt(log(1/y))) after the
@@ -197,17 +195,16 @@ def _inverse_u(f: ScaleFunction, v: float) -> float:
         return math.log(1.0 / x)
 
 
-def f_gamma(f: ScaleFunction, r: float, l: float = 1.0, tol: float = 1e-6) -> float:
-    """f(r) = r sqrt(log 2) + I(gamma^{-1}(r sqrt(l))).
+def f_gamma(f: ScaleFunction, r: float) -> float:
+    """f(r) = r sqrt(log 2) + I(gamma^{-1}(r)).
 
-    ``l`` is the commensurability constant of the covariance model
-    (1 for the stationary model, 2 for the Volterra one).
+    This is the entropy-integral majorant of the stationary model, whose
+    commensurability constant is 1.
     """
-    v = r * math.sqrt(l)
-    if v > f.gamma(f.x_max):
-        raise ValueError("r sqrt(l) exceeds gamma(x_max)")
-    u0 = _inverse_u(f, v)
-    return r * math.sqrt(math.log(2.0)) + _integral_I_u(f, u0, v, tol)
+    if r > f.gamma(f.x_max):
+        raise ValueError("r exceeds gamma(x_max)")
+    u0 = _inverse_u(f, r)
+    return r * math.sqrt(math.log(2.0)) + _integral_I_u(f, u0, r, _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +241,7 @@ def _paper_open(f: ScaleFunction) -> bool:
     return isinstance(f, ExpLogScale) and f.alpha >= 0.5
 
 
-def psi_sqrtlog_criterion(f: ScaleFunction, r_grid=None) -> ConditionVerdict:
+def psi_sqrtlog_criterion(f: ScaleFunction) -> ConditionVerdict:
     """Does psi(r) sqrt(log(1/r)) tend to 0?
 
     When it does, the strong condition provably fails (the ratio I/gamma
@@ -253,15 +250,15 @@ def psi_sqrtlog_criterion(f: ScaleFunction, r_grid=None) -> ConditionVerdict:
     0.05" is kept as a secondary rule.  A float64 r-grid cannot reach the
     0.05 level for some families whose limit is provably 0 (exp-log with
     small alpha approaches it like u^{alpha - 1/2}), hence the slope
-    rule; built-in families evaluate psi through closed forms in u, so a
-    deep default grid (down to 1e-250) is exact.
+    rule; built-in families evaluate psi through closed forms in u, so
+    their grid runs down to 1e-250 exactly.  Table-backed scales use the
+    trend checks' grid.
     """
-    if r_grid is None:
-        try:
-            f.psi_u(10.0)
-            r_grid = list(np.geomspace(1e-2, 1e-250, 40))
-        except NotImplementedError:
-            r_grid = default_x_grid()
+    try:
+        f.psi_u(10.0)
+        r_grid = list(np.geomspace(1e-2, 1e-250, 40))
+    except NotImplementedError:
+        r_grid = _X_GRID
     r = np.asarray(sorted(r_grid, reverse=True), dtype=float)
     u = np.log(1.0 / r)
     try:
@@ -315,17 +312,15 @@ def _weak_surrogate_diverges(f: ScaleFunction, eps: float):
     return None
 
 
-def check_strong_condition(f: ScaleFunction, x_grid=None, tol: float = 1e-6) -> ConditionVerdict:
+def check_strong_condition(f: ScaleFunction) -> ConditionVerdict:
     """Classify I(x) <= c gamma(x): the gate for the sharp hitting bounds.
 
     Grid-trend thresholds first; if the elasticity criterion certifies
     psi sqrt(log) -> 0, the verdict is overridden to Violated (that
     limit provably forces I/gamma -> inf).
     """
-    if x_grid is None:
-        x_grid = default_x_grid()
-    x_grid = [float(x) for x in x_grid if 0 < x <= f.x_max]
-    ratios = [integral_I(f, x, tol=tol) / f.gamma(x) for x in x_grid]
+    x_grid = [x for x in _X_GRID if x <= f.x_max]
+    ratios = [integral_I(f, x) / f.gamma(x) for x in x_grid]
     trend, variation, growth = _trend_classify(x_grid, ratios)
     verdict = trend
     override = None
@@ -335,7 +330,7 @@ def check_strong_condition(f: ScaleFunction, x_grid=None, tol: float = 1e-6) -> 
         override = "psi-sqrtlog"
     return ConditionVerdict(
         condition="Strong24",
-        x_grid=list(x_grid),
+        x_grid=x_grid,
         ratios=ratios,
         verdict=verdict,
         fitted_constant=float(np.max(ratios)),
@@ -346,9 +341,7 @@ def check_strong_condition(f: ScaleFunction, x_grid=None, tol: float = 1e-6) -> 
     )
 
 
-def check_weak_condition(
-    f: ScaleFunction, eps: float = 0.1, x_grid=None, tol: float = 1e-6
-) -> ConditionVerdict:
+def check_weak_condition(f: ScaleFunction, eps: float = 0.1) -> ConditionVerdict:
     """Classify I(x) <= c gamma(x)^{1-eps} at a fixed eps.
 
     Trend thresholds on the grid ratios, with the u-space Laplace
@@ -356,12 +349,8 @@ def check_weak_condition(
     float64 grid can expose (the log scale drifts like log^{1/2 - eps
     beta}(1/x)).
     """
-    if x_grid is None:
-        x_grid = default_x_grid()
-    x_grid = [float(x) for x in x_grid if 0 < x <= f.x_max]
-    ratios = [
-        integral_I(f, x, tol=tol) / f.gamma(x) ** (1.0 - eps) for x in x_grid
-    ]
+    x_grid = [x for x in _X_GRID if x <= f.x_max]
+    ratios = [integral_I(f, x) / f.gamma(x) ** (1.0 - eps) for x in x_grid]
     trend, variation, growth = _trend_classify(x_grid, ratios)
     verdict = trend
     override = None
@@ -374,7 +363,7 @@ def check_weak_condition(
         override = "asymptotic-surrogate"
     return ConditionVerdict(
         condition="WeakNice",
-        x_grid=list(x_grid),
+        x_grid=x_grid,
         ratios=ratios,
         verdict=verdict,
         fitted_constant=float(np.max(ratios)),

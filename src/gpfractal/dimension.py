@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractal_sets import Target, TimeSet, gamma_dyadic_count
+from .fractal_sets import OutOfModelError, Target, TimeSet, gamma_dyadic_count
 from .gp_sim import cov_stationary_increments, sample_paths
 
 __all__ = [
@@ -59,6 +59,12 @@ def default_dyadic_scales(j_min: int = 0, j_max: int = 10) -> list[float]:
     return [2.0**-j for j in range(j_min, j_max + 1)]
 
 
+# box sides 2^0 ... 2^-10 of the per-path fits, two trimmed at each end
+_SCALES = default_dyadic_scales()
+_TRIM = 2
+_MAX_SAMPLE_LEVEL = 16  # gamma-dyadic levels 2 ... 15 of a sampled time set
+
+
 def _occupied_boxes(cells: np.ndarray) -> int:
     """Number of distinct rows of an (n, m) array: sorted lexicographically,
     equal rows are adjacent, so one plus the row changes counts them."""
@@ -66,7 +72,7 @@ def _occupied_boxes(cells: np.ndarray) -> int:
     return 1 + int(np.count_nonzero((s[1:] != s[:-1]).any(axis=1)))
 
 
-def box_dimension_euclidean(points, scales=None, trim: int = 0) -> DimensionEstimate:
+def box_dimension_euclidean(points, scales, trim: int = 0) -> DimensionEstimate:
     """Box-counting dimension of a finite point set in R^m.
 
     Counts occupied boxes of side s per scale and fits log2(count)
@@ -77,8 +83,6 @@ def box_dimension_euclidean(points, scales=None, trim: int = 0) -> DimensionEsti
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
         pts = pts.T
-    if scales is None:
-        scales = default_dyadic_scales()
     scales = sorted(float(s) for s in scales)
     if len(scales) - 2 * trim < 4:
         raise ValueError("need at least 4 scales after trimming")
@@ -117,7 +121,9 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
     gamma-dyadic tiles meeting E.  When the per-level increments of
     log2 N(n) themselves keep growing (the tile widths shrink faster than
     geometrically, as in the logarithmic scale) the estimate is flagged
-    divergent and the value is +inf.
+    divergent and the value is +inf.  Fewer than 4 levels, given or
+    usable (a Cantor set too shallow for its zeta, or tile widths that
+    underflow), raise OutOfModelError.
     """
     E = TimeSet.of(E, scale)
     if n_range is None:
@@ -128,7 +134,7 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
             n_range = range(2, 15)
     ns = list(n_range)
     if len(ns) < 4:
-        raise ValueError("need at least 4 covering levels")
+        raise OutOfModelError(f"need at least 4 covering levels, got {ns}")
     log_counts = []
     kept = []
     for n in ns:
@@ -140,7 +146,7 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
         log_counts.append(math.log2(c) if c < 1e300 else math.inf)
     ns = kept
     if len(ns) < 4:
-        raise ValueError("fewer than 4 usable covering levels")
+        raise OutOfModelError(f"fewer than 4 usable covering levels: {ns}")
     lc = np.array(log_counts)
     increments = np.diff(lc)
     first = increments[: max(2, len(increments) // 3)]
@@ -220,8 +226,6 @@ def image_dimension_experiment(
     n_paths: int,
     grid_n: int,
     seed: int,
-    scales=None,
-    trim: int = 2,
     threads: int = 1,
 ) -> ImageDimensionReport:
     """Estimate dim of the image B(E) per path and compare with
@@ -237,11 +241,9 @@ def image_dimension_experiment(
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
     batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
-    if scales is None:
-        scales = default_dyadic_scales(0, 10)
 
     def one(p):
-        return box_dimension_euclidean(batch.points(p), scales, trim=trim).value
+        return box_dimension_euclidean(batch.points(p), _SCALES, trim=_TRIM).value
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -283,7 +285,7 @@ class IntersectionDimensionReport:
     params: dict = field(default_factory=dict)
 
 
-def _dim_delta_of_sample(points, scale, max_level: int = 16) -> float:
+def _dim_delta_of_sample(points, scale) -> float:
     """Gamma-dyadic dimension of a finite sample, saturation-aware.
 
     Levels where the tile count approaches the sample size only measure
@@ -292,7 +294,7 @@ def _dim_delta_of_sample(points, scale, max_level: int = 16) -> float:
     pts = np.asarray(points, dtype=float).ravel()
     E = TimeSet.points(pts)
     ns, logs = [], []
-    for n in range(2, max_level):
+    for n in range(2, _MAX_SAMPLE_LEVEL):
         try:
             c = gamma_dyadic_count(E, n, scale)
         except (ValueError, OverflowError):
@@ -316,8 +318,6 @@ def intersection_dimension_experiment(
     tol: float,
     seed: int,
     grid_n: int = 4096,
-    scales=None,
-    trim: int = 2,
 ) -> IntersectionDimensionReport:
     """Dimensions of E \\cap B^{-1}(F) and B(E) \\cap F across paths.
 
@@ -333,8 +333,6 @@ def intersection_dimension_experiment(
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
     batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
-    if scales is None:
-        scales = default_dyadic_scales(0, 10)
     time_dims, image_dims, time_dims_delta = [], [], []
     hits = 0
     for p in range(n_paths):
@@ -347,12 +345,12 @@ def intersection_dimension_experiment(
             continue
         hits += 1
         t_hat = grid[sel]
-        time_dims.append(box_dimension_euclidean(t_hat[:, None], scales, trim=trim).value)
-        image_dims.append(box_dimension_euclidean(pts[sel], scales, trim=trim).value)
+        time_dims.append(box_dimension_euclidean(t_hat[:, None], _SCALES, trim=_TRIM).value)
+        image_dims.append(box_dimension_euclidean(pts[sel], _SCALES, trim=_TRIM).value)
         time_dims_delta.append(_dim_delta_of_sample(t_hat, scale))
     flagged = hits == 0
     h_eff = float(scale.psi(math.sqrt(grid[0] * grid[-1])))
-    e_dim = box_dimension_euclidean(grid[:, None], scales, trim=trim).value
+    e_dim = box_dimension_euclidean(grid[:, None], _SCALES, trim=_TRIM).value
     f_dim = float(d)  # members are full-dimensional boxes/balls
     rho_est = dim_rho_product(E, F, scale)
     lower = e_dim + h_eff * (f_dim - d)

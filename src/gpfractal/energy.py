@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 10_000  # atom cap of the subsample and of the capacity sweep
+_FW_TOL = 1e-5  # relative duality gap at which each sweep solve stops
+_FW_MAX_ITER = 20_000  # iteration cap of each sweep solve
 
 
 @dataclass
@@ -109,13 +111,13 @@ def minimize_energy(
     return DiscreteMeasure(kernel.atoms, w), e, gap
 
 
-def farthest_point_subsample(atoms, metric, spacing: float, cap: int = _MAX_ATOMS):
+def farthest_point_subsample(atoms, metric, spacing: float):
     """Greedy farthest-point order down to the given spacing.
 
     ``metric(i, idx)`` returns distances from atom i to atoms[idx]; every
     call here asks for a whole row, with idx = slice(None).  Selection
     stops when every remaining atom is within ``spacing`` of the selected
-    set (or at ``cap`` points).  Returns the selected indices in
+    set (or at _MAX_ATOMS points).  Returns the selected indices in
     pick order and each pick's insertion radius, its distance to the atoms
     picked before it (inf for the first).  The radii never increase, so
     ``np.sort(order[radii > h])`` is exactly the set a greedy run at
@@ -125,7 +127,7 @@ def farthest_point_subsample(atoms, metric, spacing: float, cap: int = _MAX_ATOM
     every = slice(None)
     order, radii = [0], [math.inf]
     mind = np.array(metric(0, every), dtype=float)
-    while len(order) < min(m, cap):
+    while len(order) < min(m, _MAX_ATOMS):
         i = int(np.argmax(mind))
         if mind[i] <= spacing:
             break
@@ -153,16 +155,7 @@ class CapacityReport:
         return 0.0 if self.verdict == "zero" else self.extrapolated
 
 
-def capacity_estimate(
-    atoms,
-    metric,
-    beta: float,
-    resolutions,
-    tol: float = 1e-5,
-    max_iter: int = 20_000,
-    cap: int = _MAX_ATOMS,
-    trace=None,
-) -> CapacityReport:
+def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> CapacityReport:
     """Capacity 1/inf-energy across a decreasing resolution sweep.
 
     ``atoms`` are (m,) times or ProductAtoms, and ``metric`` their
@@ -175,23 +168,33 @@ def capacity_estimate(
     decay (slope <= -0.1) reads "zero", a near-flat tail reads "positive"
     with a geometric-series extrapolation, and the band in between is
     "inconclusive" (the critical-order regime that discretization cannot
-    settle).  More than ``cap`` atoms, fewer than 2 resolutions, or atoms
-    too coarse for the second resolution raise OutOfModelError.
+    settle).  More than _MAX_ATOMS atoms, fewer than 2 resolutions, atoms
+    too coarse for the second resolution, a resolution that keeps no atom
+    (h = inf) or a minimal energy whose inverse is not a finite positive
+    number (the kernel over- or underflows at that h and beta) raise
+    OutOfModelError.
     """
-    if len(atoms) > cap:
-        raise OutOfModelError(f"atom count {len(atoms)} exceeds cap {cap}")
+    if len(atoms) > _MAX_ATOMS:
+        raise OutOfModelError(f"atom count {len(atoms)} exceeds cap {_MAX_ATOMS}")
     res = sorted((float(h) for h in resolutions), reverse=True)
     if len(res) < 2:
         raise OutOfModelError("need at least 2 resolutions")
     # greedy farthest-point order is nested: one pass at the finest
     # resolution, read at each h as the prefix of picks farther than h
-    order, radii = farthest_point_subsample(atoms, metric, spacing=res[-1], cap=cap)
+    order, radii = farthest_point_subsample(atoms, metric, spacing=res[-1])
     e_mins, gaps, iterations, caps_est, n_atoms = [], [], [], [], []
     for h in res:
         idx = np.sort(order[radii > h])
+        if idx.size == 0:
+            raise OutOfModelError(f"the subsample at resolution h = {h!r} is empty")
         kern = kernel_matrix(atoms[idx], metric.block(idx), beta=beta, h=h)
         fw_trace = []
-        _, e, gap = minimize_energy(kern, tol=tol, max_iter=max_iter, trace=fw_trace)
+        _, e, gap = minimize_energy(kern, tol=_FW_TOL, max_iter=_FW_MAX_ITER, trace=fw_trace)
+        if not (e > 0 and math.isfinite(e) and math.isfinite(1.0 / e)):
+            raise OutOfModelError(
+                f"minimal energy {e!r} at h = {h!r}, beta = {beta!r}: "
+                "the kernel over- or underflows"
+            )
         if trace is not None:
             trace.extend((h, k, ek, gk) for k, ek, gk in fw_trace)
         e_mins.append(e)

@@ -9,7 +9,6 @@ limit set has dimension zeta with respect to delta*(s,t) = gamma(|t-s|).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -62,8 +61,8 @@ class CantorSet:
         deepest = self.levels[self.depth]
         return 0.5 * (deepest[:, 0] + deepest[:, 1])
 
-    def to_json(self, path=None):
-        payload = {
+    def to_json(self) -> dict:
+        return {
             "scale": self.scale.spec_string(),
             "zeta": self.zeta,
             "depth": self.depth,
@@ -72,11 +71,6 @@ class CantorSet:
             "l_seq": self.l_seq.tolist(),
             "deepest_intervals": self.levels[self.depth].tolist(),
         }
-        if path is None:
-            return payload
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-        return payload
 
 
 @dataclass
@@ -127,7 +121,9 @@ def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> CantorSet
     Raises RatioOverflowError when some l_k = t_k / t_{k-1} exceeds 1/2,
     i.e. the two children of combined length 2 t_k eps0 would overflow the
     parent of length t_{k-1} eps0 - the construction is infeasible for
-    this (gamma, zeta, depth).
+    this (gamma, zeta, depth).  Raises OutOfModelError when 2^(-k/zeta)
+    exceeds gamma(x_max) or when t_k underflows to 0, so that the level-k
+    intervals would have no length.
     """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
@@ -145,6 +141,10 @@ def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> CantorSet
                 f"gamma(x_max) = {gxmax:.3e}"
             )
         t.append(float(scale.inverse(target, tol=1e-15)))
+        if not t[-1] > 0:
+            raise OutOfModelError(
+                f"t_{k} = gamma^-1(2^(-k/zeta) = {target:.3e}) underflows to {t[-1]!r}"
+            )
     t_seq = np.array(t)
     l_seq = t_seq[1:] / t_seq[:-1] if depth >= 1 else np.array([])
     for k, l in enumerate(l_seq, start=1):
@@ -413,10 +413,11 @@ class Target:
     def lattice(self):
         """Deterministic lattice sample of F and its pitch, as (points, pitch).
 
-        The pitch is a sixth of the smallest member's longest extent, and
-        downstream estimators use it as their resolution floor.  Each
-        member contributes the points of its bounding-box mesh, in C
-        order, that lie in it (a ball that holds none, its center).  A
+        The pitch is a sixth of the smallest positive longest extent of a
+        member (0 when every member is a point), and downstream estimators
+        use it as their resolution floor.  Each member contributes the
+        points of its bounding-box mesh, in C order, that lie in it (a ball
+        that holds none, its center; a point box, its one point).  A
         sample above _LATTICE_CAP points is thinned by a constant stride.
         A box's kept points are read straight off its mesh by flat index.
         A ball's mesh is walked in chunks, once to count the points it
@@ -424,7 +425,8 @@ class Target:
         O(_LATTICE_CHUNK + _LATTICE_CAP) points in any dimension; time
         still grows with a ball's mesh.
         """
-        pitch = min(float(np.max(extent)) for _, _, _, extent, _, _ in self._parts) / 6.0
+        longest = [float(np.max(extent)) for _, _, _, extent, _, _ in self._parts]
+        pitch = min((e for e in longest if e > 0), default=0.0) / 6.0
         members = []
         for kind, lo, hi, _, c, r in self._parts:
             axes = [
@@ -478,7 +480,7 @@ def _tile_ranges(E, n: int, scale):
     """
     w = float(scale.inverse(2.0 ** (-n), tol=1e-15))
     if w <= 0 or not math.isfinite(w):
-        raise ValueError(f"gamma-dyadic width underflows at level {n}")
+        raise OutOfModelError(f"gamma-dyadic width underflows at level {n}")
     iv = TimeSet.of(E, scale).intervals
     a, b = iv[:, 0], iv[:, 1]
     j1 = np.floor(a / w) + 1.0

@@ -70,7 +70,7 @@ class CovMatrix:
     """Grid covariance with a lazy dense matrix and a lazy Cholesky factor.
 
     ``R`` is either given or built by ``build()`` on first access (reading
-    ``.R``, calling ``.cholesky()``, or a ``FromCovariance`` metric).  A
+    ``.R``, calling ``.cholesky()``, or ``metrics.covariance_delta_matrix``).  A
     covariance that carries a circulant sampler never needs it.
     """
 

@@ -41,12 +41,16 @@ __all__ = [
 
 
 _HIT_CHUNK = 8  # paths per indicator block: small enough to stay in cache
+_Z95 = 1.959964  # two-sided 95% normal quantile of the Wilson interval
+#: instances with |dim_rho(E x F) - d| at most this carry no sandwich information
+_CRITICAL_BAND = 0.15
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
+    z = _Z95
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -160,7 +164,6 @@ def hit_probability_mc(
     batch=None,
     minima: PathMinima | None = None,
     with_terms: bool = True,
-    capacity_resolutions=None,
 ) -> HitProbReport:
     """P{B(E) intersects F} by Monte Carlo over exact paths.
 
@@ -204,13 +207,10 @@ def hit_probability_mc(
         floor = max(metric.delta(t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
         atoms = ProductAtoms(t_sub, f_pts)
         diam = _product_diameter(metric, atoms)
-        if capacity_resolutions is None:
-            capacity_resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
-            if len(capacity_resolutions) < 2:
-                capacity_resolutions = [diam / 2.0, diam / 4.0]
-        rep = capacity_estimate(
-            atoms, metric.rows(atoms), beta=float(d), resolutions=capacity_resolutions
-        )
+        resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
+        if len(resolutions) < 2:
+            resolutions = [diam / 2.0, diam / 4.0]
+        rep = capacity_estimate(atoms, metric.rows(atoms), beta=float(d), resolutions=resolutions)
         cap_val = rep.capacity_value
         cap_verdict = rep.verdict
         extras.update(
@@ -270,7 +270,6 @@ def small_ball_mc(
     n_paths: int,
     seed: int,
     scale,
-    l: float = 1.0,
     batch=None,
 ) -> SmallBallReport:
     """P{ min over the delta-ball B(t0, r) of ||B(s) - z|| <= r }.
@@ -294,7 +293,7 @@ def small_ball_mc(
     p_hat = hits / batch.n_paths
     lo, hi = wilson_interval(hits, batch.n_paths)
     try:
-        ref_f = (r + f_gamma(scale, r, l=l)) ** d
+        ref_f = (r + f_gamma(scale, r)) ** d
     except (ValueError, IntegralError):
         ref_f = math.nan
     return SmallBallReport(
@@ -308,12 +307,11 @@ def small_ball_mc(
     )
 
 
-def small_ball_sweep(cov, t0, radii, z, d, n_paths, seed, scale, l=1.0):
+def small_ball_sweep(cov, t0, radii, z, d, n_paths, seed, scale):
     """One shared path batch across a radius sweep (nested balls)."""
     batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     return [
-        small_ball_mc(cov, t0, r, z, d, n_paths, seed, scale=scale, l=l, batch=batch)
-        for r in radii
+        small_ball_mc(cov, t0, r, z, d, n_paths, seed, scale=scale, batch=batch) for r in radii
     ]
 
 
@@ -378,7 +376,7 @@ def hausdorff_content_estimate(
 # sandwich verdicts
 
 
-def sandwich_report(reports: list[HitProbReport], d: int, critical_band: float = 0.15):
+def sandwich_report(reports: list[HitProbReport], d: int):
     """Joint-constant consistency check of the two hitting bounds.
 
     The fitted constants are the battery-wide joint pair: C1_hat is the
@@ -389,7 +387,7 @@ def sandwich_report(reports: list[HitProbReport], d: int, critical_band: float =
     verdict to agree with the Monte Carlo dichotomy (capacity positive
     iff the CI at the finest tolerance excludes 0), and C1_hat > 0
     whenever some instance genuinely hits.  Instances with
-    |dim_rho(E x F) - d| <= critical_band are excluded and labeled as
+    |dim_rho(E x F) - d| <= _CRITICAL_BAND are excluded and labeled as
     carrying no information.  The max p_hat/capacity ratio is reported
     as a sharpness diagnostic alongside.
     """
@@ -398,7 +396,7 @@ def sandwich_report(reports: list[HitProbReport], d: int, critical_band: float =
     rows = []
     ratios_c1, ratios_c2 = [], []
     for idx, rep in enumerate(reports):
-        critical = abs(rep.dim_rho_est - d) <= critical_band
+        critical = abs(rep.dim_rho_est - d) <= _CRITICAL_BAND
         row = {
             "instance": idx,
             "p_hat": rep.p_hat,

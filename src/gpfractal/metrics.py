@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_sets import grid_lookup
-
 __all__ = [
     "StationaryGamma",
     "ProductAtoms",
-    "FromCovariance",
+    "covariance_delta_matrix",
     "CommensurabilityReport",
     "commensurability_report",
 ]
@@ -156,45 +154,20 @@ class AtomRows:
         return out
 
 
-class FromCovariance:
-    """delta(s, t)^2 = R(t,t) + R(s,s) - 2 R(s,t) on the covariance grid."""
+def covariance_delta_matrix(cov) -> np.ndarray:
+    """delta(s, t) = sqrt(R(t,t) + R(s,s) - 2 R(s,t)) over every pair of the covariance grid.
 
-    def __init__(self, cov):
-        self.cov = cov
-
-    def _index(self, times):
-        idx, on_grid = grid_lookup(self.cov.grid, times)
-        if not np.all(on_grid):
-            raise KeyError(f"time {np.asarray(times)[~on_grid]} is not on the covariance grid")
-        return idx
-
-    def delta(self, s, t):
-        i = self._index(s)
-        j = self._index(np.atleast_1d(np.asarray(t, dtype=float)))
-        R = self.cov.R
-        d2 = R[j, j] + R[i, i] - 2.0 * R[i, j]
-        d2 = _clamp_var(d2)
-        out = np.sqrt(d2)
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    def delta_matrix(self, times=None):
-        R = self.cov.R
-        if times is not None:
-            idx = self._index(times)
-            R = R[np.ix_(idx, idx)]
-        d = np.diag(R)
-        d2 = d[:, None] + d[None, :] - 2.0 * R
-        return np.sqrt(_clamp_var(d2))
-
-
-def _clamp_var(d2):
-    d2 = np.asarray(d2, dtype=float)
+    Round-off may leave delta^2 slightly negative; it is clamped to 0, and
+    a value below -_NEG_VAR_TOL raises ValueError.
+    """
+    R = cov.R
+    d = np.diag(R)
+    d2 = d[:, None] + d[None, :] - 2.0 * R
     if np.any(d2 < -_NEG_VAR_TOL):
-        worst = float(np.min(d2))
         raise ValueError(
-            f"covariance metric produced delta^2 = {worst:.3e} < -{_NEG_VAR_TOL}"
+            f"covariance metric produced delta^2 = {float(np.min(d2)):.3e} < -{_NEG_VAR_TOL}"
         )
-    return np.maximum(d2, 0.0)
+    return np.sqrt(np.maximum(d2, 0.0))
 
 
 @dataclass
@@ -215,7 +188,7 @@ class CommensurabilityReport:
 def commensurability_report(cov, scale) -> CommensurabilityReport:
     """Ratio delta(s,t) / gamma(|t-s|) over all distinct grid pairs."""
     grid = cov.grid
-    dm = FromCovariance(cov).delta_matrix()
+    dm = covariance_delta_matrix(cov)
     gm = StationaryGamma(scale).delta_matrix(grid)
     iu = np.triu_indices(grid.size, k=1)
     ratios = dm[iu] / gm[iu]

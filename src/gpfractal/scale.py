@@ -90,42 +90,36 @@ class ScaleFunction:
         return 2.0 * self.gamma(r) * self.dgamma(r)
 
     def psi(self, r):
-        """Elasticity psi(r) = r gamma'(r) / gamma(r)."""
+        """Elasticity psi(r) = r gamma'(r) / gamma(r), read off psi_u(log(1/r))."""
         a, scalar = _as_array(r)
-        out = a * self.dgamma(a) / self.gamma(a)
+        out = self.psi_u(-np.log(a))
         return float(out) if scalar else out
 
-    def inverse(self, v, tol: float = 1e-12):
-        """Solve gamma(r) = v for r, with |gamma(r) - v| <= tol.
+    def inverse(self, v, tol: float = 1e-12) -> float:
+        """Solve gamma(r) = v for one scalar v, with |gamma(r) - v| <= tol.
 
         Uses the family closed form when available, otherwise bracketing
-        bisection on the monotone gamma.
+        bisection on the monotone gamma.  v is taken as a NumPy float, so a
+        closed form that overflows gives inf rather than raising.
         """
-        a, scalar = _as_array(v)
+        v = np.float64(v)
         vmax = self.gamma(self.x_max)
-        if np.any(a < 0) or np.any(a > vmax * (1 + 1e-9)):
+        if v < 0 or v > vmax * (1 + 1e-9):
             raise ScaleDomainError(f"{self.name}: inverse argument above gamma(x_max)")
-        out = np.empty_like(a)
-        for idx, val in np.ndenumerate(a):
-            if val <= 0.0:
-                out[idx] = 0.0
-            else:
-                out[idx] = self._inverse_one(min(val, vmax), tol)
-        return float(out) if scalar else out
-
-    def _inverse_one(self, v, tol):
+        if v <= 0.0:
+            return 0.0
+        v = min(v, vmax)
         closed = self._inverse_closed(v)
         if closed is not None:
-            return closed
+            return float(closed)
         lo, hi = 0.0, self.x_max
-        glo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             gm = self.gamma(mid)
             if abs(gm - v) <= tol:
                 return mid
             if gm < v:
-                lo, glo = mid, gm
+                lo = mid
             else:
                 hi = mid
             if hi - lo <= 1e-17 * self.x_max:
@@ -180,11 +174,6 @@ class PowerScale(ScaleFunction):
     def _inverse_closed(self, v):
         return v ** (1.0 / self.h)
 
-    def psi(self, r):
-        a, scalar = _as_array(r)
-        out = np.full_like(a, self.h)
-        return float(out) if scalar else out
-
     def log_gamma_u(self, u):
         return -self.h * np.asarray(u, dtype=float)
 
@@ -230,12 +219,6 @@ class PowerLogScale(ScaleFunction):
         u = -np.log(a)
         return a ** (self.h - 1.0) * u ** (self.beta - 1.0) * (self.h * u - self.beta)
 
-    def psi(self, r):
-        a, scalar = _as_array(r)
-        u = -np.log(a)
-        out = self.h - self.beta / u
-        return float(out) if scalar else out
-
     def log_gamma_u(self, u):
         u = np.asarray(u, dtype=float)
         return -self.h * u + self.beta * np.log(u)
@@ -271,11 +254,6 @@ class LogScale(ScaleFunction):
 
     def _inverse_closed(self, v):
         return math.exp(-v ** (-1.0 / self.beta))
-
-    def psi(self, r):
-        a, scalar = _as_array(r)
-        out = self.beta / -np.log(a)
-        return float(out) if scalar else out
 
     def log_gamma_u(self, u):
         return -self.beta * np.log(np.asarray(u, dtype=float))
@@ -315,12 +293,6 @@ class ExpLogScale(ScaleFunction):
 
     def _inverse_closed(self, v):
         return math.exp(-math.log(1.0 / v) ** (1.0 / self.alpha))
-
-    def psi(self, r):
-        a, scalar = _as_array(r)
-        u = -np.log(a)
-        out = self.alpha * u ** (self.alpha - 1.0)
-        return float(out) if scalar else out
 
     def log_gamma_u(self, u):
         u = np.asarray(u, dtype=float)
@@ -374,12 +346,6 @@ class LogCorrectedScale(ScaleFunction):
             self.beta * lu - self.alpha
         ) / a
 
-    def psi(self, r):
-        a, scalar = _as_array(r)
-        u = -np.log(a)
-        out = self.beta / u - self.alpha / (u * np.log(u))
-        return float(out) if scalar else out
-
     def log_gamma_u(self, u):
         u = np.asarray(u, dtype=float)
         return -self.beta * np.log(u) + self.alpha * np.log(np.log(u))
@@ -421,12 +387,22 @@ class CustomScale(ScaleFunction):
 
     @classmethod
     def from_csv(cls, path):
+        """Knots from a CSV file of (r, gamma) rows; ``#`` starts a comment row.
+
+        A file that cannot be read, or a row without two numbers, raises
+        ValueError.
+        """
         knots = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                knots.append((float(row[0]), float(row[1])))
+        try:
+            with open(path, newline="") as fh:
+                for row in csv.reader(fh):
+                    if not row or row[0].strip().startswith("#"):
+                        continue
+                    if len(row) < 2:
+                        raise ValueError(f"custom scale {path}: row {row} needs r and gamma")
+                    knots.append((float(row[0]), float(row[1])))
+        except (OSError, csv.Error) as err:
+            raise ValueError(f"custom scale {path}: {err}") from err
         return cls(knots, name=f"custom({path})")
 
     def _gamma(self, a):

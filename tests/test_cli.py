@@ -252,6 +252,28 @@ class TestHitAndCapacity:
         err = capsys.readouterr().err
         assert "atom set too coarse" in err and "Traceback" not in err
 
+    def test_capacity_point_and_box(self, tmp_path):
+        # a point member used to set the lattice pitch to 0
+        cfg = _write_config(
+            tmp_path,
+            {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
+             "beta": 1.5, "n_atoms": 64, "seed": 0, "d": 2,
+             "F": [{"type": "box", "lo": [0.3, 0.3], "hi": [0.3, 0.3]},
+                   {"type": "box", "lo": [0.0, 0.0], "hi": [0.5, 0.5]}]},
+        )
+        out = tmp_path / "out"
+        assert main(["capacity", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "capacity_report.json").read_text())
+        assert rep["verdict"] in {"positive", "zero", "inconclusive"}
+
+    @pytest.mark.parametrize("name", ["missing.csv", ".", "one_column.csv"])
+    def test_unreadable_custom_scale(self, tmp_path, capsys, name):
+        (tmp_path / "one_column.csv").write_text("0.001,0.01\n0.5\n")
+        cfg = _write_config(tmp_path, {"gamma": f"custom:path={tmp_path / name}"})
+        assert main(["check-scale", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "custom scale" in err and "Traceback" not in err
+
     def test_hit_reports_sampler(self, tmp_path):
         base = {
             "gamma": "power:H=0.5",
@@ -417,6 +439,22 @@ REJECTED = {
         "instances": [{"E": TestOutOfModel.HIT["E"], "F": TestOutOfModel.HIT["F"]}] * 5
         + [{"E": TestOutOfModel.HIT["E"], "F": [{"type": "box", "lo": [0.2, 0.1], "hi": [0.2, 0.4]}]}],
     }),
+    # a bool is not a number, and NaN and the infinities are not finite
+    "hit_d_true": ("hit", dict(
+        TestOutOfModel.HIT, d=True, F=[{"type": "box", "lo": [0.5], "hi": [1.0]}])),
+    "hit_n_paths_true": ("hit", dict(TestOutOfModel.HIT, n_paths=True)),
+    "capacity_beta_nan": ("capacity", dict(CAPACITY, beta=float("nan"))),
+    "capacity_beta_infinity": ("capacity", dict(CAPACITY, beta=float("inf"))),
+    "check_scale_eps_nan": ("check-scale", {"gamma": "power:H=0.5", "eps": float("nan")}),
+    # gamma(x)^(1 - eps) overflowed a float
+    "check_scale_eps_above_one": ("check-scale", {"gamma": "power:H=0.5", "eps": 70}),
+    "capacity_resolutions_infinity": ("capacity", dict(CAPACITY, resolutions=[float("inf"), 0.1])),
+    "capacity_resolutions_repeated": ("capacity", dict(CAPACITY, resolutions=[0.5, 0.5])),
+    # paths.bin stores the seed as an int64
+    "simulate_seed_above_int64": ("simulate", dict(SIM_CONFIG, seed=2**63)),
+    # one atom, so every default resolution is 0
+    "capacity_cantor_one_atom": ("capacity", dict(
+        CAPACITY, E={"type": "cantor", "zeta": 0.001, "depth": 0})),
 }
 
 
@@ -427,3 +465,27 @@ def test_invalid_config_exits_2_at_parse_time(tmp_path, capsys, name):
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+
+
+OUT_OF_MODEL = {
+    # the one-atom subsample at h = 1e308 has an energy that underflows to 0
+    "capacity_resolutions_underflow": ("capacity", dict(CAPACITY, resolutions=[0.3, 0.2, 1e308])),
+    "cantor_logscale_underflow": ("cantor", {"gamma": LOG, "zeta": 0.5, "depth": 6}),
+    "cantor_power_underflow": ("cantor", {"gamma": "power:H=0.5", "zeta": 0.001, "depth": 2}),
+    # the gamma-dyadic tiles of dim_rho_product underflow from level 10 on
+    "hit_logscale_width_underflow": ("hit", dict(
+        TestOutOfModel.HIT, gamma=LOG, grid={"a": 0.025, "b": 0.25, "n": 44}, tol=5.0,
+        E={"type": "interval", "a": 0.025, "b": 0.2},
+        F=[{"type": "ball", "center": [0.0, 0.3], "radius": 0.05}])),
+    # depth / zeta = 0 leaves three covering levels
+    "dims_shallow_cantor": ("dims", dict(DIMS, E={"type": "cantor", "zeta": 0.001, "depth": 0})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_MODEL))
+def test_out_of_model_exits_2(tmp_path, capsys, name):
+    command, cfg = OUT_OF_MODEL[name]
+    path = _write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("out of model") and "Traceback" not in err

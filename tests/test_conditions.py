@@ -147,13 +147,13 @@ class TestFGamma:
     def test_logscale_exponent(self):
         # f(r) / r^{1 - 1/(2 beta)} stays bounded in the log scale
         f = LogScale(1.0)
-        vals = [f_gamma(f, r, l=1.0) / r**0.5 for r in (1e-2, 1e-3, 1e-4)]
+        vals = [f_gamma(f, r) / r**0.5 for r in (1e-2, 1e-3, 1e-4)]
         assert max(vals) / min(vals) < 3.0
 
     def test_domain_guard(self):
         f = PowerScale(0.5)
         with pytest.raises(ValueError):
-            f_gamma(f, 2.0, l=1.0)
+            f_gamma(f, 2.0)
 
 
 class TestNonConvergence:

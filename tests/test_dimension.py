@@ -12,7 +12,7 @@ from gpfractal.dimension import (
     dim_rho_product,
     image_dimension_experiment,
 )
-from gpfractal.fractal_sets import build_cantor
+from gpfractal.fractal_sets import OutOfModelError, build_cantor
 from gpfractal.scale import LogScale, PowerScale
 
 
@@ -111,6 +111,11 @@ class TestDimDelta:
             cs = build_cantor(f, zeta, depth=12)
             est = dim_delta_estimate(cs, f)
             assert est.value == pytest.approx(zeta, abs=0.05)
+
+    def test_shallow_cantor_is_out_of_model(self):
+        # depth / zeta = 0 leaves covering levels 2 ... 4 only
+        with pytest.raises(OutOfModelError, match="at least 4 covering levels"):
+            dim_delta_estimate(build_cantor(PowerScale(0.5), 0.001, depth=0), PowerScale(0.5))
 
     def test_logscale_divergence_flag(self):
         est = dim_delta_estimate([(0.01, 0.5)], LogScale(1.0), n_range=range(1, 9))

@@ -12,7 +12,12 @@ from gpfractal.energy import (
     kernel_matrix,
     minimize_energy,
 )
-from gpfractal.fractal_sets import DiscreteMeasure, build_cantor, cantor_measure
+from gpfractal.fractal_sets import (
+    DiscreteMeasure,
+    OutOfModelError,
+    build_cantor,
+    cantor_measure,
+)
 from gpfractal.hitting import delta_metric_fn
 from gpfractal.metrics import ProductAtoms, StationaryGamma
 from gpfractal.scale import PowerScale, phi_kernel
@@ -148,6 +153,17 @@ class TestCapacity:
             atoms, metric, beta=1.0, resolutions=[diam / 2**j for j in range(1, 10)]
         )
         assert len(rep.resolutions) < 9
+
+    @pytest.mark.parametrize(
+        "resolutions, message",
+        [([np.inf, 0.1], "is empty"), ([0.3, 0.2, 1e308], "over- or underflows")],
+        ids=["infinite", "underflow"],
+    )
+    def test_resolutions_the_solver_cannot_carry(self, resolutions, message):
+        atoms = np.linspace(0.2, 1.0, 64)
+        metric = delta_metric_fn(PowerScale(0.5), atoms)
+        with pytest.raises(OutOfModelError, match=message):
+            capacity_estimate(atoms, metric, beta=1.5, resolutions=resolutions)
 
     def test_subsample_spacing(self, rng):
         atoms = np.sort(rng.uniform(0.0, 1.0, size=500))

@@ -40,6 +40,15 @@ class TestBuildCantor:
         assert np.allclose(cs.t_seq, 4.0 ** -np.arange(6), rtol=1e-12)
         assert cs.intervals(5).shape == (32, 2)
 
+    @pytest.mark.parametrize(
+        "scale, zeta, depth",
+        [(LogScale(1.0), 0.5, 6), (PowerScale(0.5), 0.001, 2)],
+        ids=["logscale", "power"],
+    )
+    def test_lengths_that_underflow_are_out_of_model(self, scale, zeta, depth):
+        with pytest.raises(OutOfModelError, match="underflows to 0.0"):
+            build_cantor(scale, zeta, depth)
+
     def test_ratio_overflow(self):
         # zeta large makes t_k shrink slower than 2^-k: children overflow
         with pytest.raises(RatioOverflowError):
@@ -230,7 +239,7 @@ def _lattice_reference(members):
             lo, hi = c - r, c + r
             longest.append(2.0 * r)
         boxes.append((lo, hi))
-    pitch = min(longest) / 6.0
+    pitch = min((e for e in longest if e > 0), default=0.0) / 6.0
     pts = []
     for m, (lo, hi) in zip(members, boxes):
         axes = [np.arange(l, u + 1e-12, pitch) if u > l else np.array([l]) for l, u in zip(lo, hi)]
@@ -264,6 +273,15 @@ class TestLattice:
                 {"type": "box", "lo": [0.0] * 4, "hi": [0.6, 0.6, 0.0, 0.6]},
             ],
             [{"type": "box", "lo": [0.1], "hi": [0.2]}],
+            # a point takes no part in the pitch and adds its one point
+            [
+                {"type": "box", "lo": [0.3, 0.3], "hi": [0.3, 0.3]},
+                {"type": "box", "lo": [0.0, 0.0], "hi": [0.5, 0.5]},
+            ],
+            [
+                {"type": "box", "lo": [0.3, 0.3], "hi": [0.3, 0.3]},
+                {"type": "box", "lo": [0.0, 0.0], "hi": [0.0, 0.0]},
+            ],
         ],
     )
     @pytest.mark.parametrize("chunk", [None, 37])

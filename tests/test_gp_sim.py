@@ -14,7 +14,7 @@ from gpfractal.gp_sim import (
     cov_volterra,
     sample_paths,
 )
-from gpfractal.metrics import FromCovariance
+from gpfractal.metrics import covariance_delta_matrix
 from gpfractal.scale import ExpLogScale, LogScale, PowerLogScale, PowerScale
 
 
@@ -132,7 +132,7 @@ class TestSampling:
         n = 20_000
         batch = sample_paths(cov, d=1, n_paths=n, seed=8)
         X = batch.values[:, :, 0]
-        model = FromCovariance(cov).delta_matrix()
+        model = covariance_delta_matrix(cov)
         iu = np.triu_indices(16, k=1)
         for i, j in zip(*iu):
             d2 = np.mean((X[:, i] - X[:, j]) ** 2)

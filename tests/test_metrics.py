@@ -8,10 +8,10 @@ import pytest
 from gpfractal.fractal_sets import Target, build_cantor
 from gpfractal.gp_sim import CovMatrix, cov_stationary_increments, cov_volterra
 from gpfractal.metrics import (
-    FromCovariance,
     ProductAtoms,
     StationaryGamma,
     commensurability_report,
+    covariance_delta_matrix,
 )
 from gpfractal.scale import LogScale, PowerScale
 
@@ -31,27 +31,23 @@ class TestDelta:
         assert model.delta(0.1, 0.35) == pytest.approx(0.5)
 
     def test_zero_on_diagonal(self, brownian_cov):
-        for model in (StationaryGamma(PowerScale(0.5)), FromCovariance(brownian_cov)):
-            assert model.delta(0.5, 0.5) == pytest.approx(0.0)
+        assert StationaryGamma(PowerScale(0.5)).delta(0.5, 0.5) == pytest.approx(0.0)
+        assert np.all(np.diag(covariance_delta_matrix(brownian_cov)) == 0.0)
 
     def test_from_covariance_brownian(self, brownian_cov):
-        model = FromCovariance(brownian_cov)
+        i, j = np.searchsorted(brownian_cov.grid, [0.1, 0.35])
         # 0.1 + 0.35 - 2*0.1 = 0.25, sqrt = 0.5
-        assert model.delta(0.1, 0.35) == pytest.approx(0.5)
-
-    def test_off_grid_rejected(self, brownian_cov):
-        with pytest.raises(KeyError):
-            FromCovariance(brownian_cov).delta(0.123456, 0.35)
+        assert covariance_delta_matrix(brownian_cov)[i, j] == pytest.approx(0.5)
 
     def test_symmetry(self, brownian_cov):
-        dm = FromCovariance(brownian_cov).delta_matrix()
+        dm = covariance_delta_matrix(brownian_cov)
         assert np.array_equal(dm, dm.T)
 
     def test_matches_stationary_for_stationary_cov(self):
         f = PowerScale(0.7)
         grid = np.linspace(0.1, 1.0, 32)
         cov = cov_stationary_increments(f, grid)
-        d1 = FromCovariance(cov).delta_matrix()
+        d1 = covariance_delta_matrix(cov)
         d2 = StationaryGamma(f).delta_matrix(grid)
         assert np.max(np.abs(d1 - d2)) <= 1e-10
 

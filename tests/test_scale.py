@@ -231,6 +231,12 @@ class TestSpecStrings:
 
 
 class TestCustomGuards:
+    @pytest.mark.parametrize("name", ["missing.csv", ".", "one_column.csv"])
+    def test_unreadable_knot_files_raise_value_error(self, tmp_path, name):
+        (tmp_path / "one_column.csv").write_text("0.001,0.01\n0.5\n")
+        with pytest.raises(ValueError, match="custom scale"):
+            CustomScale.from_csv(tmp_path / name)
+
     def test_needs_knots_near_r_for_psi(self):
         f = CustomScale([(1e-8, 1e-4), (1e-4, 1e-2), (1.0, 1.0)])
         with pytest.raises(ScaleDomainError):

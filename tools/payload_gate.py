@@ -16,8 +16,10 @@ whether each JSON file re-serializes to its own bytes before stripping,
 so a stripped hash still compares bytes.  The ``bench_*`` rows are the
 calls of ``bench/workloads.build(workload, 1)`` from this checkout, and
 ``criterion5`` writes the p_hat lists of acceptance criterion 5's two
-small-ball sweeps.  ``compare`` prints a Markdown table, one line per
-row, and exits 1 when any row differs.
+small-ball sweeps.  ``run`` first writes the files of ``FILES`` into its
+work directory, and ``$WORK`` in a config stands for that directory.
+``compare`` prints a Markdown table, one line per row, and exits 1 when
+any row differs.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ CAPACITY = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0
 CANTOR_E = {"type": "cantor", "zeta": 0.5, "depth": 8}
 LOG = "logscale:beta=1.0"  # x_max = 0.5
 FAMILIES = ["power:H=0.4", "powerlog:H=0.3,beta=1.0", "explog:alpha=0.3", LOG]
+FILES = {"one_column_knots.csv": "0.001,0.01\n0.5\n"}  # the second row lacks gamma
+POINT_AND_BOX = [{"type": "box", "lo": [0.3, 0.3], "hi": [0.3, 0.3]},
+                 {"type": "box", "lo": [0.0, 0.0], "hi": [0.5, 0.5]}]
 
 
 def _battery(d, instances, **over):
@@ -75,6 +80,8 @@ ROWS = [
                                                    "radius": 0.3}]}, []),
     ("capacity_interval_default_atoms", "capacity", CAPACITY, []),
     ("capacity_interval_trace", "capacity", {**CAPACITY, "n_atoms": 300}, ["--trace"]),
+    ("capacity_point_and_box", "capacity", {**CAPACITY, "n_atoms": 64, "d": 2,
+                                            "F": POINT_AND_BOX}, []),
     ("capacity_logscale", "capacity", {**CAPACITY, "gamma": LOG, "beta": 0.5, "n_atoms": 400,
                                        "E": {"type": "interval", "a": 0.1, "b": 0.4}}, []),
     ("capacity_product", "capacity", {**CAPACITY, "beta": 2.0, "d": 2,
@@ -133,6 +140,37 @@ ROWS = [
     ("rej_capacity_interval_beyond_x_max", "capacity", {
         **CAPACITY, "gamma": LOG, "E": {"type": "interval", "a": 0.2, "b": 0.9}}, []),
     ("rej_capacity_one_atom", "capacity", {**CAPACITY, "n_atoms": 1}, []),
+    ("rej_capacity_beta_infinity", "capacity", {**CAPACITY, "beta": float("inf")}, []),
+    ("rej_capacity_beta_nan", "capacity", {**CAPACITY, "beta": float("nan")}, []),
+    ("rej_capacity_resolutions_infinity", "capacity", {
+        **CAPACITY, "resolutions": [float("inf"), 0.1]}, []),
+    ("rej_capacity_resolutions_repeated", "capacity", {**CAPACITY, "resolutions": [0.5, 0.5]},
+     []),
+    ("rej_capacity_resolutions_underflow", "capacity", {
+        **CAPACITY, "resolutions": [0.3, 0.2, 1e308]}, []),
+    ("rej_cantor_logscale_underflow", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 6}, []),
+    ("rej_cantor_power_underflow", "cantor", {"gamma": "power:H=0.5", "zeta": 0.001,
+                                              "depth": 2}, []),
+    ("rej_capacity_cantor_one_atom", "capacity", {
+        **CAPACITY, "E": {"type": "cantor", "zeta": 0.001, "depth": 0}}, []),
+    ("rej_check_scale_eps_above_one", "check-scale", {"gamma": "power:H=0.5", "eps": 70}, []),
+    ("rej_dims_shallow_cantor", "dims", {**DIMS, "E": {"type": "cantor", "zeta": 0.001,
+                                                       "depth": 0}}, []),
+    ("rej_hit_logscale_width_underflow", "hit", {
+        **HIT, "gamma": LOG, "grid": {"a": 0.025, "b": 0.25, "n": 44}, "tol": 5.0,
+        "E": {"type": "interval", "a": 0.025, "b": 0.2},
+        "F": [{"type": "ball", "center": [0.0, 0.3], "radius": 0.05}]}, []),
+    ("rej_simulate_seed_above_int64", "simulate", {**SIM, "seed": 2**63}, []),
+    ("rej_check_scale_eps_nan", "check-scale", {"gamma": "power:H=0.5", "eps": float("nan")},
+     []),
+    ("rej_custom_scale_directory", "check-scale", {"gamma": "custom:path=$WORK"}, []),
+    ("rej_custom_scale_missing_file", "check-scale", {
+        "gamma": "custom:path=$WORK/no_such_knots.csv"}, []),
+    ("rej_custom_scale_one_column", "check-scale", {
+        "gamma": "custom:path=$WORK/one_column_knots.csv"}, []),
+    ("rej_hit_d_true", "hit", {**HIT, "d": True, "grid": {"a": 0.2, "b": 1.0, "n": 64},
+                               "F": [{"type": "box", "lo": [0.5], "hi": [1.0]}]}, []),
+    ("rej_hit_n_paths_true", "hit", {**HIT, "n_paths": True}, []),
     ("rej_check_scale_eps_not_a_number", "check-scale", {"gamma": "power:H=0.5", "eps": "x"},
      []),
     ("rej_dims_cantor_eps0_beyond_x_max", "dims", {**DIMS, "gamma": LOG,
@@ -212,8 +250,11 @@ def run(args) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from gpfractal.cli import main
 
-    work = Path(args.work)
+    work = Path(args.work).resolve()
     shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    for name, text in FILES.items():
+        (work / name).write_text(text)
     rows = ROWS + _bench_rows() + [("criterion5", None, None, [])]
     table = {}
     for name, command, cfg, extra in rows:
@@ -227,7 +268,7 @@ def run(args) -> int:
                 else:
                     path = work / f"{name}.json"
                     path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_text(json.dumps(cfg))
+                    path.write_text(json.dumps(cfg).replace("$WORK", str(work)))
                     code = main([command, "--config", str(path), "--out", str(out), *extra])
             result = str(code)
         except Exception as exc:  # the parent of a fix may crash
