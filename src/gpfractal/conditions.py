@@ -15,10 +15,15 @@ u = log(1/r) space: the elasticity criterion psi(r) sqrt(log(1/r)) -> 0
 (which forces I/gamma -> inf), and the Laplace surrogate
 I/gamma ~ sqrt(pi / psi(r)) for the weak condition.  Overrides are
 recorded on the verdict.
+
+The adaptive quadrature uses two Gauss-Legendre rules, of order 16 and
+32.  Each is built once per process, on first use (never at import), and
+every panel reads the same read-only node and weight arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,8 +72,17 @@ class ConditionVerdict:
 # the integral I(x)
 
 
-def _window_gl(f, lo, hi, order):
+@functools.cache
+def _gauss_legendre(order):
+    """Nodes and weights of the order-point rule on [-1, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _window_gl(f, lo, hi, order):
+    x, w = _gauss_legendre(order)
     z = lo + 0.5 * (hi - lo) * (x + 1.0)
     return 0.5 * (hi - lo) * float(np.dot(w, f(z)))
 

@@ -72,6 +72,18 @@ def minimize_energy(
     list, receives (iteration, energy, gap) tuples at every iteration
     below 100, every 100th after that, and the last one.
 
+    The loop keeps Kw and no gradient array grad = 2 Kw.  Three
+    identities give the same bits as reading grad: doubling preserves
+    order and ties, so the FW vertex v is the first argmin of Kw and the
+    away vertex the first argmax of Kw over the support; and doubling
+    commutes with every rounding, so w.grad = 2 e with e = w.Kw, the
+    energy the step before computed, and gap = 2 e - 2 Kw[v] =
+    2 (e - min Kw).  The support is kept as the ascending index list of
+    atoms with w > 0, so its first argmax is the first on the whole
+    simplex, and it is rebuilt only when an atom leaves or enters.  The
+    identities fail only when 2 Kw overflows or some w_i Kw_i is
+    subnormal.
+
     Returns (DiscreteMeasure, e_min, gap).
     """
     K = kernel.K
@@ -82,32 +94,38 @@ def minimize_energy(
     w = np.full(n, 1.0 / n)
     Kw = K @ w
     e = float(w @ Kw)
+    supp = np.flatnonzero(w > 0.0)
+    buf = np.empty(n)
     for k in range(max_iter):
-        grad = 2.0 * Kw
-        v = int(np.argmin(grad))
-        gap = float(w @ grad - grad[v])
+        v = int(Kw.argmin())
+        gap = 2.0 * e - 2.0 * float(Kw[v])
         stop = gap <= tol * max(e, 1e-300)
         if trace is not None and (k < 100 or k % 100 == 0 or stop or k == max_iter - 1):
             trace.append((k, e, gap))
         if stop:
             break
-        # away vertex: the largest gradient on the support.  A positive gap
-        # puts it above grad[v], so the slope along e_v - e_s is negative
-        # and the step positive.  K is symmetric, so the update reads rows.
-        s = int(np.argmax(np.where(w > 0.0, grad, -math.inf)))
+        # away vertex: the largest gradient on the support (atom 0 once NaNs
+        # have emptied it).  A positive gap puts it above Kw[v], so the slope
+        # along e_v - e_s is negative and the step positive.  K is
+        # symmetric, so the update reads rows.
+        s = int(supp[Kw[supp].argmax()]) if supp.size else 0
         slope = float(Kw[v] - Kw[s])
         curv = float(K[v, v] - 2.0 * K[v, s] + K[s, s])
         step = w[s] if curv <= 0 else min(-slope / curv, w[s])
-        Kw += step * (K[v] - K[s])
+        np.subtract(K[v], K[s], out=buf)
+        buf *= step
+        Kw += buf
+        v_in = w[v] > 0.0
         w[v] += step
         w[s] -= step  # exactly 0 when the step reaches the cap
+        if (w[v] > 0.0) != v_in or not w[s] > 0.0:
+            supp = np.flatnonzero(w > 0.0)
         e = float(w @ Kw)
     w = np.maximum(w, 0.0)
     w /= w.sum()
     Kw = K @ w
     e = float(w @ Kw)
-    grad = 2.0 * Kw
-    gap = float(w @ grad - grad.min())
+    gap = 2.0 * e - 2.0 * float(Kw.min())
     return DiscreteMeasure(kernel.atoms, w), e, gap
 
 

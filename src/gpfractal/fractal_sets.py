@@ -30,6 +30,7 @@ __all__ = [
 
 _LATTICE_CAP = 400  # points in a target's lattice sample
 _LATTICE_CHUNK = 1 << 15  # mesh points generated at a time by Target.lattice
+_LATTICE_AXIS_MAX = 1 << 20  # mesh points on one axis of a member's lattice
 
 
 class OutOfModelError(ValueError):
@@ -423,12 +424,27 @@ class Target:
         A ball's mesh is walked in chunks, once to count the points it
         holds and once to keep every stride-th one, so memory is
         O(_LATTICE_CHUNK + _LATTICE_CAP) points in any dimension; time
-        still grows with a ball's mesh.
+        still grows with a ball's mesh.  A member whose mesh would hold more
+        than _LATTICE_AXIS_MAX points on one axis (members far apart in
+        size), or more points in all than a flat index can count, raises
+        OutOfModelError before any axis is built.
         """
         longest = [float(np.max(extent)) for _, _, _, extent, _, _ in self._parts]
         pitch = min((e for e in longest if e > 0), default=0.0) / 6.0
         members = []
-        for kind, lo, hi, _, c, r in self._parts:
+        for i, (kind, lo, hi, _, c, r) in enumerate(self._parts):
+            # np.arange(l, u + 1e-12, pitch) holds ceil((u + 1e-12 - l) / pitch) points
+            sizes = [(u + 1e-12 - l) / pitch if u > l else 1.0 for l, u in zip(lo, hi)]
+            if max(sizes) > _LATTICE_AXIS_MAX:
+                raise OutOfModelError(
+                    f"F member {i}: its lattice at pitch {pitch:g} needs {max(sizes):.3g} "
+                    f"points on one axis, above {_LATTICE_AXIS_MAX}"
+                )
+            if math.prod(math.ceil(n) for n in sizes) > np.iinfo(np.intp).max:
+                raise OutOfModelError(
+                    f"F member {i}: its lattice at pitch {pitch:g} has more points "
+                    "than a flat index can count"
+                )
             axes = [
                 np.arange(l, u + 1e-12, pitch) if u > l else np.array([l])
                 for l, u in zip(lo, hi)

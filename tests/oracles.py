@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the energy oracle
 enumerates every support of the probability simplex and solves its KKT
 system exactly, and the integral oracle is a plain midpoint Riemann sum
-on a geometric grid.
+on a geometric grid.  The Frank-Wolfe reference is the solver's earlier
+loop, which keeps a gradient array and masks the support on every step;
+the current loop must reproduce its bits.
 """
 
 from __future__ import annotations
@@ -48,6 +50,44 @@ def exact_min_energy(K: np.ndarray) -> float:
             w[idx] = y / y.sum()
             best = min(best, float(w @ K @ w))
     return best
+
+
+def pairwise_fw_reference(K: np.ndarray, tol: float, max_iter: int, trace=None):
+    """Pairwise Frank-Wolfe on w^T K w over the simplex, gradient kept as 2 K w.
+
+    The loop of ``minimize_energy`` before it dropped the gradient array,
+    unchanged.  Returns (w, e, gap).
+    """
+    n = K.shape[0]
+    if n == 1:
+        return np.array([1.0]), float(K[0, 0]), 0.0
+    w = np.full(n, 1.0 / n)
+    Kw = K @ w
+    e = float(w @ Kw)
+    for k in range(max_iter):
+        grad = 2.0 * Kw
+        v = int(np.argmin(grad))
+        gap = float(w @ grad - grad[v])
+        stop = gap <= tol * max(e, 1e-300)
+        if trace is not None and (k < 100 or k % 100 == 0 or stop or k == max_iter - 1):
+            trace.append((k, e, gap))
+        if stop:
+            break
+        s = int(np.argmax(np.where(w > 0.0, grad, -math.inf)))
+        slope = float(Kw[v] - Kw[s])
+        curv = float(K[v, v] - 2.0 * K[v, s] + K[s, s])
+        step = w[s] if curv <= 0 else min(-slope / curv, w[s])
+        Kw += step * (K[v] - K[s])
+        w[v] += step
+        w[s] -= step
+        e = float(w @ Kw)
+    w = np.maximum(w, 0.0)
+    w /= w.sum()
+    Kw = K @ w
+    e = float(w @ Kw)
+    grad = 2.0 * Kw
+    gap = float(w @ grad - grad.min())
+    return w, e, gap
 
 
 def riemann_integral_I(scale, x: float, n_panels: int = 1_000_000) -> float:

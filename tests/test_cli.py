@@ -479,6 +479,12 @@ OUT_OF_MODEL = {
         F=[{"type": "ball", "center": [0.0, 0.3], "radius": 0.05}])),
     # depth / zeta = 0 leaves three covering levels
     "dims_shallow_cantor": ("dims", dict(DIMS, E={"type": "cantor", "zeta": 0.001, "depth": 0})),
+    # one pitch for both members: 6e12 lattice points on the wide box's axis
+    "capacity_lattice_pitch_spread": ("capacity", dict(CAPACITY, n_atoms=64, d=1, F=[
+        {"type": "box", "lo": [0.0], "hi": [1e-9]}, {"type": "box", "lo": [0.0], "hi": [1000.0]}])),
+    # 7 points on each of 30 axes: 7^30 mesh points overflow a flat index
+    "capacity_lattice_mesh_beyond_index": ("capacity", dict(CAPACITY, n_atoms=64, d=30, F=[
+        {"type": "box", "lo": [0.0] * 30, "hi": [1.0] * 30}])),
 }
 
 

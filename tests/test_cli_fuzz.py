@@ -181,6 +181,9 @@ CAPACITY = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0
 # Cantor lengths t_k that underflow to 0
 @example(call=("cantor", {"gamma": "logscale:beta=1.0", "zeta": 0.5, "depth": 6}, []))
 @example(call=("cantor", {"gamma": "power:H=0.5", "zeta": 0.001, "depth": 2}, []))
+# members far apart in size: one pitch put 6e12 points on the wide box's axis
+@example(call=("capacity", {**CAPACITY, "d": 1, "F": [
+    {"type": "box", "lo": [0.0], "hi": [1e-9]}, {"type": "box", "lo": [0.0], "hi": [1000.0]}]}, []))
 def test_exit_code_contract(call):
     command, cfg, extra = call
     with tempfile.TemporaryDirectory() as tmp:

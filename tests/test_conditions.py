@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import riemann_integral_I
 
+import gpfractal
 from gpfractal.conditions import (
+    _gauss_legendre,
     IntegralError,
     check_strong_condition,
     check_weak_condition,
@@ -166,3 +171,40 @@ class TestNonConvergence:
         f = CustomScale(knots)
         with pytest.raises(IntegralError):
             integral_I(f, 0.5, tol=1e-8)
+
+
+class TestGaussLegendreCache:
+    def test_no_rule_built_at_import(self):
+        code = (
+            "import gpfractal.cli\n"
+            "from gpfractal.conditions import _gauss_legendre\n"
+            "assert _gauss_legendre.cache_info().currsize == 0\n"
+        )
+        src = str(Path(gpfractal.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+
+    def test_later_calls_never_rebuild_a_rule(self, monkeypatch):
+        families = [PowerScale(0.4), LogScale(1.0)]
+
+        def results():
+            return [
+                (check_strong_condition(f).ratios, check_weak_condition(f).ratios,
+                 f_gamma(f, 1e-3))
+                for f in families
+            ]
+
+        before = results()
+
+        def refuse(order):
+            raise AssertionError(f"leggauss({order}) called after the warm-up")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        assert results() == before
+
+    def test_rules_are_read_only(self):
+        for order in (16, 32):
+            x, w = _gauss_legendre(order)
+            assert not x.flags.writeable and not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0

@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import exact_min_energy
+from oracles import exact_min_energy, pairwise_fw_reference
 
 from gpfractal import energy
 from gpfractal.energy import (
+    KernelMatrix,
     capacity_estimate,
     farthest_point_subsample,
     kernel_matrix,
@@ -119,6 +120,80 @@ class TestMinimizeEnergy:
             w = np.full(n, 1.0 / n)
             _, e, _ = minimize_energy(kern)
             assert e <= w @ kern.K @ w + 1e-12
+
+
+def _psd_kernel(rng, n):
+    # Gram matrix of positive features plus a ridge: PSD and entrywise positive
+    feats = rng.uniform(0.0, 1.0, size=(n, 3))
+    K = feats @ feats.T + 1e-3 * np.eye(n)
+    return KernelMatrix(atoms=np.arange(n), K=K, h=1.0, beta=1.0)
+
+
+def _run_both(kern, tol, max_iter):
+    ref_trace, trace = [], []
+    ref = pairwise_fw_reference(kern.K, tol, max_iter, ref_trace)
+    nu, e, gap = minimize_energy(kern, tol=tol, max_iter=max_iter, trace=trace)
+    return ref, (nu.weights, e, gap), ref_trace, trace
+
+
+class TestMatchesGradientLoopBitwise:
+    """minimize_energy's loop on Kw alone gives the bits of the loop that
+    kept grad = 2 Kw (tests/oracles.py::pairwise_fw_reference)."""
+
+    def _check(self, kern, tol, max_iter):
+        (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(kern, tol, max_iter)
+        assert w.tobytes() == w_ref.tobytes()
+        assert e == e_ref and gap == gap_ref
+        assert trace == ref_trace
+        return trace
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 150, 400])
+    @pytest.mark.parametrize("kind", ["psd", "truncated"])
+    def test_random_kernels(self, n, kind):
+        rng = np.random.default_rng(1000 * n + (kind == "psd"))
+        if kind == "psd":
+            kern = _psd_kernel(rng, n)
+        else:
+            kern = _random_kernel(rng, n, beta=rng.uniform(0.2, 2.5), h=rng.uniform(0.005, 0.2))
+        self._check(kern, tol=1e-5, max_iter=2_000)
+        self._check(kern, tol=1e-9, max_iter=500)
+
+    def test_stops_on_tol(self):
+        # the 5 atoms where vanilla FW stalled; K is not PSD on the tangent space
+        atoms = np.array([0.137, 0.2167, 0.3254, 0.3724, 0.5589])
+        kern = kernel_matrix(atoms, np.abs(atoms[:, None] - atoms[None, :]), beta=1.75, h=0.09)
+        trace = self._check(kern, tol=1e-10, max_iter=400_000)
+        k, e, gap = trace[-1]
+        assert k < 400_000 - 1 and gap <= 1e-10 * e
+
+    def test_stops_at_max_iter(self):
+        kern = _random_kernel(np.random.default_rng(7), 400, beta=1.5, h=0.002)
+        trace = self._check(kern, tol=1e-14, max_iter=3_000)
+        assert trace[-1][0] == 3_000 - 1 and trace[-1][2] > 1e-14 * trace[-1][1]
+
+    def test_atom_leaves_and_returns(self):
+        # cutting the solve after k steps shows each atom's weight then (the
+        # final renormalization keeps zeros at zero); atom 7 drops out at
+        # the first step and comes back by the sixth
+        atoms = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 12))
+        kern = kernel_matrix(atoms, np.abs(atoms[:, None] - atoms[None, :]), beta=1.75, h=0.09)
+        held = []
+        for k in range(1, 12):
+            (w_ref, _, _), (w, _, _), _, _ = _run_both(kern, 1e-12, k)
+            assert w.tobytes() == w_ref.tobytes()
+            held.append(bool(w[7] > 0))
+        assert held[0] is False and True in held
+
+    def test_overflowing_kernel(self):
+        # an infinite diagonal turns every weight into NaN one step at a
+        # time; both loops then take atom 0 as the away vertex
+        atoms = np.linspace(0.2, 1.0, 16)
+        with np.errstate(over="ignore"):
+            kern = kernel_matrix(atoms, np.abs(atoms[:, None] - atoms[None, :]), 2.0, 1e-200)
+        with np.errstate(invalid="ignore"):
+            (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(kern, 1e-5, 100)
+        assert np.isnan(w).all() and w.tobytes() == w_ref.tobytes()
+        assert repr((e, gap, trace)) == repr((e_ref, gap_ref, ref_trace))
 
 
 class TestCapacity:

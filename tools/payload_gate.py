@@ -80,6 +80,8 @@ ROWS = [
                                                    "radius": 0.3}]}, []),
     ("capacity_interval_default_atoms", "capacity", CAPACITY, []),
     ("capacity_interval_trace", "capacity", {**CAPACITY, "n_atoms": 300}, ["--trace"]),
+    # the bench's 3000-atom interval: the finest solve runs all 20,000 iterations
+    ("capacity_interval_3000_trace", "capacity", {**CAPACITY, "n_atoms": 3000}, ["--trace"]),
     ("capacity_point_and_box", "capacity", {**CAPACITY, "n_atoms": 64, "d": 2,
                                             "F": POINT_AND_BOX}, []),
     ("capacity_logscale", "capacity", {**CAPACITY, "gamma": LOG, "beta": 0.5, "n_atoms": 400,
@@ -178,6 +180,11 @@ ROWS = [
     ("rej_dims_interval_beyond_x_max", "dims", {**DIMS, "gamma": LOG,
                                                 "E": {"type": "interval", "a": 0.2, "b": 0.9}},
      []),
+    ("rej_lattice_pitch_spread", "capacity", {**CAPACITY, "n_atoms": 64, "d": 1, "F": [
+        {"type": "box", "lo": [0.0], "hi": [1e-9]}, {"type": "box", "lo": [0.0], "hi": [1000.0]}]},
+     []),
+    ("rej_lattice_mesh_beyond_index", "capacity", {**CAPACITY, "n_atoms": 64, "d": 30, "F": [
+        {"type": "box", "lo": [0.0] * 30, "hi": [1.0] * 30}]}, []),
     ("rej_hit_flat_box", "hit", {**HIT, "grid": {"a": 0.2, "b": 1.0, "n": 64}, "tol": 2.0,
                                  "F": [{"type": "box", "lo": [0.2, 0.0], "hi": [0.5, 0.0]}]},
      []),
