@@ -2,9 +2,10 @@
 
 Every command writes deterministic CSV/JSON payloads (identical bytes
 for identical configs and seeds, whatever --threads says) plus a
-manifest that holds the config hash, timings and library versions - the
-only place a timestamp appears.  Exit codes: 0 success, 2 config
-validation error or inputs outside the model, 3 numerical failure.
+manifest that holds the config hash, the --threads worker count, timings
+and library versions - the only place a timestamp appears.  Exit codes:
+0 success, 2 config validation error or inputs outside the model, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .gp_sim import (
     cov_volterra,
     sample_paths,
 )
-from .hitting import PathMinima, check_hit_grid, hit_probability_mc, sandwich_report
+from .hitting import PathMinima, check_hit_instance, hit_probability_mc, sandwich_report
 from .metrics import ProductAtoms, StationaryGamma
 from .scale import ScaleDomainError, parse_scale_spec
 
@@ -165,10 +166,11 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list, t0: float):
+def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list, t0: float, threads: int):
     manifest = {
         "command": name,
         "config": cfg,
+        "threads": threads,
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()
         ).hexdigest(),
@@ -219,7 +221,7 @@ def cmd_simulate(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     seed = _seed(cfg)
     cov = _build_cov(cfg, scale, grid)
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
+    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads)
     bin_path = out_dir / "paths.bin"
     csv_path = out_dir / "paths.csv"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,13 +252,14 @@ def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     return [json_path, csv_path]
 
 
-def _hit_reports(cfg, instances) -> list:
+def _hit_reports(cfg, instances, threads: int) -> list:
     """One hit report per instance (an object with E, F and an optional tol).
 
     The grid, d, tol, n_paths, seed and cov keys come from ``cfg``.  Every
-    instance is parsed and checked against the grid before any covariance
-    work, and one batch of paths, read through one PathMinima pass,
-    serves every instance's hit count.
+    instance is parsed and passes check_hit_instance before any
+    covariance work, and one batch of paths, drawn and read through one
+    PathMinima pass on ``threads`` workers, serves every instance's hit
+    count.
     """
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
@@ -271,23 +274,24 @@ def _hit_reports(cfg, instances) -> list:
         E = _parse_E(inst, scale)
         F = _parse_full_F(inst, d)
         inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
-        e_idx, _ = check_hit_grid(scale, grid, E, d, inst_tol)
-        parsed.append((E, F, inst_tol, e_idx))
+        parsed.append((E, F, inst_tol, check_hit_instance(scale, grid, E, F, d, inst_tol)))
     cov = _build_cov(cfg, scale, grid)
     minima = PathMinima(
-        sample_paths(cov, d=d, n_paths=n_paths, seed=seed),
-        [(e_idx, F) for _, F, _, e_idx in parsed],
+        sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads),
+        [(checked.e_idx, F) for _, F, _, checked in parsed],
+        threads=threads,
     )
     return [
         hit_probability_mc(
-            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, minima=minima
+            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, minima=minima,
+            checked=checked,
         )
-        for E, F, inst_tol, _ in parsed
+        for E, F, inst_tol, checked in parsed
     ]
 
 
 def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
-    (report,) = _hit_reports(cfg, [cfg])
+    (report,) = _hit_reports(cfg, [cfg], threads)
     json_path = out_dir / "hit_report.json"
     _write(json_path, _json_payload(asdict(report)))
     return [json_path]
@@ -398,7 +402,7 @@ def cmd_cantor(cfg, out_dir: Path, threads: int, trace: bool) -> list:
 
 def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     instances = _require(cfg, "instances", list, lambda v: len(v) >= 6, "need >= 6 instances")
-    reports = _hit_reports(cfg, instances)
+    reports = _hit_reports(cfg, instances, threads)
     verdict = sandwich_report(reports, d=cfg["d"])
     json_path = out_dir / "battery_verdict.json"
     csv_path = out_dir / "battery_verdict.csv"
@@ -449,9 +453,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     out_dir = Path(args.out)
+    threads = max(args.threads, 1)
     try:
         cfg = _load_config(args)
-        outputs = _COMMANDS[args.command](cfg, out_dir, max(args.threads, 1), args.trace)
+        outputs = _COMMANDS[args.command](cfg, out_dir, threads, args.trace)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -461,7 +466,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write_manifest(out_dir, args.command.replace("-", "_"), cfg, outputs, t0)
+    _write_manifest(out_dir, args.command.replace("-", "_"), cfg, outputs, t0, threads)
     for p in outputs:
         print(p)
     return EXIT_OK

@@ -10,13 +10,13 @@ identified with a finite value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .fractal_sets import OutOfModelError, Target, TimeSet, gamma_dyadic_count
-from .gp_sim import cov_stationary_increments, sample_paths
+from .gp_sim import _run_jobs, cov_stationary_increments, sample_paths
 
 __all__ = [
     "DimensionEstimate",
@@ -236,20 +236,17 @@ def image_dimension_experiment(
     nearby grid time; an interval gets ``grid_n`` equispaced times.  The
     covariance is the stationary-increment model for the scale;
     ``params`` records which sampler drew the paths and its certificate.
+    Path sampling and the per-path box counts run on ``threads`` workers.
     """
     E = TimeSet.of(E, scale)
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
+    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads)
 
     def one(p):
         return box_dimension_euclidean(batch.points(p), _SCALES, trim=_TRIM).value
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_path = list(ex.map(one, range(n_paths)))
-    else:
-        per_path = [one(p) for p in range(n_paths)]
+    per_path = _run_jobs([partial(one, p) for p in range(n_paths)], threads)
     dd = dim_delta_estimate(E, scale)
     theory = min(float(d), dd.value)
     return ImageDimensionReport(

@@ -31,6 +31,7 @@ __all__ = [
 _LATTICE_CAP = 400  # points in a target's lattice sample
 _LATTICE_CHUNK = 1 << 15  # mesh points generated at a time by Target.lattice
 _LATTICE_AXIS_MAX = 1 << 20  # mesh points on one axis of a member's lattice
+_BALL_PRUNE_RTOL = 1e-9  # relative slack before a ball's partial sum prunes a prefix
 
 
 class OutOfModelError(ValueError):
@@ -327,11 +328,36 @@ def _mesh_points(axes, flat):
 
 def _ball_chunks(axes, center, radius):
     """The points of the C-order mesh of ``axes`` within radius + 1e-12 of
-    ``center``, in order, from _LATTICE_CHUNK mesh points at a time."""
-    total = math.prod(a.size for a in axes)
-    for k0 in range(0, total, _LATTICE_CHUNK):
-        pts = _mesh_points(axes, np.arange(k0, min(k0 + _LATTICE_CHUNK, total)))
-        yield pts[np.linalg.norm(pts - center, axis=1) <= radius + 1e-12]
+    ``center``, in order, in blocks of at most _LATTICE_CHUNK points.
+
+    The mesh is walked axis by axis, depth first.  A prefix of
+    coordinates is dropped once its partial sum of squared offsets
+    exceeds (radius + 1e-12)^2 by the relative margin _BALL_PRUNE_RTOL,
+    far above the rounding of any sum of squares, so no point the final
+    test would keep is lost.  That test, np.linalg.norm(pts - center) <=
+    radius + 1e-12, runs unchanged on the survivors, so the points and
+    their order are those of the whole mesh, and the work grows with the
+    points near the ball rather than with its bounding-box mesh.
+    """
+    bound = (radius + 1e-12) ** 2 * (1.0 + _BALL_PRUNE_RTOL)
+    sq = [(a - c) ** 2 for a, c in zip(axes, center)]
+
+    def walk(idx, sums):
+        # idx: surviving index prefixes (rows, in C order); sums: their partial sums
+        j = idx.shape[1]
+        if j == len(axes):
+            pts = np.empty(idx.shape)
+            for k, a in enumerate(axes):
+                pts[:, k] = a[idx[:, k]]
+            yield pts[np.linalg.norm(pts - center, axis=1) <= radius + 1e-12]
+            return
+        step = max(1, _LATTICE_CHUNK // axes[j].size)
+        for b0 in range(0, len(idx), step):
+            ext = sums[b0 : b0 + step, None] + sq[j]
+            rows, cols = np.nonzero(ext <= bound)
+            yield from walk(np.column_stack([idx[b0 + rows], cols]), ext[rows, cols])
+
+    yield from walk(np.empty((1, 0), dtype=np.intp), np.zeros(1))
 
 
 class Target:
@@ -421,13 +447,14 @@ class Target:
         that holds none, its center; a point box, its one point).  A
         sample above _LATTICE_CAP points is thinned by a constant stride.
         A box's kept points are read straight off its mesh by flat index.
-        A ball's mesh is walked in chunks, once to count the points it
+        A ball's mesh is walked axis by axis (_ball_chunks), pruning
+        prefixes already outside the ball, once to count the points it
         holds and once to keep every stride-th one, so memory is
-        O(_LATTICE_CHUNK + _LATTICE_CAP) points in any dimension; time
-        still grows with a ball's mesh.  A member whose mesh would hold more
-        than _LATTICE_AXIS_MAX points on one axis (members far apart in
-        size), or more points in all than a flat index can count, raises
-        OutOfModelError before any axis is built.
+        O(d _LATTICE_CHUNK + _LATTICE_CAP) points in any dimension and
+        time grows with the points near the ball.  A member whose mesh
+        would hold more than _LATTICE_AXIS_MAX points on one axis (members
+        far apart in size), or more points in all than a flat index can
+        count, raises OutOfModelError before any axis is built.
         """
         longest = [float(np.max(extent)) for _, _, _, extent, _, _ in self._parts]
         pitch = min((e for e in longest if e > 0), default=0.0) / 6.0

@@ -28,12 +28,21 @@ a negative conditional variance raises PSDError as a failed Cholesky
 does.  Normals come from one counter-based substream per (path,
 component), so results are bit-stable regardless of worker count or
 chunking.
+
+``threads`` (the CLI's ``--threads``) sets the worker count of the
+stages that split into disjoint jobs, run by ``_run_jobs``: path
+sampling (one job per path chunk and component), the per-path minima
+of ``hitting.PathMinima`` and the per-path box counts of ``dims``.  The
+covariance build, the Cholesky factorization and the product L @ Z, the
+capacity and content terms and the condition integrals stay serial.
 """
 
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,9 +62,22 @@ _JITTER_BASE = 1e-14
 _JITTER_STEPS = 6
 _UNIFORM_RTOL = 1e-9  # a grid step this close to h counts as h
 _EIG_RTOL = 1e-10  # eigenvalues / prediction errors below this are not positive
-_PATH_CHUNK = 64  # paths drawn per block; bounds the sampler's temporaries
+_PATH_CHUNK = 64  # paths drawn at once over all workers; bounds the sampler's temporaries
 _ROW_BLOCK = 64  # rows of a dense stationary R filled per block
 _QUAD_BLOCK = 64  # pairs (s, t > s) of one row per Volterra quadrature block
+
+
+def _run_jobs(jobs, threads: int) -> list:
+    """Call every job in ``jobs`` and return the results in job order.
+
+    With threads > 1 the calls run on at most that many worker threads,
+    so each job must write only outputs no other job touches.  Every
+    result is read, so a job's exception is raised here.
+    """
+    if threads <= 1 or len(jobs) <= 1:
+        return [job() for job in jobs]
+    with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        return list(pool.map(lambda job: job(), jobs))
 
 
 class PSDError(RuntimeError):
@@ -245,10 +267,14 @@ class _Circulant:
         coef.real[:, 1:half] = z[:, 3 : half + 2]
         coef.imag[:, 1:half] = z[:, half + 2 :]
         coef *= self.weights
+        # each temporary is dropped before the next one is made, so a
+        # worker holds z and at most two of them at a time
         X = np.fft.irfft(coef, n=self.m, norm="forward")[:, : self.mu.size]
+        del coef
         out = np.empty((z.shape[0], self.mu.size + 1))
         out[:, 0] = np.einsum("ij,j->i", X, self.mu) + self.start_sd * z[:, 0]
         np.cumsum(X, axis=1, out=out[:, 1:])
+        del X
         out[:, 1:] += out[:, :1]
         return out
 
@@ -478,17 +504,25 @@ def _substream(seed: int, path: int, comp: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int) -> PathBatch:
+def sample_paths(
+    cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int = 1
+) -> PathBatch:
     """Draw exact Gaussian paths with the sampler ``cov`` carries.
 
     Components are independent copies of the scalar process; the normals
     for (path p, component c) come from the Philox substream keyed by
-    (seed, p, c), so d is limited to _MAX_D.  Cholesky paths are
-    chol(R) @ z; circulant paths are drawn _PATH_CHUNK at a time, and a
-    path's values depend only on (seed, p, c), never on n_paths.
+    (seed, p, c), so d is limited to _MAX_D.  The normals are drawn by
+    disjoint jobs, one per (path chunk, component), run by _run_jobs on
+    ``threads`` workers.  A circulant job also runs _Circulant.paths and
+    writes its own slice of the values.  A Cholesky job fills its own
+    columns of its component's normals Z; once a component's jobs are
+    done its paths are chol(R) @ Z, in one BLAS call.  A chunk holds
+    _PATH_CHUNK // threads paths (at least 1), so the temporaries in
+    flight stay those of _PATH_CHUNK paths.  A path's values depend only
+    on (seed, p, c), never on n_paths, the chunk or the worker count.
     """
-    if d < 1 or n_paths < 1:
-        raise ValueError("d and n_paths must be positive")
+    if d < 1 or n_paths < 1 or threads < 1:
+        raise ValueError("d, n_paths and threads must be positive")
     if d > _MAX_D:
         raise ValueError(
             f"d = {d} exceeds {_MAX_D}: the (path, component) substreams would collide"
@@ -496,20 +530,24 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int) -> PathBatch:
     n = cov.n
     values = np.empty((n_paths, n, d))
     circ = cov._circulant
+    size = max(1, _PATH_CHUNK // threads)
+    chunks = [range(p0, min(p0 + size, n_paths)) for p0 in range(0, n_paths, size)]
+
+    def draw(chunk, c, Z=None):
+        z = np.empty((len(chunk), n if circ is None else circ.m + 1))
+        for i, p in enumerate(chunk):
+            _substream(seed, p, c).standard_normal(out=z[i])
+        if circ is None:
+            Z[:, chunk.start : chunk.stop] = z.T
+        else:
+            values[chunk.start : chunk.stop, :, c] = circ.paths(z)
+
     if circ is None:
         L = cov.cholesky()
         for c in range(d):
             Z = np.empty((n, n_paths))
-            for p in range(n_paths):
-                Z[:, p] = _substream(seed, p, c).standard_normal(n)
+            _run_jobs([partial(draw, chunk, c, Z) for chunk in chunks], threads)
             values[:, :, c] = (L @ Z).T
     else:
-        for p0 in range(0, n_paths, _PATH_CHUNK):
-            chunk = range(p0, min(p0 + _PATH_CHUNK, n_paths))
-            for c in range(d):
-                z = np.empty((len(chunk), circ.m + 1))
-                for i, p in enumerate(chunk):
-                    _substream(seed, p, c).standard_normal(out=z[i])
-                values[chunk.start : chunk.stop, :, c] = circ.paths(z)
+        _run_jobs([partial(draw, chunk, c) for chunk in chunks for c in range(d)], threads)
     return PathBatch(grid=cov.grid, d=d, n_paths=n_paths, values=values, seed=seed)
-

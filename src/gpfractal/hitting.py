@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .conditions import IntegralError, f_gamma
 from .dimension import dim_rho_product
 from .energy import capacity_estimate
 from .fractal_sets import OutOfModelError, Target, TimeSet, core_sq_distance
-from .gp_sim import CovMatrix, sample_paths
+from .gp_sim import CovMatrix, _run_jobs, sample_paths
 from .metrics import ProductAtoms, StationaryGamma
 
 __all__ = [
@@ -30,6 +32,8 @@ __all__ = [
     "wilson_interval",
     "grid_tolerance_guard",
     "check_hit_grid",
+    "HitCheck",
+    "check_hit_instance",
     "delta_metric_fn",
     "PathMinima",
     "hit_probability_mc",
@@ -61,9 +65,10 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 def grid_tolerance_guard(scale, step: float, grid_n: int, d: int) -> float:
     """Smallest admissible tol: 3 gamma(step) sqrt(2 log n) sqrt(d).
 
-    gamma(r) sqrt(log(1/r)) is the modulus of continuity up to constants;
-    three times its grid-step value bounds the displacement the discrete
-    minimum can hide.
+    gamma(step) is used as a modulus of continuity: within one grid step
+    a component of B moves by about gamma(step), and sqrt(2 log n) is the
+    Gaussian maximum over the n steps.  Three times their product, per
+    component, bounds the displacement the discrete minimum can hide.
     """
     return 3.0 * scale.gamma(step) * math.sqrt(2.0 * math.log(max(grid_n, 2))) * math.sqrt(d)
 
@@ -108,6 +113,27 @@ def check_hit_grid(scale, grid, E, d: int, tol: float):
     return e_idx, guard
 
 
+class HitCheck(NamedTuple):
+    """What check_hit_instance found: E's grid indices, the tolerance
+    guard, and F's lattice sample and pitch (Target.lattice)."""
+
+    e_idx: np.ndarray
+    guard: float
+    lattice: tuple
+
+
+def check_hit_instance(scale, grid, E, F, d: int, tol: float) -> HitCheck:
+    """Every check of one hitting instance, or OutOfModelError.
+
+    check_hit_grid on E and tol, then F's lattice, which rejects a
+    target whose members are too far apart in size.  None of it needs
+    the covariance, so callers run it before any covariance work and
+    hand the result to hit_probability_mc.
+    """
+    e_idx, guard = check_hit_grid(scale, grid, E, d, tol)
+    return HitCheck(e_idx, guard, Target.of(F).lattice())
+
+
 class PathMinima:
     """Per-path minima over E of the squared distance to target member cores.
 
@@ -120,11 +146,13 @@ class PathMinima:
 
     One pass over the batch, in blocks of _HIT_CHUNK paths, fills an
     (n_paths x keys) table for the distinct (E grid indices, core) keys
-    of all the (e_idx, Target) pairs given.  ``distance`` then reads the
-    distance from each path's B(E) to F off that table.
+    of all the (e_idx, Target) pairs given.  Each block is a job that
+    writes its own table rows, and the jobs run on ``threads`` workers.
+    ``distance`` then reads the distance from each path's B(E) to F off
+    that table.
     """
 
-    def __init__(self, batch, pairs):
+    def __init__(self, batch, pairs, threads: int = 1):
         self.n_paths = batch.n_paths
         self._column = {}  # (E key, core) -> table column
         sets = {}  # E key -> (grid indices, [(core, column)])
@@ -137,13 +165,16 @@ class PathMinima:
                     self._column[e_key, core] = len(self._column)
                     cores.append((core, self._column[e_key, core]))
         self.table = np.empty((self.n_paths, len(self._column)))
-        for p0 in range(0, self.n_paths, _HIT_CHUNK):
+
+        def fill(p0):
             block = batch.values[p0 : p0 + _HIT_CHUNK]
             for e_idx, cores in sets.values():
                 pts = np.take(block, e_idx, axis=1)
                 for core, col in cores:
                     sq = core_sq_distance(core, pts)
                     self.table[p0 : p0 + len(block), col] = sq.min(axis=1)
+
+        _run_jobs([partial(fill, p0) for p0 in range(0, self.n_paths, _HIT_CHUNK)], threads)
 
     def distance(self, e_idx, F: Target) -> np.ndarray:
         """min over the grid times e_idx of each path's distance to F."""
@@ -164,6 +195,7 @@ def hit_probability_mc(
     batch=None,
     minima: PathMinima | None = None,
     with_terms: bool = True,
+    checked: HitCheck | None = None,
 ) -> HitProbReport:
     """P{B(E) intersects F} by Monte Carlo over exact paths.
 
@@ -173,13 +205,17 @@ def hit_probability_mc(
     by construction), and ``minima``, a PathMinima built over a batch
     with (E's grid indices, F) among its pairs, reuses its one pass over
     the paths.  ``with_terms`` adds the capacity and content terms of
-    E x F used by the sandwich.  Inputs outside the model raise
-    OutOfModelError (see check_hit_grid).
+    E x F used by the sandwich.  ``checked`` is check_hit_instance's
+    result for these E, F and tol on cov.grid; without it the same
+    checks run here, before any path is drawn.  Inputs outside the model
+    raise OutOfModelError (see check_hit_instance).
     """
     grid = cov.grid
     E = TimeSet.of(E, scale)
     F = Target.of(F_members)
-    e_idx, guard = check_hit_grid(scale, grid, E, d, tol)
+    if checked is None:
+        checked = check_hit_instance(scale, grid, E, F, d, tol)
+    e_idx, guard, lattice = checked
     if minima is None:
         if batch is None:
             batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
@@ -195,7 +231,7 @@ def hit_probability_mc(
     extras = {"hits": hits, "seed": seed, "guard": guard, **cov.certificate()}
     if with_terms:
         times = grid[e_idx]
-        f_pts, f_pitch = F.lattice()
+        f_pts, f_pitch = lattice
         t_budget = max(16, 9000 // max(len(f_pts), 1))
         t_sub = times[:: max(1, int(math.ceil(len(times) / t_budget)))]
         # resolution floor: below the sampling pitch of either factor the

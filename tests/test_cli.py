@@ -369,11 +369,56 @@ class TestOutOfModel:
         cfg["instances"] = [inst] * 5 + [bad]
         self._run(tmp_path, capsys, "battery", cfg, "E has atoms off the grid")
 
+    @pytest.mark.parametrize("command", ["hit", "battery"])
+    def test_lattice_checked_before_sampling(self, tmp_path, capsys, monkeypatch, command):
+        # two boxes 1e12 apart in size: F's lattice would need 6e12 points on one axis
+        from gpfractal import cli
+
+        def boom(*_, **__):
+            raise AssertionError("paths drawn for an out-of-model F")
+
+        monkeypatch.setattr(cli, "sample_paths", boom)
+        bad_F = [{"type": "box", "lo": [0.0], "hi": [1e-9]},
+                 {"type": "box", "lo": [0.0], "hi": [1000.0]}]
+        cfg = dict(self.HIT, d=1, F=bad_F)
+        if command == "battery":
+            inst = {"E": self.HIT["E"], "F": [{"type": "box", "lo": [0.0], "hi": [1.0]}]}
+            cfg = {k: v for k, v in cfg.items() if k not in ("E", "F")}
+            cfg["instances"] = [inst] * 5 + [dict(inst, F=bad_F)]
+        self._run(tmp_path, capsys, command, cfg, "points on one axis")
+
     @pytest.mark.parametrize("command", ["hit", "simulate"])
     def test_d_with_colliding_substreams(self, tmp_path, capsys, command):
         cfg = dict(self.HIT, d=65536, n_paths=10**12)
         cfg["F"] = [{"type": "ball", "center": [0.0] * 65536, "radius": 0.2}]
         self._run(tmp_path, capsys, command, cfg, "'d'")
+
+
+THREAD_CONFIGS = {
+    "simulate": SIM_CONFIG | {"d": 3, "n_paths": 97},
+    "simulate_volterra": SIM_CONFIG | {"cov": "volterra", "d": 3, "n_paths": 97,
+                                       "grid": {"a": 1 / 32, "b": 1.0, "n": 32}},
+    "hit": TestOutOfModel.HIT | {"n_paths": 97},
+    "battery": {k: v for k, v in TestOutOfModel.HIT.items() if k not in ("E", "F")}
+    | {"n_paths": 97, "instances": [
+        {"E": TestOutOfModel.HIT["E"],
+         "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
+        for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)]},
+}
+
+
+@pytest.mark.parametrize("name", list(THREAD_CONFIGS))
+def test_threads_keep_payloads_and_enter_the_manifest(tmp_path, name):
+    command = name.split("_")[0]
+    cfg = _write_config(tmp_path, THREAD_CONFIGS[name])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == EXIT_OK
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        assert manifest["threads"] == int(threads)
+        outputs.append(_read_outputs(out))
+    assert outputs[0] == outputs[1]
 
 
 class TestBattery:

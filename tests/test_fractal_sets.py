@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,36 @@ class TestLattice:
         want, want_pitch = _lattice_reference(members)
         assert pitch == want_pitch
         assert np.array_equal(pts, want)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_ball_walk_matches_whole_mesh(self, d, chunk, monkeypatch):
+        from gpfractal import fractal_sets
+
+        if chunk is not None:
+            monkeypatch.setattr(fractal_sets, "_LATTICE_CHUNK", chunk)
+        rng = np.random.default_rng(d)
+        # mesh points on the sphere (center 0, radius 0.5, pitch 1/6, or
+        # offsets of 0.3 and 0.4 from a center on the mesh), then random balls
+        cases = [(np.zeros(d), 0.5, 1 / 6), (np.full(d, 0.1), 0.5, 0.1)]
+        cases += [(rng.normal(scale=0.3, size=d), float(rng.uniform(0.05, 0.6)),
+                   float(rng.uniform(0.03, 0.2))) for _ in range(8)]
+        for center, radius, pitch in cases:
+            axes = [np.arange(c - radius, c + radius + 1e-12, pitch) for c in center]
+            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+            want = mesh[np.linalg.norm(mesh - center, axis=1) <= radius + 1e-12]
+            # a small ball between mesh points holds none of them
+            blocks = list(fractal_sets._ball_chunks(axes, center, radius))
+            got = np.vstack([np.empty((0, d))] + blocks)
+            assert np.array_equal(got, want)
+
+    def test_high_dimensional_ball_is_fast(self):
+        # 7^9 = 40 million mesh points; walking all of them took 20 s
+        F = Target([{"type": "ball", "center": [0.0] * 9, "radius": 0.5}])
+        t0 = time.perf_counter()
+        pts, _ = F.lattice()
+        assert time.perf_counter() - t0 < 5.0
+        assert len(pts) == 400 and np.all(F.distance(pts) <= 1e-12)
 
     @pytest.mark.parametrize(
         "member",

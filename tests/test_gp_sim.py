@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,8 @@ class TestSampling:
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 4))
         with pytest.raises(ValueError):
             sample_paths(cov, d=0, n_paths=1, seed=0)
+        with pytest.raises(ValueError):
+            sample_paths(cov, d=1, n_paths=1, seed=0, threads=0)
 
     def test_rejects_colliding_substream_keys(self):
         # comp >= 2^16 would collide in the key (path << 16) ^ comp; the
@@ -398,3 +401,85 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+# a uniform grid (circulant sampler) and a geometric one (Cholesky)
+THREAD_GRIDS = {
+    "circulant": np.linspace(0.9, 1.0, 300),
+    "cholesky": np.geomspace(0.05, 1.0, 300),
+}
+
+
+def _reference_paths(cov, d, n_paths, seed):
+    """Path by path, component by component, from the (seed, p, c) substreams."""
+    values = np.empty((n_paths, cov.n, d))
+    for c in range(d):
+        if cov.sampler == "cholesky":
+            Z = np.empty((cov.n, n_paths))
+            for p in range(n_paths):
+                Z[:, p] = gp_sim._substream(seed, p, c).standard_normal(cov.n)
+            values[:, :, c] = (cov.cholesky() @ Z).T
+        else:
+            circ = cov._circulant
+            for p in range(n_paths):
+                z = gp_sim._substream(seed, p, c).standard_normal(circ.m + 1)
+                values[p, :, c] = circ.paths(z[None, :])[0]
+    return values
+
+
+class TestThreads:
+    """The (path chunk, component) jobs and the minima blocks write
+    disjoint slices, so no worker count changes a byte."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
+    def test_sample_paths_equal_across_threads(self, sampler, threads):
+        cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS[sampler])
+        assert cov.sampler == sampler
+        # 97 paths: no chunk size divides them, so the last chunk is partial
+        want = _reference_paths(cov, d=3, n_paths=97, seed=23)
+        # more workers than cores, switching threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_paths(cov, d=3, n_paths=97, seed=23, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.values, want)
+
+    def test_chunk_size_follows_threads(self, monkeypatch):
+        sizes = []
+        run_jobs = gp_sim._run_jobs
+
+        def counted(jobs, threads):
+            sizes.append(len(jobs))
+            return run_jobs(jobs, threads)
+
+        monkeypatch.setattr(gp_sim, "_run_jobs", counted)
+        cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS["circulant"])
+        for threads in (1, 2, 3, 100):
+            sample_paths(cov, d=2, n_paths=97, seed=1, threads=threads)
+        # chunks of 64, 32, 21 and 1 paths, times 2 components
+        assert sizes == [2 * 2, 4 * 2, 5 * 2, 97 * 2]
+
+    def test_path_minima_equal_across_threads(self):
+        from gpfractal.fractal_sets import Target
+        from gpfractal.hitting import PathMinima
+
+        cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS["circulant"])
+        batch = sample_paths(cov, d=3, n_paths=97, seed=4)
+        F = Target([{"type": "ball", "center": [0.1, 0.0, 0.0], "radius": 0.2},
+                    {"type": "box", "lo": [-0.3, -0.3, 0.0], "hi": [0.0, 0.1, 0.2]}])
+        pairs = [(np.arange(300), F), (np.arange(0, 300, 7), F)]
+        one = PathMinima(batch, pairs, threads=1).table
+        for threads in (2, 5):
+            assert np.array_equal(PathMinima(batch, pairs, threads=threads).table, one)
+
+    def test_job_errors_are_raised(self):
+        def boom():
+            raise ZeroDivisionError("job failed")
+
+        for threads in (1, 2):
+            with pytest.raises(ZeroDivisionError, match="job failed"):
+                gp_sim._run_jobs([lambda: 1, boom, lambda: 2], threads)
+        assert gp_sim._run_jobs([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]

@@ -14,7 +14,8 @@ payloads are hashed after removing every key named by ``--strip`` at any
 depth and re-serializing them the way the CLI does; the table records
 whether each JSON file re-serializes to its own bytes before stripping,
 so a stripped hash still compares bytes.  The ``bench_*`` rows are the
-calls of ``bench/workloads.build(workload, 1)`` from this checkout, and
+calls of ``bench/workloads.build(workload, 1)`` from this checkout, each
+path-sampling call once more at ``--threads 2`` (the ``_threads2`` rows), and
 ``criterion5`` writes the p_hat lists of acceptance criterion 5's two
 small-ball sweeps.  ``run`` first writes the files of ``FILES`` into its
 work directory, and ``$WORK`` in a config stands for that directory.
@@ -65,6 +66,10 @@ ROWS = [
     ("battery_balls", "battery", _battery(2, [
         {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
         for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=50), []),
+    ("battery_threads2", "battery", _battery(2, [
+        {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
+        for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=97),
+     ["--threads", "2"]),
     ("battery_small", "battery", _battery(1, [
         {"E": HIT["E"], "F": [{"type": "box", "lo": [lo], "hi": [lo + 0.5]}]}
         for lo in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)], grid={"a": 0.2, "b": 1.0, "n": 128},
@@ -119,6 +124,9 @@ ROWS = [
                             "E": {"type": "interval", "a": 0.9, "b": 1.0},
                             "F": [{"type": "box", "lo": [0.5], "hi": [1.0]}]}, []),
     ("hit_sub_interval", "hit", {**HIT, "E": {"type": "interval", "a": 0.4, "b": 0.8}}, []),
+    ("hit_threads2", "hit", {**HIT, "d": 3, "n_paths": 97, "tol": 1.2,
+                             "F": [{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.2}]},
+     ["--threads", "2"]),
     ("hit_union", "hit", {**HIT, "F": [{"type": "ball", "center": [0.5, 0.0], "radius": 0.2},
                                        {"type": "box", "lo": [-0.6, -0.6],
                                         "hi": [-0.3, -0.2]}]}, []),
@@ -189,6 +197,10 @@ ROWS = [
                                  "F": [{"type": "box", "lo": [0.2, 0.0], "hi": [0.5, 0.0]}]},
      []),
     ("simulate_stationary", "simulate", SIM, []),
+    ("simulate_threads2", "simulate", {**SIM, "d": 3, "n_paths": 97}, ["--threads", "2"]),
+    ("simulate_volterra_threads2", "simulate", {**SIM, "cov": "volterra", "d": 3, "n_paths": 97,
+                                                "grid": {"a": 1 / 64, "b": 1.0, "n": 64}},
+     ["--threads", "2"]),
     ("simulate_volterra", "simulate", {**SIM, "cov": "volterra", "grid": {"a": 1 / 64, "b": 1.0,
                                                                           "n": 64}}, []),
     ("simulate_volterra_h03", "simulate", {**SIM, "gamma": "power:H=0.3", "cov": "volterra"},
@@ -200,10 +212,15 @@ def _bench_rows() -> list:
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
-    return [
+    rows = [
         (f"bench_{w}_{call.name}", call.command, call.config, [])
         for w in workloads.WORKLOADS
         for call in workloads.build(w, 1)
+    ]
+    return rows + [
+        (f"{name}_threads2", command, cfg, ["--threads", "2"])
+        for name, command, cfg, _ in rows
+        if command in ("simulate", "dims", "hit", "battery")
     ]
 
 
