@@ -21,6 +21,14 @@ nothing else selects it:
   embedding has an eigenvalue below -1e-10 lambda_max or whose increment
   Toeplitz matrix is numerically singular.
 
+The Cholesky factor is taken in place: ``CovMatrix.cholesky`` runs a
+right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
+Sec. 4.2) on the one n x n buffer the covariance build returns, so the
+Cholesky path holds one n^2 array and temporaries of O(n * _CHOL_BLOCK).
+R stays bit-identical to an unblocked build; L equals
+np.linalg.cholesky(R) bit for bit for n <= _CHOL_BLOCK and differs from
+it by round-off above.
+
 The embedding is PSD-certified by its eigenvalues (its Toeplitz block is
 the covariance T of X) and the conditional variance g2(a) - s^T T^-1 s of
 B(a) by its sign; R is PSD exactly when both hold (Schur complement), so
@@ -57,6 +65,7 @@ __all__ = [
 ]
 
 _MAX_N = 8192  # dense Cholesky cap; estimators upstream never need more
+_CHOL_BLOCK = 256  # diagonal block of the in-place factor
 _MAX_D = 65535  # the substream key (path << 16) ^ comp needs comp < 2^16
 _JITTER_BASE = 1e-14
 _JITTER_STEPS = 6
@@ -91,9 +100,15 @@ class QuadratureError(RuntimeError):
 class CovMatrix:
     """Grid covariance with a lazy dense matrix and a lazy Cholesky factor.
 
-    ``R`` is either given or built by ``build()`` on first access (reading
-    ``.R``, calling ``.cholesky()``, or ``metrics.covariance_delta_matrix``).  A
-    covariance that carries a circulant sampler never needs it.
+    ``R`` is built by ``build()`` on first access (reading ``.R``, calling
+    ``.cholesky()``, or ``metrics.covariance_delta_matrix``).  A covariance
+    that carries a circulant sampler never needs it.  ``cholesky()``
+    factors the buffer ``.R`` holds in place and drops it, so the factor
+    is the only n x n array left; a later read of ``.R`` runs ``build()``
+    again and returns the same bytes, never L.  A matrix passed as ``R``
+    together with ``build`` is that build's first result and is
+    overwritten by the factor; passed alone it is left as given, and each
+    build is a copy of it.
     """
 
     def __init__(self, grid, R=None, label: str = "cov", build=None, circulant=None):
@@ -108,22 +123,29 @@ class CovMatrix:
         self._build = build
         self._circulant = circulant
         if R is not None:
-            self.R = R
+            R = self._symmetric(R)
+            if build is None:
+                self._build = R.copy
+            else:
+                self._R = R
 
     @property
     def R(self) -> np.ndarray:
         if self._R is None:
-            self.R = self._build()
+            self._R = self._symmetric(self._build())
         return self._R
 
-    @R.setter
-    def R(self, value):
+    def _symmetric(self, value) -> np.ndarray:
         R = np.asarray(value, dtype=float)
         if R.shape != (self.n, self.n):
             raise ValueError("covariance shape does not match grid")
-        if not np.array_equal(R, R.T):
+        # compared a row block at a time, so no n x n temporary is made
+        if not all(
+            np.array_equal(R[r0 : r0 + _CHOL_BLOCK], R[:, r0 : r0 + _CHOL_BLOCK].T)
+            for r0 in range(0, self.n, _CHOL_BLOCK)
+        ):
             R = 0.5 * (R + R.T)
-        self._R = R
+        return R
 
     @property
     def n(self) -> int:
@@ -160,32 +182,86 @@ class CovMatrix:
 
         Jitter level k adds 1e-14 * mean(diag) * 10^k to the diagonal,
         k = 0..6; failure beyond that rejects the (family, grid) pair.
-        Level 0 factors R itself; later levels factor a jittered copy.
+        The factor overwrites R's own buffer (``_factor_in_place``), which
+        leaves the strict upper triangle alone, so a failed level restores
+        R from that triangle and the saved diagonal before the next one.
         """
         if self._chol is not None:
             return self._chol
-        R = self.R
-        base = _JITTER_BASE * float(np.mean(np.diag(R)))
+        A = self.R
+        self._R = None
+        diag = A.diagonal().copy()
+        base = _JITTER_BASE * float(np.mean(diag))
         last_err = None
         for k in range(_JITTER_STEPS + 1):
             jitter = 0.0 if k == 0 else base * 10.0**k
-            A = R
-            if jitter:
-                A = R.copy()
-                A.flat[:: self.n + 1] += jitter
+            if k:
+                _mirror_upper(A)
+                np.fill_diagonal(A, diag + jitter)
             try:
-                L = np.linalg.cholesky(A)
+                _factor_in_place(A)
             except np.linalg.LinAlgError as err:
                 last_err = err
                 continue
-            self._chol = L
+            _zero_upper(A)
+            self._chol = A
             self.jitter_used = jitter
-            return L
+            return A
         raise PSDError(
             f"{self.label}: Cholesky failed after {_JITTER_STEPS} jitter "
             f"escalations (base {base:.3e}); rejecting this family/grid "
             f"combination ({last_err})"
         )
+
+
+def _factor_in_place(A):
+    """Overwrite the lower triangle of the symmetric A with its Cholesky factor.
+
+    Right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
+    Sec. 4.2): each _CHOL_BLOCK diagonal block is factored by
+    np.linalg.cholesky, the panel below it is solved against that block's
+    factor, and the trailing lower triangle takes a GEMM update one column
+    block at a time, so every temporary is O(n * _CHOL_BLOCK).  The strict
+    upper triangle is only read.  For n <= _CHOL_BLOCK this is one
+    np.linalg.cholesky call on A, so L equals NumPy's bit for bit.  Raises
+    np.linalg.LinAlgError when a diagonal block is not positive definite.
+    """
+    n = A.shape[0]
+    lower = np.tri(min(n, _CHOL_BLOCK), dtype=bool)
+    for j0 in range(0, n, _CHOL_BLOCK):
+        j1 = min(j0 + _CHOL_BLOCK, n)
+        blk, low = A[j0:j1, j0:j1], lower[: j1 - j0, : j1 - j0]
+        # the updated lower triangle, mirrored: the block of R - L L^T so far
+        L11 = np.linalg.cholesky(np.where(low, blk, blk.T))
+        np.copyto(blk, L11, where=low)
+        panel = A[j1:, j0:j1]
+        panel[...] = np.linalg.solve(L11, panel.T).T
+        for k0 in range(j1, n, _CHOL_BLOCK):
+            k1 = min(k0 + _CHOL_BLOCK, n)
+            upd = panel[k0 - j1 :] @ panel[k0 - j1 : k1 - j1].T
+            head = A[k0:k1, k0:k1]
+            np.subtract(head, upd[: k1 - k0], out=head, where=lower[: k1 - k0, : k1 - k0])
+            A[k1:, k0:k1] -= upd[k1 - k0 :]
+            del upd  # else two column blocks' updates are alive at the next product
+
+
+def _mirror_upper(A):
+    """Copy the strict upper triangle of A onto its lower one, a block at a time."""
+    n = A.shape[0]
+    for r0 in range(0, n, _CHOL_BLOCK):
+        r1 = min(r0 + _CHOL_BLOCK, n)
+        blk = A[r0:r1, r0:r1]
+        np.copyto(blk, blk.T.copy(), where=np.tri(r1 - r0, k=-1, dtype=bool))
+        A[r1:, r0:r1] = A[r0:r1, r1:].T
+
+
+def _zero_upper(A):
+    """Set the strict upper triangle of A to zero, a block at a time."""
+    n = A.shape[0]
+    for r0 in range(0, n, _CHOL_BLOCK):
+        r1 = min(r0 + _CHOL_BLOCK, n)
+        A[r0:r1, r0:r1][~np.tri(r1 - r0, dtype=bool)] = 0.0
+        A[r0:r1, r1:] = 0.0
 
 
 def _check_grid(scale, grid):
@@ -403,8 +479,10 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
     the grid times.  Diagonal entries use the exact identity
     int_0^t g2'(t-u) du = g2(t).  n_quad controls the Gauss-Legendre
     order per subinterval (n_quad // 8, at least 8).  With ``check`` the
-    build is repeated at doubled order and a relative disagreement above
-    1e-6 raises QuadratureError; the relative change is kept as the
+    build is repeated at doubled order over the first one, row block by
+    row block, keeping the running max |R - R2| and max |R2|, so the
+    checked build holds one n x n array; a relative disagreement above
+    1e-6 raises QuadratureError, and the relative change is kept as the
     covariance's ``quad_rel_change`` certificate.  The quadrature runs
     over _QUAD_BLOCK pairs at a time, so its temporaries stay
     O(_QUAD_BLOCK * nodes) whatever the grid.
@@ -414,10 +492,16 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
         raise ValueError("n_quad must be at least 64")
     levels = 40
 
-    def build(order):
+    def build(order, R=None):
+        """R at ``order`` and, when the R of another order is given, the
+        relative change max |R - R2| / max |R2| as it is overwritten in place."""
         p, wts = _volterra_pattern(order, levels)
         n = grid.size
-        R = np.zeros((n, n))
+        diag = scale.gamma2(grid)
+        change, top = 0.0, np.max(np.abs(diag))
+        compare = R is not None
+        if not compare:
+            R = np.zeros((n, n))
         for i in range(n - 1):
             # grid[i] = min(s, t) for s = grid[i] and every later t, so the
             # first kernel factor and m * w serve the whole row
@@ -426,29 +510,35 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
             head = np.sqrt(scale.dgamma2(X))
             mw = m * wts
             for j0 in range(i + 1, n, _QUAD_BLOCK):
-                gap = np.abs(m - grid[j0 : j0 + _QUAD_BLOCK])
+                j1 = min(j0 + _QUAD_BLOCK, n)
+                gap = np.abs(m - grid[j0:j1])
                 vals = np.sqrt(scale.dgamma2(gap[:, None] + X))
                 vals *= head
                 vals *= mw
                 # each row's sum depends on that row alone
-                R[i, j0 : j0 + _QUAD_BLOCK] = R[j0 : j0 + _QUAD_BLOCK, i] = vals.sum(axis=1)
-        np.fill_diagonal(R, scale.gamma2(grid))
-        return R
+                row = vals.sum(axis=1)
+                if compare:
+                    # R[i, j0:j1] still holds the other order's entries
+                    change = np.maximum(change, np.max(np.abs(R[i, j0:j1] - row)))
+                    top = np.maximum(top, np.max(np.abs(row)))
+                R[i, j0:j1] = R[j0:j1, i] = row
+        np.fill_diagonal(R, diag)
+        return R, float(change / (top or 1.0))
 
     order = max(8, n_quad // 8)
-    R = build(order)
+    R = build(order)[0]
     if check:
-        R2 = build(2 * order)
-        scale_ref = float(np.max(np.abs(R2))) or 1.0
-        rel = float(np.max(np.abs(R - R2))) / scale_ref
+        order *= 2
+        R, rel = build(order, R)
         if rel > 1e-6:
             raise QuadratureError(
                 f"Volterra quadrature not converged: relative change {rel:.3e} "
-                f"after doubling the order (order {order} -> {2 * order}, "
+                f"after doubling the order (order {order // 2} -> {order}, "
                 f"levels {levels}, n={grid.size})"
             )
-        R = R2
-    cov = CovMatrix(grid=grid, R=R, label=f"volterra[{scale.name}]")
+    cov = CovMatrix(
+        grid=grid, R=R, label=f"volterra[{scale.name}]", build=lambda: build(order)[0]
+    )
     if check:
         cov.quad_rel_change = rel
     cov.cholesky()

@@ -483,3 +483,92 @@ class TestThreads:
             with pytest.raises(ZeroDivisionError, match="job failed"):
                 gp_sim._run_jobs([lambda: 1, boom, lambda: 2], threads)
         assert gp_sim._run_jobs([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]
+
+
+def _cantor_atoms(n):
+    """The first n atoms of a depth-10 Cantor set of delta-dimension 0.6."""
+    from gpfractal.fractal_sets import build_cantor
+
+    return np.unique(build_cantor(PowerScale(0.5), 0.6, 10).atoms())[:n]
+
+
+class TestInPlaceFactor:
+    """The blocked factor overwrites R's one buffer with L."""
+
+    @pytest.mark.parametrize("n", [200, 256])
+    def test_small_grid_matches_numpy(self, n):
+        f = PowerScale(0.3)
+        grid = np.geomspace(0.05, 1.0, n)
+        cov = cov_stationary_increments(f, grid)
+        assert cov.sampler == "cholesky"
+        assert np.array_equal(cov.cholesky(), np.linalg.cholesky(_dense_stationary_R(f, grid)))
+
+    @pytest.mark.parametrize("grid", [np.geomspace(0.05, 1.0, 600), _cantor_atoms(1000)],
+                             ids=["geometric600", "cantor1000"])
+    def test_factor_residual(self, grid):
+        assert grid.size % gp_sim._CHOL_BLOCK != 0  # the last block is partial
+        cov = cov_stationary_increments(PowerScale(0.5), grid)
+        L = cov.cholesky()
+        assert cov.jitter_used == 0.0
+        assert not np.any(np.triu(L, 1))
+        R = cov.R
+        assert np.max(np.abs(L @ L.T - R)) <= 1e-13 * np.max(np.abs(R))
+
+    def test_R_read_after_factor_is_rebuilt(self, monkeypatch):
+        f = PowerScale(0.75)
+        grid = np.geomspace(0.05, 1.0, 600)
+        cov = cov_stationary_increments(f, grid)
+        assert cov._R is None and cov._chol is not None
+        assert np.array_equal(cov.R, _dense_stationary_R(f, grid))
+        assert not np.shares_memory(cov.R, cov.cholesky())
+        # blocks of 7 make a 20-point Volterra factor blocked too
+        monkeypatch.setattr(gp_sim, "_CHOL_BLOCK", 7)
+        grid = np.sort(np.random.default_rng(6).uniform(0.1, 0.9, 20))
+        cov = cov_volterra(f, grid)
+        L = cov.cholesky()
+        assert np.array_equal(cov.R, _volterra_reference(f, grid, 16))
+        assert np.max(np.abs(L @ L.T - cov.R)) <= 1e-13 * np.max(np.abs(cov.R))
+
+    def test_jitter_retry_matches_fresh_factor(self):
+        # rank 40 of 300: level 0 fails, and every retry restores R first
+        n = 300
+        X = np.random.default_rng(11).standard_normal((n, 40))
+        R = X @ X.T
+        R = 0.5 * (R + R.T)
+        cov = CovMatrix(grid=np.linspace(0.1, 1.0, n), R=R)
+        L = cov.cholesky()
+        assert cov.jitter_used > 0
+        assert np.array_equal(cov.R, R)
+        base = gp_sim._JITTER_BASE * float(np.mean(np.diag(R)))
+        for k in range(1, gp_sim._JITTER_STEPS + 1):
+            A = R.copy()
+            A.flat[:: n + 1] += base * 10.0**k
+            try:
+                gp_sim._factor_in_place(A)
+            except np.linalg.LinAlgError:
+                continue
+            break
+        assert cov.jitter_used == base * 10.0**k
+        assert np.array_equal(L, np.tril(A))
+
+    def test_non_psd_raises_after_retries(self):
+        # indefinite in the second block only: R keeps its bytes after failing
+        n = 300
+        R = np.eye(n)
+        R[280, 281] = R[281, 280] = 2.0
+        cov = CovMatrix(grid=np.linspace(0.1, 1.0, n), R=R)
+        with pytest.raises(PSDError):
+            cov.cholesky()
+        assert np.array_equal(cov.R, R)
+
+    def test_memory_is_one_buffer(self):
+        n = 2048
+        grid = np.geomspace(0.05, 1.0, n)
+        tracemalloc.start()
+        try:
+            cov = cov_stationary_increments(PowerScale(0.5), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cov.sampler == "cholesky" and cov._R is None
+        assert peak < 1.5 * 8 * n * n

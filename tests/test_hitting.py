@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from gpfractal.hitting import (
     small_ball_sweep,
     wilson_interval,
 )
-from gpfractal.scale import PowerScale
+from gpfractal.scale import LogScale, PowerScale
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +258,28 @@ class TestSmallBall:
         ps = [r.p_hat for r in reps]
         assert ps[0] >= ps[1] >= ps[2]
         assert all(r.ref_fgamma_d >= r.ref_r_d for r in reps)
+
+    @pytest.mark.parametrize(
+        "scale, grid, r",
+        [
+            # criterion 5's logscale grid: the ball is |s - t0| <= exp(-1/r)
+            (LogScale(1.0), np.linspace(0.2, 0.3, 257), 2.0**-4),
+            (PowerScale(0.5), np.linspace(0.05, 1.0, 20), 0.2),
+        ],
+        ids=["logscale", "power"],
+    )
+    def test_one_point_ball_matches_exact(self, scale, grid, r):
+        # a delta-ball holding one grid point t_k: the event is |B(t_k)| <= r,
+        # and |B(t_k)|^2 / gamma^2(t_k) is chi-square with 2 degrees of freedom
+        k = grid.size // 2
+        t0, n = float(grid[k]), 20_000
+        cov = cov_stationary_increments(scale, grid)
+        rep = small_ball_mc(cov, t0, r, np.zeros(2), d=2, n_paths=n, seed=41, scale=scale)
+        assert rep.n_ball_points == 1
+        p = -math.expm1(-(r**2) / (2.0 * float(scale.gamma2(t0))))
+        # p lies in the Wilson interval of p_hat at z = 4.42 exactly when
+        # the score statistic is at most 4.42
+        assert abs(rep.p_hat - p) <= 4.42 * math.sqrt(p * (1.0 - p) / n)
 
 
 class TestContent:

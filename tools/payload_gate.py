@@ -205,6 +205,11 @@ ROWS = [
                                                                           "n": 64}}, []),
     ("simulate_volterra_h03", "simulate", {**SIM, "gamma": "power:H=0.3", "cov": "volterra"},
      []),
+    # 600 points: three blocks of the in-place Cholesky factor, the last one partial
+    ("simulate_volterra_n600", "simulate", {**SIM, "cov": "volterra", "grid": {"a": 1 / 600,
+                                                                               "b": 1.0,
+                                                                               "n": 600}},
+     []),
 ]
 
 
