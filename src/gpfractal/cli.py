@@ -257,9 +257,9 @@ def _hit_reports(cfg, instances, threads: int) -> list:
 
     The grid, d, tol, n_paths, seed and cov keys come from ``cfg``.  Every
     instance is parsed and passes check_hit_instance before any
-    covariance work, and one batch of paths, drawn and read through one
-    PathMinima pass on ``threads`` workers, serves every instance's hit
-    count.
+    covariance work.  The paths stream wave by wave through one
+    PathMinima on ``threads`` workers, whose table serves every
+    instance's hit count.
     """
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
@@ -276,11 +276,8 @@ def _hit_reports(cfg, instances, threads: int) -> list:
         inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
         parsed.append((E, F, inst_tol, check_hit_instance(scale, grid, E, F, d, inst_tol)))
     cov = _build_cov(cfg, scale, grid)
-    minima = PathMinima(
-        sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads),
-        [(checked.e_idx, F) for _, F, _, checked in parsed],
-        threads=threads,
-    )
+    minima = PathMinima(n_paths, [(checked.e_idx, F) for _, F, _, checked in parsed], threads)
+    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=minima.add)
     return [
         hit_probability_mc(
             scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, minima=minima,

@@ -236,17 +236,21 @@ def image_dimension_experiment(
     nearby grid time; an interval gets ``grid_n`` equispaced times.  The
     covariance is the stationary-increment model for the scale;
     ``params`` records which sampler drew the paths and its certificate.
-    Path sampling and the per-path box counts run on ``threads`` workers.
+    The paths stream from sample_paths wave by wave; path sampling and
+    each wave's per-path box counts run on ``threads`` workers.
     """
     E = TimeSet.of(E, scale)
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads)
+    per_path = []
 
-    def one(p):
-        return box_dimension_euclidean(batch.points(p), _SCALES, trim=_TRIM).value
+    def one(points):
+        return box_dimension_euclidean(points, _SCALES, trim=_TRIM).value
 
-    per_path = _run_jobs([partial(one, p) for p in range(n_paths)], threads)
+    def count(_p0, block):
+        per_path.extend(_run_jobs([partial(one, points) for points in block], threads))
+
+    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=count)
     dd = dim_delta_estimate(E, scale)
     theory = min(float(d), dd.value)
     return ImageDimensionReport(
@@ -323,28 +327,32 @@ def intersection_dimension_experiment(
     image points.  The max over paths stands in for the essential-sup
     norm; the reported bounds are the slowly-varying-scale sandwich
     evaluated from the report's own estimates with H taken from the
-    elasticity at mid-grid.
+    elasticity at mid-grid.  The paths stream from sample_paths wave by
+    wave.
     """
     E = TimeSet.of(E, scale)
     F = Target.of(F_members)
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     time_dims, image_dims, time_dims_delta = [], [], []
     hits = 0
-    for p in range(n_paths):
-        pts = batch.points(p)
-        sel = F.distance(pts) <= tol
-        if not np.any(sel):
-            time_dims.append(math.nan)
-            image_dims.append(math.nan)
-            time_dims_delta.append(math.nan)
-            continue
-        hits += 1
-        t_hat = grid[sel]
-        time_dims.append(box_dimension_euclidean(t_hat[:, None], _SCALES, trim=_TRIM).value)
-        image_dims.append(box_dimension_euclidean(pts[sel], _SCALES, trim=_TRIM).value)
-        time_dims_delta.append(_dim_delta_of_sample(t_hat, scale))
+
+    def select(_p0, block):
+        nonlocal hits
+        for pts in block:
+            sel = F.distance(pts) <= tol
+            if not np.any(sel):
+                time_dims.append(math.nan)
+                image_dims.append(math.nan)
+                time_dims_delta.append(math.nan)
+                continue
+            hits += 1
+            t_hat = grid[sel]
+            time_dims.append(box_dimension_euclidean(t_hat[:, None], _SCALES, trim=_TRIM).value)
+            image_dims.append(box_dimension_euclidean(pts[sel], _SCALES, trim=_TRIM).value)
+            time_dims_delta.append(_dim_delta_of_sample(t_hat, scale))
+
+    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=select)
     flagged = hits == 0
     h_eff = float(scale.psi(math.sqrt(grid[0] * grid[-1])))
     e_dim = box_dimension_euclidean(grid[:, None], _SCALES, trim=_TRIM).value

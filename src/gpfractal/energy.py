@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fractal_sets import DiscreteMeasure, OutOfModelError
+from .metrics import _BLOCK_ROWS
 from .scale import phi_kernel
 
 __all__ = [
@@ -43,13 +44,25 @@ class KernelMatrix:
         return len(self.atoms)
 
 
-def kernel_matrix(atoms, dists, beta: float, h: float) -> KernelMatrix:
-    """K_ij = phi_beta(max(dist_ij, h)); h > 0 keeps the diagonal finite."""
+def kernel_matrix(atoms, dists, beta: float, h: float, out=None) -> KernelMatrix:
+    """K_ij = phi_beta(max(dist_ij, h)); h > 0 keeps the diagonal finite.
+
+    K is built in one k x k buffer: ``out`` when given, which may be
+    ``dists`` itself when the caller owns it, else a new array, so
+    ``dists`` is written only when it is ``out``.  K is then symmetrized
+    in place, 0.5 (K_ij + K_ji), _BLOCK_ROWS rows at a time; addition
+    commutes, so both halves get the bytes 0.5 (K + K^T) would.
+    """
     if h <= 0:
         raise ValueError("truncation resolution h must be positive")
-    dists = np.asarray(dists, dtype=float)
-    K = phi_kernel(beta, np.maximum(dists, h))
-    K = 0.5 * (K + K.T)
+    K = np.maximum(np.asarray(dists, dtype=float), h, out=out)
+    phi_kernel(beta, K, out=K)
+    for r0 in range(0, len(K), _BLOCK_ROWS):
+        r1 = r0 + _BLOCK_ROWS
+        strip = K[r0:r1, r0:] + K[r0:, r0:r1].T
+        strip *= 0.5
+        K[r0:r1, r0:] = strip
+        K[r0:, r0:r1] = strip.T
     return KernelMatrix(atoms=np.asarray(atoms), K=K, h=h, beta=beta)
 
 
@@ -179,7 +192,7 @@ def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> Ca
     ``atoms`` are (m,) times or ProductAtoms, and ``metric`` their
     StationaryGamma.rows.  At each h the atom set is thinned to spacing ~h
     by farthest-point selection (one greedy pass serves the whole sweep),
-    the truncated kernel is built from one distance block (metric.block),
+    the truncated kernel is built inside one distance block (metric.block),
     and the energy is minimized by pairwise Frank-Wolfe, whose iteration
     count per h the report keeps.  The verdict comes from
     the decay rate of the capacity estimates per octave of h: geometric
@@ -205,9 +218,11 @@ def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> Ca
         idx = np.sort(order[radii > h])
         if idx.size == 0:
             raise OutOfModelError(f"the subsample at resolution h = {h!r} is empty")
-        kern = kernel_matrix(atoms[idx], metric.block(idx), beta=beta, h=h)
+        dists = metric.block(idx)
+        kern = kernel_matrix(atoms[idx], dists, beta=beta, h=h, out=dists)
         fw_trace = []
         _, e, gap = minimize_energy(kern, tol=_FW_TOL, max_iter=_FW_MAX_ITER, trace=fw_trace)
+        del dists, kern  # so the next resolution's block is the only k x k array
         if not (e > 0 and math.isfinite(e) and math.isfinite(1.0 / e)):
             raise OutOfModelError(
                 f"minimal energy {e!r} at h = {h!r}, beta = {beta!r}: "

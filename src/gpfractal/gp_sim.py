@@ -43,6 +43,12 @@ sampling (one job per path chunk and component), the per-path minima
 of ``hitting.PathMinima`` and the per-path box counts of ``dims``.  The
 covariance build, the Cholesky factorization and the product L @ Z, the
 capacity and content terms and the condition integrals stay serial.
+The consumers read paths in waves: ``sample_paths`` with a ``consume``
+callback draws the circulant sampler's paths at most _PATH_CHUNK at a
+time over all components, runs that wave's consumer jobs on the same
+workers and drops it, so ``hit``, ``battery`` and ``dims`` never hold
+an (n_paths, n, d) array on a uniform grid.  A Cholesky grid is one
+wave of every path.
 """
 
 from __future__ import annotations
@@ -445,6 +451,9 @@ def cov_stationary_increments(scale, grid) -> CovMatrix:
         circulant=_circulant_sampler(scale, grid),
     )
     if cov.sampler == "cholesky":
+        # R is built here, so a profile times the build in this call and
+        # the factor alone in cholesky(), which overwrites this buffer
+        _ = cov.R
         cov.cholesky()
     return cov
 
@@ -550,17 +559,16 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
 
 @dataclass
 class PathBatch:
-    """values[p, i, c] = component c of path p at grid[i]."""
+    """values[p, i, c] = component c of path p at grid[i].
+
+    ``values`` is None for a batch sample_paths streamed to a consumer.
+    """
 
     grid: np.ndarray
     d: int
     n_paths: int
     values: np.ndarray
     seed: int
-
-    def points(self, p: int) -> np.ndarray:
-        """The image points {B(t_i)} in R^d for path p, shape (n, d)."""
-        return self.values[p]
 
     def to_binary(self, path):
         """The GPFB layout: b"GPFB", the header struct "<IQQQq" (version 1,
@@ -574,14 +582,19 @@ class PathBatch:
             fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
 
     def to_csv(self, path):
-        """Long format: path, component, t, value."""
+        """Long format: path, component, t, value.
+
+        Each (path, component) run is one join over Python floats, whose
+        repr is that of the float64 values; the grid's reprs are made once.
+        """
+        times = [f",{t!r}," for t in self.grid.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write("path,component,t,value\n")
             for p in range(self.n_paths):
                 for c in range(self.d):
-                    col = self.values[p, :, c]
-                    for t, v in zip(self.grid, col):
-                        fh.write(f"{p},{c},{float(t)!r},{float(v)!r}\n")
+                    head = f"{p},{c}"
+                    fh.write("".join([f"{head}{t}{v!r}\n"
+                                      for t, v in zip(times, self.values[p, :, c].tolist())]))
 
 
 def _substream(seed: int, path: int, comp: int) -> np.random.Generator:
@@ -595,7 +608,7 @@ def _substream(seed: int, path: int, comp: int) -> np.random.Generator:
 
 
 def sample_paths(
-    cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int = 1
+    cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int = 1, consume=None
 ) -> PathBatch:
     """Draw exact Gaussian paths with the sampler ``cov`` carries.
 
@@ -610,6 +623,16 @@ def sample_paths(
     _PATH_CHUNK // threads paths (at least 1), so the temporaries in
     flight stay those of _PATH_CHUNK paths.  A path's values depend only
     on (seed, p, c), never on n_paths, the chunk or the worker count.
+
+    Without ``consume`` the batch holds every path's values.  With it,
+    the paths are drawn in waves over all components and each finished
+    wave is handed to ``consume(p0, block)``, block[i, j, c] being
+    component c of path p0 + i at grid[j], and dropped when consume
+    returns; the batch's ``values`` is then None.  A circulant wave is
+    the paths of as many whole chunks as fit in _PATH_CHUNK, so at most
+    _PATH_CHUNK paths of values exist at once.  The Cholesky sampler
+    passes all its paths as one wave, since L @ Z over a column chunk is
+    not bit-identical to the one product.
     """
     if d < 1 or n_paths < 1 or threads < 1:
         raise ValueError("d, n_paths and threads must be positive")
@@ -618,26 +641,36 @@ def sample_paths(
             f"d = {d} exceeds {_MAX_D}: the (path, component) substreams would collide"
         )
     n = cov.n
-    values = np.empty((n_paths, n, d))
     circ = cov._circulant
+    L = cov.cholesky() if circ is None else None
     size = max(1, _PATH_CHUNK // threads)
-    chunks = [range(p0, min(p0 + size, n_paths)) for p0 in range(0, n_paths, size)]
+    wave = n_paths if consume is None or circ is None else size * (_PATH_CHUNK // size)
 
-    def draw(chunk, c, Z=None):
-        z = np.empty((len(chunk), n if circ is None else circ.m + 1))
-        for i, p in enumerate(chunk):
-            _substream(seed, p, c).standard_normal(out=z[i])
+    def draw(block, p0, rows, c, Z=None):
+        z = np.empty((len(rows), n if circ is None else circ.m + 1))
+        for i, r in enumerate(rows):
+            _substream(seed, p0 + r, c).standard_normal(out=z[i])
         if circ is None:
-            Z[:, chunk.start : chunk.stop] = z.T
+            Z[:, rows.start : rows.stop] = z.T
         else:
-            values[chunk.start : chunk.stop, :, c] = circ.paths(z)
+            block[rows.start : rows.stop, :, c] = circ.paths(z)
 
-    if circ is None:
-        L = cov.cholesky()
-        for c in range(d):
-            Z = np.empty((n, n_paths))
-            _run_jobs([partial(draw, chunk, c, Z) for chunk in chunks], threads)
-            values[:, :, c] = (L @ Z).T
-    else:
-        _run_jobs([partial(draw, chunk, c) for chunk in chunks for c in range(d)], threads)
+    values = None
+    for p0 in range(0, n_paths, wave):
+        k = min(wave, n_paths - p0)
+        block = np.empty((k, n, d))
+        chunks = [range(r0, min(r0 + size, k)) for r0 in range(0, k, size)]
+        if circ is None:
+            for c in range(d):
+                Z = np.empty((n, k))
+                _run_jobs([partial(draw, block, p0, rows, c, Z) for rows in chunks], threads)
+                block[:, :, c] = (L @ Z).T
+        else:
+            _run_jobs([partial(draw, block, p0, rows, c) for rows in chunks for c in range(d)],
+                      threads)
+        if consume is None:
+            values = block
+        else:
+            consume(p0, block)
+        del block
     return PathBatch(grid=cov.grid, d=d, n_paths=n_paths, values=values, seed=seed)

@@ -144,37 +144,46 @@ class PathMinima:
     what the per-point distances decide, for every radius and tolerance;
     a union takes the minimum over its members.
 
-    One pass over the batch, in blocks of _HIT_CHUNK paths, fills an
-    (n_paths x keys) table for the distinct (E grid indices, core) keys
-    of all the (e_idx, Target) pairs given.  Each block is a job that
-    writes its own table rows, and the jobs run on ``threads`` workers.
-    ``distance`` then reads the distance from each path's B(E) to F off
-    that table.
+    The table has one row per path and one column per distinct (E grid
+    indices, core) key of all the (e_idx, Target) pairs given.  ``batch``
+    is a PathBatch, whose values are read at once, or the path count
+    n_paths, whose rows ``add`` fills as sample_paths(..., consume=add)
+    hands it each wave.  Either way the paths are read in blocks of
+    _HIT_CHUNK; each block is a job that writes its own table rows, and
+    the jobs run on ``threads`` workers.  ``distance`` then reads the
+    distance from each path's B(E) to F off that table.
     """
 
     def __init__(self, batch, pairs, threads: int = 1):
-        self.n_paths = batch.n_paths
+        self.n_paths = batch if isinstance(batch, int) else batch.n_paths
+        self.threads = threads
         self._column = {}  # (E key, core) -> table column
-        sets = {}  # E key -> (grid indices, [(core, column)])
+        self._sets = {}  # E key -> (grid indices, [(core, column)])
         for e_idx, F in pairs:
             e_idx = np.asarray(e_idx, dtype=np.intp)
             e_key = e_idx.tobytes()
-            _, cores = sets.setdefault(e_key, (e_idx, []))
+            _, cores = self._sets.setdefault(e_key, (e_idx, []))
             for core in F.cores:
                 if (e_key, core) not in self._column:
                     self._column[e_key, core] = len(self._column)
                     cores.append((core, self._column[e_key, core]))
         self.table = np.empty((self.n_paths, len(self._column)))
+        if not isinstance(batch, int):
+            self.add(0, batch.values)
 
-        def fill(p0):
-            block = batch.values[p0 : p0 + _HIT_CHUNK]
-            for e_idx, cores in sets.values():
+    def add(self, p0: int, values):
+        """Fill the table rows of paths p0, p0 + 1, ... from their values (k, n, d)."""
+
+        def fill(r0):
+            block = values[r0 : r0 + _HIT_CHUNK]
+            rows = slice(p0 + r0, p0 + r0 + len(block))
+            for e_idx, cores in self._sets.values():
                 pts = np.take(block, e_idx, axis=1)
                 for core, col in cores:
-                    sq = core_sq_distance(core, pts)
-                    self.table[p0 : p0 + len(block), col] = sq.min(axis=1)
+                    self.table[rows, col] = core_sq_distance(core, pts).min(axis=1)
 
-        _run_jobs([partial(fill, p0) for p0 in range(0, self.n_paths, _HIT_CHUNK)], threads)
+        _run_jobs([partial(fill, r0) for r0 in range(0, len(values), _HIT_CHUNK)],
+                  self.threads)
 
     def distance(self, e_idx, F: Target) -> np.ndarray:
         """min over the grid times e_idx of each path's distance to F."""
@@ -202,10 +211,11 @@ def hit_probability_mc(
     A path hits when some grid point of E has its image within ``tol``
     of F.  ``batch`` allows reusing a PathBatch across several F at a
     fixed seed (the per-path indicator is then monotone in F and in tol
-    by construction), and ``minima``, a PathMinima built over a batch
+    by construction), and ``minima``, a PathMinima filled from the paths
     with (E's grid indices, F) among its pairs, reuses its one pass over
-    the paths.  ``with_terms`` adds the capacity and content terms of
-    E x F used by the sandwich.  ``checked`` is check_hit_instance's
+    them.  Without either, the paths stream through a PathMinima wave
+    by wave and no batch of values is kept.  ``with_terms`` adds the
+    capacity and content terms of E x F used by the sandwich.  ``checked`` is check_hit_instance's
     result for these E, F and tol on cov.grid; without it the same
     checks run here, before any path is drawn.  Inputs outside the model
     raise OutOfModelError (see check_hit_instance).
@@ -217,9 +227,9 @@ def hit_probability_mc(
         checked = check_hit_instance(scale, grid, E, F, d, tol)
     e_idx, guard, lattice = checked
     if minima is None:
+        minima = PathMinima(n_paths if batch is None else batch, [(e_idx, F)])
         if batch is None:
-            batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
-        minima = PathMinima(batch, [(e_idx, F)])
+            sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=minima.add)
     hits = int(np.count_nonzero(minima.distance(e_idx, F) <= tol))
     p_hat = hits / minima.n_paths
     lo, hi = wilson_interval(hits, minima.n_paths)
@@ -321,13 +331,14 @@ def small_ball_mc(
     idx = np.flatnonzero(dvec <= r)
     if idx.size == 0:
         raise ValueError("empty delta-ball on the grid")
-    if batch is None:
-        batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
     z = np.asarray(z, dtype=float).ravel()
     point = Target([{"type": "box", "lo": z, "hi": z}])
-    hits = int(np.count_nonzero(PathMinima(batch, [(idx, point)]).distance(idx, point) <= r))
-    p_hat = hits / batch.n_paths
-    lo, hi = wilson_interval(hits, batch.n_paths)
+    minima = PathMinima(n_paths if batch is None else batch, [(idx, point)])
+    if batch is None:
+        sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=minima.add)
+    hits = int(np.count_nonzero(minima.distance(idx, point) <= r))
+    p_hat = hits / minima.n_paths
+    lo, hi = wilson_interval(hits, minima.n_paths)
     try:
         ref_f = (r + f_gamma(scale, r)) ** d
     except (ValueError, IntegralError):

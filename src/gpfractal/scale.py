@@ -455,17 +455,27 @@ class CustomScale(ScaleFunction):
 # ---------------------------------------------------------------------------
 
 
-def phi_kernel(beta: float, r):
-    """Radial potential kernel: r^-beta (beta>0), log(e/(r^1)) (beta=0), 1 (beta<0)."""
+def phi_kernel(beta: float, r, out=None):
+    """Radial potential kernel: r^-beta (beta>0), log(e/(r^1)) (beta=0), 1 (beta<0).
+
+    The kernel is computed in place in ``out``, an array of r's shape that
+    may be r itself, or else in a copy of r.
+    """
     a, scalar = _as_array(r)
     if np.any(a <= 0):
         raise ValueError("phi_kernel needs r > 0; truncate at a resolution first")
+    if out is None:
+        out = a.copy()
+    elif out is not a:
+        np.copyto(out, a)
     if beta > 0:
-        out = a ** (-beta)
+        out **= -beta
     elif beta == 0:
-        out = np.log(np.e / np.minimum(a, 1.0))
+        np.minimum(out, 1.0, out=out)
+        np.divide(np.e, out, out=out)
+        np.log(out, out=out)
     else:
-        out = np.ones_like(a)
+        out[...] = 1.0
     return float(out) if scalar else out
 
 

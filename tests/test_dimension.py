@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from gpfractal.dimension import (
+    _SCALES,
+    _TRIM,
     box_dimension_euclidean,
     default_dyadic_scales,
     dim_delta_estimate,
     dim_rho_product,
     image_dimension_experiment,
 )
-from gpfractal.fractal_sets import OutOfModelError, build_cantor
+from gpfractal.fractal_sets import OutOfModelError, TimeSet, build_cantor
+from gpfractal.gp_sim import cov_stationary_increments, sample_paths
 from gpfractal.scale import LogScale, PowerScale
 
 
@@ -194,3 +197,20 @@ class TestImageExperiment:
         a = image_dimension_experiment(PowerScale(0.5), (0.2, 1.0), threads=1, **kw)
         b = image_dimension_experiment(PowerScale(0.5), (0.2, 1.0), threads=4, **kw)
         assert a.per_path == b.per_path
+
+    @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("sampler", ["circulant", "cholesky"])
+    def test_streamed_counts_equal_batch_counts(self, sampler, threads, n_paths):
+        # an interval's uniform grid draws by circulant embedding, a
+        # Cantor set's atoms by Cholesky
+        scale = PowerScale(0.5)
+        E = (0.2, 1.0) if sampler == "circulant" else build_cantor(scale, 0.5, 7)
+        rep = image_dimension_experiment(scale, E, d=2, n_paths=n_paths, grid_n=256, seed=13,
+                                         threads=threads)
+        cov = cov_stationary_increments(scale, TimeSet.of(E, scale).sample(256))
+        assert rep.params["sampler"] == cov.sampler == sampler
+        batch = sample_paths(cov, d=2, n_paths=n_paths, seed=13)
+        want = [box_dimension_euclidean(batch.values[p], _SCALES, trim=_TRIM).value
+                for p in range(n_paths)]
+        assert rep.per_path == want

@@ -52,6 +52,27 @@ class TestEnergyDiscrete:
         w = np.full(6, 1 / 6)
         assert w @ kern.K @ w == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("beta", [1.5, 1.0, 0.0, -1.0])
+    def test_kernel_in_one_buffer_matches_unfused_build(self, rng, beta):
+        # 40 rows: two full 16-row strips and a partial one; the distances
+        # are not symmetric, so the symmetrization does work
+        atoms = np.linspace(0.2, 1.0, 40)
+        dists = rng.uniform(0.0, 1.0, (40, 40))
+        given = dists.copy()
+        a = np.maximum(dists, 0.05)
+        if beta > 0:
+            ref = a ** (-beta)
+        elif beta == 0:
+            ref = np.log(np.e / np.minimum(a, 1.0))
+        else:
+            ref = np.ones_like(a)
+        ref = 0.5 * (ref + ref.T)
+        K = kernel_matrix(atoms, dists, beta=beta, h=0.05).K
+        assert K.tobytes() == ref.tobytes()
+        assert dists.tobytes() == given.tobytes()
+        kern = kernel_matrix(atoms, dists, beta=beta, h=0.05, out=dists)
+        assert kern.K is dists and dists.tobytes() == ref.tobytes()
+
     def test_mismatch_rejected(self, rng):
         # a measure's weights must align with its atoms, one per kernel row
         kern = _random_kernel(rng, 4)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -216,6 +219,72 @@ class TestPathMinima:
             want = sum(_norm_distance(F, batch.values[p][e_idx]).min() <= tol
                        for p in range(120))
             assert shared.extras["hits"] == alone.extras["hits"] == want
+
+
+STREAM_GRIDS = {
+    "circulant": np.linspace(0.9, 1.0, 300),
+    "cholesky": np.geomspace(0.05, 1.0, 300),
+}
+
+
+@lru_cache(maxsize=None)
+def _stream_cov(sampler):
+    cov = cov_stationary_increments(PowerScale(0.5), STREAM_GRIDS[sampler])
+    assert cov.sampler == sampler
+    return cov
+
+
+class TestStreamedMinima:
+    """Paths streamed wave by wave fill the table a whole batch fills."""
+
+    @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("sampler", list(STREAM_GRIDS))
+    def test_streamed_table_equals_batch_table(self, sampler, threads, n_paths):
+        cov = _stream_cov(sampler)
+        F = Target([{"type": "ball", "center": [0.1, 0.0, 0.0], "radius": 0.2},
+                    {"type": "box", "lo": [-0.3, -0.3, 0.0], "hi": [0.0, 0.1, 0.2]}])
+        pairs = [(np.arange(300), F), (np.arange(0, 300, 7), F)]
+        want = PathMinima(sample_paths(cov, d=3, n_paths=n_paths, seed=31), pairs).table
+        minima = PathMinima(n_paths, pairs, threads)
+        waves = []
+
+        def consume(p0, block):
+            waves.append((p0, len(block)))
+            minima.add(p0, block)
+
+        # more workers than cores, switching threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = sample_paths(cov, d=3, n_paths=n_paths, seed=31, threads=threads,
+                                 consume=consume)
+        finally:
+            sys.setswitchinterval(interval)
+        assert batch.values is None and batch.n_paths == n_paths
+        assert minima.table.tobytes() == want.tobytes()
+        # consecutive waves cover every path once, at most 64 at a time on
+        # a circulant grid and all at once on a Cholesky grid
+        assert [p0 for p0, _ in waves] == list(np.cumsum([0] + [k for _, k in waves[:-1]]))
+        assert sum(k for _, k in waves) == n_paths
+        limit = 64 if sampler == "circulant" else n_paths
+        assert max(k for _, k in waves) <= limit
+
+    def test_streamed_hit_memory_does_not_grow_with_paths(self):
+        # a batch of 256 more paths would hold 256 * 4096 * 3 floats, 25 MB
+        scale = PowerScale(0.5)
+        cov = cov_stationary_increments(scale, np.linspace(0.9, 1.0, 4096))
+        F = [{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.1}]
+        peaks = []
+        for n_paths in (256, 512):
+            tracemalloc.start()
+            try:
+                hit_probability_mc(scale, cov, (0.9, 1.0), F, d=3, tol=0.2, n_paths=n_paths,
+                                   seed=3, with_terms=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1e6
 
 
 class TestSmallBall:

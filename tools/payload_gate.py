@@ -70,6 +70,11 @@ ROWS = [
         {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
         for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=97),
      ["--threads", "2"]),
+    # 70 paths in chunks of 21: two streamed waves, the second one partial
+    ("battery_n70_threads3", "battery", _battery(2, [
+        {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
+        for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=70),
+     ["--threads", "3"]),
     ("battery_small", "battery", _battery(1, [
         {"E": HIT["E"], "F": [{"type": "box", "lo": [lo], "hi": [lo + 0.5]}]}
         for lo in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)], grid={"a": 0.2, "b": 1.0, "n": 128},
@@ -106,6 +111,9 @@ ROWS = [
                              "E": {"type": "interval", "a": 0.1, "b": 0.5}}, []),
     ("dims_interval", "dims", {**DIMS, "E": {"type": "interval", "a": 0.2, "b": 1.0}}, []),
     ("dims_interval_threads2", "dims", {**DIMS, "E": {"type": "interval", "a": 0.2, "b": 1.0}},
+     ["--threads", "2"]),
+    ("dims_interval_n70_threads2", "dims", {**DIMS, "n_paths": 70,
+                                            "E": {"type": "interval", "a": 0.2, "b": 1.0}},
      ["--threads", "2"]),
     ("dims_interval_h075", "dims", {**DIMS, "gamma": "power:H=0.75",
                                     "E": {"type": "interval", "a": 0.2, "b": 1.0}}, []),
