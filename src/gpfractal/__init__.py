@@ -39,7 +39,6 @@ from .hitting import (
     hausdorff_content_estimate,
     hit_probability_mc,
     sandwich_report,
-    small_ball_mc,
     small_ball_sweep,
     wilson_interval,
 )

@@ -46,7 +46,7 @@ from .gp_sim import (
     cov_volterra,
     sample_paths,
 )
-from .hitting import PathMinima, check_hit_instance, hit_probability_mc, sandwich_report
+from .hitting import check_hit_instance, hit_probability_mc, sandwich_report
 from .metrics import ProductAtoms, StationaryGamma
 from .scale import ScaleDomainError, parse_scale_spec
 
@@ -106,7 +106,7 @@ def _parse_grid(cfg, scale):
     grid_cfg = _require(cfg, "grid", dict)
     a = _require(grid_cfg, "a", float, lambda v: v > 0, "must be > 0")
     b = _require(grid_cfg, "b", float, lambda v: v > a, "must exceed a")
-    n = _require(grid_cfg, "n", int, lambda v: 2 <= v <= 8192, "must be in [2, 8192]")
+    n = _require(grid_cfg, "n", int, lambda v: 2 <= v <= _MAX_N, f"must be in [2, {_MAX_N}]")
     if b > scale.x_max:
         raise ConfigError("grid.b", f"exceeds the scale domain x_max={scale.x_max}")
     return np.linspace(a, b, n)
@@ -235,7 +235,8 @@ def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     E = _parse_E(cfg, scale)
     d = _parse_d(cfg)
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
-    grid_n = _require(cfg, "grid_n", int, lambda v: 16 <= v <= 8192, "must be in [16, 8192]")
+    grid_n = _require(cfg, "grid_n", int, lambda v: 16 <= v <= _MAX_N,
+                      f"must be in [16, {_MAX_N}]")
     seed = _seed(cfg)
     if E.atoms is not None and E.atoms.size > _MAX_N:
         raise ConfigError("E.depth", f"{E.atoms.size} atoms exceed the grid cap {_MAX_N}")
@@ -257,9 +258,8 @@ def _hit_reports(cfg, instances, threads: int) -> list:
 
     The grid, d, tol, n_paths, seed and cov keys come from ``cfg``.  Every
     instance is parsed and passes check_hit_instance before any
-    covariance work.  The paths stream wave by wave through one
-    PathMinima on ``threads`` workers, whose table serves every
-    instance's hit count.
+    covariance work; then one hit_probability_mc call on ``threads``
+    workers counts every instance's hits from one pass over the paths.
     """
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
@@ -274,17 +274,9 @@ def _hit_reports(cfg, instances, threads: int) -> list:
         E = _parse_E(inst, scale)
         F = _parse_full_F(inst, d)
         inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
-        parsed.append((E, F, inst_tol, check_hit_instance(scale, grid, E, F, d, inst_tol)))
+        parsed.append(check_hit_instance(scale, grid, E, F, d, inst_tol))
     cov = _build_cov(cfg, scale, grid)
-    minima = PathMinima(n_paths, [(checked.e_idx, F) for _, F, _, checked in parsed], threads)
-    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=minima.add)
-    return [
-        hit_probability_mc(
-            scale, cov, E, F, d=d, tol=inst_tol, n_paths=n_paths, seed=seed, minima=minima,
-            checked=checked,
-        )
-        for E, F, inst_tol, checked in parsed
-    ]
+    return hit_probability_mc(scale, cov, parsed, d, n_paths, seed, threads)
 
 
 def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
@@ -450,10 +442,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     out_dir = Path(args.out)
-    threads = max(args.threads, 1)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads", "must be >= 1")
         cfg = _load_config(args)
-        outputs = _COMMANDS[args.command](cfg, out_dir, threads, args.trace)
+        outputs = _COMMANDS[args.command](cfg, out_dir, args.threads, args.trace)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -463,7 +456,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _write_manifest(out_dir, args.command.replace("-", "_"), cfg, outputs, t0, threads)
+    _write_manifest(out_dir, args.command.replace("-", "_"), cfg, outputs, t0, args.threads)
     for p in outputs:
         print(p)
     return EXIT_OK

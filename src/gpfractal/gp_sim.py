@@ -37,18 +37,20 @@ does.  Normals come from one counter-based substream per (path,
 component), so results are bit-stable regardless of worker count or
 chunking.
 
-``threads`` (the CLI's ``--threads``) sets the worker count of the
-stages that split into disjoint jobs, run by ``_run_jobs``: path
-sampling (one job per path chunk and component), the per-path minima
-of ``hitting.PathMinima`` and the per-path box counts of ``dims``.  The
-covariance build, the Cholesky factorization and the product L @ Z, the
-capacity and content terms and the condition integrals stay serial.
-The consumers read paths in waves: ``sample_paths`` with a ``consume``
-callback draws the circulant sampler's paths at most _PATH_CHUNK at a
-time over all components, runs that wave's consumer jobs on the same
-workers and drops it, so ``hit``, ``battery`` and ``dims`` never hold
-an (n_paths, n, d) array on a uniform grid.  A Cholesky grid is one
-wave of every path.
+``threads`` (the CLI's ``--threads``, which rejects a count below 1
+as a config error) sets the worker count of the stages that split into
+disjoint jobs, run by ``_run_jobs``: path sampling (one job per path
+chunk and component), the per-path minima of ``hitting.PathMinima`` and
+the per-path box counts of ``dims``.  The covariance build, the
+Cholesky factorization and the product L @ Z, the capacity and content
+terms and the condition integrals stay serial.  The consumers read
+paths in waves: ``sample_paths`` with a ``consume`` callback draws the
+circulant sampler's paths at most _PATH_CHUNK at a time over all
+components, runs that wave's consumer jobs on the same workers and
+drops it.  So ``hitting.hit_probability_mc`` (``hit`` and ``battery``),
+``hitting.small_ball_sweep`` and ``dims`` never hold an (n_paths, n, d)
+array on a uniform grid; only ``simulate``, which writes every path,
+keeps the whole batch.  A Cholesky grid is one wave of every path.
 """
 
 from __future__ import annotations

@@ -31,13 +31,10 @@ __all__ = [
     "SmallBallReport",
     "wilson_interval",
     "grid_tolerance_guard",
-    "check_hit_grid",
-    "HitCheck",
+    "HitInstance",
     "check_hit_instance",
-    "delta_metric_fn",
     "PathMinima",
     "hit_probability_mc",
-    "small_ball_mc",
     "small_ball_sweep",
     "hausdorff_content_estimate",
     "sandwich_report",
@@ -90,19 +87,31 @@ class HitProbReport:
     extras: dict = field(default_factory=dict)
 
 
-def delta_metric_fn(scale, times):
-    """metric(i, idx) -> delta* distances between times."""
-    return StationaryGamma(scale).rows(np.asarray(times, dtype=float).ravel())
+class HitInstance(NamedTuple):
+    """One hitting instance that passed check_hit_instance: E as a
+    TimeSet, F as a Target, the tolerance, E's grid indices, the
+    tolerance guard, and F's lattice sample and pitch (Target.lattice)."""
+
+    E: TimeSet
+    F: Target
+    tol: float
+    e_idx: np.ndarray
+    guard: float
+    lattice: tuple
 
 
-def check_hit_grid(scale, grid, E, d: int, tol: float):
-    """Grid indices of E and the tolerance guard, or OutOfModelError.
+def check_hit_instance(scale, grid, E, F, d: int, tol: float) -> HitInstance:
+    """Every check of one hitting instance on ``grid``, or OutOfModelError.
 
-    The hitting model needs E to contain grid points and ``tol`` to be at
-    least grid_tolerance_guard on this grid.  Both checks need only the
-    grid, so callers can run them before any covariance work.
+    E must contain grid points, ``tol`` must be at least
+    grid_tolerance_guard on this grid, and F's lattice must exist, which
+    rejects a target whose members are too far apart in size.  None of
+    it needs the covariance, so callers run it before any covariance
+    work and hand the instances to hit_probability_mc.
     """
-    e_idx = TimeSet.of(E, scale).grid_indices(grid)
+    E = TimeSet.of(E, scale)
+    F = Target.of(F)
+    e_idx = E.grid_indices(grid)
     step = float(np.max(np.diff(grid))) if len(grid) > 1 else 0.0
     guard = grid_tolerance_guard(scale, step, len(grid), d) if step else 0.0
     if tol < guard * (1.0 - 1e-9):
@@ -110,28 +119,7 @@ def check_hit_grid(scale, grid, E, d: int, tol: float):
             f"grid too coarse for tol: tol = {tol:g} < guard {guard:g} "
             f"(3 gamma(step) sqrt(2 log n) sqrt(d))"
         )
-    return e_idx, guard
-
-
-class HitCheck(NamedTuple):
-    """What check_hit_instance found: E's grid indices, the tolerance
-    guard, and F's lattice sample and pitch (Target.lattice)."""
-
-    e_idx: np.ndarray
-    guard: float
-    lattice: tuple
-
-
-def check_hit_instance(scale, grid, E, F, d: int, tol: float) -> HitCheck:
-    """Every check of one hitting instance, or OutOfModelError.
-
-    check_hit_grid on E and tol, then F's lattice, which rejects a
-    target whose members are too far apart in size.  None of it needs
-    the covariance, so callers run it before any covariance work and
-    hand the result to hit_probability_mc.
-    """
-    e_idx, guard = check_hit_grid(scale, grid, E, d, tol)
-    return HitCheck(e_idx, guard, Target.of(F).lattice())
+    return HitInstance(E, F, tol, e_idx, guard, F.lattice())
 
 
 class PathMinima:
@@ -145,17 +133,15 @@ class PathMinima:
     a union takes the minimum over its members.
 
     The table has one row per path and one column per distinct (E grid
-    indices, core) key of all the (e_idx, Target) pairs given.  ``batch``
-    is a PathBatch, whose values are read at once, or the path count
-    n_paths, whose rows ``add`` fills as sample_paths(..., consume=add)
-    hands it each wave.  Either way the paths are read in blocks of
-    _HIT_CHUNK; each block is a job that writes its own table rows, and
-    the jobs run on ``threads`` workers.  ``distance`` then reads the
-    distance from each path's B(E) to F off that table.
+    indices, core) key of all the (e_idx, Target) pairs given.  ``add``
+    fills its rows as sample_paths(..., consume=add) hands it each wave,
+    reading the paths in blocks of _HIT_CHUNK; each block is a job that
+    writes its own table rows, and the jobs run on ``threads`` workers.
+    ``distance`` then reads the distance from each path's B(E) to F off
+    that table.
     """
 
-    def __init__(self, batch, pairs, threads: int = 1):
-        self.n_paths = batch if isinstance(batch, int) else batch.n_paths
+    def __init__(self, n_paths: int, pairs, threads: int = 1):
         self.threads = threads
         self._column = {}  # (E key, core) -> table column
         self._sets = {}  # E key -> (grid indices, [(core, column)])
@@ -167,9 +153,7 @@ class PathMinima:
                 if (e_key, core) not in self._column:
                     self._column[e_key, core] = len(self._column)
                     cores.append((core, self._column[e_key, core]))
-        self.table = np.empty((self.n_paths, len(self._column)))
-        if not isinstance(batch, int):
-            self.add(0, batch.values)
+        self.table = np.empty((n_paths, len(self._column)))
 
     def add(self, p0: int, values):
         """Fill the table rows of paths p0, p0 + 1, ... from their values (k, n, d)."""
@@ -195,96 +179,79 @@ class PathMinima:
 def hit_probability_mc(
     scale,
     cov: CovMatrix,
-    E,
-    F_members,
+    instances: list[HitInstance],
     d: int,
-    tol: float,
     n_paths: int,
     seed: int,
-    batch=None,
-    minima: PathMinima | None = None,
+    threads: int = 1,
     with_terms: bool = True,
-    checked: HitCheck | None = None,
-) -> HitProbReport:
-    """P{B(E) intersects F} by Monte Carlo over exact paths.
+) -> list[HitProbReport]:
+    """P{B(E) intersects F} by Monte Carlo over exact paths, per instance.
 
-    A path hits when some grid point of E has its image within ``tol``
-    of F.  ``batch`` allows reusing a PathBatch across several F at a
-    fixed seed (the per-path indicator is then monotone in F and in tol
-    by construction), and ``minima``, a PathMinima filled from the paths
-    with (E's grid indices, F) among its pairs, reuses its one pass over
-    them.  Without either, the paths stream through a PathMinima wave
-    by wave and no batch of values is kept.  ``with_terms`` adds the
-    capacity and content terms of E x F used by the sandwich.  ``checked`` is check_hit_instance's
-    result for these E, F and tol on cov.grid; without it the same
-    checks run here, before any path is drawn.  Inputs outside the model
-    raise OutOfModelError (see check_hit_instance).
+    ``instances`` are check_hit_instance results on cov.grid.  A path
+    hits an instance when some grid point of its E has its image within
+    its tol of its F.  The paths stream wave by wave through one
+    PathMinima on ``threads`` workers, whose table serves every
+    instance's hit count, so no batch of values is kept; at a fixed seed
+    the per-path indicator is monotone in F and in tol by construction.
+    ``with_terms`` adds the capacity and content terms of E x F used by
+    the sandwich.  Returns one report per instance, in order.
     """
-    grid = cov.grid
-    E = TimeSet.of(E, scale)
-    F = Target.of(F_members)
-    if checked is None:
-        checked = check_hit_instance(scale, grid, E, F, d, tol)
-    e_idx, guard, lattice = checked
-    if minima is None:
-        minima = PathMinima(n_paths if batch is None else batch, [(e_idx, F)])
-        if batch is None:
-            sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=minima.add)
-    hits = int(np.count_nonzero(minima.distance(e_idx, F) <= tol))
-    p_hat = hits / minima.n_paths
-    lo, hi = wilson_interval(hits, minima.n_paths)
-
-    cap_val = math.nan
-    content = math.nan
-    dim_rho = math.nan
-    cap_verdict = ""
-    extras = {"hits": hits, "seed": seed, "guard": guard, **cov.certificate()}
-    if with_terms:
-        times = grid[e_idx]
-        f_pts, f_pitch = lattice
-        t_budget = max(16, 9000 // max(len(f_pts), 1))
-        t_sub = times[:: max(1, int(math.ceil(len(times) / t_budget)))]
-        # resolution floor: below the sampling pitch of either factor the
-        # product atoms are isolated and capacity/content see only
-        # discreteness artifacts
-        metric = StationaryGamma(scale)
-        # the closest pair of sampled times sets the time resolution
-        k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
-        floor = max(metric.delta(t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
-        atoms = ProductAtoms(t_sub, f_pts)
-        diam = _product_diameter(metric, atoms)
-        resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
-        if len(resolutions) < 2:
-            resolutions = [diam / 2.0, diam / 4.0]
-        rep = capacity_estimate(atoms, metric.rows(atoms), beta=float(d), resolutions=resolutions)
-        cap_val = rep.capacity_value
-        cap_verdict = rep.verdict
-        extras.update(
-            capacity_resolutions=rep.resolutions,
-            capacity_gaps=rep.gaps,
-            capacity_iterations=rep.iterations,
-            capacity_n_atoms=rep.n_atoms,
+    minima = PathMinima(n_paths, [(inst.e_idx, inst.F) for inst in instances], threads)
+    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=minima.add)
+    reports = []
+    for inst in instances:
+        hits = int(np.count_nonzero(minima.distance(inst.e_idx, inst.F) <= inst.tol))
+        lo, hi = wilson_interval(hits, n_paths)
+        rep = HitProbReport(
+            p_hat=hits / n_paths,
+            ci_low=lo,
+            ci_high=hi,
+            n_paths=n_paths,
+            tol=inst.tol,
+            grid_n=len(cov.grid),
+            E=inst.E.spec,
+            F=inst.F.spec,
+            capacity_term=math.nan,
+            content_term=math.nan,
+            extras={"hits": hits, "seed": seed, "guard": inst.guard, **cov.certificate()},
         )
-        content = hausdorff_content_estimate(
-            t_sub, f_pts, s_exponent=float(d), scale=scale, r_floor=floor
-        )
-        dim_rho = dim_rho_product(E, F, scale).value
+        if with_terms:
+            _add_sandwich_terms(rep, scale, cov.grid[inst.e_idx], inst, d)
+        reports.append(rep)
+    return reports
 
-    return HitProbReport(
-        p_hat=p_hat,
-        ci_low=lo,
-        ci_high=hi,
-        n_paths=minima.n_paths,
-        tol=tol,
-        grid_n=len(grid),
-        E=E.spec,
-        F=F.spec,
-        capacity_term=cap_val,
-        content_term=content,
-        dim_rho_est=dim_rho,
-        capacity_verdict=cap_verdict,
-        extras=extras,
+
+def _add_sandwich_terms(rep: HitProbReport, scale, times, inst: HitInstance, d: int):
+    """The capacity and content terms of E x F and dim_rho(E x F), into ``rep``."""
+    f_pts, f_pitch = inst.lattice
+    t_budget = max(16, 9000 // max(len(f_pts), 1))
+    t_sub = times[:: max(1, int(math.ceil(len(times) / t_budget)))]
+    # resolution floor: below the sampling pitch of either factor the
+    # product atoms are isolated and capacity/content see only
+    # discreteness artifacts
+    metric = StationaryGamma(scale)
+    # the closest pair of sampled times sets the time resolution
+    k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
+    floor = max(metric.delta(t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
+    atoms = ProductAtoms(t_sub, f_pts)
+    diam = _product_diameter(metric, atoms)
+    resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
+    if len(resolutions) < 2:
+        resolutions = [diam / 2.0, diam / 4.0]
+    cap = capacity_estimate(atoms, metric.rows(atoms), beta=float(d), resolutions=resolutions)
+    rep.capacity_term = cap.capacity_value
+    rep.capacity_verdict = cap.verdict
+    rep.extras.update(
+        capacity_resolutions=cap.resolutions,
+        capacity_gaps=cap.gaps,
+        capacity_iterations=cap.iterations,
+        capacity_n_atoms=cap.n_atoms,
     )
+    rep.content_term = hausdorff_content_estimate(
+        t_sub, f_pts, s_exponent=float(d), scale=scale, r_floor=floor
+    )
+    rep.dim_rho_est = dim_rho_product(inst.E, inst.F, scale).value
 
 
 def _product_diameter(metric, atoms: ProductAtoms) -> float:
@@ -307,59 +274,45 @@ class SmallBallReport:
     ref_fgamma_d: float
 
 
-def small_ball_mc(
-    cov: CovMatrix,
-    t0: float,
-    r: float,
-    z,
-    d: int,
-    n_paths: int,
-    seed: int,
-    scale,
-    batch=None,
-) -> SmallBallReport:
-    """P{ min over the delta-ball B(t0, r) of ||B(s) - z|| <= r }.
+def small_ball_sweep(cov: CovMatrix, t0: float, radii, z, d: int, n_paths: int, seed: int,
+                     scale) -> list[SmallBallReport]:
+    """P{ min over the delta-ball B(t0, r) of ||B(s) - z|| <= r } for each r in ``radii``.
 
-    The ball is measured with the stationary surrogate gamma(|s - t0|),
+    Each ball is measured with the stationary surrogate gamma(|s - t0|),
     which handles arbitrary t0 in [a, b] and can be genuinely empty on a
-    coarse grid.  The event is a hit of the point z (a box lo = hi = z)
-    within tol r by B over the ball, counted by PathMinima.  Reference
-    values r^d and (r + f(r))^d are attached (f is the entropy-integral
-    majorant).
+    coarse grid (ValueError).  The event is a hit of the point z (a box
+    lo = hi = z) within tol r by B over the ball.  The paths stream once
+    through one PathMinima with a (ball indices, z) pair per radius, so
+    every radius reads the same paths and the balls are nested.
+    Reference values r^d and (r + f(r))^d are attached (f is the
+    entropy-integral majorant).
     """
     dvec = np.asarray(StationaryGamma(scale).delta(t0, cov.grid))
-    idx = np.flatnonzero(dvec <= r)
-    if idx.size == 0:
-        raise ValueError("empty delta-ball on the grid")
     z = np.asarray(z, dtype=float).ravel()
     point = Target([{"type": "box", "lo": z, "hi": z}])
-    minima = PathMinima(n_paths if batch is None else batch, [(idx, point)])
-    if batch is None:
-        sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=minima.add)
-    hits = int(np.count_nonzero(minima.distance(idx, point) <= r))
-    p_hat = hits / minima.n_paths
-    lo, hi = wilson_interval(hits, minima.n_paths)
-    try:
-        ref_f = (r + f_gamma(scale, r)) ** d
-    except (ValueError, IntegralError):
-        ref_f = math.nan
-    return SmallBallReport(
-        p_hat=p_hat,
-        ci_low=lo,
-        ci_high=hi,
-        r=r,
-        n_ball_points=int(idx.size),
-        ref_r_d=r**d,
-        ref_fgamma_d=ref_f,
-    )
-
-
-def small_ball_sweep(cov, t0, radii, z, d, n_paths, seed, scale):
-    """One shared path batch across a radius sweep (nested balls)."""
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed)
-    return [
-        small_ball_mc(cov, t0, r, z, d, n_paths, seed, scale=scale, batch=batch) for r in radii
-    ]
+    balls = [np.flatnonzero(dvec <= r) for r in radii]
+    if any(idx.size == 0 for idx in balls):
+        raise ValueError("empty delta-ball on the grid")
+    minima = PathMinima(n_paths, [(idx, point) for idx in balls])
+    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=minima.add)
+    reports = []
+    for r, idx in zip(radii, balls):
+        hits = int(np.count_nonzero(minima.distance(idx, point) <= r))
+        lo, hi = wilson_interval(hits, n_paths)
+        try:
+            ref_f = (r + f_gamma(scale, r)) ** d
+        except (ValueError, IntegralError):
+            ref_f = math.nan
+        reports.append(SmallBallReport(
+            p_hat=hits / n_paths,
+            ci_low=lo,
+            ci_high=hi,
+            r=r,
+            n_ball_points=int(idx.size),
+            ref_r_d=r**d,
+            ref_fgamma_d=ref_f,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from gpfractal.dimension import (
 )
 from gpfractal.energy import capacity_estimate, kernel_matrix, minimize_energy
 from gpfractal.fractal_sets import build_cantor, cantor_measure
-from gpfractal.gp_sim import cov_stationary_increments, cov_volterra, sample_paths
+from gpfractal.gp_sim import cov_stationary_increments, cov_volterra
 from gpfractal.hitting import (
-    delta_metric_fn,
+    check_hit_instance,
     grid_tolerance_guard,
     hit_probability_mc,
     sandwich_report,
@@ -190,7 +190,7 @@ def test_criterion_6_energy_capacity_oracle(rng):
 
     f = PowerScale(0.5)
     atoms = np.linspace(0.2, 1.0, 3000)
-    metric = delta_metric_fn(f, atoms)
+    metric = StationaryGamma(f).rows(atoms)
     diam = f.gamma(0.8)
     res = [diam / 2**j for j in range(1, 7)]
     low = capacity_estimate(atoms, metric, beta=1.5, resolutions=res)
@@ -212,7 +212,6 @@ def test_criterion_7_hitting_sandwich_battery():
     tol = grid_tolerance_guard(f, float(np.max(np.diff(grid))), len(grid), d)
     cov = cov_stationary_increments(f, grid)
     n_paths = 10_000
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=404)
     sweep_radii = [0.05, 0.075, 0.1, 0.15, 0.2, 0.3]
     balls = [
         {"type": "ball", "center": [0.5, 0.0, 0.0], "radius": r} for r in sweep_radii
@@ -220,13 +219,8 @@ def test_criterion_7_hitting_sandwich_battery():
         {"type": "ball", "center": [0.0, 0.7, 0.0], "radius": 0.12},
         {"type": "ball", "center": [0.3, 0.3, 0.3], "radius": 0.1},
     ]
-    reports = [
-        hit_probability_mc(
-            f, cov, (0.9, 1.0), [b], d=d, tol=tol, n_paths=n_paths, seed=404,
-            batch=batch,
-        )
-        for b in balls
-    ]
+    instances = [check_hit_instance(f, grid, (0.9, 1.0), [b], d, tol) for b in balls]
+    reports = hit_probability_mc(f, cov, instances, d=d, n_paths=n_paths, seed=404)
     verdict = sandwich_report(reports, d=d)
     exponent = _slope(
         [math.log(r) for r in sweep_radii],

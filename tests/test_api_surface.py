@@ -94,6 +94,9 @@ def test_tracer_installs_runs_and_uninstalls(tracing, tmp_path):
                  "energy.capacity_estimate", "dimension.dim_rho_product",
                  "fractal_sets.gamma_dyadic_count", "gp_sim.sample_paths"):
         assert tracer.calls[span] > 0, span
+    # hit and battery each make one hitting call, which draws its paths once
+    assert tracer.calls["hitting.hit_probability_mc"] == 2
+    assert tracer.calls["gp_sim.sample_paths"] == 2
     assert tracer.counts["energy.farthest_point_subsample.metric_calls"] > 0
     assert tracer.counts["energy.minimize_energy.solves"] > 0
     # one greedy subsample pass per capacity sweep, and every solve converges

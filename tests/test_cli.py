@@ -372,12 +372,12 @@ class TestOutOfModel:
     @pytest.mark.parametrize("command", ["hit", "battery"])
     def test_lattice_checked_before_sampling(self, tmp_path, capsys, monkeypatch, command):
         # two boxes 1e12 apart in size: F's lattice would need 6e12 points on one axis
-        from gpfractal import cli
+        from gpfractal import hitting
 
         def boom(*_, **__):
             raise AssertionError("paths drawn for an out-of-model F")
 
-        monkeypatch.setattr(cli, "sample_paths", boom)
+        monkeypatch.setattr(hitting, "sample_paths", boom)
         bad_F = [{"type": "box", "lo": [0.0], "hi": [1e-9]},
                  {"type": "box", "lo": [0.0], "hi": [1000.0]}]
         cfg = dict(self.HIT, d=1, F=bad_F)
@@ -419,6 +419,16 @@ def test_threads_keep_payloads_and_enter_the_manifest(tmp_path, name):
         assert manifest["threads"] == int(threads)
         outputs.append(_read_outputs(out))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    cfg = _write_config(tmp_path, THREAD_CONFIGS["hit"])
+    out = tmp_path / "out"
+    assert main(["hit", "--config", cfg, "--out", str(out), "--threads", threads]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "--threads" in err
+    assert not out.exists()
 
 
 class TestBattery:

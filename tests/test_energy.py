@@ -19,7 +19,6 @@ from gpfractal.fractal_sets import (
     build_cantor,
     cantor_measure,
 )
-from gpfractal.hitting import delta_metric_fn
 from gpfractal.metrics import ProductAtoms, StationaryGamma
 from gpfractal.scale import PowerScale, phi_kernel
 
@@ -220,7 +219,7 @@ class TestMatchesGradientLoopBitwise:
 class TestCapacity:
     def test_resolution_monotonicity(self, rng):
         atoms = np.sort(rng.uniform(0.2, 1.0, size=400))
-        metric = delta_metric_fn(PowerScale(0.5), atoms)
+        metric = StationaryGamma(PowerScale(0.5)).rows(atoms)
         diam = PowerScale(0.5).gamma(0.8)
         rep = capacity_estimate(
             atoms, metric, beta=1.5, resolutions=[diam / 2**j for j in range(1, 6)]
@@ -232,7 +231,7 @@ class TestCapacity:
         # beta above is zero
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 3000)
-        metric = delta_metric_fn(f, atoms)
+        metric = StationaryGamma(f).rows(atoms)
         diam = f.gamma(0.8)
         res = [diam / 2**j for j in range(1, 7)]
         low = capacity_estimate(atoms, metric, beta=1.5, resolutions=res)
@@ -243,7 +242,7 @@ class TestCapacity:
     def test_saturated_sweep_is_truncated(self):
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 40)  # deliberately coarse
-        metric = delta_metric_fn(f, atoms)
+        metric = StationaryGamma(f).rows(atoms)
         diam = f.gamma(0.8)
         rep = capacity_estimate(
             atoms, metric, beta=1.0, resolutions=[diam / 2**j for j in range(1, 10)]
@@ -257,13 +256,13 @@ class TestCapacity:
     )
     def test_resolutions_the_solver_cannot_carry(self, resolutions, message):
         atoms = np.linspace(0.2, 1.0, 64)
-        metric = delta_metric_fn(PowerScale(0.5), atoms)
+        metric = StationaryGamma(PowerScale(0.5)).rows(atoms)
         with pytest.raises(OutOfModelError, match=message):
             capacity_estimate(atoms, metric, beta=1.5, resolutions=resolutions)
 
     def test_subsample_spacing(self, rng):
         atoms = np.sort(rng.uniform(0.0, 1.0, size=500))
-        metric = delta_metric_fn(PowerScale(1.0), atoms)
+        metric = StationaryGamma(PowerScale(1.0)).rows(atoms)
         order, radii = farthest_point_subsample(atoms, metric, spacing=0.05)
         assert radii[0] == np.inf and np.all(np.diff(radii) <= 0)
         assert np.all(radii[1:] > 0.05)
@@ -281,7 +280,7 @@ class TestCapacity:
         monkeypatch.setattr(energy, "farthest_point_subsample", counted)
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 200)
-        metric = delta_metric_fn(f, atoms)
+        metric = StationaryGamma(f).rows(atoms)
         _, radii = farthest_point_subsample(atoms, metric, spacing=0.0)
         # resolutions at insertion radii, where an atom sits exactly at h
         res = [radii[j] for j in (3, 9, 27, 81)]

@@ -471,9 +471,12 @@ class TestThreads:
         F = Target([{"type": "ball", "center": [0.1, 0.0, 0.0], "radius": 0.2},
                     {"type": "box", "lo": [-0.3, -0.3, 0.0], "hi": [0.0, 0.1, 0.2]}])
         pairs = [(np.arange(300), F), (np.arange(0, 300, 7), F)]
-        one = PathMinima(batch, pairs, threads=1).table
-        for threads in (2, 5):
-            assert np.array_equal(PathMinima(batch, pairs, threads=threads).table, one)
+        tables = []
+        for threads in (1, 2, 5):
+            minima = PathMinima(batch.n_paths, pairs, threads=threads)
+            minima.add(0, batch.values)
+            tables.append(minima.table)
+        assert all(np.array_equal(table, tables[0]) for table in tables[1:])
 
     def test_job_errors_are_raised(self):
         def boom():

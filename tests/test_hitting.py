@@ -13,16 +13,32 @@ from gpfractal.gp_sim import cov_stationary_increments, sample_paths
 from gpfractal.hitting import (
     OutOfModelError,
     PathMinima,
-    check_hit_grid,
+    check_hit_instance,
     grid_tolerance_guard,
     hausdorff_content_estimate,
     hit_probability_mc,
     sandwich_report,
-    small_ball_mc,
     small_ball_sweep,
     wilson_interval,
 )
 from gpfractal.scale import LogScale, PowerScale
+
+
+BOX = [{"type": "box", "lo": [-1.0], "hi": [1.0]}]
+
+
+def _hit(scale, cov, E, F, d, tol, n_paths, seed, **kw):
+    """The one report of a single checked instance, without the sandwich terms."""
+    inst = check_hit_instance(scale, cov.grid, E, F, d, tol)
+    (rep,) = hit_probability_mc(scale, cov, [inst], d, n_paths, seed, with_terms=False, **kw)
+    return rep
+
+
+def _filled(batch, pairs, threads=1):
+    """A PathMinima filled from a whole batch's values in one add."""
+    minima = PathMinima(batch.n_paths, pairs, threads)
+    minima.add(0, batch.values)
+    return minima
 
 
 @pytest.fixture(scope="module")
@@ -59,20 +75,12 @@ class TestHitProbability:
     def test_guard_rejects_small_tol(self, brownian_setup):
         scale, grid, cov = brownian_setup
         with pytest.raises(ValueError, match="grid too coarse"):
-            hit_probability_mc(
-                scale, cov, (0.2, 1.0),
-                [{"type": "box", "lo": [-1.0], "hi": [1.0]}],
-                d=1, tol=1e-6, n_paths=10, seed=1,
-            )
+            check_hit_instance(scale, grid, (0.2, 1.0), BOX, 1, 1e-6)
 
     def test_E_without_grid_points_rejected(self, brownian_setup):
         scale, grid, cov = brownian_setup
         with pytest.raises(OutOfModelError, match="no grid points"):
-            hit_probability_mc(
-                scale, cov, (0.05, 0.1),
-                [{"type": "box", "lo": [-1.0], "hi": [1.0]}],
-                d=1, tol=1.0, n_paths=10, seed=1,
-            )
+            check_hit_instance(scale, grid, (0.05, 0.1), BOX, 1, 1.0)
 
     def test_cantor_atoms_off_the_grid_rejected(self):
         # depth 8 puts 256 atoms in (0, 1); none may be moved to a grid time
@@ -82,7 +90,7 @@ class TestHitProbability:
         with pytest.raises(OutOfModelError, match="atoms off the grid"):
             TimeSet.of(cs, scale).grid_indices(grid)
         with pytest.raises(OutOfModelError, match="atoms off the grid"):
-            check_hit_grid(scale, grid, cs, 1, 10.0)
+            check_hit_instance(scale, grid, cs, BOX, 1, 10.0)
 
     def test_cantor_atoms_on_the_grid_map_to_their_indices(self):
         scale = PowerScale(0.5)
@@ -92,8 +100,8 @@ class TestHitProbability:
         want = np.searchsorted(grid, atoms)
         assert np.array_equal(grid[want], atoms)
         assert np.array_equal(TimeSet.of(cs, scale).grid_indices(grid), want)
-        e_idx, _ = check_hit_grid(scale, grid, cs, 1, 10.0)
-        assert np.array_equal(e_idx, want)
+        inst = check_hit_instance(scale, grid, cs, BOX, 1, 10.0)
+        assert np.array_equal(inst.e_idx, want)
 
     def test_chunked_indicator_matches_per_path_loop(self, brownian_setup):
         scale, grid, cov = brownian_setup
@@ -104,38 +112,36 @@ class TestHitProbability:
             {"type": "box", "lo": [-0.9, 0.4], "hi": [-0.6, 0.8]},
         ]
         e_idx = np.flatnonzero((grid >= 0.3 - 1e-12) & (grid <= 0.7 + 1e-12))
-        for F in (members[:1], members[1:], members):
+        targets = (members[:1], members[1:], members)
+        instances = [check_hit_instance(scale, grid, (0.3, 0.7), F, 2, tol) for F in targets]
+        reps = hit_probability_mc(scale, cov, instances, d=2, n_paths=203, seed=8,
+                                  with_terms=False)
+        for F, rep in zip(targets, reps):
             want = sum(
                 float(np.min(Target(F).distance(batch.values[p][e_idx]))) <= tol
                 for p in range(batch.n_paths)
             )
-            rep = hit_probability_mc(
-                scale, cov, (0.3, 0.7), F, d=2, tol=tol, n_paths=203, seed=8,
-                batch=batch, with_terms=False,
-            )
             assert 0 < want < batch.n_paths
             assert rep.extras["hits"] == want
+            assert repr(rep) == repr(_hit(scale, cov, (0.3, 0.7), F, 2, tol, 203, 8))
 
     def test_everything_window_hits_surely(self, brownian_setup):
         scale, grid, cov = brownian_setup
         tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 1)
-        rep = hit_probability_mc(
-            scale, cov, (0.2, 1.0),
-            [{"type": "box", "lo": [-50.0], "hi": [50.0]}],
-            d=1, tol=tol, n_paths=50, seed=2, with_terms=False,
-        )
+        rep = _hit(scale, cov, (0.2, 1.0), [{"type": "box", "lo": [-50.0], "hi": [50.0]}],
+                   1, tol, 50, 2)
         assert rep.p_hat == 1.0
 
     def test_monotone_in_F_and_tol_at_fixed_seed(self, brownian_setup):
         scale, grid, cov = brownian_setup
         tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 1)
-        batch = sample_paths(cov, d=1, n_paths=400, seed=3)
         small = {"type": "box", "lo": [1.0], "hi": [1.3]}
         big = {"type": "box", "lo": [0.8], "hi": [1.5]}
-        kw = dict(d=1, n_paths=400, seed=3, batch=batch, with_terms=False)
-        p_small = hit_probability_mc(scale, cov, (0.2, 1.0), [small], tol=tol, **kw).p_hat
-        p_big = hit_probability_mc(scale, cov, (0.2, 1.0), [big], tol=tol, **kw).p_hat
-        p_tol = hit_probability_mc(scale, cov, (0.2, 1.0), [small], tol=2 * tol, **kw).p_hat
+        # one pass over the paths of seed 3 serves all three instances
+        instances = [check_hit_instance(scale, grid, (0.2, 1.0), [F], 1, t)
+                     for F, t in ((small, tol), (big, tol), (small, 2 * tol))]
+        p_small, p_big, p_tol = (rep.p_hat for rep in hit_probability_mc(
+            scale, cov, instances, d=1, n_paths=400, seed=3, with_terms=False))
         assert p_small <= p_big
         assert p_small <= p_tol
 
@@ -148,11 +154,8 @@ class TestHitProbability:
             grid = np.linspace(0.2, 1.0, n)
             cov = cov_stationary_increments(scale, grid)
             tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), n, 1)
-            rep = hit_probability_mc(
-                scale, cov, (0.2, 1.0),
-                [{"type": "ball", "center": [0.4], "radius": 1e-9}],
-                d=1, tol=tol, n_paths=600, seed=4, with_terms=False,
-            )
+            rep = _hit(scale, cov, (0.2, 1.0),
+                       [{"type": "ball", "center": [0.4], "radius": 1e-9}], 1, tol, 600, 4)
             estimates.append(rep.p_hat)
         assert estimates[0] > 0.3
         assert estimates[1] > 0.3
@@ -191,7 +194,7 @@ class TestPathMinima:
         e_sets = [np.arange(len(grid)), np.flatnonzero(grid <= 0.5), np.arange(3, 400, 7)]
         targets = [members[:1], members[1:2], members[2:], members]
         pairs = [(e, Target(F)) for e in e_sets for F in targets]
-        minima = PathMinima(batch, pairs)
+        minima = _filled(batch, pairs)
         # two ball radii share one center: one column per (E, core)
         assert minima.table.shape == (37, len(e_sets) * 2)
         for e_idx, F in pairs:
@@ -210,13 +213,12 @@ class TestPathMinima:
         instances = [((0.2, 1.0), [{"type": "ball", "center": [0.5, 0, 0], "radius": r}])
                      for r in (0.05, 0.1, 0.3)]
         instances += [((0.3, 0.7), _members(3, rng)), ((0.2, 1.0), _members(3, rng)[2:])]
-        pairs = [(check_hit_grid(scale, grid, E, 3, tol)[0], Target(F)) for E, F in instances]
-        minima = PathMinima(batch, pairs)
-        for (E, F), (e_idx, _) in zip(instances, pairs):
-            kw = dict(d=3, tol=tol, n_paths=120, seed=12, with_terms=False)
-            shared = hit_probability_mc(scale, cov, E, F, minima=minima, **kw)
-            alone = hit_probability_mc(scale, cov, E, F, batch=batch, **kw)
-            want = sum(_norm_distance(F, batch.values[p][e_idx]).min() <= tol
+        checked = [check_hit_instance(scale, grid, E, F, 3, tol) for E, F in instances]
+        reps = hit_probability_mc(scale, cov, checked, d=3, n_paths=120, seed=12,
+                                  with_terms=False)
+        for (E, F), inst, shared in zip(instances, checked, reps):
+            alone = _hit(scale, cov, E, F, 3, tol, 120, 12)
+            want = sum(_norm_distance(F, batch.values[p][inst.e_idx]).min() <= tol
                        for p in range(120))
             assert shared.extras["hits"] == alone.extras["hits"] == want
 
@@ -245,7 +247,7 @@ class TestStreamedMinima:
         F = Target([{"type": "ball", "center": [0.1, 0.0, 0.0], "radius": 0.2},
                     {"type": "box", "lo": [-0.3, -0.3, 0.0], "hi": [0.0, 0.1, 0.2]}])
         pairs = [(np.arange(300), F), (np.arange(0, 300, 7), F)]
-        want = PathMinima(sample_paths(cov, d=3, n_paths=n_paths, seed=31), pairs).table
+        want = _filled(sample_paths(cov, d=3, n_paths=n_paths, seed=31), pairs).table
         minima = PathMinima(n_paths, pairs, threads)
         waves = []
 
@@ -279,8 +281,22 @@ class TestStreamedMinima:
         for n_paths in (256, 512):
             tracemalloc.start()
             try:
-                hit_probability_mc(scale, cov, (0.9, 1.0), F, d=3, tol=0.2, n_paths=n_paths,
-                                   seed=3, with_terms=False)
+                _hit(scale, cov, (0.9, 1.0), F, 3, 0.2, n_paths, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1e6
+
+    def test_small_ball_sweep_memory_does_not_grow_with_paths(self):
+        # a batch of 256 more paths would hold 256 * 4096 * 2 floats, 17 MB
+        scale = PowerScale(0.5)
+        cov = cov_stationary_increments(scale, np.linspace(0.9, 1.0, 4096))
+        peaks = []
+        for n_paths in (256, 512):
+            tracemalloc.start()
+            try:
+                small_ball_sweep(cov, 0.95, [0.1, 0.05, 0.02], np.zeros(2), d=2,
+                                 n_paths=n_paths, seed=3, scale=scale)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -290,8 +306,8 @@ class TestStreamedMinima:
 class TestSmallBall:
     def test_trivial_large_radius(self, brownian_setup):
         scale, grid, cov = brownian_setup
-        rep = small_ball_mc(
-            cov, 0.5, 5.0, np.zeros(1), d=1, n_paths=100, seed=5, scale=scale
+        (rep,) = small_ball_sweep(
+            cov, 0.5, [5.0], np.zeros(1), d=1, n_paths=100, seed=5, scale=scale
         )
         assert rep.p_hat == 1.0
         assert rep.ref_r_d == 5.0
@@ -301,22 +317,25 @@ class TestSmallBall:
         grid = np.linspace(0.2, 1.0, 16)
         cov = cov_stationary_increments(scale, grid)
         with pytest.raises(ValueError, match="empty delta-ball"):
-            small_ball_mc(
-                cov, 0.53, 1e-8, np.zeros(1), d=1, n_paths=10, seed=5, scale=scale
+            small_ball_sweep(
+                cov, 0.53, [0.5, 1e-8], np.zeros(1), d=1, n_paths=10, seed=5, scale=scale
             )
 
     def test_hits_equal_per_path_loop(self, brownian_setup):
         scale, grid, cov = brownian_setup
         batch = sample_paths(cov, d=2, n_paths=300, seed=7)
         z = np.array([0.1, -0.2])
-        for r in (0.1, 0.2, 0.4):
-            rep = small_ball_mc(cov, 0.5, r, z, d=2, n_paths=300, seed=7, scale=scale,
-                                batch=batch)
+        radii = (0.1, 0.2, 0.4)
+        reps = small_ball_sweep(cov, 0.5, radii, z, d=2, n_paths=300, seed=7, scale=scale)
+        for r, rep in zip(radii, reps):
             idx = np.flatnonzero(scale.gamma(np.abs(grid - 0.5)) <= r)
             want = sum(np.min(np.linalg.norm(batch.values[p][idx] - z, axis=1)) <= r
                        for p in range(300))
             assert 0 < want < 300
             assert rep.p_hat == want / 300
+            assert rep.n_ball_points == idx.size
+            (alone,) = small_ball_sweep(cov, 0.5, [r], z, d=2, n_paths=300, seed=7, scale=scale)
+            assert repr(alone) == repr(rep)
 
     def test_sweep_monotone_in_radius(self, brownian_setup):
         scale, grid, cov = brownian_setup
@@ -343,7 +362,8 @@ class TestSmallBall:
         k = grid.size // 2
         t0, n = float(grid[k]), 20_000
         cov = cov_stationary_increments(scale, grid)
-        rep = small_ball_mc(cov, t0, r, np.zeros(2), d=2, n_paths=n, seed=41, scale=scale)
+        (rep,) = small_ball_sweep(cov, t0, [r], np.zeros(2), d=2, n_paths=n, seed=41,
+                                  scale=scale)
         assert rep.n_ball_points == 1
         p = -math.expm1(-(r**2) / (2.0 * float(scale.gamma2(t0))))
         # p lies in the Wilson interval of p_hat at z = 4.42 exactly when

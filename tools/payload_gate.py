@@ -201,6 +201,8 @@ ROWS = [
      []),
     ("rej_lattice_mesh_beyond_index", "capacity", {**CAPACITY, "n_atoms": 64, "d": 30, "F": [
         {"type": "box", "lo": [0.0] * 30, "hi": [1.0] * 30}]}, []),
+    ("rej_threads_zero", "hit", HIT, ["--threads", "0"]),
+    ("rej_threads_negative", "hit", HIT, ["--threads", "-3"]),
     ("rej_hit_flat_box", "hit", {**HIT, "grid": {"a": 0.2, "b": 1.0, "n": 64}, "tol": 2.0,
                                  "F": [{"type": "box", "lo": [0.2, 0.0], "hi": [0.5, 0.0]}]},
      []),
