@@ -40,6 +40,7 @@ from .fractal_sets import (
 from .gp_sim import (
     _MAX_D,
     _MAX_N,
+    _PATH_CHUNK,
     PSDError,
     QuadratureError,
     cov_stationary_increments,
@@ -443,8 +444,8 @@ def main(argv=None) -> int:
     t0 = time.time()
     out_dir = Path(args.out)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads", "must be >= 1")
+        if not 1 <= args.threads <= _PATH_CHUNK:
+            raise ConfigError("--threads", f"must be in [1, {_PATH_CHUNK}]")
         cfg = _load_config(args)
         outputs = _COMMANDS[args.command](cfg, out_dir, args.threads, args.trace)
     except ConfigError as err:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .fractal_sets import OutOfModelError, Target, TimeSet, gamma_dyadic_count
-from .gp_sim import _run_jobs, cov_stationary_increments, sample_paths
+from .gp_sim import cov_stationary_increments, sample_paths
 
 __all__ = [
     "DimensionEstimate",
@@ -236,19 +235,17 @@ def image_dimension_experiment(
     nearby grid time; an interval gets ``grid_n`` equispaced times.  The
     covariance is the stationary-increment model for the scale;
     ``params`` records which sampler drew the paths and its certificate.
-    The paths stream from sample_paths wave by wave; path sampling and
-    each wave's per-path box counts run on ``threads`` workers.
+    The paths stream from sample_paths chunk by chunk, and each chunk's
+    job on ``threads`` workers box-counts its own paths.
     """
     E = TimeSet.of(E, scale)
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
-    per_path = []
+    per_path = [math.nan] * n_paths
 
-    def one(points):
-        return box_dimension_euclidean(points, _SCALES, trim=_TRIM).value
-
-    def count(_p0, block):
-        per_path.extend(_run_jobs([partial(one, points) for points in block], threads))
+    def count(p0, block):
+        for p, points in enumerate(block, start=p0):
+            per_path[p] = box_dimension_euclidean(points, _SCALES, trim=_TRIM).value
 
     sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=count)
     dd = dim_delta_estimate(E, scale)
@@ -327,32 +324,27 @@ def intersection_dimension_experiment(
     image points.  The max over paths stands in for the essential-sup
     norm; the reported bounds are the slowly-varying-scale sandwich
     evaluated from the report's own estimates with H taken from the
-    elasticity at mid-grid.  The paths stream from sample_paths wave by
-    wave.
+    elasticity at mid-grid.  The paths stream from sample_paths chunk by
+    chunk, and each path's results are written at its index.
     """
     E = TimeSet.of(E, scale)
     F = Target.of(F_members)
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
-    time_dims, image_dims, time_dims_delta = [], [], []
-    hits = 0
+    time_dims, image_dims, time_dims_delta = ([math.nan] * n_paths for _ in range(3))
 
-    def select(_p0, block):
-        nonlocal hits
-        for pts in block:
+    def select(p0, block):
+        for p, pts in enumerate(block, start=p0):
             sel = F.distance(pts) <= tol
-            if not np.any(sel):
-                time_dims.append(math.nan)
-                image_dims.append(math.nan)
-                time_dims_delta.append(math.nan)
-                continue
-            hits += 1
-            t_hat = grid[sel]
-            time_dims.append(box_dimension_euclidean(t_hat[:, None], _SCALES, trim=_TRIM).value)
-            image_dims.append(box_dimension_euclidean(pts[sel], _SCALES, trim=_TRIM).value)
-            time_dims_delta.append(_dim_delta_of_sample(t_hat, scale))
+            if np.any(sel):
+                t_hat = grid[sel]
+                time_dims[p] = box_dimension_euclidean(t_hat[:, None], _SCALES, trim=_TRIM).value
+                image_dims[p] = box_dimension_euclidean(pts[sel], _SCALES, trim=_TRIM).value
+                time_dims_delta[p] = _dim_delta_of_sample(t_hat, scale)
 
     sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=select)
+    # box counting of finite points is finite, so NaN marks exactly the missed paths
+    hits = sum(not math.isnan(v) for v in time_dims)
     flagged = hits == 0
     h_eff = float(scale.psi(math.sqrt(grid[0] * grid[-1])))
     e_dim = box_dimension_euclidean(grid[:, None], _SCALES, trim=_TRIM).value

@@ -37,20 +37,22 @@ does.  Normals come from one counter-based substream per (path,
 component), so results are bit-stable regardless of worker count or
 chunking.
 
-``threads`` (the CLI's ``--threads``, which rejects a count below 1
-as a config error) sets the worker count of the stages that split into
-disjoint jobs, run by ``_run_jobs``: path sampling (one job per path
-chunk and component), the per-path minima of ``hitting.PathMinima`` and
-the per-path box counts of ``dims``.  The covariance build, the
-Cholesky factorization and the product L @ Z, the capacity and content
-terms and the condition integrals stay serial.  The consumers read
-paths in waves: ``sample_paths`` with a ``consume`` callback draws the
-circulant sampler's paths at most _PATH_CHUNK at a time over all
-components, runs that wave's consumer jobs on the same workers and
-drops it.  So ``hitting.hit_probability_mc`` (``hit`` and ``battery``),
-``hitting.small_ball_sweep`` and ``dims`` never hold an (n_paths, n, d)
-array on a uniform grid; only ``simulate``, which writes every path,
-keeps the whole batch.  A Cholesky grid is one wave of every path.
+``threads`` (the CLI's ``--threads``, which must lie in [1, _PATH_CHUNK]
+or is a config error) sets the worker count of path sampling, the one
+stage split into disjoint jobs run by ``_run_jobs``: one job per path
+chunk of _PATH_CHUNK // threads paths.  Each job draws its chunk for
+every component and, when ``sample_paths`` is given a ``consume``
+callback, hands it to ``consume(p0, block)`` on its worker, so the
+per-path minima of ``hitting.PathMinima`` and the per-path box counts of
+``dims`` run in the same jobs.  consume is called once per chunk,
+possibly on a worker and in any order, and at most ``threads`` chunks
+are alive at once.  So ``hitting.hit_probability_mc`` (``hit`` and
+``battery``), ``hitting.small_ball_sweep`` and ``dims`` never hold an
+(n_paths, n, d) array on a uniform grid; only ``simulate``, which writes
+every path, keeps the whole batch, and so does the Cholesky sampler,
+whose chol(R) @ Z stays one product per component.  The covariance
+build, the Cholesky factorization, the capacity and content terms and
+the condition integrals stay serial.
 """
 
 from __future__ import annotations
@@ -616,63 +618,66 @@ def sample_paths(
 
     Components are independent copies of the scalar process; the normals
     for (path p, component c) come from the Philox substream keyed by
-    (seed, p, c), so d is limited to _MAX_D.  The normals are drawn by
-    disjoint jobs, one per (path chunk, component), run by _run_jobs on
-    ``threads`` workers.  A circulant job also runs _Circulant.paths and
-    writes its own slice of the values.  A Cholesky job fills its own
-    columns of its component's normals Z; once a component's jobs are
-    done its paths are chol(R) @ Z, in one BLAS call.  A chunk holds
-    _PATH_CHUNK // threads paths (at least 1), so the temporaries in
-    flight stay those of _PATH_CHUNK paths.  A path's values depend only
-    on (seed, p, c), never on n_paths, the chunk or the worker count.
+    (seed, p, c), so d is limited to _MAX_D.  The paths are split into
+    chunks of _PATH_CHUNK // threads paths (at least 1; threads is at
+    most _PATH_CHUNK), one job per chunk, run by _run_jobs on ``threads``
+    workers.  A circulant job draws its chunk for every component with
+    _Circulant.paths.  The Cholesky sampler first draws each component's
+    normals Z by the same chunks and takes chol(R) @ Z in one BLAS call,
+    since that product over a column chunk is not bit-identical to the
+    one product; its jobs then read their chunk of the finished values.
+    A path's values depend only on (seed, p, c), never on n_paths, the
+    chunk or the worker count.
 
-    Without ``consume`` the batch holds every path's values.  With it,
-    the paths are drawn in waves over all components and each finished
-    wave is handed to ``consume(p0, block)``, block[i, j, c] being
-    component c of path p0 + i at grid[j], and dropped when consume
-    returns; the batch's ``values`` is then None.  A circulant wave is
-    the paths of as many whole chunks as fit in _PATH_CHUNK, so at most
-    _PATH_CHUNK paths of values exist at once.  The Cholesky sampler
-    passes all its paths as one wave, since L @ Z over a column chunk is
-    not bit-identical to the one product.
+    Without ``consume`` each job writes its slice of the batch's values.
+    With it, each job hands its chunk to ``consume(p0, block)``,
+    block[i, j, c] being component c of path p0 + i at grid[j], and a
+    circulant chunk is dropped when consume returns; the batch's
+    ``values`` is then None.  So consume is called once per chunk,
+    possibly on a worker thread and in any order, must write only outputs
+    of its own paths, and at most ``threads`` chunks of circulant paths
+    exist at once.
     """
     if d < 1 or n_paths < 1 or threads < 1:
         raise ValueError("d, n_paths and threads must be positive")
+    if threads > _PATH_CHUNK:
+        raise ValueError(f"threads = {threads} exceeds {_PATH_CHUNK}, where a chunk is one path")
     if d > _MAX_D:
         raise ValueError(
             f"d = {d} exceeds {_MAX_D}: the (path, component) substreams would collide"
         )
     n = cov.n
     circ = cov._circulant
-    L = cov.cholesky() if circ is None else None
     size = max(1, _PATH_CHUNK // threads)
-    wave = n_paths if consume is None or circ is None else size * (_PATH_CHUNK // size)
+    starts = range(0, n_paths, size)
+    values = None if consume is not None and circ is not None else np.empty((n_paths, n, d))
 
-    def draw(block, p0, rows, c, Z=None):
-        z = np.empty((len(rows), n if circ is None else circ.m + 1))
-        for i, r in enumerate(rows):
-            _substream(seed, p0 + r, c).standard_normal(out=z[i])
-        if circ is None:
-            Z[:, rows.start : rows.stop] = z.T
-        else:
-            block[rows.start : rows.stop, :, c] = circ.paths(z)
+    def normals(p0, c, width):
+        z = np.empty((min(size, n_paths - p0), width))
+        for i, row in enumerate(z):
+            _substream(seed, p0 + i, c).standard_normal(out=row)
+        return z
 
-    values = None
-    for p0 in range(0, n_paths, wave):
-        k = min(wave, n_paths - p0)
-        block = np.empty((k, n, d))
-        chunks = [range(r0, min(r0 + size, k)) for r0 in range(0, k, size)]
-        if circ is None:
+    def draw_Z(Z, c, p0):
+        z = normals(p0, c, n)
+        Z[:, p0 : p0 + len(z)] = z.T
+
+    def job(p0):
+        k = min(size, n_paths - p0)
+        block = np.empty((k, n, d)) if values is None else values[p0 : p0 + k]
+        if circ is not None:
             for c in range(d):
-                Z = np.empty((n, k))
-                _run_jobs([partial(draw, block, p0, rows, c, Z) for rows in chunks], threads)
-                block[:, :, c] = (L @ Z).T
-        else:
-            _run_jobs([partial(draw, block, p0, rows, c) for rows in chunks for c in range(d)],
-                      threads)
-        if consume is None:
-            values = block
-        else:
+                block[:, :, c] = circ.paths(normals(p0, c, circ.m + 1))
+        if consume is not None:
             consume(p0, block)
-        del block
-    return PathBatch(grid=cov.grid, d=d, n_paths=n_paths, values=values, seed=seed)
+
+    if circ is None:
+        L = cov.cholesky()
+        for c in range(d):
+            Z = np.empty((n, n_paths))
+            _run_jobs([partial(draw_Z, Z, c, p0) for p0 in starts], threads)
+            values[:, :, c] = (L @ Z).T
+    if circ is not None or consume is not None:
+        _run_jobs([partial(job, p0) for p0 in starts], threads)
+    return PathBatch(grid=cov.grid, d=d, n_paths=n_paths,
+                     values=None if consume is not None else values, seed=seed)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ from .conditions import IntegralError, f_gamma
 from .dimension import dim_rho_product
 from .energy import capacity_estimate
 from .fractal_sets import OutOfModelError, Target, TimeSet, core_sq_distance
-from .gp_sim import CovMatrix, _run_jobs, sample_paths
+from .gp_sim import CovMatrix, sample_paths
 from .metrics import ProductAtoms, StationaryGamma
 
 __all__ = [
@@ -134,15 +133,14 @@ class PathMinima:
 
     The table has one row per path and one column per distinct (E grid
     indices, core) key of all the (e_idx, Target) pairs given.  ``add``
-    fills its rows as sample_paths(..., consume=add) hands it each wave,
-    reading the paths in blocks of _HIT_CHUNK; each block is a job that
-    writes its own table rows, and the jobs run on ``threads`` workers.
-    ``distance`` then reads the distance from each path's B(E) to F off
-    that table.
+    fills the rows of the paths it is handed, reading them in blocks of
+    _HIT_CHUNK; as sample_paths(..., consume=add) calls it once per path
+    chunk, on that chunk's worker, calls for different paths may run at
+    once, and each writes only its own rows.  ``distance`` then reads the
+    distance from each path's B(E) to F off that table.
     """
 
-    def __init__(self, n_paths: int, pairs, threads: int = 1):
-        self.threads = threads
+    def __init__(self, n_paths: int, pairs):
         self._column = {}  # (E key, core) -> table column
         self._sets = {}  # E key -> (grid indices, [(core, column)])
         for e_idx, F in pairs:
@@ -157,17 +155,13 @@ class PathMinima:
 
     def add(self, p0: int, values):
         """Fill the table rows of paths p0, p0 + 1, ... from their values (k, n, d)."""
-
-        def fill(r0):
+        for r0 in range(0, len(values), _HIT_CHUNK):
             block = values[r0 : r0 + _HIT_CHUNK]
             rows = slice(p0 + r0, p0 + r0 + len(block))
             for e_idx, cores in self._sets.values():
                 pts = np.take(block, e_idx, axis=1)
                 for core, col in cores:
                     self.table[rows, col] = core_sq_distance(core, pts).min(axis=1)
-
-        _run_jobs([partial(fill, r0) for r0 in range(0, len(values), _HIT_CHUNK)],
-                  self.threads)
 
     def distance(self, e_idx, F: Target) -> np.ndarray:
         """min over the grid times e_idx of each path's distance to F."""
@@ -190,14 +184,15 @@ def hit_probability_mc(
 
     ``instances`` are check_hit_instance results on cov.grid.  A path
     hits an instance when some grid point of its E has its image within
-    its tol of its F.  The paths stream wave by wave through one
-    PathMinima on ``threads`` workers, whose table serves every
-    instance's hit count, so no batch of values is kept; at a fixed seed
-    the per-path indicator is monotone in F and in tol by construction.
+    its tol of its F.  The paths stream chunk by chunk through one
+    PathMinima, filled by the path-chunk jobs on ``threads`` workers,
+    whose table serves every instance's hit count, so no batch of values
+    is kept; at a fixed seed the per-path indicator is monotone in F and
+    in tol by construction.
     ``with_terms`` adds the capacity and content terms of E x F used by
     the sandwich.  Returns one report per instance, in order.
     """
-    minima = PathMinima(n_paths, [(inst.e_idx, inst.F) for inst in instances], threads)
+    minima = PathMinima(n_paths, [(inst.e_idx, inst.F) for inst in instances])
     sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=minima.add)
     reports = []
     for inst in instances:

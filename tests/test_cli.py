@@ -431,6 +431,23 @@ def test_threads_below_one_rejected(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def test_threads_above_cap_rejected(tmp_path, capsys, monkeypatch):
+    from gpfractal import cli, gp_sim
+
+    def boom(*_args, **_kw):
+        raise AssertionError("work started")
+
+    # neither the config nor a worker pool is touched
+    monkeypatch.setattr(cli, "_load_config", boom)
+    monkeypatch.setattr(gp_sim, "ThreadPoolExecutor", boom)
+    cfg = _write_config(tmp_path, THREAD_CONFIGS["hit"])
+    out = tmp_path / "out"
+    assert main(["hit", "--config", cfg, "--out", str(out), "--threads", "65"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: config field '--threads': must be in [1, 64]\n"
+    assert not out.exists()
+
+
 class TestBattery:
     def test_small_battery_runs(self, tmp_path):
         instances = [

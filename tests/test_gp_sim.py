@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import struct
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -428,8 +430,8 @@ def _reference_paths(cov, d, n_paths, seed):
 
 
 class TestThreads:
-    """The (path chunk, component) jobs and the minima blocks write
-    disjoint slices, so no worker count changes a byte."""
+    """The path-chunk jobs and their consumers write disjoint slices, so
+    no worker count changes a byte."""
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
@@ -457,24 +459,58 @@ class TestThreads:
 
         monkeypatch.setattr(gp_sim, "_run_jobs", counted)
         cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS["circulant"])
-        for threads in (1, 2, 3, 100):
+        for threads in (1, 2, 3, 64):
             sample_paths(cov, d=2, n_paths=97, seed=1, threads=threads)
-        # chunks of 64, 32, 21 and 1 paths, times 2 components
-        assert sizes == [2 * 2, 4 * 2, 5 * 2, 97 * 2]
+        # one job per chunk of 64, 32, 21 and 1 paths, each over both components
+        assert sizes == [2, 4, 5, 97]
+
+    @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
+    def test_threads_above_cap_rejected_before_any_worker(self, sampler, monkeypatch):
+        def boom(*_args, **_kw):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(gp_sim, "ThreadPoolExecutor", boom)
+        cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS[sampler])
+        with pytest.raises(ValueError, match="threads = 65 exceeds 64"):
+            sample_paths(cov, d=2, n_paths=97, seed=1, threads=gp_sim._PATH_CHUNK + 1)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
+    def test_concurrent_consumers_never_exceed_threads(self, sampler, threads):
+        cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS[sampler])
+        lock = threading.Lock()
+        live, peak, seen = [0], [0], []
+
+        def consume(p0, block):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            time.sleep(0.02)  # hold the chunk so that other jobs can start
+            seen.append((p0, len(block)))
+            with lock:
+                live[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sample_paths(cov, d=2, n_paths=97, seed=1, threads=threads, consume=consume)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= peak[0] <= threads
+        assert sum(k for _, k in seen) == 97
 
     def test_path_minima_equal_across_threads(self):
         from gpfractal.fractal_sets import Target
         from gpfractal.hitting import PathMinima
 
         cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS["circulant"])
-        batch = sample_paths(cov, d=3, n_paths=97, seed=4)
         F = Target([{"type": "ball", "center": [0.1, 0.0, 0.0], "radius": 0.2},
                     {"type": "box", "lo": [-0.3, -0.3, 0.0], "hi": [0.0, 0.1, 0.2]}])
         pairs = [(np.arange(300), F), (np.arange(0, 300, 7), F)]
         tables = []
         for threads in (1, 2, 5):
-            minima = PathMinima(batch.n_paths, pairs, threads=threads)
-            minima.add(0, batch.values)
+            minima = PathMinima(97, pairs)
+            sample_paths(cov, d=3, n_paths=97, seed=4, threads=threads, consume=minima.add)
             tables.append(minima.table)
         assert all(np.array_equal(table, tables[0]) for table in tables[1:])
 

@@ -34,9 +34,9 @@ def _hit(scale, cov, E, F, d, tol, n_paths, seed, **kw):
     return rep
 
 
-def _filled(batch, pairs, threads=1):
+def _filled(batch, pairs):
     """A PathMinima filled from a whole batch's values in one add."""
-    minima = PathMinima(batch.n_paths, pairs, threads)
+    minima = PathMinima(batch.n_paths, pairs)
     minima.add(0, batch.values)
     return minima
 
@@ -237,7 +237,7 @@ def _stream_cov(sampler):
 
 
 class TestStreamedMinima:
-    """Paths streamed wave by wave fill the table a whole batch fills."""
+    """Paths streamed chunk by chunk fill the table a whole batch fills."""
 
     @pytest.mark.parametrize("n_paths", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -248,11 +248,11 @@ class TestStreamedMinima:
                     {"type": "box", "lo": [-0.3, -0.3, 0.0], "hi": [0.0, 0.1, 0.2]}])
         pairs = [(np.arange(300), F), (np.arange(0, 300, 7), F)]
         want = _filled(sample_paths(cov, d=3, n_paths=n_paths, seed=31), pairs).table
-        minima = PathMinima(n_paths, pairs, threads)
-        waves = []
+        minima = PathMinima(n_paths, pairs)
+        blocks = []
 
         def consume(p0, block):
-            waves.append((p0, len(block)))
+            blocks.append((p0, len(block)))
             minima.add(p0, block)
 
         # more workers than cores, switching threads as often as possible
@@ -265,12 +265,10 @@ class TestStreamedMinima:
             sys.setswitchinterval(interval)
         assert batch.values is None and batch.n_paths == n_paths
         assert minima.table.tobytes() == want.tobytes()
-        # consecutive waves cover every path once, at most 64 at a time on
-        # a circulant grid and all at once on a Cholesky grid
-        assert [p0 for p0, _ in waves] == list(np.cumsum([0] + [k for _, k in waves[:-1]]))
-        assert sum(k for _, k in waves) == n_paths
-        limit = 64 if sampler == "circulant" else n_paths
-        assert max(k for _, k in waves) <= limit
+        # the blocks partition the paths, each one chunk of at most
+        # 64 // threads paths, on either sampler
+        assert sorted(p for p0, k in blocks for p in range(p0, p0 + k)) == list(range(n_paths))
+        assert max(k for _, k in blocks) <= max(1, 64 // threads)
 
     def test_streamed_hit_memory_does_not_grow_with_paths(self):
         # a batch of 256 more paths would hold 256 * 4096 * 3 floats, 25 MB

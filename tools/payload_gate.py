@@ -70,7 +70,7 @@ ROWS = [
         {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
         for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=97),
      ["--threads", "2"]),
-    # 70 paths in chunks of 21: two streamed waves, the second one partial
+    # 70 paths in chunks of 21: four chunk jobs, the last one partial
     ("battery_n70_threads3", "battery", _battery(2, [
         {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
         for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=70),
@@ -135,6 +135,8 @@ ROWS = [
     ("hit_threads2", "hit", {**HIT, "d": 3, "n_paths": 97, "tol": 1.2,
                              "F": [{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.2}]},
      ["--threads", "2"]),
+    # a Cholesky sampler: 70 paths in chunks of 21, each chunk's minima filled by its job
+    ("hit_volterra_threads3", "hit", {**HIT, "cov": "volterra", "n_paths": 70}, ["--threads", "3"]),
     ("hit_union", "hit", {**HIT, "F": [{"type": "ball", "center": [0.5, 0.0], "radius": 0.2},
                                        {"type": "box", "lo": [-0.6, -0.6],
                                         "hi": [-0.3, -0.2]}]}, []),
@@ -203,6 +205,7 @@ ROWS = [
         {"type": "box", "lo": [0.0] * 30, "hi": [1.0] * 30}]}, []),
     ("rej_threads_zero", "hit", HIT, ["--threads", "0"]),
     ("rej_threads_negative", "hit", HIT, ["--threads", "-3"]),
+    ("rej_threads_above_cap", "hit", HIT, ["--threads", "65"]),
     ("rej_hit_flat_box", "hit", {**HIT, "grid": {"a": 0.2, "b": 1.0, "n": 64}, "tol": 2.0,
                                  "F": [{"type": "box", "lo": [0.2, 0.0], "hi": [0.5, 0.0]}]},
      []),
