@@ -202,13 +202,13 @@ def _seed(cfg) -> int:
     return _require(cfg, "seed", int, lambda v: 0 <= v < 2**63, "must be in [0, 2^63)")
 
 
-def _build_cov(cfg, scale, grid):
+def _build_cov(cfg, scale, grid, threads: int):
     model = cfg.get("cov", "stationary")
     if model == "stationary":
-        return cov_stationary_increments(scale, grid)
+        return cov_stationary_increments(scale, grid, threads)
     if model == "volterra":
         n_quad = _require({"n_quad": 64, **cfg}, "n_quad", int, lambda v: v >= 64, "must be >= 64")
-        return cov_volterra(scale, grid, n_quad=n_quad)
+        return cov_volterra(scale, grid, n_quad=n_quad, threads=threads)
     raise ConfigError("cov", f"unknown covariance model {model!r}")
 
 
@@ -221,7 +221,7 @@ def cmd_simulate(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     d = _parse_d(cfg)
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     seed = _seed(cfg)
-    cov = _build_cov(cfg, scale, grid)
+    cov = _build_cov(cfg, scale, grid, threads)
     batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads)
     bin_path = out_dir / "paths.bin"
     csv_path = out_dir / "paths.csv"
@@ -276,7 +276,7 @@ def _hit_reports(cfg, instances, threads: int) -> list:
         F = _parse_full_F(inst, d)
         inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
         parsed.append(check_hit_instance(scale, grid, E, F, d, inst_tol))
-    cov = _build_cov(cfg, scale, grid)
+    cov = _build_cov(cfg, scale, grid, threads)
     return hit_probability_mc(scale, cov, parsed, d, n_paths, seed, threads)
 
 

@@ -240,7 +240,7 @@ def image_dimension_experiment(
     """
     E = TimeSet.of(E, scale)
     grid = E.sample(grid_n)
-    cov = cov_stationary_increments(scale, grid)
+    cov = cov_stationary_increments(scale, grid, threads)
     per_path = [math.nan] * n_paths
 
     def count(p0, block):

@@ -38,21 +38,21 @@ component), so results are bit-stable regardless of worker count or
 chunking.
 
 ``threads`` (the CLI's ``--threads``, which must lie in [1, _PATH_CHUNK]
-or is a config error) sets the worker count of path sampling, the one
-stage split into disjoint jobs run by ``_run_jobs``: one job per path
-chunk of _PATH_CHUNK // threads paths.  Each job draws its chunk for
-every component and, when ``sample_paths`` is given a ``consume``
-callback, hands it to ``consume(p0, block)`` on its worker, so the
-per-path minima of ``hitting.PathMinima`` and the per-path box counts of
-``dims`` run in the same jobs.  consume is called once per chunk,
-possibly on a worker and in any order, and at most ``threads`` chunks
-are alive at once.  So ``hitting.hit_probability_mc`` (``hit`` and
-``battery``), ``hitting.small_ball_sweep`` and ``dims`` never hold an
-(n_paths, n, d) array on a uniform grid; only ``simulate``, which writes
-every path, keeps the whole batch, and so does the Cholesky sampler,
-whose chol(R) @ Z stays one product per component.  The covariance
-build, the Cholesky factorization, the capacity and content terms and
-the condition integrals stay serial.
+or is a config error) sets the worker count of the two stages split into
+disjoint jobs run by ``_run_jobs``: the rows of a dense covariance build,
+and path sampling, one job per path chunk of _PATH_CHUNK // threads paths.
+Each job draws its chunk for every component and, when ``sample_paths``
+is given a ``consume`` callback, hands it to ``consume(p0, block)`` on
+its worker, so the per-path minima of ``hitting.PathMinima`` and the
+per-path box counts of ``dims`` run in the same jobs.  consume is called
+once per chunk, possibly on a worker and in any order, and at most
+``threads`` chunks are alive at once.  So ``hitting.hit_probability_mc``
+(``hit`` and ``battery``), ``hitting.small_ball_sweep`` and ``dims`` never
+hold an (n_paths, n, d) array on a uniform grid; only ``simulate``, which
+writes every path, keeps the whole batch, and so does the Cholesky
+sampler, whose chol(R) @ Z stays one product per component.  The
+Cholesky factorization, the capacity and content terms and the condition
+integrals stay serial.
 """
 
 from __future__ import annotations
@@ -149,11 +149,9 @@ class CovMatrix:
         R = np.asarray(value, dtype=float)
         if R.shape != (self.n, self.n):
             raise ValueError("covariance shape does not match grid")
-        # compared a row block at a time, so no n x n temporary is made
-        if not all(
-            np.array_equal(R[r0 : r0 + _CHOL_BLOCK], R[:, r0 : r0 + _CHOL_BLOCK].T)
-            for r0 in range(0, self.n, _CHOL_BLOCK)
-        ):
+        b = _CHOL_BLOCK  # each tile against its mirror tile: in cache, no n x n temporary
+        if not all(np.array_equal(R[i : i + b, j : j + b], R[j : j + b, i : i + b].T)
+                   for i in range(0, self.n, b) for j in range(i, self.n, b)):
             R = 0.5 * (R + R.T)
         return R
 
@@ -274,7 +272,9 @@ def _zero_upper(A):
         A[r0:r1, r1:] = 0.0
 
 
-def _check_grid(scale, grid):
+def _check_grid(scale, grid, threads: int = 1):
+    if not 1 <= threads <= _PATH_CHUNK:
+        raise ValueError(f"threads = {threads} is outside [1, {_PATH_CHUNK}]")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a non-empty 1-d array")
@@ -419,39 +419,42 @@ def _circulant_sampler(scale, grid):
     )
 
 
-def _stationary_R(scale, grid) -> np.ndarray:
-    """Dense R, filled _ROW_BLOCK rows at a time into one n x n buffer.
+def _stationary_R(scale, grid, threads: int = 1) -> np.ndarray:
+    """Dense R, filled by jobs of _ROW_BLOCK // threads rows into one n x n buffer.
 
-    Each block holds the rows' upper-triangle columns; the lower triangle
-    is their mirror image.  Entries are (g2(s) + g2(t) - g2(|t - s|)) / 2
-    in that order of operations, and |t - s| is exactly symmetric, so R
-    is exactly symmetric and its temporaries stay O(_ROW_BLOCK * n).
+    A job fills its rows' upper-triangle columns and their mirror image, so
+    jobs write disjoint entries and hold O(_ROW_BLOCK * n) temporaries in
+    all.  Entries are (g2(s) + g2(t) - g2(|t - s|)) / 2 in that order of
+    operations, so no byte depends on the split; |t - s| is symmetric, so R is too.
     """
     g2 = scale.gamma2(grid)
     n = grid.size
     R = np.empty((n, n))
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
+    rows = max(1, _ROW_BLOCK // threads)
+    def fill(r0):
+        r1 = min(r0 + rows, n)
         blk = R[r0:r1, r0:]
         np.add(g2[r0:r1, None], g2[None, r0:], out=blk)
         blk -= scale.gamma2(np.abs(grid[r0:r1, None] - grid[None, r0:]))
         blk *= 0.5
         R[r1:, r0:r1] = blk[:, r1 - r0 :].T
+
+    _run_jobs([partial(fill, r0) for r0 in range(0, n, rows)], threads)
     return R
 
 
-def cov_stationary_increments(scale, grid) -> CovMatrix:
+def cov_stationary_increments(scale, grid, threads: int = 1) -> CovMatrix:
     """R(s,t) = (g2(s) + g2(t) - g2(|t-s|)) / 2 for g2 = gamma^2.
 
     On a uniform grid the covariance carries the circulant sampler and R
-    stays unbuilt until read; otherwise R is built and PSD is certified
-    a posteriori by the Cholesky factorization.
+    stays unbuilt until read; otherwise R is built on ``threads`` workers
+    and PSD is certified a posteriori by the Cholesky factorization.
     """
-    grid = _check_grid(scale, grid)
+    grid = _check_grid(scale, grid, threads)
     cov = CovMatrix(
         grid=grid,
         label=f"stationary[{scale.name}]",
-        build=lambda: _stationary_R(scale, grid),
+        build=lambda: _stationary_R(scale, grid, threads),
         circulant=_circulant_sampler(scale, grid),
     )
     if cov.sampler == "cholesky":
@@ -484,7 +487,7 @@ def _volterra_pattern(order: int, levels: int):
     return np.concatenate(pos), np.concatenate(wts)
 
 
-def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix:
+def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True, threads: int = 1) -> CovMatrix:
     """Covariance of the Volterra model driven by sqrt((gamma^2)') kernels.
 
     Entries are computed in the offset variable x = min(s,t) - u, so the
@@ -496,11 +499,12 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
     row block, keeping the running max |R - R2| and max |R2|, so the
     checked build holds one n x n array; a relative disagreement above
     1e-6 raises QuadratureError, and the relative change is kept as the
-    covariance's ``quad_rel_change`` certificate.  The quadrature runs
-    over _QUAD_BLOCK pairs at a time, so its temporaries stay
-    O(_QUAD_BLOCK * nodes) whatever the grid.
+    covariance's ``quad_rel_change`` certificate.  The rows are strided
+    over ``threads`` jobs, each with its own maxima, combined exactly by
+    max.  The quadrature runs over _QUAD_BLOCK pairs at a time, so its
+    temporaries stay O(_QUAD_BLOCK * nodes) per job whatever the grid.
     """
-    grid = _check_grid(scale, grid)
+    grid = _check_grid(scale, grid, threads)
     if n_quad < 64:
         raise ValueError("n_quad must be at least 64")
     levels = 40
@@ -511,30 +515,34 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True) -> CovMatrix
         p, wts = _volterra_pattern(order, levels)
         n = grid.size
         diag = scale.gamma2(grid)
-        change, top = 0.0, np.max(np.abs(diag))
         compare = R is not None
         if not compare:
             R = np.zeros((n, n))
-        for i in range(n - 1):
-            # grid[i] = min(s, t) for s = grid[i] and every later t, so the
-            # first kernel factor and m * w serve the whole row
-            m = grid[i]
-            X = m * p
-            head = np.sqrt(scale.dgamma2(X))
-            mw = m * wts
-            for j0 in range(i + 1, n, _QUAD_BLOCK):
-                j1 = min(j0 + _QUAD_BLOCK, n)
-                gap = np.abs(m - grid[j0:j1])
-                vals = np.sqrt(scale.dgamma2(gap[:, None] + X))
-                vals *= head
-                vals *= mw
-                # each row's sum depends on that row alone
-                row = vals.sum(axis=1)
-                if compare:
-                    # R[i, j0:j1] still holds the other order's entries
-                    change = np.maximum(change, np.max(np.abs(R[i, j0:j1] - row)))
-                    top = np.maximum(top, np.max(np.abs(row)))
-                R[i, j0:j1] = R[j0:j1, i] = row
+        def rows(k):
+            change, top = 0.0, np.max(np.abs(diag))
+            for i in range(k, n - 1, threads):
+                # grid[i] = min(s, t) for s = grid[i] and every later t, so the
+                # first kernel factor and m * w serve the whole row
+                m = grid[i]
+                X = m * p
+                head = np.sqrt(scale.dgamma2(X))
+                mw = m * wts
+                for j0 in range(i + 1, n, _QUAD_BLOCK):
+                    j1 = min(j0 + _QUAD_BLOCK, n)
+                    gap = np.abs(m - grid[j0:j1])
+                    vals = np.sqrt(scale.dgamma2(gap[:, None] + X))
+                    vals *= head
+                    vals *= mw
+                    # each row's sum depends on that row alone
+                    row = vals.sum(axis=1)
+                    if compare:
+                        # R[i, j0:j1] still holds the other order's entries
+                        change = np.maximum(change, np.max(np.abs(R[i, j0:j1] - row)))
+                        top = np.maximum(top, np.max(np.abs(row)))
+                    R[i, j0:j1] = R[j0:j1, i] = row
+            return change, top
+
+        change, top = np.max(_run_jobs([partial(rows, k) for k in range(threads)], threads), 0)
         np.fill_diagonal(R, diag)
         return R, float(change / (top or 1.0))
 

@@ -61,22 +61,28 @@ class ScaleFunction:
     # -- core evaluations -------------------------------------------------
 
     def gamma(self, r):
-        """Evaluate gamma(r) for 0 <= r <= x_max."""
+        """Evaluate gamma(r) for 0 <= r <= x_max; NaN fails the min/max check.
+
+        An array of positive r goes to ``_gamma`` whole.  Zeros and 0-d r take
+        the masked 1-d path: a 0-d ``**`` runs scalar math, which can round apart.
+        """
         a, scalar = _as_array(r)
-        if np.any(a < 0) or np.any(a > self.x_max * (1 + 1e-12)):
+        lo, hi = a.min(initial=np.inf), a.max(initial=-np.inf)
+        if not (lo >= 0 and hi <= self.x_max * (1 + 1e-12)):
             raise ScaleDomainError(
                 f"{self.name}: argument outside [0, {self.x_max}]"
             )
+        if lo > 0 and not scalar:
+            return self._gamma(a)
         out = np.zeros_like(a)
         pos = a > 0
-        if np.any(pos):
-            out[pos] = self._gamma(a[pos])
+        out[pos] = self._gamma(a[pos])
         return float(out) if scalar else out
 
     def dgamma(self, r):
-        """Closed-form derivative gamma'(r), r in (0, x_max]."""
+        """Closed-form derivative gamma'(r), r in (0, x_max]; NaN raises."""
         a, scalar = _as_array(r)
-        if np.any(a <= 0) or np.any(a > self.x_max * (1 + 1e-12)):
+        if not (a.min(initial=np.inf) > 0 and a.max(initial=-np.inf) <= self.x_max * (1 + 1e-12)):
             raise ScaleDomainError(f"{self.name}: derivative needs r in (0, x_max]")
         out = self._dgamma(a)
         return float(out) if scalar else out

@@ -524,6 +524,97 @@ class TestThreads:
         assert gp_sim._run_jobs([lambda: 1, lambda: 2, lambda: 3], 2) == [1, 2, 3]
 
 
+class TestThreadedBuilds:
+    """Covariance row blocks run as jobs that write disjoint entries, so
+    R, L and the certificates never depend on ``threads``."""
+
+    @staticmethod
+    def _builds(threads):
+        # 300 points: no multiple of _ROW_BLOCK or of its 1/2 and 1/3 parts;
+        # 96 Volterra rows strided over the jobs
+        stationary = cov_stationary_increments(PowerScale(0.4), np.geomspace(0.05, 1.0, 300),
+                                               threads)
+        volterra = cov_volterra(PowerScale(0.3), np.geomspace(0.01, 1.0, 97), threads=threads)
+        return stationary, volterra
+
+    def test_bytes_equal_across_threads(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [self._builds(threads) for threads in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0][0].sampler == runs[0][1].sampler == "cholesky"
+        for covs in runs[1:]:
+            for want, got in zip(runs[0], covs):
+                assert np.array_equal(got.cholesky(), want.cholesky())
+                assert got.certificate() == want.certificate()
+                assert np.array_equal(got.R, want.R)  # rebuilt on the same workers
+        assert "quad_rel_change" in runs[0][1].certificate()
+
+    def test_worker_errors_reach_the_caller(self):
+        class WorkerBoom(PowerScale):
+            def gamma2(self, r):
+                if threading.current_thread() is not threading.main_thread():
+                    raise ZeroDivisionError("worker failed")
+                return super().gamma2(r)
+
+            def dgamma2(self, r):
+                return self.gamma2(r)
+
+        f, grid = WorkerBoom(0.5), np.geomspace(0.05, 1.0, 150)
+        with pytest.raises(ZeroDivisionError, match="worker failed"):
+            cov_stationary_increments(f, grid, threads=2)
+        with pytest.raises(ZeroDivisionError, match="worker failed"):
+            cov_volterra(f, grid, threads=2)
+
+    @pytest.mark.parametrize("threads", [0, -1, gp_sim._PATH_CHUNK + 1])
+    @pytest.mark.parametrize("grid", [np.linspace(0.1, 1.0, 50), np.geomspace(0.1, 1.0, 50)])
+    def test_threads_outside_range_rejected(self, grid, threads):
+        with pytest.raises(ValueError, match="threads"):
+            cov_stationary_increments(PowerScale(0.5), grid, threads)
+        with pytest.raises(ValueError, match="threads"):
+            cov_volterra(PowerScale(0.5), grid, threads=threads)
+
+    def test_stationary_temporaries_do_not_grow_with_threads(self):
+        grid = np.geomspace(0.05, 1.0, 300)
+        extra = {}
+        for threads in (1, 3):
+            tracemalloc.start()
+            try:
+                R = gp_sim._stationary_R(PowerScale(0.5), grid, threads)
+                extra[threads] = tracemalloc.get_traced_memory()[1] - R.nbytes
+            finally:
+                tracemalloc.stop()
+        # three 21-row jobs at once hold what one 64-row block holds
+        assert extra[3] <= 1.1 * extra[1]
+
+
+class TestSymmetryCheck:
+    """CovMatrix compares R with R^T tile by tile against the mirror tile."""
+
+    def test_asymmetric_entry_in_last_partial_tile(self):
+        n = 300  # tiles of 256 and 44 rows
+        grid = np.geomspace(0.05, 1.0, n)
+        R = gp_sim._stationary_R(PowerScale(0.5), grid)
+        R[270, 290] += 1e-3
+        cov = CovMatrix(grid, R=R)
+        assert np.array_equal(cov.R, 0.5 * (R + R.T))
+
+    def test_symmetric_R_unchanged_without_n_by_n_temporary(self):
+        grid = np.geomspace(0.05, 1.0, 300)
+        R = gp_sim._stationary_R(PowerScale(0.5), grid)
+        cov = CovMatrix(grid, R=R.copy())
+        tracemalloc.start()
+        try:
+            out = cov._symmetric(R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is R
+        assert peak < R.nbytes / 2
+
+
 def _cantor_atoms(n):
     """The first n atoms of a depth-10 Cantor set of delta-dimension 0.6."""
     from gpfractal.fractal_sets import build_cantor

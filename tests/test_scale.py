@@ -55,6 +55,42 @@ class TestEval:
             f.gamma(-0.1)
 
 
+def _every_family(registry):
+    """The registry plus the families it leaves out."""
+    knots = [(1e-3, 0.02), (1e-2, 0.09), (0.1, 0.3), (0.5, 0.8)]
+    return registry + [LogCorrectedScale(1.0, 0.5), CustomScale(knots)]
+
+
+class TestOnePassEvaluation:
+    """gamma checks its domain with one min/max pair and hands an array
+    of positive arguments to _gamma whole."""
+
+    def test_nan_raises(self, registry):
+        for f in _every_family(registry):
+            for r in (math.nan, np.array([0.0, f.x_max / 3, math.nan, f.x_max])):
+                with pytest.raises(ScaleDomainError):
+                    f.gamma(r)
+                with pytest.raises(ScaleDomainError):
+                    f.dgamma(r)
+
+    def test_positive_array_matches_masked_path(self, registry, rng):
+        for f in _every_family(registry):
+            a = np.sort(rng.uniform(1e-9, 1.0, 257)) * f.x_max
+            assert np.array_equal(f.gamma(a), f.gamma(np.r_[0.0, a])[1:]), f.name
+            square = a[:256].reshape(16, 16)
+            assert np.array_equal(f.gamma(square), f.gamma(np.r_[0.0, a[:256]])[1:]
+                                  .reshape(16, 16)), f.name
+            # 0-d inputs keep the masked path: a 0-d ** can round differently
+            for x in a[::16]:
+                assert f.gamma(x) == f.gamma(np.r_[0.0, x])[1], (f.name, x)
+                assert f.gamma(np.float64(x)) == f.gamma(np.r_[0.0, x])[1], (f.name, x)
+
+    def test_empty_array(self, registry):
+        for f in _every_family(registry):
+            assert f.gamma(np.array([])).shape == (0,)
+            assert f.dgamma(np.array([])).shape == (0,)
+
+
 class TestInverse:
     def test_power(self):
         assert PowerScale(0.5).inverse(0.5) == pytest.approx(0.25)

@@ -106,6 +106,8 @@ ROWS = [
     ("check_scale_single", "check-scale", {"gamma": "power:H=0.3"}, ["--trace"]),
     ("dims_cantor", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, []),
     ("dims_cantor_threads2", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, ["--threads", "2"]),
+    # 256 rows of R in jobs of 21 rows: twelve jobs, the last one partial
+    ("dims_cantor_threads3", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, ["--threads", "3"]),
     ("dims_cantor_eps", "dims", {**DIMS, "E": {**CANTOR_E, "eps0": 0.5}, "grid_n": 256}, []),
     ("dims_explog", "dims", {**DIMS, "gamma": "explog:alpha=0.3", "d": 1, "grid_n": 512,
                              "E": {"type": "interval", "a": 0.1, "b": 0.5}}, []),
@@ -216,6 +218,10 @@ ROWS = [
      ["--threads", "2"]),
     ("simulate_volterra", "simulate", {**SIM, "cov": "volterra", "grid": {"a": 1 / 64, "b": 1.0,
                                                                           "n": 64}}, []),
+    # the Volterra rows strided over three jobs, whose rows differ in length
+    ("simulate_volterra_threads3", "simulate", {**SIM, "cov": "volterra",
+                                                "grid": {"a": 1 / 64, "b": 1.0, "n": 64}},
+     ["--threads", "3"]),
     ("simulate_volterra_h03", "simulate", {**SIM, "gamma": "power:H=0.3", "cov": "volterra"},
      []),
     # 600 points: three blocks of the in-place Cholesky factor, the last one partial
