@@ -41,11 +41,11 @@ from .gp_sim import (
     _MAX_D,
     _MAX_N,
     _PATH_CHUNK,
+    PathBatch,
     PSDError,
     QuadratureError,
     cov_stationary_increments,
     cov_volterra,
-    sample_paths,
 )
 from .hitting import check_hit_instance, hit_probability_mc, sandwich_report
 from .metrics import ProductAtoms, StationaryGamma
@@ -222,12 +222,12 @@ def cmd_simulate(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     seed = _seed(cfg)
     cov = _build_cov(cfg, scale, grid, threads)
-    batch = sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads)
+    batch = PathBatch(grid=cov.grid, d=d, n_paths=n_paths, seed=seed)
     bin_path = out_dir / "paths.bin"
     csv_path = out_dir / "paths.csv"
     out_dir.mkdir(parents=True, exist_ok=True)
-    batch.to_binary(bin_path)
-    batch.to_csv(csv_path)
+    batch.to_binary(bin_path, cov, threads)
+    batch.to_csv(csv_path, bin_path)
     return [bin_path, csv_path]
 
 

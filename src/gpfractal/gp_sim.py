@@ -40,24 +40,21 @@ chunking.
 ``threads`` (the CLI's ``--threads``, which must lie in [1, _PATH_CHUNK]
 or is a config error) sets the worker count of the two stages split into
 disjoint jobs run by ``_run_jobs``: the rows of a dense covariance build,
-and path sampling, one job per path chunk of _PATH_CHUNK // threads paths.
-Each job draws its chunk for every component and, when ``sample_paths``
-is given a ``consume`` callback, hands it to ``consume(p0, block)`` on
-its worker, so the per-path minima of ``hitting.PathMinima`` and the
-per-path box counts of ``dims`` run in the same jobs.  consume is called
-once per chunk, possibly on a worker and in any order, and at most
-``threads`` chunks are alive at once.  So ``hitting.hit_probability_mc``
-(``hit`` and ``battery``), ``hitting.small_ball_sweep`` and ``dims`` never
-hold an (n_paths, n, d) array on a uniform grid; only ``simulate``, which
-writes every path, keeps the whole batch, and so does the Cholesky
-sampler, whose chol(R) @ Z stays one product per component.  The
-Cholesky factorization, the capacity and content terms and the condition
+and path sampling, one job per path chunk.  Each job draws its chunk for
+every component and hands it to ``consume(p0, block)`` on its worker, so
+the per-path minima of ``hitting.PathMinima``, the per-path box counts of
+``dims`` and the records of ``simulate``'s binary file are made in the
+same jobs.  consume is called once per chunk, possibly on a worker and in
+any order, and at most ``threads`` chunks are alive at once, so no
+command holds an (n_paths, n, d) array on either sampler.  The Cholesky
+factorization, the capacity and content terms and the condition
 integrals stay serial.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -426,16 +423,22 @@ def _stationary_R(scale, grid, threads: int = 1) -> np.ndarray:
     jobs write disjoint entries and hold O(_ROW_BLOCK * n) temporaries in
     all.  Entries are (g2(s) + g2(t) - g2(|t - s|)) / 2 in that order of
     operations, so no byte depends on the split; |t - s| is symmetric, so R is too.
+    The zero lags lie in a job's first _ROW_BLOCK columns, its tile, so the
+    strip right of it takes gamma's one-pass path.  g2(s) + g2(t) is one
+    1-d add per row, since a broadcast 2-d add allocates NumPy's iterator
+    buffers, up to 2 x 8192 floats a job.
     """
     g2 = scale.gamma2(grid)
     n = grid.size
     R = np.empty((n, n))
     rows = max(1, _ROW_BLOCK // threads)
     def fill(r0):
-        r1 = min(r0 + rows, n)
+        r1, c1 = min(r0 + rows, n), min(r0 + _ROW_BLOCK, n)
         blk = R[r0:r1, r0:]
-        np.add(g2[r0:r1, None], g2[None, r0:], out=blk)
-        blk -= scale.gamma2(np.abs(grid[r0:r1, None] - grid[None, r0:]))
+        for k, row in enumerate(blk):
+            np.add(g2[r0 + k], g2[r0:], out=row)
+        blk[:, : c1 - r0] -= scale.gamma2(np.abs(grid[r0:r1, None] - grid[None, r0:c1]))
+        blk[:, c1 - r0 :] -= scale.gamma2(grid[None, c1:] - grid[r0:r1, None])
         blk *= 0.5
         R[r1:, r0:r1] = blk[:, r1 - r0 :].T
 
@@ -571,42 +574,59 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True, threads: int
 
 @dataclass
 class PathBatch:
-    """values[p, i, c] = component c of path p at grid[i].
-
-    ``values`` is None for a batch sample_paths streamed to a consumer.
-    """
+    """n_paths paths of d components on ``grid`` from the substreams of
+    ``seed``.  A batch holds no path: ``to_binary`` draws them into a file
+    chunk by chunk, and ``to_csv`` renders that file."""
 
     grid: np.ndarray
     d: int
     n_paths: int
-    values: np.ndarray
     seed: int
 
-    def to_binary(self, path):
-        """The GPFB layout: b"GPFB", the header struct "<IQQQq" (version 1,
-        n, d, n_paths, seed), then the grid and values[p, i, c] in C order,
-        all little-endian float64."""
-        n = self.grid.size
-        with open(path, "wb") as fh:
-            fh.write(b"GPFB")
-            fh.write(struct.pack("<IQQQq", 1, n, self.d, self.n_paths, self.seed))
-            fh.write(self.grid.astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    def to_csv(self, path):
-        """Long format: path, component, t, value.
-
-        Each (path, component) run is one join over Python floats, whose
-        repr is that of the float64 values; the grid's reprs are made once.
+    def to_binary(self, path, cov: CovMatrix, threads: int = 1):
+        """Draw the paths with ``cov``'s sampler on ``threads`` workers into the
+        GPFB layout: b"GPFB", the header struct "<IQQQq" (version 1, n, d,
+        n_paths, seed), then the grid and values[p, i, c] in C order, all
+        little-endian float64.  Each chunk is written at its own offset by one
+        seek and write under a lock, so no byte depends on the chunks' order.
         """
+        if not np.array_equal(cov.grid, self.grid):
+            raise ValueError("the covariance's grid is not the batch's grid")
+        n, d = self.grid.size, self.d
+        lock = threading.Lock()
+        with open(path, "wb") as fh:
+            fh.write(b"GPFB" + struct.pack("<IQQQq", 1, n, d, self.n_paths, self.seed))
+            fh.write(self.grid.astype("<f8").tobytes())
+            records = fh.tell()
+
+            def write(p0, block):
+                data = np.ascontiguousarray(block, dtype="<f8")
+                with lock:
+                    fh.seek(records + 8 * p0 * n * d)
+                    fh.write(data)
+
+            sample_paths(cov, d, self.n_paths, self.seed, threads, consume=write)
+
+    def to_csv(self, path, source):
+        """Long format: path, component, t, value, rendered from ``source``,
+        the GPFB file ``to_binary`` wrote for this batch.
+
+        The records are read _PATH_CHUNK paths at a time.  Each (path,
+        component) run is one join over Python floats, whose repr is that
+        of the float64 values; the grid's reprs are made once.
+        """
+        n, d = self.grid.size, self.d
         times = [f",{t!r}," for t in self.grid.tolist()]
-        with open(path, "w", newline="") as fh:
+        with open(source, "rb") as src, open(path, "w", newline="") as fh:
+            src.seek(4 + struct.calcsize("<IQQQq") + 8 * n)  # past the header and the grid
             fh.write("path,component,t,value\n")
-            for p in range(self.n_paths):
-                for c in range(self.d):
-                    head = f"{p},{c}"
-                    fh.write("".join([f"{head}{t}{v!r}\n"
-                                      for t, v in zip(times, self.values[p, :, c].tolist())]))
+            for p0 in range(0, self.n_paths, _PATH_CHUNK):
+                block = np.frombuffer(src.read(8 * _PATH_CHUNK * n * d), "<f8").reshape(-1, n, d)
+                for p, values in enumerate(block, start=p0):
+                    for c in range(d):
+                        head = f"{p},{c}"
+                        fh.write("".join([f"{head}{t}{v!r}\n"
+                                          for t, v in zip(times, values[:, c].tolist())]))
 
 
 def _substream(seed: int, path: int, comp: int) -> np.random.Generator:
@@ -619,32 +639,24 @@ def _substream(seed: int, path: int, comp: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_paths(
-    cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int = 1, consume=None
-) -> PathBatch:
-    """Draw exact Gaussian paths with the sampler ``cov`` carries.
+def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int = 1,
+                 *, consume) -> PathBatch:
+    """Draw exact Gaussian paths with the sampler ``cov`` carries and hand
+    each chunk of them to ``consume(p0, block)``.
 
     Components are independent copies of the scalar process; the normals
     for (path p, component c) come from the Philox substream keyed by
-    (seed, p, c), so d is limited to _MAX_D.  The paths are split into
-    chunks of _PATH_CHUNK // threads paths (at least 1; threads is at
-    most _PATH_CHUNK), one job per chunk, run by _run_jobs on ``threads``
-    workers.  A circulant job draws its chunk for every component with
-    _Circulant.paths.  The Cholesky sampler first draws each component's
-    normals Z by the same chunks and takes chol(R) @ Z in one BLAS call,
-    since that product over a column chunk is not bit-identical to the
-    one product; its jobs then read their chunk of the finished values.
-    A path's values depend only on (seed, p, c), never on n_paths, the
-    chunk or the worker count.
-
-    Without ``consume`` each job writes its slice of the batch's values.
-    With it, each job hands its chunk to ``consume(p0, block)``,
-    block[i, j, c] being component c of path p0 + i at grid[j], and a
-    circulant chunk is dropped when consume returns; the batch's
-    ``values`` is then None.  So consume is called once per chunk,
-    possibly on a worker thread and in any order, must write only outputs
-    of its own paths, and at most ``threads`` chunks of circulant paths
-    exist at once.
+    (seed, p, c), so d is limited to _MAX_D.  One job per chunk runs on
+    ``threads`` workers (at most _PATH_CHUNK).  For each component it
+    turns its chunk's normals into paths: _Circulant.paths on chunks of
+    _PATH_CHUNK // threads paths (at least 1), or L @ Z, Z being the
+    normals C-ordered (n, k), on blocks of _PATH_CHUNK paths at every
+    worker count, since a GEMM's rounding can depend on its column count.
+    block[i, j, c] is component c of path p0 + i at grid[j] and is dropped
+    when consume returns.  consume is called once per chunk, possibly on a
+    worker thread and in any order, must write only outputs of its own
+    paths, and at most ``threads`` chunks exist at once; no byte depends
+    on the worker count.  Returns the PathBatch the paths belong to.
     """
     if d < 1 or n_paths < 1 or threads < 1:
         raise ValueError("d, n_paths and threads must be positive")
@@ -654,38 +666,22 @@ def sample_paths(
         raise ValueError(
             f"d = {d} exceeds {_MAX_D}: the (path, component) substreams would collide"
         )
-    n = cov.n
-    circ = cov._circulant
-    size = max(1, _PATH_CHUNK // threads)
-    starts = range(0, n_paths, size)
-    values = None if consume is not None and circ is not None else np.empty((n_paths, n, d))
-
-    def normals(p0, c, width):
-        z = np.empty((min(size, n_paths - p0), width))
-        for i, row in enumerate(z):
-            _substream(seed, p0 + i, c).standard_normal(out=row)
-        return z
-
-    def draw_Z(Z, c, p0):
-        z = normals(p0, c, n)
-        Z[:, p0 : p0 + len(z)] = z.T
+    n, circ = cov.n, cov._circulant
+    if circ is None:
+        L = cov.cholesky()
+        size, width = _PATH_CHUNK, n
+    else:
+        size, width = max(1, _PATH_CHUNK // threads), circ.m + 1
 
     def job(p0):
         k = min(size, n_paths - p0)
-        block = np.empty((k, n, d)) if values is None else values[p0 : p0 + k]
-        if circ is not None:
-            for c in range(d):
-                block[:, :, c] = circ.paths(normals(p0, c, circ.m + 1))
-        if consume is not None:
-            consume(p0, block)
-
-    if circ is None:
-        L = cov.cholesky()
+        block = np.empty((k, n, d))
+        z = np.empty((k, width))
         for c in range(d):
-            Z = np.empty((n, n_paths))
-            _run_jobs([partial(draw_Z, Z, c, p0) for p0 in starts], threads)
-            values[:, :, c] = (L @ Z).T
-    if circ is not None or consume is not None:
-        _run_jobs([partial(job, p0) for p0 in starts], threads)
-    return PathBatch(grid=cov.grid, d=d, n_paths=n_paths,
-                     values=None if consume is not None else values, seed=seed)
+            for i, row in enumerate(z):
+                _substream(seed, p0 + i, c).standard_normal(out=row)
+            block[:, :, c] = circ.paths(z) if circ else (L @ np.ascontiguousarray(z.T)).T
+        consume(p0, block)
+
+    _run_jobs([partial(job, p0) for p0 in range(0, n_paths, size)], threads)
+    return PathBatch(grid=cov.grid, d=d, n_paths=n_paths, seed=seed)

@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from gpfractal.gp_sim import sample_paths
 from gpfractal.scale import (
     ExpLogScale,
     LogScale,
@@ -51,3 +52,17 @@ def concave_registry():
 def rng():
     # fresh generator per test: results never depend on execution order
     return np.random.default_rng(20240817)
+
+
+def all_paths(cov, d, n_paths, seed, threads=1):
+    """Every path sample_paths draws, (n_paths, n, d), collected through its consumer.
+
+    Rows no chunk filled stay NaN.
+    """
+    values = np.full((n_paths, cov.n, d), np.nan)
+
+    def keep(p0, block):
+        values[p0 : p0 + len(block)] = block
+
+    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=keep)
+    return values

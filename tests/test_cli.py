@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,25 @@ SIM_CONFIG = {
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("cov, n, d", [("stationary", 256, 2), ("volterra", 128, 4)])
+    def test_memory_does_not_grow_with_paths(self, tmp_path, cov, n, d):
+        # a batch of 256 more paths would hold 256 * n * d floats, 1 MB, and
+        # writing it whole would copy them once more; a first one-path run
+        # keeps one-off allocations out of the two measured peaks
+        peaks = []
+        for n_paths in (1, 256, 512):
+            cfg = _write_config(tmp_path, {**SIM_CONFIG, "cov": cov, "d": d, "n_paths": n_paths,
+                                           "grid": {"a": 0.2, "b": 1.0, "n": n}},
+                                f"{n_paths}.json")
+            tracemalloc.start()
+            try:
+                code = main(["simulate", "--config", cfg, "--out", str(tmp_path / str(n_paths))])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[2] - peaks[1] <= 1e6
+
     def test_happy_path(self, tmp_path):
         cfg = _write_config(tmp_path, SIM_CONFIG)
         out = tmp_path / "out"

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import all_paths
 
 from gpfractal.dimension import (
     _SCALES,
@@ -15,7 +17,7 @@ from gpfractal.dimension import (
     image_dimension_experiment,
 )
 from gpfractal.fractal_sets import OutOfModelError, TimeSet, build_cantor
-from gpfractal.gp_sim import cov_stationary_increments, sample_paths
+from gpfractal.gp_sim import cov_stationary_increments
 from gpfractal.scale import LogScale, PowerScale
 
 
@@ -210,7 +212,24 @@ class TestImageExperiment:
                                          threads=threads)
         cov = cov_stationary_increments(scale, TimeSet.of(E, scale).sample(256))
         assert rep.params["sampler"] == cov.sampler == sampler
-        batch = sample_paths(cov, d=2, n_paths=n_paths, seed=13)
-        want = [box_dimension_euclidean(batch.values[p], _SCALES, trim=_TRIM).value
+        values = all_paths(cov, 2, n_paths, 13)
+        want = [box_dimension_euclidean(values[p], _SCALES, trim=_TRIM).value
                 for p in range(n_paths)]
         assert rep.per_path == want
+
+    def test_cantor_memory_does_not_grow_with_paths(self):
+        # a Cantor grid draws by Cholesky: 256 more paths held at once would
+        # be 256 * 256 * 6 floats, 3.1 MB, and their normals 0.5 MB more
+        scale = PowerScale(0.5)
+        E = build_cantor(scale, 0.5, 8)
+        peaks = []
+        for n_paths in (256, 512):
+            tracemalloc.start()
+            try:
+                rep = image_dimension_experiment(scale, E, d=6, n_paths=n_paths, grid_n=256,
+                                                 seed=13)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.params["sampler"] == "cholesky"
+        assert peaks[1] - peaks[0] <= 1e6

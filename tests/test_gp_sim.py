@@ -8,10 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import all_paths
 
 from gpfractal import gp_sim
 from gpfractal.gp_sim import (
     CovMatrix,
+    PathBatch,
     PSDError,
     cov_stationary_increments,
     cov_volterra,
@@ -19,6 +21,10 @@ from gpfractal.gp_sim import (
 )
 from gpfractal.metrics import covariance_delta_matrix
 from gpfractal.scale import ExpLogScale, LogScale, PowerLogScale, PowerScale
+
+
+def _drop(p0, block):
+    """A consumer that keeps nothing."""
 
 
 class TestStationaryCov:
@@ -92,9 +98,7 @@ class TestSampling:
     def test_bit_identical_repeats(self):
         f = PowerScale(0.5)
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 32))
-        b1 = sample_paths(cov, d=2, n_paths=5, seed=99)
-        b2 = sample_paths(cov, d=2, n_paths=5, seed=99)
-        assert np.array_equal(b1.values, b2.values)
+        assert np.array_equal(all_paths(cov, 2, 5, 99), all_paths(cov, 2, 5, 99))
 
     def test_substreams_keyed_by_path_and_component(self):
         from gpfractal.gp_sim import _substream
@@ -111,8 +115,7 @@ class TestSampling:
         grid = np.linspace(0.1, 1.0, 16)
         cov = cov_stationary_increments(f, grid)
         n = 20_000
-        batch = sample_paths(cov, d=1, n_paths=n, seed=5)
-        X = batch.values[:, :, 0]
+        X = all_paths(cov, 1, n, 5)[:, :, 0]
         S = X.T @ X / n
         stderr = np.sqrt(
             (np.outer(np.diag(cov.R), np.diag(cov.R)) + cov.R**2) / n
@@ -124,8 +127,7 @@ class TestSampling:
         grid = np.linspace(0.1, 1.0, 16)
         cov = cov_stationary_increments(f, grid)
         n = 20_000
-        batch = sample_paths(cov, d=1, n_paths=n, seed=6)
-        mean = batch.values[:, :, 0].mean(axis=0)
+        mean = all_paths(cov, 1, n, 6)[:, :, 0].mean(axis=0)
         assert np.all(np.abs(mean) <= 4.0 * np.sqrt(np.diag(cov.R) / n))
 
     def test_empirical_delta_matches_model(self):
@@ -133,8 +135,7 @@ class TestSampling:
         grid = np.linspace(0.1, 1.0, 16)
         cov = cov_stationary_increments(f, grid)
         n = 20_000
-        batch = sample_paths(cov, d=1, n_paths=n, seed=8)
-        X = batch.values[:, :, 0]
+        X = all_paths(cov, 1, n, 8)[:, :, 0]
         model = covariance_delta_matrix(cov)
         iu = np.triu_indices(16, k=1)
         for i, j in zip(*iu):
@@ -146,9 +147,9 @@ class TestSampling:
         f = PowerScale(0.5)
         grid = np.linspace(0.1, 1.0, 8)
         cov = cov_stationary_increments(f, grid)
-        batch = sample_paths(cov, d=2, n_paths=20_000, seed=9)
-        a = batch.values[:, 4, 0]
-        b = batch.values[:, 4, 1]
+        values = all_paths(cov, 2, 20_000, 9)
+        a = values[:, 4, 0]
+        b = values[:, 4, 1]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) <= 4.0 / np.sqrt(20_000)
 
@@ -156,9 +157,11 @@ class TestSampling:
         f = PowerScale(0.5)
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 4))
         with pytest.raises(ValueError):
-            sample_paths(cov, d=0, n_paths=1, seed=0)
+            sample_paths(cov, d=0, n_paths=1, seed=0, consume=_drop)
         with pytest.raises(ValueError):
-            sample_paths(cov, d=1, n_paths=1, seed=0, threads=0)
+            sample_paths(cov, d=1, n_paths=1, seed=0, threads=0, consume=_drop)
+        with pytest.raises(TypeError, match="consume"):
+            sample_paths(cov, d=1, n_paths=1, seed=0)
 
     def test_rejects_colliding_substream_keys(self):
         # comp >= 2^16 would collide in the key (path << 16) ^ comp; the
@@ -166,7 +169,7 @@ class TestSampling:
         f = PowerScale(0.5)
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 4))
         with pytest.raises(ValueError, match="substreams"):
-            sample_paths(cov, d=65536, n_paths=10**12, seed=0)
+            sample_paths(cov, d=65536, n_paths=10**12, seed=0, consume=_drop)
 
 
 def _dense_stationary_R(f, grid):
@@ -186,7 +189,7 @@ class TestCirculantSampler:
         assert cov.sampler == "circulant"
         R = _dense_stationary_R(f, grid)
         n = 20_000
-        X = sample_paths(cov, d=1, n_paths=n, seed=seed).values[:, :, 0]
+        X = all_paths(cov, 1, n, seed)[:, :, 0]
         S = X.T @ X / n
         stderr = np.sqrt((np.outer(np.diag(R), np.diag(R)) + R**2) / n)
         assert np.max(np.abs(S - R) / stderr) <= 4.0
@@ -200,9 +203,9 @@ class TestCirculantSampler:
         f = PowerScale(0.75)
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 40))
         chunk = gp_sim._PATH_CHUNK
-        big = sample_paths(cov, d=2, n_paths=3 * chunk + 1, seed=17).values
-        one = sample_paths(cov, d=2, n_paths=1, seed=17).values
-        some = sample_paths(cov, d=2, n_paths=chunk + 5, seed=17).values
+        big = all_paths(cov, 2, 3 * chunk + 1, 17)
+        one = all_paths(cov, 2, 1, 17)
+        some = all_paths(cov, 2, chunk + 5, 17)
         assert one[0].tobytes() == big[0].tobytes()
         assert some.tobytes() == big[: chunk + 5].tobytes()
 
@@ -212,7 +215,7 @@ class TestCirculantSampler:
 
         monkeypatch.setattr(gp_sim, "_stationary_R", boom)
         cov = cov_stationary_increments(PowerScale(0.5), np.linspace(0.9, 1.0, 512))
-        sample_paths(cov, d=3, n_paths=10, seed=1)
+        all_paths(cov, 3, 10, 1)
         assert cov.sampler == "circulant" and cov._R is None and cov._chol is None
 
     def test_selection_rule(self):
@@ -291,6 +294,13 @@ class TestConditionalVariance:
             cov_stationary_increments(f, np.linspace(0.1, 0.5, 64))
 
 
+# a uniform grid (circulant sampler) and a geometric one (Cholesky)
+THREAD_GRIDS = {
+    "circulant": np.linspace(0.9, 1.0, 300),
+    "cholesky": np.geomspace(0.05, 1.0, 300),
+}
+
+
 def _read_gpfb(raw: bytes) -> dict:
     """Independent reader of the GPFB layout: b"GPFB", "<IQQQq" (version,
     n, d, n_paths, seed), the grid, then values[p, i, c] in C order."""
@@ -304,29 +314,63 @@ def _read_gpfb(raw: bytes) -> dict:
 
 
 class TestExport:
+    """to_binary draws the paths into the GPFB file, and to_csv renders that file."""
+
+    @staticmethod
+    def _write(out, cov, d, n_paths, seed, threads=1):
+        out.mkdir()
+        batch = PathBatch(grid=cov.grid, d=d, n_paths=n_paths, seed=seed)
+        bin_path, csv_path = out / "paths.bin", out / "paths.csv"
+        batch.to_binary(bin_path, cov, threads)
+        batch.to_csv(csv_path, bin_path)
+        return bin_path.read_bytes(), csv_path.read_bytes()
+
     def test_binary_round_trip(self, tmp_path):
         f = PowerScale(0.5)
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 8))
-        batch = sample_paths(cov, d=2, n_paths=3, seed=4)
-        p = tmp_path / "batch.bin"
-        batch.to_binary(p)
-        back = _read_gpfb(p.read_bytes())
-        assert np.array_equal(back["values"], batch.values)
-        assert np.array_equal(back["grid"], batch.grid)
+        raw, _ = self._write(tmp_path / "out", cov, 2, 3, 4)
+        back = _read_gpfb(raw)
+        assert np.array_equal(back["values"], all_paths(cov, 2, 3, 4))
+        assert np.array_equal(back["grid"], cov.grid)
         assert (back["d"], back["n_paths"], back["seed"]) == (2, 3, 4)
 
     def test_csv_layout(self, tmp_path):
         f = PowerScale(0.5)
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 4))
-        batch = sample_paths(cov, d=2, n_paths=2, seed=4)
-        p = tmp_path / "batch.csv"
-        batch.to_csv(p)
-        lines = p.read_text().splitlines()
+        _, text = self._write(tmp_path / "out", cov, 2, 2, 4)
+        lines = text.decode().splitlines()
         assert lines[0] == "path,component,t,value"
         assert len(lines) == 1 + 2 * 2 * 4
         path0, comp0, t0, v0 = lines[1].split(",")
         assert (int(path0), int(comp0)) == (0, 0)
-        assert float(v0) == batch.values[0, 0, 0]
+        assert float(v0) == all_paths(cov, 2, 2, 4)[0, 0, 0]
+
+    def test_rejects_another_grid(self, tmp_path):
+        cov = cov_stationary_increments(PowerScale(0.5), np.linspace(0.1, 1.0, 4))
+        batch = PathBatch(grid=np.linspace(0.2, 1.0, 4), d=1, n_paths=1, seed=0)
+        with pytest.raises(ValueError, match="grid"):
+            batch.to_binary(tmp_path / "paths.bin", cov)
+
+    @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
+    def test_files_equal_across_threads(self, sampler, tmp_path):
+        # 130 paths: circulant chunks of 64 or 21 paths, Cholesky blocks of
+        # 64, 64 and 2, written by workers in any order
+        cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS[sampler])
+        assert cov.sampler == sampler
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            files = [self._write(tmp_path / str(t), cov, 2, 130, 9, t) for t in (1, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert files[0] == files[1]
+        raw, text = files[0]
+        values = _read_gpfb(raw)["values"]
+        assert np.array_equal(values, all_paths(cov, 2, 130, 9))
+        # the CSV renders the binary's values, path by path and component by component
+        rows = text.decode().splitlines()[1:]
+        assert [float(row.rsplit(",", 1)[1]) for row in rows] == (
+            values.transpose(0, 2, 1).ravel().tolist())
 
 
 BLOCK_FAMILIES = [
@@ -405,13 +449,6 @@ class TestBlocks:
         assert peak < 64 * 2**20
 
 
-# a uniform grid (circulant sampler) and a geometric one (Cholesky)
-THREAD_GRIDS = {
-    "circulant": np.linspace(0.9, 1.0, 300),
-    "cholesky": np.geomspace(0.05, 1.0, 300),
-}
-
-
 def _reference_paths(cov, d, n_paths, seed):
     """Path by path, component by component, from the (seed, p, c) substreams."""
     values = np.empty((n_paths, cov.n, d))
@@ -444,10 +481,10 @@ class TestThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = sample_paths(cov, d=3, n_paths=97, seed=23, threads=threads)
+            got = all_paths(cov, 3, 97, 23, threads)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got.values, want)
+        assert np.array_equal(got, want)
 
     def test_chunk_size_follows_threads(self, monkeypatch):
         sizes = []
@@ -457,12 +494,14 @@ class TestThreads:
             sizes.append(len(jobs))
             return run_jobs(jobs, threads)
 
+        covs = [cov_stationary_increments(PowerScale(0.5), grid) for grid in THREAD_GRIDS.values()]
         monkeypatch.setattr(gp_sim, "_run_jobs", counted)
-        cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS["circulant"])
-        for threads in (1, 2, 3, 64):
-            sample_paths(cov, d=2, n_paths=97, seed=1, threads=threads)
-        # one job per chunk of 64, 32, 21 and 1 paths, each over both components
-        assert sizes == [2, 4, 5, 97]
+        for cov in covs:
+            for threads in (1, 2, 3, 64):
+                sample_paths(cov, d=2, n_paths=97, seed=1, threads=threads, consume=_drop)
+        # one job per chunk, each over both components: circulant chunks of
+        # 64, 32, 21 and 1 paths, Cholesky blocks of 64 at every worker count
+        assert sizes == [2, 4, 5, 97] + [2] * 4
 
     @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
     def test_threads_above_cap_rejected_before_any_worker(self, sampler, monkeypatch):
@@ -472,7 +511,8 @@ class TestThreads:
         monkeypatch.setattr(gp_sim, "ThreadPoolExecutor", boom)
         cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS[sampler])
         with pytest.raises(ValueError, match="threads = 65 exceeds 64"):
-            sample_paths(cov, d=2, n_paths=97, seed=1, threads=gp_sim._PATH_CHUNK + 1)
+            sample_paths(cov, d=2, n_paths=97, seed=1, threads=gp_sim._PATH_CHUNK + 1,
+                         consume=_drop)
 
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))

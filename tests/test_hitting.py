@@ -7,9 +7,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from conftest import all_paths
 
 from gpfractal.fractal_sets import Target, TimeSet, build_cantor
-from gpfractal.gp_sim import cov_stationary_increments, sample_paths
+from gpfractal.gp_sim import cov_stationary_increments, cov_volterra, sample_paths
 from gpfractal.hitting import (
     OutOfModelError,
     PathMinima,
@@ -34,10 +35,10 @@ def _hit(scale, cov, E, F, d, tol, n_paths, seed, **kw):
     return rep
 
 
-def _filled(batch, pairs):
-    """A PathMinima filled from a whole batch's values in one add."""
-    minima = PathMinima(batch.n_paths, pairs)
-    minima.add(0, batch.values)
+def _filled(values, pairs):
+    """A PathMinima filled from every path's values in one add."""
+    minima = PathMinima(len(values), pairs)
+    minima.add(0, values)
     return minima
 
 
@@ -106,7 +107,7 @@ class TestHitProbability:
     def test_chunked_indicator_matches_per_path_loop(self, brownian_setup):
         scale, grid, cov = brownian_setup
         tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 2)
-        batch = sample_paths(cov, d=2, n_paths=203, seed=8)
+        values = all_paths(cov, 2, 203, 8)
         members = [
             {"type": "ball", "center": [0.5, -0.3], "radius": 0.2},
             {"type": "box", "lo": [-0.9, 0.4], "hi": [-0.6, 0.8]},
@@ -118,10 +119,10 @@ class TestHitProbability:
                                   with_terms=False)
         for F, rep in zip(targets, reps):
             want = sum(
-                float(np.min(Target(F).distance(batch.values[p][e_idx]))) <= tol
-                for p in range(batch.n_paths)
+                float(np.min(Target(F).distance(values[p][e_idx]))) <= tol
+                for p in range(203)
             )
-            assert 0 < want < batch.n_paths
+            assert 0 < want < 203
             assert rep.extras["hits"] == want
             assert repr(rep) == repr(_hit(scale, cov, (0.3, 0.7), F, 2, tol, 203, 8))
 
@@ -189,27 +190,27 @@ class TestPathMinima:
     @pytest.mark.parametrize("d", [1, 3, 9])
     def test_minima_equal_per_point_distances(self, brownian_setup, rng, d):
         scale, grid, cov = brownian_setup
-        batch = sample_paths(cov, d=d, n_paths=37, seed=11)
+        values = all_paths(cov, d, 37, 11)
         members = _members(d, rng)
         e_sets = [np.arange(len(grid)), np.flatnonzero(grid <= 0.5), np.arange(3, 400, 7)]
         targets = [members[:1], members[1:2], members[2:], members]
         pairs = [(e, Target(F)) for e in e_sets for F in targets]
-        minima = _filled(batch, pairs)
+        minima = _filled(values, pairs)
         # two ball radii share one center: one column per (E, core)
         assert minima.table.shape == (37, len(e_sets) * 2)
         for e_idx, F in pairs:
             got = minima.distance(e_idx, F)
-            want = [F.distance(batch.values[p][e_idx]).min() for p in range(37)]
+            want = [F.distance(values[p][e_idx]).min() for p in range(37)]
             assert np.array_equal(got, want)
             if d <= 7:
                 spec = F.spec
-                norm = [_norm_distance(spec, batch.values[p][e_idx]).min() for p in range(37)]
+                norm = [_norm_distance(spec, values[p][e_idx]).min() for p in range(37)]
                 assert np.array_equal(got, norm)
 
     def test_battery_hits_equal_per_instance_counts(self, brownian_setup, rng):
         scale, grid, cov = brownian_setup
         tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 3)
-        batch = sample_paths(cov, d=3, n_paths=120, seed=12)
+        values = all_paths(cov, 3, 120, 12)
         instances = [((0.2, 1.0), [{"type": "ball", "center": [0.5, 0, 0], "radius": r}])
                      for r in (0.05, 0.1, 0.3)]
         instances += [((0.3, 0.7), _members(3, rng)), ((0.2, 1.0), _members(3, rng)[2:])]
@@ -218,7 +219,7 @@ class TestPathMinima:
                                   with_terms=False)
         for (E, F), inst, shared in zip(instances, checked, reps):
             alone = _hit(scale, cov, E, F, 3, tol, 120, 12)
-            want = sum(_norm_distance(F, batch.values[p][inst.e_idx]).min() <= tol
+            want = sum(_norm_distance(F, values[p][inst.e_idx]).min() <= tol
                        for p in range(120))
             assert shared.extras["hits"] == alone.extras["hits"] == want
 
@@ -247,7 +248,7 @@ class TestStreamedMinima:
         F = Target([{"type": "ball", "center": [0.1, 0.0, 0.0], "radius": 0.2},
                     {"type": "box", "lo": [-0.3, -0.3, 0.0], "hi": [0.0, 0.1, 0.2]}])
         pairs = [(np.arange(300), F), (np.arange(0, 300, 7), F)]
-        want = _filled(sample_paths(cov, d=3, n_paths=n_paths, seed=31), pairs).table
+        want = _filled(all_paths(cov, 3, n_paths, 31), pairs).table
         minima = PathMinima(n_paths, pairs)
         blocks = []
 
@@ -263,12 +264,13 @@ class TestStreamedMinima:
                                  consume=consume)
         finally:
             sys.setswitchinterval(interval)
-        assert batch.values is None and batch.n_paths == n_paths
+        assert batch.n_paths == n_paths and not hasattr(batch, "values")
         assert minima.table.tobytes() == want.tobytes()
-        # the blocks partition the paths, each one chunk of at most
-        # 64 // threads paths, on either sampler
+        # the blocks partition the paths; a circulant chunk holds at most
+        # 64 // threads paths, a Cholesky block at most 64 at every count
         assert sorted(p for p0, k in blocks for p in range(p0, p0 + k)) == list(range(n_paths))
-        assert max(k for _, k in blocks) <= max(1, 64 // threads)
+        bound = max(1, 64 // threads) if sampler == "circulant" else 64
+        assert max(k for _, k in blocks) <= bound
 
     def test_streamed_hit_memory_does_not_grow_with_paths(self):
         # a batch of 256 more paths would hold 256 * 4096 * 3 floats, 25 MB
@@ -280,6 +282,24 @@ class TestStreamedMinima:
             tracemalloc.start()
             try:
                 _hit(scale, cov, (0.9, 1.0), F, 3, 0.2, n_paths, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1e6
+
+    def test_volterra_hit_memory_does_not_grow_with_paths(self):
+        # the Cholesky sampler: 256 more paths held at once would be
+        # 256 * 256 * 4 floats, 2.1 MB, and their normals 0.5 MB more
+        scale = PowerScale(0.5)
+        grid = np.linspace(0.5, 1.0, 256)
+        cov = cov_volterra(scale, grid)
+        tol = grid_tolerance_guard(scale, float(grid[1] - grid[0]), grid.size, 4)
+        F = [{"type": "ball", "center": [0.5, 0.0, 0.0, 0.0], "radius": 0.1}]
+        peaks = []
+        for n_paths in (256, 512):
+            tracemalloc.start()
+            try:
+                _hit(scale, cov, (0.5, 1.0), F, 4, tol, n_paths, 3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -321,13 +341,13 @@ class TestSmallBall:
 
     def test_hits_equal_per_path_loop(self, brownian_setup):
         scale, grid, cov = brownian_setup
-        batch = sample_paths(cov, d=2, n_paths=300, seed=7)
+        values = all_paths(cov, 2, 300, 7)
         z = np.array([0.1, -0.2])
         radii = (0.1, 0.2, 0.4)
         reps = small_ball_sweep(cov, 0.5, radii, z, d=2, n_paths=300, seed=7, scale=scale)
         for r, rep in zip(radii, reps):
             idx = np.flatnonzero(scale.gamma(np.abs(grid - 0.5)) <= r)
-            want = sum(np.min(np.linalg.norm(batch.values[p][idx] - z, axis=1)) <= r
+            want = sum(np.min(np.linalg.norm(values[p][idx] - z, axis=1)) <= r
                        for p in range(300))
             assert 0 < want < 300
             assert rep.p_hat == want / 300

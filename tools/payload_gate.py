@@ -108,6 +108,10 @@ ROWS = [
     ("dims_cantor_threads2", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, ["--threads", "2"]),
     # 256 rows of R in jobs of 21 rows: twelve jobs, the last one partial
     ("dims_cantor_threads3", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, ["--threads", "3"]),
+    # a Cholesky sampler over 130 paths: blocks of 64, 64 and 2 paths at every --threads
+    ("dims_cantor_p130", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256, "n_paths": 130}, []),
+    ("dims_cantor_p130_threads3", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256,
+                                           "n_paths": 130}, ["--threads", "3"]),
     ("dims_cantor_eps", "dims", {**DIMS, "E": {**CANTOR_E, "eps0": 0.5}, "grid_n": 256}, []),
     ("dims_explog", "dims", {**DIMS, "gamma": "explog:alpha=0.3", "d": 1, "grid_n": 512,
                              "E": {"type": "interval", "a": 0.1, "b": 0.5}}, []),
@@ -221,6 +225,12 @@ ROWS = [
     # the Volterra rows strided over three jobs, whose rows differ in length
     ("simulate_volterra_threads3", "simulate", {**SIM, "cov": "volterra",
                                                 "grid": {"a": 1 / 64, "b": 1.0, "n": 64}},
+     ["--threads", "3"]),
+    # 130 paths in Cholesky blocks of 64, 64 and 2, written by chunk at their offsets
+    ("simulate_volterra_p130", "simulate", {**SIM, "cov": "volterra", "n_paths": 130,
+                                            "grid": {"a": 1 / 64, "b": 1.0, "n": 64}}, []),
+    ("simulate_volterra_p130_threads3", "simulate", {**SIM, "cov": "volterra", "n_paths": 130,
+                                                     "grid": {"a": 1 / 64, "b": 1.0, "n": 64}},
      ["--threads", "3"]),
     ("simulate_volterra_h03", "simulate", {**SIM, "gamma": "power:H=0.3", "cov": "volterra"},
      []),
