@@ -6,6 +6,15 @@ manifest that holds the config hash, the --threads worker count, timings
 and library versions - the only place a timestamp appears.  Exit codes:
 0 success, 2 config validation error or inputs outside the model, 3
 numerical failure.
+
+Each cmd_* maps (cfg, threads, trace) to its payloads in output order,
+{file name: writer}, with writers made by _json or _csv (a CSV cell is
+repr(float(v)) for a float, str(v) for anything else).  main then
+creates the output directory, calls each writer on out_dir / name and
+writes the manifest, so a command that fails writes no payload and no
+manifest.  simulate is the exception: its writers draw the paths into
+paths.bin and render paths.csv from that file, so its writing is its
+work.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +129,8 @@ def _parse_d(cfg) -> int:
 
 def _parse_cantor(cfg, scale):
     zeta = _require(cfg, "zeta", float, lambda v: v > 0, "must be > 0")
-    depth = _require(cfg, "depth", int, lambda v: 0 <= v <= 40, "must be in [0, 40]")
+    # 2^depth atoms: 2^13 is _MAX_N, the largest atom set any command takes
+    depth = _require(cfg, "depth", int, lambda v: 0 <= v <= 13, "must be in [0, 13]")
     # optional keys: a default merged under the config, then the same checks
     eps0 = _require({"eps0": 1.0, **cfg}, "eps0", float, lambda v: 0 < v <= 1, "must be in (0, 1]")
     return build_cantor(scale, zeta, depth, eps0)
@@ -158,13 +169,25 @@ def _parse_full_F(cfg, d) -> Target:
     return F
 
 
-def _json_payload(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json(obj):
+    """A writer of ``obj`` as JSON: sorted keys, 2-space indent, a final newline."""
+    return lambda path: path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _csv(header: str, rows):
+    """A writer of ``header`` and ``rows``, one line each.
+
+    A float cell, NumPy floats included, is ``repr(float(v))``, which
+    round-trips; any other cell is ``str(v)``.
+    """
+
+    def cell(v) -> str:
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    def write(path):
+        path.write_text(header + "\n" + "".join(",".join(map(cell, r)) + "\n" for r in rows))
+
+    return write
 
 
 def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list, t0: float, threads: int):
@@ -180,7 +203,7 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list, t0: floa
         "created_unix": int(time.time()),
         "versions": {"gpfractal": __version__, "numpy": np.__version__},
     }
-    _write(out_dir / f"{name}_manifest.json", _json_payload(manifest))
+    _json(manifest)(out_dir / f"{name}_manifest.json")
 
 
 def _load_config(args) -> dict:
@@ -215,7 +238,7 @@ def _build_cov(cfg, scale, grid, threads: int):
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_simulate(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def cmd_simulate(cfg, threads: int, trace: bool) -> dict:
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
     d = _parse_d(cfg)
@@ -223,15 +246,14 @@ def cmd_simulate(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     seed = _seed(cfg)
     cov = _build_cov(cfg, scale, grid, threads)
     batch = PathBatch(grid=cov.grid, d=d, n_paths=n_paths, seed=seed)
-    bin_path = out_dir / "paths.bin"
-    csv_path = out_dir / "paths.csv"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    batch.to_binary(bin_path, cov, threads)
-    batch.to_csv(csv_path, bin_path)
-    return [bin_path, csv_path]
+    # the paths are drawn while paths.bin is written; paths.csv renders that file
+    return {
+        "paths.bin": partial(batch.to_binary, cov=cov, threads=threads),
+        "paths.csv": lambda path: batch.to_csv(path, path.with_name("paths.bin")),
+    }
 
 
-def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def cmd_dims(cfg, threads: int, trace: bool) -> dict:
     scale = _parse_gamma(cfg)
     E = _parse_E(cfg, scale)
     d = _parse_d(cfg)
@@ -239,19 +261,13 @@ def cmd_dims(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     grid_n = _require(cfg, "grid_n", int, lambda v: 16 <= v <= _MAX_N,
                       f"must be in [16, {_MAX_N}]")
     seed = _seed(cfg)
-    if E.atoms is not None and E.atoms.size > _MAX_N:
-        raise ConfigError("E.depth", f"{E.atoms.size} atoms exceed the grid cap {_MAX_N}")
     report = image_dimension_experiment(
         scale, E, d=d, n_paths=n_paths, grid_n=grid_n, seed=seed, threads=threads
     )
-    json_path = out_dir / "dims_report.json"
-    csv_path = out_dir / "dims_counts.csv"
-    _write(json_path, _json_payload(asdict(report)))
-    lines = ["scale,count"]
-    for s, c in report.dim_delta.counts:
-        lines.append(f"{s!r},{c!r}")
-    _write(csv_path, "\n".join(lines) + "\n")
-    return [json_path, csv_path]
+    return {
+        "dims_report.json": _json(asdict(report)),
+        "dims_counts.csv": _csv("scale,count", report.dim_delta.counts),
+    }
 
 
 def _hit_reports(cfg, instances, threads: int) -> list:
@@ -280,14 +296,12 @@ def _hit_reports(cfg, instances, threads: int) -> list:
     return hit_probability_mc(scale, cov, parsed, d, n_paths, seed, threads)
 
 
-def cmd_hit(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def cmd_hit(cfg, threads: int, trace: bool) -> dict:
     (report,) = _hit_reports(cfg, [cfg], threads)
-    json_path = out_dir / "hit_report.json"
-    _write(json_path, _json_payload(asdict(report)))
-    return [json_path]
+    return {"hit_report.json": _json(asdict(report))}
 
 
-def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def cmd_capacity(cfg, threads: int, trace: bool) -> dict:
     scale = _parse_gamma(cfg)
     beta = _require(cfg, "beta", float)
     E = _parse_E(cfg, scale)
@@ -317,20 +331,13 @@ def cmd_capacity(cfg, out_dir: Path, threads: int, trace: bool) -> list:
     report = capacity_estimate(
         atoms, metric.rows(atoms), beta=beta, resolutions=resolutions, trace=fw_trace
     )
-    json_path = out_dir / "capacity_report.json"
-    outputs = [json_path]
-    _write(json_path, _json_payload(asdict(report)))
+    payloads = {"capacity_report.json": _json(asdict(report))}
     if trace:
-        csv_path = out_dir / "capacity_trace.csv"
-        lines = ["h,iteration,energy,gap"]
-        for h, k, e, g in fw_trace:
-            lines.append(f"{float(h)!r},{k},{float(e)!r},{float(g)!r}")
-        _write(csv_path, "\n".join(lines) + "\n")
-        outputs.append(csv_path)
-    return outputs
+        payloads["capacity_trace.csv"] = _csv("h,iteration,energy,gap", fw_trace)
+    return payloads
 
 
-def cmd_check_scale(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def cmd_check_scale(cfg, threads: int, trace: bool) -> dict:
     specs = cfg.get("families")
     if specs is None:
         specs = [_require(cfg, "gamma", str)]
@@ -338,77 +345,50 @@ def cmd_check_scale(cfg, out_dir: Path, threads: int, trace: bool) -> list:
         raise ConfigError("families", "must be a list of scale spec strings")
     # 1 - eps is the exponent of gamma(x) in the weak condition
     eps = _require({"eps": 0.1, **cfg}, "eps", float, lambda v: 0 < v < 1, "must be in (0, 1)")
-    rows = []
-    traces = ["family,condition,x,ratio"]
+    rows, summary, traces = [], [], []
     for spec in specs:
         try:
             f = parse_scale_spec(spec)
         except ValueError as err:
             raise ConfigError("families", str(err))
-        strong = check_strong_condition(f)
-        weak = check_weak_condition(f, eps=eps)
-        crit = psi_sqrtlog_criterion(f)
-        for verdict in (strong, weak, crit):
-            for x, ratio in zip(verdict.x_grid, verdict.ratios):
-                traces.append(f"{spec},{verdict.condition},{x!r},{ratio!r}")
-        rows.append(
-            {
-                "family": spec,
-                "strong": asdict(strong),
-                "weak": asdict(weak),
-                "psi_sqrtlog": asdict(crit),
-            }
-        )
-    json_path = out_dir / "check_scale.json"
-    csv_path = out_dir / "check_scale.csv"
-    _write(json_path, _json_payload({"eps": eps, "rows": rows}))
-    lines = ["family,condition,verdict,constant,paper_open"]
-    for row in rows:
-        for key in ("strong", "weak", "psi_sqrtlog"):
-            v = row[key]
-            lines.append(
-                f"{row['family']},{v['condition']},{v['verdict']},"
-                f"{v['fitted_constant']!r},{v['paper_open']}"
-            )
-    _write(csv_path, "\n".join(lines) + "\n")
-    outputs = [json_path, csv_path]
+        verdicts = {
+            "strong": check_strong_condition(f),
+            "weak": check_weak_condition(f, eps=eps),
+            "psi_sqrtlog": psi_sqrtlog_criterion(f),
+        }
+        for v in verdicts.values():
+            summary.append((spec, v.condition, v.verdict, v.fitted_constant, v.paper_open))
+            traces += [(spec, v.condition, x, r) for x, r in zip(v.x_grid, v.ratios)]
+        rows.append({"family": spec, **{k: asdict(v) for k, v in verdicts.items()}})
+    payloads = {
+        "check_scale.json": _json({"eps": eps, "rows": rows}),
+        "check_scale.csv": _csv("family,condition,verdict,constant,paper_open", summary),
+    }
     if trace:
-        trace_path = out_dir / "check_scale_traces.csv"
-        _write(trace_path, "\n".join(traces) + "\n")
-        outputs.append(trace_path)
-    return outputs
+        payloads["check_scale_traces.csv"] = _csv("family,condition,x,ratio", traces)
+    return payloads
 
 
-def cmd_cantor(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def cmd_cantor(cfg, threads: int, trace: bool) -> dict:
     cs = _parse_cantor(cfg, _parse_gamma(cfg))
     measure = cantor_measure(cs)
-    json_path = out_dir / "cantor_set.json"
-    csv_path = out_dir / "cantor_atoms.csv"
-    _write(json_path, _json_payload(cs.to_json()))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    measure.atoms_to_csv(csv_path)
-    return [json_path, csv_path]
+    return {
+        "cantor_set.json": _json(cs.to_json()),
+        "cantor_atoms.csv": _csv("weight,x0", zip(measure.weights, measure.atoms)),
+    }
 
 
-def cmd_battery(cfg, out_dir: Path, threads: int, trace: bool) -> list:
+def cmd_battery(cfg, threads: int, trace: bool) -> dict:
     instances = _require(cfg, "instances", list, lambda v: len(v) >= 6, "need >= 6 instances")
     reports = _hit_reports(cfg, instances, threads)
     verdict = sandwich_report(reports, d=cfg["d"])
-    json_path = out_dir / "battery_verdict.json"
-    csv_path = out_dir / "battery_verdict.csv"
-    payload = {
-        "verdict": verdict,
-        "reports": [asdict(r) for r in reports],
+    header = "instance,p_hat,ci_low,ci_high,capacity,content,dim_rho,status"
+    return {
+        "battery_verdict.json": _json({"verdict": verdict,
+                                       "reports": [asdict(r) for r in reports]}),
+        "battery_verdict.csv": _csv(header, [[row[k] for k in header.split(",")]
+                                             for row in verdict["rows"]]),
     }
-    _write(json_path, _json_payload(payload))
-    lines = ["instance,p_hat,ci_low,ci_high,capacity,content,dim_rho,status"]
-    for row in verdict["rows"]:
-        lines.append(
-            f"{row['instance']},{row['p_hat']!r},{row['ci_low']!r},{row['ci_high']!r},"
-            f"{row['capacity']!r},{row['content']!r},{row['dim_rho']!r},{row['status']}"
-        )
-    _write(csv_path, "\n".join(lines) + "\n")
-    return [json_path, csv_path]
 
 
 _COMMANDS = {
@@ -447,7 +427,10 @@ def main(argv=None) -> int:
         if not 1 <= args.threads <= _PATH_CHUNK:
             raise ConfigError("--threads", f"must be in [1, {_PATH_CHUNK}]")
         cfg = _load_config(args)
-        outputs = _COMMANDS[args.command](cfg, out_dir, args.threads, args.trace)
+        payloads = _COMMANDS[args.command](cfg, args.threads, args.trace)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in payloads.items():
+            write(out_dir / name)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -457,6 +440,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    outputs = [out_dir / name for name in payloads]
     _write_manifest(out_dir, args.command.replace("-", "_"), cfg, outputs, t0, args.threads)
     for p in outputs:
         print(p)

@@ -105,16 +105,6 @@ class DiscreteMeasure:
         d = model.delta(t, self.atoms)
         return float(np.sum(self.weights[np.asarray(d) <= r]))
 
-    def atoms_to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            cols = 1 if self.atoms.ndim == 1 else self.atoms.shape[1]
-            header = ["weight"] + [f"x{i}" for i in range(cols)]
-            fh.write(",".join(header) + "\n")
-            for w, a in zip(self.weights, np.atleast_2d(self.atoms.T).T):
-                vals = [a] if np.ndim(a) == 0 else list(a)
-                fh.write(",".join([repr(float(w))] + [repr(float(v)) for v in vals]))
-                fh.write("\n")
-
 
 def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> CantorSet:
     """Construct the two-children Cantor set adapted to the scale.

@@ -513,31 +513,28 @@ def parse_scale_spec(spec: str) -> ScaleFunction:
             raise ValueError(f"scale spec {spec!r} missing parameter {key!r}")
         return cast(params.pop(key))
 
-    try:
-        if family == "power":
-            out = PowerScale(fget("h"), x_max=float(params.pop("x_max", 1.0)))
-        elif family == "powerlog":
-            x_max = params.pop("x_max", None)
-            out = PowerLogScale(
-                fget("h"), fget("beta"), x_max=None if x_max is None else float(x_max)
-            )
-        elif family == "logscale":
-            out = LogScale(fget("beta"), x_max=float(params.pop("x_max", 0.5)))
-        elif family == "explog":
-            out = ExpLogScale(fget("alpha"), x_max=float(params.pop("x_max", 0.5)))
-        elif family == "logcorrected":
-            xm = params.pop("x_max", None)
-            out = LogCorrectedScale(
-                fget("beta"),
-                alpha=float(params.pop("alpha", 0.0)),
-                x_max=None if xm is None else float(xm),
-            )
-        elif family == "custom":
-            out = CustomScale.from_csv(fget("path", cast=str))
-        else:
-            raise ValueError(f"unknown scale family {family!r}")
-    except ValueError:
-        raise
+    if family == "power":
+        out = PowerScale(fget("h"), x_max=float(params.pop("x_max", 1.0)))
+    elif family == "powerlog":
+        x_max = params.pop("x_max", None)
+        out = PowerLogScale(
+            fget("h"), fget("beta"), x_max=None if x_max is None else float(x_max)
+        )
+    elif family == "logscale":
+        out = LogScale(fget("beta"), x_max=float(params.pop("x_max", 0.5)))
+    elif family == "explog":
+        out = ExpLogScale(fget("alpha"), x_max=float(params.pop("x_max", 0.5)))
+    elif family == "logcorrected":
+        xm = params.pop("x_max", None)
+        out = LogCorrectedScale(
+            fget("beta"),
+            alpha=float(params.pop("alpha", 0.0)),
+            x_max=None if xm is None else float(xm),
+        )
+    elif family == "custom":
+        out = CustomScale.from_csv(fget("path", cast=str))
+    else:
+        raise ValueError(f"unknown scale family {family!r}")
     if params:
         raise ValueError(f"unused parameters {sorted(params)} in scale spec {spec!r}")
     return out

@@ -547,6 +547,9 @@ REJECTED = {
     # one atom, so every default resolution is 0
     "capacity_cantor_one_atom": ("capacity", dict(
         CAPACITY, E={"type": "cantor", "zeta": 0.001, "depth": 0})),
+    # 2^14 atoms, past the 8192-point cap of every command's atom set
+    "cantor_depth14": ("cantor", {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 14}),
+    "dims_cantor_depth14": ("dims", dict(DIMS, E=dict(CANTOR, depth=14))),
 }
 
 
@@ -557,6 +560,99 @@ def test_invalid_config_exits_2_at_parse_time(tmp_path, capsys, name):
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+
+
+DEEP_CANTOR = {"type": "cantor", "zeta": 0.5, "depth": 40}
+DEEP_CANTOR_CONFIGS = {
+    "cantor": {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 40},
+    "dims": dict(DIMS, E=DEEP_CANTOR),
+    "hit": dict(TestOutOfModel.HIT, E=DEEP_CANTOR),
+    "capacity": dict(CAPACITY, E=DEEP_CANTOR),
+    "battery": THREAD_CONFIGS["battery"] | {
+        "instances": THREAD_CONFIGS["battery"]["instances"][:5] + [
+            {"E": DEEP_CANTOR, "F": TestOutOfModel.HIT["F"]}]},
+}
+
+
+@pytest.mark.parametrize("command", list(DEEP_CANTOR_CONFIGS))
+def test_deep_cantor_rejected_before_it_is_built(tmp_path, capsys, monkeypatch, command):
+    # 2^40 intervals at the deepest level: the depth is checked before any is built
+    from gpfractal import cli
+
+    def boom(*_args, **_kw):
+        raise AssertionError("Cantor set built")
+
+    monkeypatch.setattr(cli, "build_cantor", boom)
+    path = _write_config(tmp_path, DEEP_CANTOR_CONFIGS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "config field 'depth'" in err
+    assert not out.exists()
+
+
+def _csv_rows(path: Path) -> list:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def _battery_twin(out):
+    rows = json.loads((out / "battery_verdict.json").read_text())["verdict"]["rows"]
+    header = (out / "battery_verdict.csv").read_text().splitlines()[0].split(",")
+    return _csv_rows(out / "battery_verdict.csv"), [[r[k] for k in header] for r in rows]
+
+
+def _dims_twin(out):
+    report = json.loads((out / "dims_report.json").read_text())
+    return _csv_rows(out / "dims_counts.csv"), report["dim_delta"]["counts"]
+
+
+def _check_scale_twin(out):
+    rows = json.loads((out / "check_scale.json").read_text())["rows"]
+    cells = [[row["family"], v["condition"], v["verdict"], v["fitted_constant"], v["paper_open"]]
+             for row in rows for v in (row["strong"], row["weak"], row["psi_sqrtlog"])]
+    return _csv_rows(out / "check_scale.csv"), cells
+
+
+def _cantor_twin(out):
+    cs = json.loads((out / "cantor_set.json").read_text())
+    weight = 2.0 ** -cs["depth"]
+    return _csv_rows(out / "cantor_atoms.csv"), [
+        [weight, 0.5 * (a + b)] for a, b in cs["deepest_intervals"]]
+
+
+CSV_TWINS = {
+    "battery": (THREAD_CONFIGS["battery"] | {"n_paths": 20}, _battery_twin),
+    "dims": (dict(DIMS, E=CANTOR), _dims_twin),
+    "check-scale": ({"families": ["power:H=0.4", "logscale:beta=1.0"]}, _check_scale_twin),
+    "cantor": ({"gamma": "power:H=0.5", "zeta": 0.6, "depth": 5}, _cantor_twin),
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_TWINS))
+def test_csv_cells_equal_their_json_twin(tmp_path, command):
+    # a float cell is repr(float), so float(cell) gives the JSON value back exactly
+    cfg, twin = CSV_TWINS[command]
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    csv_rows, json_rows = twin(out)
+    assert len(csv_rows) == len(json_rows) > 0
+    for cells, values in zip(csv_rows, json_rows):
+        assert len(cells) == len(values)
+        for cell, value in zip(cells, values):
+            if isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert cell == str(value)
+
+
+def test_failed_command_writes_nothing(tmp_path, capsys):
+    # the first family's checks run before the second fails to parse
+    cfg = _write_config(tmp_path, {"families": [
+        "power:H=0.5", f"custom:path={tmp_path / 'no_such_knots.csv'}"]})
+    out = tmp_path / "out"
+    assert main(["check-scale", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
 
 
 OUT_OF_MODEL = {

@@ -48,6 +48,9 @@ HIT = {"gamma": "power:H=0.5", "grid": {"a": 0.2, "b": 1.0, "n": 256}, "d": 2,
 DIMS = {"gamma": "power:H=0.5", "d": 2, "n_paths": 3, "grid_n": 1024, "seed": 5}
 CAPACITY = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
             "beta": 1.5, "seed": 0}
+CAPACITY_PRODUCT = {**CAPACITY, "beta": 2.0, "d": 2,
+                    "E": {"type": "cantor", "zeta": 0.8, "depth": 8},
+                    "F": [{"type": "box", "lo": [0.0, 0.0], "hi": [0.375, 0.375]}]}
 CANTOR_E = {"type": "cantor", "zeta": 0.5, "depth": 8}
 LOG = "logscale:beta=1.0"  # x_max = 0.5
 FAMILIES = ["power:H=0.4", "powerlog:H=0.3,beta=1.0", "explog:alpha=0.3", LOG]
@@ -83,6 +86,8 @@ ROWS = [
     ("cantor_log_eps", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 4, "eps0": 0.4}, []),
     ("cantor_log_eps1", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 4, "eps0": 1.0}, []),
     ("cantor_overflow", "cantor", {"gamma": "power:H=0.5", "zeta": 3.0, "depth": 4}, []),
+    # 2^14 atoms: one level past the 8192-atom grid cap
+    ("cantor_depth14", "cantor", {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 14}, []),
     ("capacity_cantor", "capacity", {**CAPACITY, "beta": 0.3,
                                      "E": {"type": "cantor", "zeta": 0.5, "depth": 5}}, []),
     ("capacity_interval_ball", "capacity", {**CAPACITY, "beta": 2.5, "n_atoms": 256, "d": 2,
@@ -96,13 +101,13 @@ ROWS = [
                                             "F": POINT_AND_BOX}, []),
     ("capacity_logscale", "capacity", {**CAPACITY, "gamma": LOG, "beta": 0.5, "n_atoms": 400,
                                        "E": {"type": "interval", "a": 0.1, "b": 0.4}}, []),
-    ("capacity_product", "capacity", {**CAPACITY, "beta": 2.0, "d": 2,
-                                      "E": {"type": "cantor", "zeta": 0.8, "depth": 8},
-                                      "F": [{"type": "box", "lo": [0.0, 0.0],
-                                             "hi": [0.375, 0.375]}]}, []),
+    ("capacity_product", "capacity", CAPACITY_PRODUCT, []),
+    ("capacity_product_trace", "capacity", CAPACITY_PRODUCT, ["--trace"]),
     ("capacity_resolutions", "capacity", {**CAPACITY, "n_atoms": 500,
                                           "resolutions": [0.4, 0.2, 0.1, 0.05, 0.025]}, []),
     ("check_scale_families", "check-scale", {"families": FAMILIES, "eps": 0.1}, []),
+    ("check_scale_families_trace", "check-scale", {"families": FAMILIES, "eps": 0.1},
+     ["--trace"]),
     ("check_scale_single", "check-scale", {"gamma": "power:H=0.3"}, ["--trace"]),
     ("dims_cantor", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, []),
     ("dims_cantor_threads2", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, ["--threads", "2"]),
