@@ -5,6 +5,9 @@ one by truncating the metric at a resolution h, K_ij = phi_beta(max(rho,
 h)).  Sweeping h downward and extrapolating recovers the direction of
 the continuum limit: bounded minimal energies mean positive capacity,
 geometric decay of 1/e_min means the capacity verdict is "zero".
+Every distance comes from metrics.AtomRows: the kernel is built in place
+in the distance block of the subsample, and the solver works on that
+bare (k, k) array and returns the weights.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractal_sets import DiscreteMeasure, OutOfModelError
+from .fractal_sets import OutOfModelError
 from .metrics import _BLOCK_ROWS
 from .scale import phi_kernel
 
 __all__ = [
-    "KernelMatrix",
     "CapacityReport",
     "kernel_matrix",
     "minimize_energy",
@@ -28,23 +30,11 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 10_000  # atom cap of the subsample and of the capacity sweep
-_FW_TOL = 1e-5  # relative duality gap at which each sweep solve stops
-_FW_MAX_ITER = 20_000  # iteration cap of each sweep solve
+_FW_TOL = 1e-5  # relative duality gap at which a solve stops
+_FW_MAX_ITER = 20_000  # iteration cap of a solve
 
 
-@dataclass
-class KernelMatrix:
-    atoms: np.ndarray
-    K: np.ndarray
-    h: float
-    beta: float
-
-    @property
-    def n(self) -> int:
-        return len(self.atoms)
-
-
-def kernel_matrix(atoms, dists, beta: float, h: float, out=None) -> KernelMatrix:
+def kernel_matrix(dists, beta: float, h: float, out=None) -> np.ndarray:
     """K_ij = phi_beta(max(dist_ij, h)); h > 0 keeps the diagonal finite.
 
     K is built in one k x k buffer: ``out`` when given, which may be
@@ -63,12 +53,10 @@ def kernel_matrix(atoms, dists, beta: float, h: float, out=None) -> KernelMatrix
         strip *= 0.5
         K[r0:r1, r0:] = strip
         K[r0:, r0:r1] = strip.T
-    return KernelMatrix(atoms=np.asarray(atoms), K=K, h=h, beta=beta)
+    return K
 
 
-def minimize_energy(
-    kernel: KernelMatrix, tol: float = 1e-6, max_iter: int = 50_000, trace=None
-):
+def minimize_energy(K, tol: float = _FW_TOL, max_iter: int = _FW_MAX_ITER, trace=None):
     """Pairwise Frank-Wolfe minimization of w^T K w over the probability simplex.
 
     Starts uniform.  Each step moves mass from the support atom with the
@@ -97,13 +85,11 @@ def minimize_energy(
     identities fail only when 2 Kw overflows or some w_i Kw_i is
     subnormal.
 
-    Returns (DiscreteMeasure, e_min, gap).
+    Returns (weights, e_min, gap).
     """
-    K = kernel.K
-    n = kernel.n
+    n = len(K)
     if n == 1:
-        w = np.array([1.0])
-        return DiscreteMeasure(kernel.atoms, w), float(K[0, 0]), 0.0
+        return np.array([1.0]), float(K[0, 0]), 0.0
     w = np.full(n, 1.0 / n)
     Kw = K @ w
     e = float(w @ Kw)
@@ -139,7 +125,7 @@ def minimize_energy(
     Kw = K @ w
     e = float(w @ Kw)
     gap = 2.0 * e - 2.0 * float(Kw.min())
-    return DiscreteMeasure(kernel.atoms, w), e, gap
+    return w, e, gap
 
 
 def farthest_point_subsample(atoms, metric, spacing: float):
@@ -189,13 +175,13 @@ class CapacityReport:
 def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> CapacityReport:
     """Capacity 1/inf-energy across a decreasing resolution sweep.
 
-    ``atoms`` are (m,) times or ProductAtoms, and ``metric`` their
-    StationaryGamma.rows.  At each h the atom set is thinned to spacing ~h
-    by farthest-point selection (one greedy pass serves the whole sweep),
-    the truncated kernel is built inside one distance block (metric.block),
-    and the energy is minimized by pairwise Frank-Wolfe, whose iteration
-    count per h the report keeps.  The verdict comes from
-    the decay rate of the capacity estimates per octave of h: geometric
+    ``atoms`` are (m,) times or ProductAtoms, of which only the count is
+    read, and ``metric`` their StationaryGamma.rows.  At each h the atom
+    set is thinned to spacing ~h by farthest-point selection (one greedy
+    pass serves the whole sweep), the truncated kernel is built inside
+    one distance block (metric.block), and the energy is minimized by
+    pairwise Frank-Wolfe, whose iteration count per h the report keeps.
+    The verdict comes from the decay rate of the capacity estimates per octave of h: geometric
     decay (slope <= -0.1) reads "zero", a near-flat tail reads "positive"
     with a geometric-series extrapolation, and the band in between is
     "inconclusive" (the critical-order regime that discretization cannot
@@ -218,11 +204,11 @@ def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> Ca
         idx = np.sort(order[radii > h])
         if idx.size == 0:
             raise OutOfModelError(f"the subsample at resolution h = {h!r} is empty")
-        dists = metric.block(idx)
-        kern = kernel_matrix(atoms[idx], dists, beta=beta, h=h, out=dists)
+        K = metric.block(idx)
+        kernel_matrix(K, beta=beta, h=h, out=K)
         fw_trace = []
-        _, e, gap = minimize_energy(kern, tol=_FW_TOL, max_iter=_FW_MAX_ITER, trace=fw_trace)
-        del dists, kern  # so the next resolution's block is the only k x k array
+        _, e, gap = minimize_energy(K, trace=fw_trace)
+        del K  # so the next resolution's block is the only k x k array
         if not (e > 0 and math.isfinite(e) and math.isfinite(1.0 / e)):
             raise OutOfModelError(
                 f"minimal energy {e!r} at h = {h!r}, beta = {beta!r}: "

@@ -308,11 +308,12 @@ def core_sq_distance(core, points) -> np.ndarray:
 
 def _mesh_points(axes, flat):
     """The points of the C-order mesh of ``axes`` at flat indices ``flat``,
-    as a (len(flat), len(axes)) array."""
-    idx = np.unravel_index(flat, tuple(a.size for a in axes))
+    as a (len(flat), len(axes)) array.  The flat index is split axis by
+    axis from the last, so any number of axes works."""
     pts = np.empty((len(flat), len(axes)))
-    for j, (a, i) in enumerate(zip(axes, idx)):
-        pts[:, j] = a[i]
+    for j in range(len(axes) - 1, -1, -1):
+        flat, i = np.divmod(flat, axes[j].size)
+        pts[:, j] = axes[j][i]
     return pts
 
 

@@ -6,7 +6,8 @@ gamma(step) sqrt(2 log n) so the bias stays controlled.  The sandwich
 compares p_hat against a capacity term (lower bound) and a Hausdorff
 content term (upper bound) of the product set E x F in the metric
 rho = max(delta, Euclidean), with instances near the critical product
-dimension d excluded as uninformative.
+dimension d excluded as uninformative.  Both terms read one product
+sample of E x F: the same atoms, AtomRows, diameter and resolution floor.
 """
 
 from __future__ import annotations
@@ -222,19 +223,20 @@ def _add_sandwich_terms(rep: HitProbReport, scale, times, inst: HitInstance, d: 
     f_pts, f_pitch = inst.lattice
     t_budget = max(16, 9000 // max(len(f_pts), 1))
     t_sub = times[:: max(1, int(math.ceil(len(times) / t_budget)))]
-    # resolution floor: below the sampling pitch of either factor the
-    # product atoms are isolated and capacity/content see only
-    # discreteness artifacts
+    # one product sample, its rows, diameter and resolution floor serve
+    # both terms.  Below the sampling pitch of either factor the product
+    # atoms are isolated and capacity/content see only discreteness
+    # artifacts; the closest pair of sampled times sets the time pitch.
     metric = StationaryGamma(scale)
-    # the closest pair of sampled times sets the time resolution
     k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
     floor = max(metric.delta(t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
     atoms = ProductAtoms(t_sub, f_pts)
-    diam = _product_diameter(metric, atoms)
+    rows = metric.rows(atoms)
+    diam = rows.diameter()
     resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
     if len(resolutions) < 2:
         resolutions = [diam / 2.0, diam / 4.0]
-    cap = capacity_estimate(atoms, metric.rows(atoms), beta=float(d), resolutions=resolutions)
+    cap = capacity_estimate(atoms, rows, beta=float(d), resolutions=resolutions)
     rep.capacity_term = cap.capacity_value
     rep.capacity_verdict = cap.verdict
     rep.extras.update(
@@ -244,14 +246,9 @@ def _add_sandwich_terms(rep: HitProbReport, scale, times, inst: HitInstance, d: 
         capacity_n_atoms=cap.n_atoms,
     )
     rep.content_term = hausdorff_content_estimate(
-        t_sub, f_pts, s_exponent=float(d), scale=scale, r_floor=floor
+        atoms, rows, s_exponent=float(d), diam=diam, r_floor=floor
     )
     rep.dim_rho_est = dim_rho_product(inst.E, inst.F, scale).value
-
-
-def _product_diameter(metric, atoms: ProductAtoms) -> float:
-    """rho between the corners of the atoms' bounding box, at least 1e-12."""
-    return max(float(metric.rho(*atoms.corners())), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -315,56 +312,56 @@ def small_ball_sweep(cov: CovMatrix, t0: float, radii, z, d: int, n_paths: int, 
 
 
 def hausdorff_content_estimate(
-    E_times,
-    F_points,
-    s_exponent: float,
-    scale,
-    menu_depth: int = 8,
-    r_floor: float = 0.0,
+    atoms, rows, s_exponent: float, diam: float, r_floor: float = 0.0, menu_depth: int = 8
 ) -> float:
-    """Greedy multi-scale cover of E x F by rho-balls; returns sum (2r)^s.
+    """Greedy multi-scale cover of the atoms by rho-balls; returns sum (2r)^s.
 
-    Centers are taken at the first uncovered product point; the radius
-    comes from a dyadic menu, choosing the smallest marginal (2r)^s per
-    newly covered point.  Any greedy cover upper-bounds the content, so
-    the returned value is the minimum over nested menu truncations,
-    which also makes menu refinement monotone by construction.
+    ``rows`` are the atoms' StationaryGamma.rows and ``diam`` their
+    rows.diameter().  Centers are taken at the first uncovered atom; the
+    radius comes from a dyadic menu below diam, choosing the smallest
+    marginal (2r)^s per newly covered atom.  Any greedy cover
+    upper-bounds the content, so the returned value is the minimum over
+    nested menu truncations, which also makes menu refinement monotone by
+    construction.
 
     ``r_floor`` keeps the menu above the sampling resolution of the
     finite point sets: below it a cover sees isolated atoms, whose
-    content vanishes no matter what the underlying set is.
+    content vanishes no matter what the underlying set is.  A menu radius
+    whose (2r)^s is not a finite float raises OutOfModelError.
     """
-    atoms = ProductAtoms(E_times, F_points)
-    metric = StationaryGamma(scale)
-    rows = metric.rows(atoms)
-    diam = _product_diameter(metric, atoms)
     best = math.inf
     for depth in range(1, menu_depth + 1):
         menu = [diam / 2.0**j for j in range(depth + 1)]
         menu = [r for r in menu if r >= r_floor] or [max(diam, r_floor)]
+        sizes = [_ball_content(r, s_exponent) for r in menu]
         total = 0.0
         covered = np.zeros(len(atoms), dtype=bool)
         while not covered.all() and total < best:
-            i = int(np.argmin(covered))
-            rho = rows(i, slice(None))
-            best_cost, best_r, best_mask = math.inf, menu[0], None
-            for r in menu:
+            rho = rows(int(np.argmin(covered)), slice(None))
+            # the center's own row holds it at rho = 0, so every radius
+            # covers it and some cost is finite
+            best_cost = math.inf
+            for r, size in zip(menu, sizes):
                 mask = ~covered & (rho <= r)
                 newly = int(np.sum(mask))
-                if newly == 0:
-                    continue
-                cost = (2.0 * r) ** s_exponent / newly
-                if cost < best_cost:
-                    best_cost, best_r, best_mask = cost, r, mask
-            if best_mask is None:
-                covered[i] = True  # isolated point below the finest radius
-                total += (2.0 * menu[-1]) ** s_exponent
-                continue
+                if newly and size / newly < best_cost:
+                    best_cost, best_size, best_mask = size / newly, size, mask
             covered |= best_mask
-            covered[i] = True
-            total += (2.0 * best_r) ** s_exponent
+            total += best_size
         best = min(best, total)
     return best
+
+
+def _ball_content(r: float, s: float) -> float:
+    """(2r)^s, the content of one rho-ball of radius r, or OutOfModelError."""
+    try:
+        size = (2.0 * r) ** s
+    except OverflowError:
+        size = math.inf
+    if not math.isfinite(size):
+        raise OutOfModelError(f"the content of a rho-ball, (2r)^s at r = {r!r}, s = {s!r}, "
+                              "is not a finite float")
+    return size
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Two metrics on the time line: the stationary-increment model
 delta*(s, t) = gamma(|t - s|), used for set geometry, and the
 covariance-derived delta(s, t) = sqrt(R(t,t) + R(s,s) - 2 R(s,t)) of a
 simulated process.  The product metric on time x space is
-rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||).
+rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||), evaluated only by
+AtomRows over factored ProductAtoms: distance rows, distance blocks and
+the diameter.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ _BLOCK_ROWS = 16  # rows of a distance block filled per step
 
 
 class StationaryGamma:
-    """delta*(s, t) = gamma(|t - s|) and the product metric rho built on it.
+    """delta*(s, t) = gamma(|t - s|), the one place that evaluates it.
 
-    The one place that evaluates either, together with ``rows`` for the
-    distances among a fixed atom set.  E is validated to lie in
-    [0, x_max] (fractal_sets.TimeSet), so |t - s| never leaves the
+    ``rows`` gives the AtomRows of a fixed atom set.  E is validated to
+    lie in [0, x_max] (fractal_sets.TimeSet), so |t - s| never leaves the
     scale's domain and is not clipped.
     """
 
@@ -45,23 +46,6 @@ class StationaryGamma:
         times = np.asarray(times, dtype=float)
         return self.delta(times[:, None], times[None, :])
 
-    def rho(self, u, v):
-        """max(delta*(s, t), ||x - y||) for points u = (s, x), v = (t, y).
-
-        Points are rows (t, x_1, ..., x_d), and a block of rows
-        broadcasts against one point.  A single pair goes through norm's
-        vector path (a dot product) and a block through its row
-        reduction; the two can differ in the last bit, and each keeps the
-        rounding that recorded outputs of its callers were made with.
-        """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if u.shape[-1] != v.shape[-1]:
-            raise ValueError("rho: spatial dimension mismatch")
-        dx = v[..., 1:] - u[..., 1:]
-        dx = np.linalg.norm(dx, axis=-1) if dx.ndim > 1 else np.linalg.norm(dx)
-        return np.maximum(self.delta(u[..., 0], v[..., 0]), dx)
-
     def rows(self, atoms) -> AtomRows:
         """Distance rows over ``atoms``: delta* for (m,) times, rho for ProductAtoms."""
         return AtomRows(self, atoms)
@@ -71,8 +55,7 @@ class StationaryGamma:
 class ProductAtoms:
     """Every pair (t, x) of n_t times and n_f points of R^d, held factored.
 
-    Atom j is (times[j // n_f], points[j % n_f]), the row order of the
-    (m, 1 + d) array that indexing materializes (``atoms[idx]``).  Since
+    Atom j is (times[j // n_f], points[j % n_f]).  Since
     rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||), a distance row
     needs n_t values of gamma and n_f norms, not m of each.
     """
@@ -87,25 +70,15 @@ class ProductAtoms:
     def __len__(self) -> int:
         return self.times.size * len(self.points)
 
-    def __getitem__(self, idx) -> np.ndarray:
-        ti, fi = np.divmod(np.arange(len(self))[idx], len(self.points))
-        return np.concatenate([self.times[ti][..., None], self.points[fi]], axis=-1)
-
-    def corners(self):
-        """The low and high corners (t, x) of the atoms' bounding box."""
-        lo = np.concatenate([[self.times.min()], self.points.min(axis=0)])
-        hi = np.concatenate([[self.times.max()], self.points.max(axis=0)])
-        return lo, hi
-
 
 class AtomRows:
-    """metric(i, idx): distances from atoms[i] to atoms[idx]; block(idx): among atoms[idx].
+    """metric(i, idx): distances from atom i to atoms idx; block(idx): among atoms idx.
 
-    ``idx`` is any index of a 1-D array; ``slice(None)`` reads a whole
-    row without a copy.  Each element is the value StationaryGamma.delta,
-    or rho on the materialized rows, gives for that pair: the same
-    subtraction, the same gamma and the same norm reduction.  Times-only
-    atoms keep the bare gamma row.
+    The one evaluation of rho, and of delta* between atoms.  ``idx`` is
+    any index of a 1-D array; ``slice(None)`` reads a whole row without a
+    copy.  Each element is max(gamma(|t - s|), ||x - y||) for its pair,
+    from StationaryGamma.delta and one norm reduction over the spatial
+    axis; times-only atoms keep the bare gamma row.
     """
 
     def __init__(self, model: StationaryGamma, atoms):
@@ -152,6 +125,18 @@ class AtomRows:
                 g[np.ix_(t_of[rows], t_of)], norms[np.ix_(f_of[rows], f_of)], out=out[rows]
             )
         return out
+
+    def diameter(self) -> float:
+        """rho between the low and high corners of the atoms' bounding box, at least 1e-12.
+
+        gamma is increasing and each coordinate gap is at most the box's
+        extent, so this bounds every pairwise distance, and equals the
+        largest one when both corners are atoms.
+        """
+        span = self.model.delta(self.times.min(), self.times.max())
+        if self.points is not None:
+            span = max(span, np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
+        return max(float(span), 1e-12)
 
 
 def covariance_delta_matrix(cov) -> np.ndarray:

@@ -53,9 +53,7 @@ class ScaleFunction:
     name = "abstract"
     #: upper end of the domain (times are dimensionless).
     x_max = 1.0
-    #: whether the family is declared concave in a neighbourhood of 0.
-    concave_near_zero = False
-    #: right end of the declared concavity neighbourhood.
+    #: right end of the declared concavity neighbourhood (0: none declared).
     x_conc = 0.0
 
     # -- core evaluations -------------------------------------------------
@@ -168,7 +166,6 @@ class PowerScale(ScaleFunction):
         self.h = float(h)
         self.x_max = float(x_max)
         self.name = f"power(H={h:g})"
-        self.concave_near_zero = True
         self.x_conc = self.x_max
 
     def _gamma(self, a):
@@ -208,7 +205,6 @@ class PowerLogScale(ScaleFunction):
         if self.beta > 0 and self.x_max >= math.exp(-self.beta / self.h):
             raise ValueError("x_max beyond the monotone range of r^H log^beta(1/r)")
         self.name = f"powerlog(H={h:g},beta={beta:g})"
-        self.concave_near_zero = True
         # gamma'' < 0 needs (H - H^2) L^2 > |beta(1-2H)| L + |beta^2 - beta|
         # with L = log(1/r); take the positive root, conservatively
         a = h - h * h
@@ -248,7 +244,6 @@ class LogScale(ScaleFunction):
         if self.x_max >= 1.0:
             raise ValueError("log scale degenerates at r >= 1")
         self.name = f"logscale(beta={beta:g})"
-        self.concave_near_zero = True
         self.x_conc = min(self.x_max, 0.9 * math.exp(-(self.beta + 1.0)))
 
     def _gamma(self, a):
@@ -286,7 +281,6 @@ class ExpLogScale(ScaleFunction):
         if self.x_max >= 1.0:
             raise ValueError("explog scale degenerates at r >= 1")
         self.name = f"explog(alpha={alpha:g})"
-        self.concave_near_zero = True
         self.x_conc = min(self.x_max, 0.25)
 
     def _gamma(self, a):
@@ -338,7 +332,6 @@ class LogCorrectedScale(ScaleFunction):
         if self.alpha > 0 and self.beta * math.log(u0) <= self.alpha:
             raise ValueError("x_max beyond the monotone range for these (beta, alpha)")
         self.name = f"logcorrected(beta={beta:g},alpha={alpha:g})"
-        self.concave_near_zero = True
         self.x_conc = min(self.x_max, 0.5 * math.exp(-(self.beta + 2.0)))
 
     def _gamma(self, a):
@@ -388,7 +381,6 @@ class CustomScale(ScaleFunction):
         self._log_g = np.log(g)
         self.x_max = float(r[-1])
         self.name = name
-        self.concave_near_zero = False
         self.x_conc = 0.0
 
     @classmethod

@@ -5,7 +5,9 @@ enumerates every support of the probability simplex and solves its KKT
 system exactly, and the integral oracle is a plain midpoint Riemann sum
 on a geometric grid.  The Frank-Wolfe reference is the solver's earlier
 loop, which keeps a gradient array and masks the support on every step;
-the current loop must reproduce its bits.
+the current loop must reproduce its bits.  The product-metric oracle
+evaluates rho on materialized (t, x) rows, one row per atom, where the
+code under test reads factored times and points.
 """
 
 from __future__ import annotations
@@ -88,6 +90,23 @@ def pairwise_fw_reference(K: np.ndarray, tol: float, max_iter: int, trace=None):
     grad = 2.0 * Kw
     gap = float(w @ grad - grad.min())
     return w, e, gap
+
+
+def product_rows(times, points) -> np.ndarray:
+    """Every (t, x_1, ..., x_d) row of times x points, time-major."""
+    points = np.atleast_2d(points)
+    return np.column_stack([np.repeat(times, len(points)), np.tile(points, (len(times), 1))])
+
+
+def product_rho(gamma, u, rows) -> np.ndarray:
+    """rho(u, v) = max(gamma(|t - s|), ||y - x||) from u = (s, x) to each row v = (t, y).
+
+    ``gamma`` is the scale function, evaluated on the array of time gaps.
+    """
+    u = np.asarray(u, dtype=float)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return np.maximum(gamma(np.abs(rows[:, 0] - u[0])),
+                      np.linalg.norm(rows[:, 1:] - u[1:], axis=-1))
 
 
 def riemann_integral_I(scale, x: float, n_panels: int = 1_000_000) -> float:

@@ -286,6 +286,19 @@ class TestHitAndCapacity:
         rep = json.loads((out / "capacity_report.json").read_text())
         assert rep["verdict"] in {"positive", "zero", "inconclusive"}
 
+    def test_capacity_box_above_64_dimensions(self, tmp_path):
+        # 65 axes, more than an ndarray may have; the box's lattice holds 7 points
+        cfg = _write_config(
+            tmp_path,
+            {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
+             "beta": 2.0, "n_atoms": 64, "seed": 0, "d": 65,
+             "F": [{"type": "box", "lo": [0.0] * 65, "hi": [1.0] + [0.1] * 64}]},
+        )
+        out = tmp_path / "out"
+        assert main(["capacity", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rep = json.loads((out / "capacity_report.json").read_text())
+        assert rep["verdict"] == "positive" and rep["n_atoms"] == [10, 53, 448]
+
     @pytest.mark.parametrize("name", ["missing.csv", ".", "one_column.csv"])
     def test_unreadable_custom_scale(self, tmp_path, capsys, name):
         (tmp_path / "one_column.csv").write_text("0.001,0.01\n0.5\n")
@@ -673,6 +686,11 @@ OUT_OF_MODEL = {
     # 7 points on each of 30 axes: 7^30 mesh points overflow a flat index
     "capacity_lattice_mesh_beyond_index": ("capacity", dict(CAPACITY, n_atoms=64, d=30, F=[
         {"type": "box", "lo": [0.0] * 30, "hi": [1.0] * 30}])),
+    # (2r)^60 of the content cover's widest ball overflows a float; the capacity term passes
+    "hit_content_overflow_d60": ("hit", dict(
+        TestOutOfModel.HIT, d=60, tol=20.0, n_paths=8, seed=1,
+        grid={"a": 0.2, "b": 1.0, "n": 64}, E={"type": "interval", "a": 0.2, "b": 1.0},
+        F=[{"type": "box", "lo": [0.0] * 60, "hi": [1e5] + [0.5] * 59}])),
 }
 
 

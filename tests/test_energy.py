@@ -3,11 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import exact_min_energy, pairwise_fw_reference
+from oracles import exact_min_energy, pairwise_fw_reference, product_rho, product_rows
 
 from gpfractal import energy
 from gpfractal.energy import (
-    KernelMatrix,
     capacity_estimate,
     farthest_point_subsample,
     kernel_matrix,
@@ -26,36 +25,35 @@ from gpfractal.scale import PowerScale, phi_kernel
 def _random_kernel(rng, n, beta=0.8, h=0.05):
     atoms = np.sort(rng.uniform(0.0, 1.0, size=n))
     dists = np.abs(atoms[:, None] - atoms[None, :])
-    return kernel_matrix(atoms, dists, beta=beta, h=h)
+    return kernel_matrix(dists, beta=beta, h=h)
 
 
 class TestEnergyDiscrete:
     """The energy w^T K w of a measure's weights against kernel_matrix."""
 
     def test_point_mass_diagonal(self):
-        kern = kernel_matrix([0.5], np.zeros((1, 1)), beta=0.7, h=0.02)
+        K = kernel_matrix(np.zeros((1, 1)), beta=0.7, h=0.02)
         w = np.array([1.0])
-        assert w @ kern.K @ w == pytest.approx(phi_kernel(0.7, 0.02))
+        assert w @ K @ w == pytest.approx(phi_kernel(0.7, 0.02))
 
     def test_two_atoms_hand_expansion(self):
         r, h, beta = 0.3, 0.01, 1.2
         atoms = np.array([0.2, 0.5])
         dists = np.array([[0.0, r], [r, 0.0]])
-        kern = kernel_matrix(atoms, dists, beta=beta, h=h)
+        K = kernel_matrix(dists, beta=beta, h=h)
         w = np.array([0.5, 0.5])
         expected = 0.5 * (phi_kernel(beta, h) + phi_kernel(beta, r))
-        assert w @ kern.K @ w == pytest.approx(expected)
+        assert w @ K @ w == pytest.approx(expected)
 
     def test_negative_beta_constant(self, rng):
-        kern = _random_kernel(rng, 6, beta=-1.0)
+        K = _random_kernel(rng, 6, beta=-1.0)
         w = np.full(6, 1 / 6)
-        assert w @ kern.K @ w == pytest.approx(1.0)
+        assert w @ K @ w == pytest.approx(1.0)
 
     @pytest.mark.parametrize("beta", [1.5, 1.0, 0.0, -1.0])
     def test_kernel_in_one_buffer_matches_unfused_build(self, rng, beta):
         # 40 rows: two full 16-row strips and a partial one; the distances
         # are not symmetric, so the symmetrization does work
-        atoms = np.linspace(0.2, 1.0, 40)
         dists = rng.uniform(0.0, 1.0, (40, 40))
         given = dists.copy()
         a = np.maximum(dists, 0.05)
@@ -66,39 +64,39 @@ class TestEnergyDiscrete:
         else:
             ref = np.ones_like(a)
         ref = 0.5 * (ref + ref.T)
-        K = kernel_matrix(atoms, dists, beta=beta, h=0.05).K
+        K = kernel_matrix(dists, beta=beta, h=0.05)
         assert K.tobytes() == ref.tobytes()
         assert dists.tobytes() == given.tobytes()
-        kern = kernel_matrix(atoms, dists, beta=beta, h=0.05, out=dists)
-        assert kern.K is dists and dists.tobytes() == ref.tobytes()
+        K = kernel_matrix(dists, beta=beta, h=0.05, out=dists)
+        assert K is dists and dists.tobytes() == ref.tobytes()
 
     def test_mismatch_rejected(self, rng):
         # a measure's weights must align with its atoms, one per kernel row
-        kern = _random_kernel(rng, 4)
+        atoms = np.sort(rng.uniform(0.0, 1.0, size=4))
         with pytest.raises(ValueError, match="align"):
-            DiscreteMeasure(kern.atoms, np.array([1.0]))
+            DiscreteMeasure(atoms, np.array([1.0]))
 
 
 class TestMinimizeEnergy:
     def test_single_atom(self):
-        kern = kernel_matrix([0.5], np.zeros((1, 1)), beta=0.7, h=0.02)
-        nu, e, gap = minimize_energy(kern)
-        assert nu.weights.tolist() == [1.0]
+        K = kernel_matrix(np.zeros((1, 1)), beta=0.7, h=0.02)
+        w, e, gap = minimize_energy(K)
+        assert w.tolist() == [1.0]
         assert e == pytest.approx(phi_kernel(0.7, 0.02))
         assert gap == 0.0
 
     def test_two_symmetric_atoms(self):
         atoms = np.array([0.2, 0.8])
         dists = np.abs(atoms[:, None] - atoms[None, :])
-        kern = kernel_matrix(atoms, dists, beta=1.0, h=0.05)
-        nu, e, gap = minimize_energy(kern, tol=1e-12, max_iter=100_000)
-        assert nu.weights == pytest.approx([0.5, 0.5], abs=1e-6)
+        K = kernel_matrix(dists, beta=1.0, h=0.05)
+        w, e, gap = minimize_energy(K, tol=1e-12, max_iter=100_000)
+        assert w == pytest.approx([0.5, 0.5], abs=1e-6)
 
     def test_matches_three_atom_grid_search(self, rng):
         for _ in range(5):
-            kern = _random_kernel(rng, 3)
-            _, e, gap = minimize_energy(kern, tol=1e-10, max_iter=300_000)
-            exact = exact_min_energy(kern.K)
+            K = _random_kernel(rng, 3)
+            _, e, gap = minimize_energy(K, tol=1e-10, max_iter=300_000)
+            exact = exact_min_energy(K)
             assert abs(e - exact) <= 1e-3
             # the gap bounds e - exact only where K is positive semidefinite
             # on the simplex's tangent space (see minimize_energy), so this
@@ -108,9 +106,9 @@ class TestMinimizeEnergy:
     def test_gap_certifies_optimality(self, rng):
         # e_min - exact <= gap on random small instances
         for _ in range(20):
-            kern = _random_kernel(rng, 5, beta=rng.uniform(0.2, 1.5))
-            _, e, gap = minimize_energy(kern, tol=1e-8, max_iter=100_000)
-            exact = exact_min_energy(kern.K)
+            K = _random_kernel(rng, 5, beta=rng.uniform(0.2, 1.5))
+            _, e, gap = minimize_energy(K, tol=1e-8, max_iter=100_000)
+            exact = exact_min_energy(K)
             assert e - exact <= gap + 1e-9
 
     def test_matches_exact_where_vanilla_fw_stalled(self):
@@ -118,15 +116,15 @@ class TestMinimizeEnergy:
         # kernel is not PSD on the simplex's tangent space
         atoms = np.array([0.137, 0.2167, 0.3254, 0.3724, 0.5589])
         dists = np.abs(atoms[:, None] - atoms[None, :])
-        kern = kernel_matrix(atoms, dists, beta=1.75, h=0.09)
-        _, e, _ = minimize_energy(kern, tol=1e-10, max_iter=400_000)
-        exact = exact_min_energy(kern.K)
+        K = kernel_matrix(dists, beta=1.75, h=0.09)
+        _, e, _ = minimize_energy(K, tol=1e-10, max_iter=400_000)
+        exact = exact_min_energy(K)
         assert abs(e - exact) <= 1e-9 * exact
 
     def test_trace_ends_at_the_last_iteration(self, rng):
-        kern = _random_kernel(rng, 40)
+        K = _random_kernel(rng, 40)
         trace = []
-        minimize_energy(kern, tol=1e-5, max_iter=20_000, trace=trace)
+        minimize_energy(K, tol=1e-5, max_iter=20_000, trace=trace)
         ks = [k for k, _, _ in trace]
         assert ks[: min(100, len(ks))] == list(range(min(100, len(ks))))
         assert all(k % 100 == 0 for k in ks[100:-1])
@@ -136,32 +134,30 @@ class TestMinimizeEnergy:
     def test_uniform_upper_bound(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 30))
-            kern = _random_kernel(rng, n)
+            K = _random_kernel(rng, n)
             w = np.full(n, 1.0 / n)
-            _, e, _ = minimize_energy(kern)
-            assert e <= w @ kern.K @ w + 1e-12
+            _, e, _ = minimize_energy(K)
+            assert e <= w @ K @ w + 1e-12
 
 
 def _psd_kernel(rng, n):
     # Gram matrix of positive features plus a ridge: PSD and entrywise positive
     feats = rng.uniform(0.0, 1.0, size=(n, 3))
-    K = feats @ feats.T + 1e-3 * np.eye(n)
-    return KernelMatrix(atoms=np.arange(n), K=K, h=1.0, beta=1.0)
+    return feats @ feats.T + 1e-3 * np.eye(n)
 
 
-def _run_both(kern, tol, max_iter):
+def _run_both(K, tol, max_iter):
     ref_trace, trace = [], []
-    ref = pairwise_fw_reference(kern.K, tol, max_iter, ref_trace)
-    nu, e, gap = minimize_energy(kern, tol=tol, max_iter=max_iter, trace=trace)
-    return ref, (nu.weights, e, gap), ref_trace, trace
+    ref = pairwise_fw_reference(K, tol, max_iter, ref_trace)
+    return ref, minimize_energy(K, tol=tol, max_iter=max_iter, trace=trace), ref_trace, trace
 
 
 class TestMatchesGradientLoopBitwise:
     """minimize_energy's loop on Kw alone gives the bits of the loop that
     kept grad = 2 Kw (tests/oracles.py::pairwise_fw_reference)."""
 
-    def _check(self, kern, tol, max_iter):
-        (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(kern, tol, max_iter)
+    def _check(self, K, tol, max_iter):
+        (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(K, tol, max_iter)
         assert w.tobytes() == w_ref.tobytes()
         assert e == e_ref and gap == gap_ref
         assert trace == ref_trace
@@ -172,23 +168,23 @@ class TestMatchesGradientLoopBitwise:
     def test_random_kernels(self, n, kind):
         rng = np.random.default_rng(1000 * n + (kind == "psd"))
         if kind == "psd":
-            kern = _psd_kernel(rng, n)
+            K = _psd_kernel(rng, n)
         else:
-            kern = _random_kernel(rng, n, beta=rng.uniform(0.2, 2.5), h=rng.uniform(0.005, 0.2))
-        self._check(kern, tol=1e-5, max_iter=2_000)
-        self._check(kern, tol=1e-9, max_iter=500)
+            K = _random_kernel(rng, n, beta=rng.uniform(0.2, 2.5), h=rng.uniform(0.005, 0.2))
+        self._check(K, tol=1e-5, max_iter=2_000)
+        self._check(K, tol=1e-9, max_iter=500)
 
     def test_stops_on_tol(self):
         # the 5 atoms where vanilla FW stalled; K is not PSD on the tangent space
         atoms = np.array([0.137, 0.2167, 0.3254, 0.3724, 0.5589])
-        kern = kernel_matrix(atoms, np.abs(atoms[:, None] - atoms[None, :]), beta=1.75, h=0.09)
-        trace = self._check(kern, tol=1e-10, max_iter=400_000)
+        K = kernel_matrix(np.abs(atoms[:, None] - atoms[None, :]), beta=1.75, h=0.09)
+        trace = self._check(K, tol=1e-10, max_iter=400_000)
         k, e, gap = trace[-1]
         assert k < 400_000 - 1 and gap <= 1e-10 * e
 
     def test_stops_at_max_iter(self):
-        kern = _random_kernel(np.random.default_rng(7), 400, beta=1.5, h=0.002)
-        trace = self._check(kern, tol=1e-14, max_iter=3_000)
+        K = _random_kernel(np.random.default_rng(7), 400, beta=1.5, h=0.002)
+        trace = self._check(K, tol=1e-14, max_iter=3_000)
         assert trace[-1][0] == 3_000 - 1 and trace[-1][2] > 1e-14 * trace[-1][1]
 
     def test_atom_leaves_and_returns(self):
@@ -196,10 +192,10 @@ class TestMatchesGradientLoopBitwise:
         # final renormalization keeps zeros at zero); atom 7 drops out at
         # the first step and comes back by the sixth
         atoms = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 12))
-        kern = kernel_matrix(atoms, np.abs(atoms[:, None] - atoms[None, :]), beta=1.75, h=0.09)
+        K = kernel_matrix(np.abs(atoms[:, None] - atoms[None, :]), beta=1.75, h=0.09)
         held = []
         for k in range(1, 12):
-            (w_ref, _, _), (w, _, _), _, _ = _run_both(kern, 1e-12, k)
+            (w_ref, _, _), (w, _, _), _, _ = _run_both(K, 1e-12, k)
             assert w.tobytes() == w_ref.tobytes()
             held.append(bool(w[7] > 0))
         assert held[0] is False and True in held
@@ -209,9 +205,9 @@ class TestMatchesGradientLoopBitwise:
         # time; both loops then take atom 0 as the away vertex
         atoms = np.linspace(0.2, 1.0, 16)
         with np.errstate(over="ignore"):
-            kern = kernel_matrix(atoms, np.abs(atoms[:, None] - atoms[None, :]), 2.0, 1e-200)
+            K = kernel_matrix(np.abs(atoms[:, None] - atoms[None, :]), 2.0, 1e-200)
         with np.errstate(invalid="ignore"):
-            (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(kern, 1e-5, 100)
+            (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(K, 1e-5, 100)
         assert np.isnan(w).all() and w.tobytes() == w_ref.tobytes()
         assert repr((e, gap, trace)) == repr((e_ref, gap_ref, ref_trace))
 
@@ -361,8 +357,8 @@ def test_factored_fps_matches_greedy_on_materialized_rho(lattice):
         points = np.array([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 0.1, 0.0),
                            (0.0, 0.0, 0.1), (-0.1, 0.0, 0.0), (0.05, 0.05, 0.05)])
     model = StationaryGamma(f)
-    mat = np.column_stack([np.repeat(times, len(points)), np.tile(points, (len(times), 1))])
-    dist = np.array([model.rho(u, mat) for u in mat])
+    mat = product_rows(times, points)
+    dist = np.array([product_rho(f.gamma, u, mat) for u in mat])
     atoms = ProductAtoms(times, points)
     for spacing in (0.0, 0.05, 0.2):
         order, radii = farthest_point_subsample(atoms, model.rows(atoms), spacing=spacing)
@@ -412,6 +408,6 @@ class TestFrostman:
         energies = []
         dists = f.gamma(np.abs(nu.atoms[:, None] - nu.atoms[None, :]))
         for h in [2.0**-j for j in range(2, 9)]:
-            kern = kernel_matrix(nu.atoms, dists, beta=beta, h=h)
-            energies.append(nu.weights @ kern.K @ nu.weights)
+            K = kernel_matrix(dists, beta=beta, h=h)
+            energies.append(nu.weights @ K @ nu.weights)
         assert energies[-1] <= 2.0 * energies[0] + 5.0

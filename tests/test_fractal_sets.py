@@ -326,6 +326,17 @@ class TestLattice:
         assert time.perf_counter() - t0 < 5.0
         assert len(pts) == 400 and np.all(F.distance(pts) <= 1e-12)
 
+    def test_box_above_64_dimensions(self):
+        # 65 axes, more than an ndarray may have; only axis 30 is long
+        lo = 0.01 * np.arange(65)
+        hi = lo + 0.1
+        hi[30] = lo[30] + 1.0
+        pts, pitch = Target([{"type": "box", "lo": lo, "hi": hi}]).lattice()
+        line, line_pitch = Target([{"type": "box", "lo": [lo[30]], "hi": [hi[30]]}]).lattice()
+        assert pitch == line_pitch and len(pts) == len(line) == 7
+        assert np.array_equal(pts[:, 30], line[:, 0])
+        assert np.array_equal(np.delete(pts, 30, axis=1), np.tile(np.delete(lo, 30), (7, 1)))
+
     @pytest.mark.parametrize(
         "member",
         [

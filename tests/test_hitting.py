@@ -22,6 +22,7 @@ from gpfractal.hitting import (
     small_ball_sweep,
     wilson_interval,
 )
+from gpfractal.metrics import ProductAtoms, StationaryGamma
 from gpfractal.scale import LogScale, PowerScale
 
 
@@ -389,12 +390,20 @@ class TestSmallBall:
         assert abs(rep.p_hat - p) <= 4.42 * math.sqrt(p * (1.0 - p) / n)
 
 
+def _content(times, f_pts, s_exponent, scale, menu_depth=8):
+    """hausdorff_content_estimate over times x f_pts, its rows and diameter built here."""
+    atoms = ProductAtoms(times, f_pts)
+    rows = StationaryGamma(scale).rows(atoms)
+    return hausdorff_content_estimate(atoms, rows, s_exponent, rows.diameter(),
+                                      menu_depth=menu_depth)
+
+
 class TestContent:
     def test_single_ball_cover_bound(self):
         scale = PowerScale(0.5)
         times = np.linspace(0.5, 0.5004, 8)  # delta-diameter 0.02
         f_pts = np.zeros((1, 2))
-        content = hausdorff_content_estimate(times, f_pts, 2.0, scale)
+        content = _content(times, f_pts, 2.0, scale)
         diam = scale.gamma(0.0004)
         assert content <= (2.0 * diam) ** 2 + 1e-12
 
@@ -403,7 +412,7 @@ class TestContent:
         times = np.linspace(0.2, 1.0, 24)
         f_pts, _ = Target([{"type": "box", "lo": [0.0, 0.0], "hi": [0.4, 0.4]}]).lattice()
         vals = [
-            hausdorff_content_estimate(times, f_pts, 2.5, scale, menu_depth=d)
+            _content(times, f_pts, 2.5, scale, menu_depth=d)
             for d in (2, 4, 6)
         ]
         assert vals[0] >= vals[1] >= vals[2]
@@ -413,8 +422,8 @@ class TestContent:
         scale = PowerScale(0.5)
         times = np.linspace(0.2, 1.0, 32)
         f_pts = np.zeros((1, 1))
-        coarse = hausdorff_content_estimate(times, f_pts, 6.0, scale, menu_depth=2)
-        fine = hausdorff_content_estimate(times, f_pts, 6.0, scale, menu_depth=7)
+        coarse = _content(times, f_pts, 6.0, scale, menu_depth=2)
+        fine = _content(times, f_pts, 6.0, scale, menu_depth=7)
         assert fine < 0.25 * coarse
 
 

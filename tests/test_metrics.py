@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from oracles import product_rho, product_rows
 
 from gpfractal.fractal_sets import Target, build_cantor
 from gpfractal.gp_sim import CovMatrix, cov_stationary_increments, cov_volterra
@@ -53,50 +54,62 @@ class TestDelta:
 
 
 class TestRho:
-    """The product metric on points given as rows (t, x_1, ..., x_d)."""
+    """The product metric as AtomRows reads it off ProductAtoms, against the oracle."""
 
     def test_coincident(self):
-        model = StationaryGamma(PowerScale(0.5))
-        assert model.rho([0.3, 1.0, 2.0], [0.3, 1.0, 2.0]) == 0.0
+        # two copies of the time 0.3 make atoms 0 and 1 the same point
+        f = PowerScale(0.5)
+        metric = StationaryGamma(f).rows(ProductAtoms([0.3, 0.3], [[1.0, 2.0]]))
+        assert metric(0, slice(None)).tolist() == [0.0, 0.0]
+        assert metric.block([0, 1]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        mat = product_rows([0.3, 0.3], [[1.0, 2.0]])
+        assert product_rho(f.gamma, mat[0], mat).tolist() == [0.0, 0.0]
 
     def test_max_semantics(self):
-        model = StationaryGamma(PowerScale(0.5))
-        # delta = 0.5, spatial = 0.2
-        assert model.rho([0.1, 0.0], [0.35, 0.2]) == pytest.approx(0.5)
-        # delta = 0.1, spatial = 0.2
-        s, t = 0.3, 0.31
-        assert model.rho([s, 0.0], [t, 0.2]) == pytest.approx(0.2)
+        f = PowerScale(0.5)
+        model = StationaryGamma(f)
+        # atoms 0 = (0.1, 0.0) and 3 = (0.35, 0.2): delta = 0.5, spatial = 0.2
+        metric = model.rows(ProductAtoms([0.1, 0.35], [[0.0], [0.2]]))
+        assert metric(0, 3) == pytest.approx(0.5)
+        assert metric.block([0, 3])[1, 0] == pytest.approx(0.5)
+        # atoms 0 = (0.3, 0.0) and 3 = (0.31, 0.2): delta = 0.1, spatial = 0.2
+        times, points = [0.3, 0.31], [[0.0], [0.2]]
+        metric = model.rows(ProductAtoms(times, points))
+        assert metric(0, 3) == pytest.approx(0.2)
+        mat = product_rows(times, points)
+        assert metric(0, 3) == product_rho(f.gamma, mat[0], mat[3])[0]
 
     def test_dimension_mismatch(self):
-        model = StationaryGamma(PowerScale(0.5))
+        # points of different spatial dimension make no product atom set
         with pytest.raises(ValueError):
-            model.rho([0.1, 0.0, 1.0], [0.2, 0.0])
+            ProductAtoms([0.1, 0.2], [[0.0, 1.0], [0.0]])
 
     def test_triangle_inequality(self, rng):
-        model = StationaryGamma(PowerScale(0.5))
+        f = PowerScale(0.5)
+        model = StationaryGamma(f)
         for _ in range(300):
-            u, v, w = np.column_stack([rng.uniform(0.01, 1.0, size=3), rng.normal(size=(3, 2))])
-            assert model.rho(u, w) <= model.rho(u, v) + model.rho(v, w) + 1e-12
+            times, points = rng.uniform(0.01, 1.0, size=3), rng.normal(size=(3, 2))
+            D = model.rows(ProductAtoms(times, points)).block(np.arange(9))
+            mat = product_rows(times, points)
+            assert np.array_equal(D, [product_rho(f.gamma, u, mat) for u in mat])
+            # D[u, w] <= D[u, v] + D[v, w] over every triple (u, v, w)
+            assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + 1e-12)
 
     def test_rows_match_pairs(self, rng):
-        model = StationaryGamma(PowerScale(0.5))
-        atoms = ProductAtoms(rng.uniform(0.01, 1.0, size=8), rng.normal(size=(5, 3)))
-        metric = model.rows(atoms)
+        f = PowerScale(0.5)
+        model = StationaryGamma(f)
+        times, points = rng.uniform(0.01, 1.0, size=8), rng.normal(size=(5, 3))
+        metric = model.rows(ProductAtoms(times, points))
+        mat = product_rows(times, points)
         idx = np.arange(0, 40, 3)
-        want = [model.rho(atoms[5], atoms[j]) for j in idx]
+        want = [product_rho(f.gamma, mat[5], mat[j])[0] for j in idx]
         assert metric(5, idx) == pytest.approx(want, rel=1e-15)
-        times = atoms[:][:, 0]
+        times = mat[:, 0]
         assert np.array_equal(model.rows(times)(5, idx), model.delta(times[5], times[idx]))
 
     def test_rows_reject_materialized_product_arrays(self, rng):
         with pytest.raises(ValueError, match="ProductAtoms"):
             StationaryGamma(PowerScale(0.5)).rows(rng.normal(size=(10, 3)))
-
-
-def _materialized(times, points):
-    """Every (t, x) row in ProductAtoms order, built without ProductAtoms."""
-    points = np.atleast_2d(points)
-    return np.column_stack([np.repeat(times, len(points)), np.tile(points, (len(times), 1))])
 
 
 def _product_cases():
@@ -114,21 +127,20 @@ def _product_cases():
 
 
 class TestFactoredRows:
-    """Factored rows and kernel blocks against rho on materialized atoms."""
+    """Factored rows and kernel blocks against the rho oracle on materialized atoms."""
 
     @pytest.mark.parametrize("case", list(_product_cases()))
     def test_product_rows_and_blocks_bit_identical(self, case, rng):
         f, times, points = _product_cases()[case]
-        model = StationaryGamma(f)
         atoms = ProductAtoms(times, points)
-        mat = _materialized(times, points)
-        assert len(atoms) == len(mat) and np.array_equal(atoms[:], mat)
-        metric = model.rows(atoms)
+        mat = product_rows(times, points)
+        assert len(atoms) == len(mat)
+        metric = StationaryGamma(f).rows(atoms)
         idx = np.sort(rng.choice(len(mat), size=min(60, len(mat)), replace=False))
         for i in rng.choice(len(mat), size=12, replace=False):
-            assert np.array_equal(metric(i, slice(None)), model.rho(mat[i], mat))
-            assert np.array_equal(metric(i, idx), model.rho(mat[i], mat[idx]))
-        want = np.array([model.rho(mat[a], mat[idx]) for a in idx])
+            assert np.array_equal(metric(i, slice(None)), product_rho(f.gamma, mat[i], mat))
+            assert np.array_equal(metric(i, idx), product_rho(f.gamma, mat[i], mat[idx]))
+        want = np.array([product_rho(f.gamma, mat[a], mat[idx]) for a in idx])
         assert np.array_equal(metric.block(idx), want)
 
     def test_time_rows_and_blocks_bit_identical(self, rng):
@@ -152,6 +164,29 @@ class TestFactoredRows:
         metric(5, slice(None))
         # one 30 x 30 table of distinct times for the block, one 30-time row
         assert sizes == [900, 30]
+
+
+class TestDiameter:
+    """AtomRows.diameter: rho between the corners of the bounding box."""
+
+    @staticmethod
+    def _largest_pair(f, times, points):
+        mat = product_rows(times, points)
+        return max(float(product_rho(f.gamma, u, mat).max()) for u in mat)
+
+    def test_equals_largest_pair_when_corners_are_atoms(self):
+        f, times, points = _product_cases()["interval x box lattice"]
+        diam = StationaryGamma(f).rows(ProductAtoms(times, points)).diameter()
+        assert diam == self._largest_pair(f, times, points)
+
+    def test_bounds_every_pair_on_a_ball_lattice(self):
+        f, times, points = _product_cases()["interval x ball lattice"]
+        diam = StationaryGamma(f).rows(ProductAtoms(times, points)).diameter()
+        assert diam >= self._largest_pair(f, times, points)
+
+    def test_single_atom_is_floored(self):
+        metric = StationaryGamma(PowerScale(0.5)).rows(ProductAtoms([0.5], [[0.0, 0.0]]))
+        assert metric.diameter() == 1e-12
 
 
 class TestTriangleInequalityDelta:

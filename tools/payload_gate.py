@@ -214,6 +214,14 @@ ROWS = [
      []),
     ("rej_lattice_mesh_beyond_index", "capacity", {**CAPACITY, "n_atoms": 64, "d": 30, "F": [
         {"type": "box", "lo": [0.0] * 30, "hi": [1.0] * 30}]}, []),
+    # (2r)^60 of the content cover's widest ball overflows a float
+    ("rej_hit_content_overflow_d60", "hit", {
+        **HIT, "d": 60, "tol": 20.0, "n_paths": 8, "seed": 1,
+        "grid": {"a": 0.2, "b": 1.0, "n": 64},
+        "F": [{"type": "box", "lo": [0.0] * 60, "hi": [1e5] + [0.5] * 59}]}, []),
+    # a 65-dimensional box: more axes than an ndarray may have, 7 lattice points
+    ("capacity_box_d65", "capacity", {**CAPACITY, "beta": 2.0, "n_atoms": 64, "d": 65, "F": [
+        {"type": "box", "lo": [0.0] * 65, "hi": [1.0] + [0.1] * 64}]}, []),
     ("rej_threads_zero", "hit", HIT, ["--threads", "0"]),
     ("rej_threads_negative", "hit", HIT, ["--threads", "-3"]),
     ("rej_threads_above_cap", "hit", HIT, ["--threads", "65"]),
