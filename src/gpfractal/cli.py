@@ -41,7 +41,6 @@ from .dimension import image_dimension_experiment
 from .energy import _MAX_ATOMS, capacity_estimate
 from .fractal_sets import (
     OutOfModelError,
-    RatioOverflowError,
     Target,
     TimeSet,
     build_cantor,
@@ -69,7 +68,6 @@ _NUMERICAL_ERRORS = (
     PSDError,
     QuadratureError,
     IntegralError,
-    RatioOverflowError,
     ScaleDomainError,
     np.linalg.LinAlgError,
 )

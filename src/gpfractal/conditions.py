@@ -176,48 +176,18 @@ def integral_I(f: ScaleFunction, x: float, tol: float = _TOL) -> float:
     return _integral_I_u(f, math.log(1.0 / x), f.gamma(x), tol)
 
 
-def _inverse_u(f: ScaleFunction, v: float) -> float:
-    """u0 = log(1/gamma^{-1}(v)), solved in u-space.
-
-    Slow scales map moderate values to pre-images far below the float64
-    range (the log scale sends v = 1e-3 to exp(-1000)); their closed
-    forms in u = log(1/r) stay exact there.
-    """
-    target = math.log(v)
-    lo = math.log(1.0 / f.x_max)
-    try:
-        if f.log_gamma_u(lo) <= target:
-            return lo
-        hi = max(2.0 * lo, 4.0)
-        while f.log_gamma_u(hi) > target:
-            hi *= 2.0
-            if hi > 1e15:
-                raise IntegralError("u-space inverse bracket exceeded 1e15")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f.log_gamma_u(mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(hi, 1.0):
-                break
-        return 0.5 * (lo + hi)
-    except NotImplementedError:
-        x = float(f.inverse(v, tol=1e-14))
-        if x <= 0:
-            raise ValueError(f"pre-image of {v:g} underflows and no closed form exists")
-        return math.log(1.0 / x)
-
-
 def f_gamma(f: ScaleFunction, r: float) -> float:
     """f(r) = r sqrt(log 2) + I(gamma^{-1}(r)).
 
     This is the entropy-integral majorant of the stationary model, whose
-    commensurability constant is 1.
+    commensurability constant is 1.  I is integrated from
+    u0 = log(1/gamma^{-1}(r)), which ScaleFunction.log_inverse finds in
+    u-space, so the slow scales' pre-images far below the float64 range
+    never need to be formed.
     """
     if r > f.gamma(f.x_max):
         raise ValueError("r exceeds gamma(x_max)")
-    u0 = _inverse_u(f, r)
+    u0 = f.log_inverse(r)
     return r * math.sqrt(math.log(2.0)) + _integral_I_u(f, u0, r, _TOL)
 
 

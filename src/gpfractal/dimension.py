@@ -9,6 +9,7 @@ identified with a finite value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +53,14 @@ def _fit_slope(x, y):
     else:
         se = 0.0
     return slope, se
+
+
+def _estimate(xs, ys, window, counts, method) -> DimensionEstimate:
+    """The least-squares fit of ys on xs as an estimate, its slope floored at 0."""
+    slope, se = _fit_slope(xs, ys)
+    return DimensionEstimate(
+        value=max(slope, 0.0), stderr=se, window=window, counts=counts, method=method
+    )
 
 
 def default_dyadic_scales(j_min: int = 0, j_max: int = 10) -> list[float]:
@@ -103,21 +112,16 @@ def box_dimension_euclidean(points, scales, trim: int = 0) -> DimensionEstimate:
     fit_counts = counts[trim : len(counts) - trim] if trim else counts
     xs = [-math.log2(s) for s in fit_scales]
     ys = [math.log2(c) for c in fit_counts]
-    slope, se = _fit_slope(xs, ys)
-    return DimensionEstimate(
-        value=max(slope, 0.0),
-        stderr=se,
-        window=(fit_scales[0], fit_scales[-1]),
-        counts=list(zip(scales, map(float, counts))),
-        method="BoxEuclidean",
-    )
+    window = (fit_scales[0], fit_scales[-1])
+    return _estimate(xs, ys, window, list(zip(scales, map(float, counts))), "BoxEuclidean")
 
 
 def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
     """Dimension in the delta metric from gamma-dyadic covering counts.
 
     Fits log2 N(n) against n, where N(n) is the number of level-n
-    gamma-dyadic tiles meeting E.  When the per-level increments of
+    gamma-dyadic tiles meeting E, read from E's covering table; ``counts``
+    pairs each tile width with its count.  When the per-level increments of
     log2 N(n) themselves keep growing (the tile widths shrink faster than
     geometrically, as in the logarithmic scale) the estimate is flagged
     divergent and the value is +inf.  Fewer than 4 levels, given or
@@ -134,24 +138,16 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
     ns = list(n_range)
     if len(ns) < 4:
         raise OutOfModelError(f"need at least 4 covering levels, got {ns}")
-    log_counts = []
-    kept = []
-    for n in ns:
-        try:
-            c = gamma_dyadic_count(E, n, scale)
-        except (ValueError, OverflowError):
-            break
-        kept.append(n)
-        log_counts.append(math.log2(c) if c < 1e300 else math.inf)
-    ns = kept
+    table = gamma_dyadic_count(E, ns, scale)
+    ns = ns[: len(table)]
     if len(ns) < 4:
         raise OutOfModelError(f"fewer than 4 usable covering levels: {ns}")
-    lc = np.array(log_counts)
+    lc = np.array([math.log2(c) if c < 1e300 else math.inf for _, c in table])
     increments = np.diff(lc)
     first = increments[: max(2, len(increments) // 3)]
     last = increments[-max(2, len(increments) // 3) :]
     diverged = bool(np.median(last) >= 2.0 * max(np.median(first), 1e-9))
-    counts = [(float(scale.inverse(2.0**-n, tol=1e-15)), float(2.0**c if c < 1000 else math.inf)) for n, c in zip(ns, lc)]
+    counts = [(w, float(2.0**c if c < 1000 else math.inf)) for (w, _), c in zip(table, lc)]
     if diverged:
         return DimensionEstimate(
             value=math.inf,
@@ -161,14 +157,7 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
             method="GammaDyadic",
             diverged=True,
         )
-    slope, se = _fit_slope(ns, lc)
-    return DimensionEstimate(
-        value=max(slope, 0.0),
-        stderr=se,
-        window=(ns[0], ns[-1]),
-        counts=counts,
-        method="GammaDyadic",
-    )
+    return _estimate(ns, lc, (ns[0], ns[-1]), counts, "GammaDyadic")
 
 
 def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
@@ -178,7 +167,8 @@ def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
     gamma-dyadic count for E and a box count for F at matching radii
     2^-m; the estimate is the slope of the combined log2 count.  The
     default levels start below the smallest feature of F (a ball only
-    scales three-dimensionally once boxes are smaller than it).
+    scales three-dimensionally once boxes are smaller than it).  A level
+    missing from E's covering table raises OutOfModelError.
     """
     E = TimeSet.of(E, scale)
     F = Target.of(F_members)
@@ -188,19 +178,12 @@ def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
     ms = list(levels)
     if len(ms) < 4:
         raise ValueError("need at least 4 levels")
-    ys = []
-    for m in ms:
-        ce = gamma_dyadic_count(E, m, scale)
-        cf = F.box_count(2.0**-m)
-        ys.append(math.log2(ce) + math.log2(cf))
-    slope, se = _fit_slope(ms, ys)
-    return DimensionEstimate(
-        value=max(slope, 0.0),
-        stderr=se,
-        window=(ms[0], ms[-1]),
-        counts=list(zip([2.0**-m for m in ms], [2.0**y for y in ys])),
-        method="ProductRho",
-    )
+    table = gamma_dyadic_count(E, ms, scale)
+    if len(table) < len(ms):
+        raise OutOfModelError(f"gamma-dyadic width cannot be formed at level {ms[len(table)]}")
+    ys = [math.log2(ce) + math.log2(F.box_count(2.0**-m)) for m, (_, ce) in zip(ms, table)]
+    counts = list(zip([2.0**-m for m in ms], [2.0**y for y in ys]))
+    return _estimate(ms, ys, (ms[0], ms[-1]), counts, "ProductRho")
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +273,12 @@ def _dim_delta_of_sample(points, scale) -> float:
     the sampling, so the fit stops at a third of it.
     """
     pts = np.asarray(points, dtype=float).ravel()
-    E = TimeSet.points(pts)
-    ns, logs = [], []
-    for n in range(2, _MAX_SAMPLE_LEVEL):
-        try:
-            c = gamma_dyadic_count(E, n, scale)
-        except (ValueError, OverflowError):
-            break
-        if c > max(2.0, pts.size / 3.0):
-            break
-        ns.append(n)
-        logs.append(math.log2(c))
-    if len(ns) < 4:
+    table = gamma_dyadic_count(TimeSet.points(pts), range(2, _MAX_SAMPLE_LEVEL), scale)
+    cap = max(2.0, pts.size / 3.0)
+    logs = [math.log2(c) for _, c in itertools.takewhile(lambda wc: wc[1] <= cap, table)]
+    if len(logs) < 4:
         return math.nan
-    slope, _ = _fit_slope(ns, logs)
-    return max(slope, 0.0)
+    return _estimate(range(2, 2 + len(logs)), logs, None, [], "GammaDyadic").value
 
 
 def intersection_dimension_experiment(

@@ -1,10 +1,12 @@
 """Generalized Cantor sets in the gamma metric, their mass measure, the
 time set E and target F of the hitting and dimension experiments, and
-gamma-dyadic coverings.
+the gamma-dyadic covering table of E.
 
 The construction keeps two children of length t_k * eps0 at the extreme
 ends of each parent interval, with t_k = gamma^{-1}(2^{-k/zeta}), so the
 limit set has dimension zeta with respect to delta*(s,t) = gamma(|t-s|).
+One call of gamma_dyadic_count gives E's tile width gamma^{-1}(2^-n) and
+tile count at every level, and each dimension estimate reads that table.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .scale import ScaleDomainError
 
 __all__ = [
     "CantorSet",
@@ -40,8 +44,9 @@ class OutOfModelError(ValueError):
     tolerance below the grid guard."""
 
 
-class RatioOverflowError(ValueError):
-    """The two children would not fit disjointly in their parent."""
+class RatioOverflowError(OutOfModelError):
+    """The two children would not fit disjointly in their parent: zeta is
+    too large for the scale at this depth."""
 
 
 @dataclass
@@ -77,10 +82,9 @@ class CantorSet:
 
 @dataclass
 class DiscreteMeasure:
-    """Probability measure with finitely many atoms.
+    """Probability measure with finitely many atoms on the time line.
 
-    ``atoms`` is (m,) for measures on the time line or (m, 1 + d) for
-    measures on time x space products.
+    ``atoms`` is the (m,) array of atom times and ``weights`` their masses.
     """
 
     atoms: np.ndarray
@@ -132,7 +136,7 @@ def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> CantorSet
                 f"t_{k} not computable: 2^(-k/zeta) = {target:.3e} exceeds "
                 f"gamma(x_max) = {gxmax:.3e}"
             )
-        t.append(float(scale.inverse(target, tol=1e-15)))
+        t.append(scale.inverse(target))
         if not t[-1] > 0:
             raise OutOfModelError(
                 f"t_{k} = gamma^-1(2^(-k/zeta) = {target:.3e}) underflows to {t[-1]!r}"
@@ -503,38 +507,38 @@ class Target:
 # gamma-dyadic coverings
 
 
-def _tile_ranges(E, n: int, scale):
-    """First/last level-n tile index per component of E, as floats.
+def gamma_dyadic_count(E, levels, scale) -> list:
+    """The gamma-dyadic covering table of E: (w_n, N_n) for each level n in order.
 
-    Tiles are half-open: tile j covers [(j-1) w, j w) with
-    w = gamma^{-1}(2^-n); a right endpoint that is an exact multiple of w
-    joins the next tile only if the interval has interior there.  Indices
-    are kept in float64 because deep levels of slow scales produce tile
-    counts far beyond int64.
+    Level-n tiles have width w_n = gamma^{-1}(2^-n) and are half-open:
+    tile j covers [(j-1) w_n, j w_n), and a right endpoint that is an exact
+    multiple of w_n joins the next tile only if its component has interior
+    there.  N_n, the number of tiles meeting E, is counted without
+    materializing them, in float64 because deep levels of slow scales
+    produce tile counts far beyond int64.  The table ends at the first
+    level whose width cannot be formed: 2^-n above gamma(x_max), or a
+    width that is not a positive finite float.
     """
-    w = float(scale.inverse(2.0 ** (-n), tol=1e-15))
-    if w <= 0 or not math.isfinite(w):
-        raise OutOfModelError(f"gamma-dyadic width underflows at level {n}")
     iv = TimeSet.of(E, scale).intervals
     a, b = iv[:, 0], iv[:, 1]
-    j1 = np.floor(a / w) + 1.0
-    j2 = np.where(b > a, np.ceil(b / w), j1)
-    j2 = np.maximum(j1, j2)
-    return w, j1, j2
-
-
-def gamma_dyadic_count(E, n: int, scale) -> float:
-    """Number of level-n gamma-dyadic tiles meeting E (no materialization)."""
-    w, j1, j2 = _tile_ranges(E, n, scale)
-    order = np.argsort(j1)
-    j1, j2 = j1[order], j2[order]
-    count = 0.0
-    cur_end = None
-    for lo, hi in zip(j1, j2):
-        if cur_end is None or lo > cur_end:
-            count += hi - lo + 1.0
-            cur_end = hi
-        elif hi > cur_end:
-            count += hi - cur_end
-            cur_end = hi
-    return float(count)
+    table = []
+    for n in levels:
+        try:
+            w = scale.inverse(2.0 ** (-n))
+        except ScaleDomainError:
+            break
+        if not 0 < w < math.inf:
+            break
+        j1 = np.floor(a / w) + 1.0
+        j2 = np.maximum(j1, np.where(b > a, np.ceil(b / w), j1))
+        order = np.argsort(j1)
+        count, cur_end = 0.0, None
+        for lo, hi in zip(j1[order], j2[order]):
+            if cur_end is None or lo > cur_end:
+                count += hi - lo + 1.0
+                cur_end = hi
+            elif hi > cur_end:
+                count += hi - cur_end
+                cur_end = hi
+        table.append((w, float(count)))
+    return table

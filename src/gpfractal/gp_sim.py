@@ -490,19 +490,19 @@ def _volterra_pattern(order: int, levels: int):
     return np.concatenate(pos), np.concatenate(wts)
 
 
-def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True, threads: int = 1) -> CovMatrix:
+def cov_volterra(scale, grid, n_quad: int = 64, threads: int = 1) -> CovMatrix:
     """Covariance of the Volterra model driven by sqrt((gamma^2)') kernels.
 
     Entries are computed in the offset variable x = min(s,t) - u, so the
     endpoint singularity sits at x = 0 and nodes never cancel against
     the grid times.  Diagonal entries use the exact identity
     int_0^t g2'(t-u) du = g2(t).  n_quad controls the Gauss-Legendre
-    order per subinterval (n_quad // 8, at least 8).  With ``check`` the
-    build is repeated at doubled order over the first one, row block by
-    row block, keeping the running max |R - R2| and max |R2|, so the
-    checked build holds one n x n array; a relative disagreement above
-    1e-6 raises QuadratureError, and the relative change is kept as the
-    covariance's ``quad_rel_change`` certificate.  The rows are strided
+    order per subinterval (n_quad // 8, at least 8).  The build is then
+    repeated at doubled order over the first one, row block by row block,
+    keeping the running max |R - R2| and max |R2|, so the checked build
+    holds one n x n array; a relative disagreement above 1e-6 raises
+    QuadratureError, and the relative change is kept as the covariance's
+    ``quad_rel_change`` certificate.  The rows are strided
     over ``threads`` jobs, each with its own maxima, combined exactly by
     max.  The quadrature runs over _QUAD_BLOCK pairs at a time, so its
     temporaries stay O(_QUAD_BLOCK * nodes) per job whatever the grid.
@@ -549,22 +549,18 @@ def cov_volterra(scale, grid, n_quad: int = 64, check: bool = True, threads: int
         np.fill_diagonal(R, diag)
         return R, float(change / (top or 1.0))
 
-    order = max(8, n_quad // 8)
-    R = build(order)[0]
-    if check:
-        order *= 2
-        R, rel = build(order, R)
-        if rel > 1e-6:
-            raise QuadratureError(
-                f"Volterra quadrature not converged: relative change {rel:.3e} "
-                f"after doubling the order (order {order // 2} -> {order}, "
-                f"levels {levels}, n={grid.size})"
-            )
+    order = 2 * max(8, n_quad // 8)
+    R, rel = build(order, build(order // 2)[0])
+    if rel > 1e-6:
+        raise QuadratureError(
+            f"Volterra quadrature not converged: relative change {rel:.3e} "
+            f"after doubling the order (order {order // 2} -> {order}, "
+            f"levels {levels}, n={grid.size})"
+        )
     cov = CovMatrix(
         grid=grid, R=R, label=f"volterra[{scale.name}]", build=lambda: build(order)[0]
     )
-    if check:
-        cov.quad_rel_change = rel
+    cov.quad_rel_change = rel
     cov.cholesky()
     return cov
 

@@ -4,9 +4,12 @@ A scale function gamma is a continuous increasing function on (0, x_max]
 with gamma(0+) = 0.  It drives everything else in the package: the
 canonical metric of the process, the covariance builders, the adapted
 dyadic coverings and the integral conditions.  Each built-in family
-carries closed forms for the derivative, the inverse and the elasticity
+carries closed forms for the derivative and the elasticity
 psi(r) = r * gamma'(r) / gamma(r), because those quantities are needed at
-scales where finite differences underflow.
+scales where finite differences underflow.  gamma^{-1} is the family
+closed form where there is one, else a bisection in u = log(1/r) on the
+closed form of log gamma, exact for pre-images far below the float64 range.
+A scale's spec string parses back to the same family, parameters and x_max.
 """
 
 from __future__ import annotations
@@ -34,9 +37,19 @@ class ScaleDomainError(ValueError):
     """Argument outside the domain of a scale function."""
 
 
+#: u = log(1/r) of the smallest positive double, 2^-1074
+_U_TINY = 1074 * math.log(2.0)
+
+
 def _as_array(r):
     a = np.asarray(r, dtype=float)
     return a, (a.ndim == 0)
+
+
+def _num(x: float) -> str:
+    """x with :g when that reads back as x, else its shortest round-trip repr."""
+    s = f"{x:g}"
+    return s if float(s) == x else repr(x)
 
 
 class ScaleFunction:
@@ -44,15 +57,19 @@ class ScaleFunction:
 
     Instances are immutable after construction and safe to share across
     threads.  Subclasses implement ``_gamma``, ``_dgamma`` and, when a
-    closed form exists, ``_inverse_closed``.  ``log_gamma_u``/``psi_u``
-    expose the same quantities as functions of u = log(1/r), which stays
-    evaluable far beyond the float64 range of r itself; families without
-    closed forms may leave them unimplemented.
+    closed form exists, ``_inverse_closed``; ``_spec`` pairs each spec key
+    with the attribute holding its parameter.
+    ``log_gamma_u``/``psi_u`` expose the same quantities as functions of
+    u = log(1/r), which stays evaluable far beyond the float64 range of r
+    itself; families without closed forms may leave them unimplemented.
     """
 
-    name = "abstract"
+    family = "abstract"
+    _spec = ()
     #: upper end of the domain (times are dimensionless).
     x_max = 1.0
+    #: the family's x_max for these parameters, which the spec leaves out
+    _x_max_default = 1.0
     #: right end of the declared concavity neighbourhood (0: none declared).
     x_conc = 0.0
 
@@ -99,12 +116,13 @@ class ScaleFunction:
         out = self.psi_u(-np.log(a))
         return float(out) if scalar else out
 
-    def inverse(self, v, tol: float = 1e-12) -> float:
-        """Solve gamma(r) = v for one scalar v, with |gamma(r) - v| <= tol.
+    def inverse(self, v) -> float:
+        """gamma^{-1}(v) for one scalar v in [0, gamma(x_max)].
 
-        Uses the family closed form when available, otherwise bracketing
-        bisection on the monotone gamma.  v is taken as a NumPy float, so a
-        closed form that overflows gives inf rather than raising.
+        The family closed form when there is one, else exp(-log_inverse(v)).
+        A pre-image below the smallest positive double comes back as 0.0.
+        v is taken as a NumPy float, so a closed form that overflows gives
+        inf rather than raising.
         """
         v = np.float64(v)
         vmax = self.gamma(self.x_max)
@@ -116,17 +134,34 @@ class ScaleFunction:
         closed = self._inverse_closed(v)
         if closed is not None:
             return float(closed)
-        lo, hi = 0.0, self.x_max
+        if self.log_gamma_u(_U_TINY) > math.log(v):
+            return 0.0
+        return math.exp(-self.log_inverse(v))
+
+    def log_inverse(self, v: float) -> float:
+        """u = log(1/gamma^{-1}(v)) for 0 < v <= gamma(x_max), bisected in u.
+
+        Runs on log_gamma_u, so it holds where the pre-image lies far below
+        the float64 range (the log scale sends v = 1e-3 to exp(-1000)).  The
+        bracket doubles from max(2 u(x_max), 4) and raises ScaleDomainError
+        beyond u = 1e15; bisection stops at a width of 1e-12 max(u, 1).
+        """
+        target = math.log(v)
+        lo = math.log(1.0 / self.x_max)
+        if self.log_gamma_u(lo) <= target:
+            return lo
+        hi = max(2.0 * lo, 4.0)
+        while self.log_gamma_u(hi) > target:
+            hi *= 2.0
+            if hi > 1e15:
+                raise ScaleDomainError(f"{self.name}: u-space inverse bracket exceeded 1e15")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            gm = self.gamma(mid)
-            if abs(gm - v) <= tol:
-                return mid
-            if gm < v:
+            if self.log_gamma_u(mid) > target:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= 1e-17 * self.x_max:
+            if hi - lo <= 1e-12 * max(hi, 1.0):
                 break
         return 0.5 * (lo + hi)
 
@@ -150,8 +185,25 @@ class ScaleFunction:
     def psi_u(self, u):
         raise NotImplementedError(f"{self.name}: no closed form in u-space")
 
+    # -- the spec ---------------------------------------------------------
+
+    def _set_x_max(self, x_max, default: float):
+        """x_max, or the family default when None."""
+        self._x_max_default = float(default)
+        self.x_max = float(default if x_max is None else x_max)
+
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """The spec that parse_scale_spec turns back into this scale (x_max if not the default)."""
+        params = [(key, getattr(self, attr)) for key, attr in self._spec]
+        if self.x_max != self._x_max_default:
+            params.append(("x_max", self.x_max))
+        return f"{self.family}:" + ",".join(f"{k}={_num(v)}" for k, v in params)
+
+    @property
+    def name(self) -> str:
+        """The spec written as family(params), for messages and labels."""
+        family, sep, params = self.spec_string().partition(":")
+        return f"{family}({params})" if sep else family
 
     def __repr__(self):
         return f"<ScaleFunction {self.spec_string()}>"
@@ -160,12 +212,14 @@ class ScaleFunction:
 class PowerScale(ScaleFunction):
     """gamma(r) = r^H for H in (0, 1]."""
 
-    def __init__(self, h: float, x_max: float = 1.0):
+    family = "power"
+    _spec = (("H", "h"),)
+
+    def __init__(self, h: float, x_max: float | None = None):
         if not 0 < h <= 1:
             raise ValueError("power scale needs H in (0, 1]")
         self.h = float(h)
-        self.x_max = float(x_max)
-        self.name = f"power(H={h:g})"
+        self._set_x_max(x_max, 1.0)
         self.x_conc = self.x_max
 
     def _gamma(self, a):
@@ -183,9 +237,6 @@ class PowerScale(ScaleFunction):
     def psi_u(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.h)
 
-    def spec_string(self):
-        return f"power:H={self.h:g}"
-
 
 class PowerLogScale(ScaleFunction):
     """gamma(r) = r^H log^beta(1/r); the Holder scale with log corrections.
@@ -194,17 +245,17 @@ class PowerLogScale(ScaleFunction):
     default domain is capped accordingly.
     """
 
+    family = "powerlog"
+    _spec = (("H", "h"), ("beta", "beta"))
+
     def __init__(self, h: float, beta: float, x_max: float | None = None):
         if not 0 < h < 1:
             raise ValueError("powerlog scale needs H in (0, 1)")
         self.h = float(h)
         self.beta = float(beta)
-        if x_max is None:
-            x_max = 0.5 if beta <= 0 else min(0.5, 0.8 * math.exp(-beta / h))
-        self.x_max = float(x_max)
+        self._set_x_max(x_max, 0.5 if beta <= 0 else min(0.5, 0.8 * math.exp(-beta / h)))
         if self.beta > 0 and self.x_max >= math.exp(-self.beta / self.h):
             raise ValueError("x_max beyond the monotone range of r^H log^beta(1/r)")
-        self.name = f"powerlog(H={h:g},beta={beta:g})"
         # gamma'' < 0 needs (H - H^2) L^2 > |beta(1-2H)| L + |beta^2 - beta|
         # with L = log(1/r); take the positive root, conservatively
         a = h - h * h
@@ -229,21 +280,20 @@ class PowerLogScale(ScaleFunction):
         u = np.asarray(u, dtype=float)
         return self.h - self.beta / u
 
-    def spec_string(self):
-        return f"powerlog:H={self.h:g},beta={self.beta:g}"
-
 
 class LogScale(ScaleFunction):
     """gamma(r) = log^{-beta}(1/r); the logarithmic (roughest) scale."""
 
-    def __init__(self, beta: float, x_max: float = 0.5):
+    family = "logscale"
+    _spec = (("beta", "beta"),)
+
+    def __init__(self, beta: float, x_max: float | None = None):
         if beta <= 0:
             raise ValueError("log scale needs beta > 0")
         self.beta = float(beta)
-        self.x_max = float(x_max)
+        self._set_x_max(x_max, 0.5)
         if self.x_max >= 1.0:
             raise ValueError("log scale degenerates at r >= 1")
-        self.name = f"logscale(beta={beta:g})"
         self.x_conc = min(self.x_max, 0.9 * math.exp(-(self.beta + 1.0)))
 
     def _gamma(self, a):
@@ -262,9 +312,6 @@ class LogScale(ScaleFunction):
     def psi_u(self, u):
         return self.beta / np.asarray(u, dtype=float)
 
-    def spec_string(self):
-        return f"logscale:beta={self.beta:g}"
-
 
 class ExpLogScale(ScaleFunction):
     """gamma(r) = exp(-log^alpha(1/r)), alpha in (0, 1).
@@ -273,14 +320,16 @@ class ExpLogScale(ScaleFunction):
     its lower index is zero.
     """
 
-    def __init__(self, alpha: float, x_max: float = 0.5):
+    family = "explog"
+    _spec = (("alpha", "alpha"),)
+
+    def __init__(self, alpha: float, x_max: float | None = None):
         if not 0 < alpha < 1:
             raise ValueError("explog scale needs alpha in (0, 1)")
         self.alpha = float(alpha)
-        self.x_max = float(x_max)
+        self._set_x_max(x_max, 0.5)
         if self.x_max >= 1.0:
             raise ValueError("explog scale degenerates at r >= 1")
-        self.name = f"explog(alpha={alpha:g})"
         self.x_conc = min(self.x_max, 0.25)
 
     def _gamma(self, a):
@@ -292,7 +341,10 @@ class ExpLogScale(ScaleFunction):
         return self._gamma(a) * self.alpha * u ** (self.alpha - 1.0) / a
 
     def _inverse_closed(self, v):
-        return math.exp(-math.log(1.0 / v) ** (1.0 / self.alpha))
+        try:
+            return math.exp(-math.log(1.0 / v) ** (1.0 / self.alpha))
+        except OverflowError:  # log(1/v)^(1/alpha) beyond the float range: exp(-inf) = 0
+            return 0.0
 
     def log_gamma_u(self, u):
         u = np.asarray(u, dtype=float)
@@ -302,9 +354,6 @@ class ExpLogScale(ScaleFunction):
         u = np.asarray(u, dtype=float)
         return self.alpha * u ** (self.alpha - 1.0)
 
-    def spec_string(self):
-        return f"explog:alpha={self.alpha:g}"
-
 
 class LogCorrectedScale(ScaleFunction):
     """gamma(r) = log^{-beta}(1/r) * log^alpha(log(1/r)).
@@ -313,6 +362,9 @@ class LogCorrectedScale(ScaleFunction):
     continuity of the process requires alpha < 0.
     """
 
+    family = "logcorrected"
+    _spec = (("beta", "beta"), ("alpha", "alpha"))
+
     def __init__(self, beta: float, alpha: float = 0.0, x_max: float | None = None):
         if beta < 0.5:
             raise ValueError("logcorrected scale needs beta >= 1/2")
@@ -320,18 +372,16 @@ class LogCorrectedScale(ScaleFunction):
             raise ValueError("beta = 1/2 needs alpha < 0 for a continuous process")
         self.beta = float(beta)
         self.alpha = float(alpha)
-        if x_max is None:
-            x_max = 0.2
-            if alpha > 0:
-                x_max = min(x_max, 0.8 * math.exp(-math.exp(1.2 * alpha / beta)))
-        self.x_max = float(x_max)
+        default = 0.2
+        if alpha > 0:
+            default = min(default, 0.8 * math.exp(-math.exp(1.2 * alpha / beta)))
+        self._set_x_max(x_max, default)
         if self.x_max >= math.exp(-1.0):
             raise ValueError("logcorrected scale needs x_max < 1/e")
         # monotone iff beta*log(log(1/r)) > alpha on the domain
         u0 = math.log(1.0 / self.x_max)
         if self.alpha > 0 and self.beta * math.log(u0) <= self.alpha:
             raise ValueError("x_max beyond the monotone range for these (beta, alpha)")
-        self.name = f"logcorrected(beta={beta:g},alpha={alpha:g})"
         self.x_conc = min(self.x_max, 0.5 * math.exp(-(self.beta + 2.0)))
 
     def _gamma(self, a):
@@ -353,19 +403,19 @@ class LogCorrectedScale(ScaleFunction):
         u = np.asarray(u, dtype=float)
         return self.beta / u - self.alpha / (u * np.log(u))
 
-    def spec_string(self):
-        return f"logcorrected:beta={self.beta:g},alpha={self.alpha:g}"
-
 
 class CustomScale(ScaleFunction):
     """Table-backed scale, log-log linear between knots.
 
     ``knots`` is a sequence of (r, gamma) pairs, strictly increasing in
     both coordinates.  Derivatives use central finite differences with
-    step r * 1e-6 and need at least 3 knots within a decade of r.
+    step r * 1e-6 and need at least 3 knots within a decade of r.  ``path``
+    is the CSV file the knots came from, if any, and makes the spec.
     """
 
-    def __init__(self, knots, name: str = "custom"):
+    family = "custom"
+
+    def __init__(self, knots, path=None):
         pts = sorted((float(r), float(g)) for r, g in knots)
         if len(pts) < 2:
             raise ValueError("custom scale needs at least 2 knots")
@@ -380,7 +430,7 @@ class CustomScale(ScaleFunction):
         self._log_r = np.log(r)
         self._log_g = np.log(g)
         self.x_max = float(r[-1])
-        self.name = name
+        self.path = path
         self.x_conc = 0.0
 
     @classmethod
@@ -401,7 +451,7 @@ class CustomScale(ScaleFunction):
                     knots.append((float(row[0]), float(row[1])))
         except (OSError, csv.Error) as err:
             raise ValueError(f"custom scale {path}: {err}") from err
-        return cls(knots, name=f"custom({path})")
+        return cls(knots, path=path)
 
     def _gamma(self, a):
         # log-log linear interpolation; left of the first knot the first
@@ -446,8 +496,15 @@ class CustomScale(ScaleFunction):
         slope = (lg[j + 1] - lg[j]) / (lr[j + 1] - lr[j])
         return math.exp(lr[j] + (lv - lg[j]) / slope)
 
+    def log_inverse(self, v):
+        """log(1/r) of the closed-form pre-image: a table has no log_gamma_u."""
+        x = self.inverse(v)
+        if x <= 0:
+            raise ScaleDomainError(f"{self.name}: pre-image of {v:g} underflows")
+        return math.log(1.0 / x)
+
     def spec_string(self):
-        return self.name
+        return self.family if self.path is None else f"{self.family}:path={self.path}"
 
 
 # ---------------------------------------------------------------------------
@@ -505,24 +562,20 @@ def parse_scale_spec(spec: str) -> ScaleFunction:
             raise ValueError(f"scale spec {spec!r} missing parameter {key!r}")
         return cast(params.pop(key))
 
+    def x_max():
+        val = params.pop("x_max", None)
+        return None if val is None else float(val)
+
     if family == "power":
-        out = PowerScale(fget("h"), x_max=float(params.pop("x_max", 1.0)))
+        out = PowerScale(fget("h"), x_max())
     elif family == "powerlog":
-        x_max = params.pop("x_max", None)
-        out = PowerLogScale(
-            fget("h"), fget("beta"), x_max=None if x_max is None else float(x_max)
-        )
+        out = PowerLogScale(fget("h"), fget("beta"), x_max())
     elif family == "logscale":
-        out = LogScale(fget("beta"), x_max=float(params.pop("x_max", 0.5)))
+        out = LogScale(fget("beta"), x_max())
     elif family == "explog":
-        out = ExpLogScale(fget("alpha"), x_max=float(params.pop("x_max", 0.5)))
+        out = ExpLogScale(fget("alpha"), x_max())
     elif family == "logcorrected":
-        xm = params.pop("x_max", None)
-        out = LogCorrectedScale(
-            fget("beta"),
-            alpha=float(params.pop("alpha", 0.0)),
-            x_max=None if xm is None else float(xm),
-        )
+        out = LogCorrectedScale(fget("beta"), float(params.pop("alpha", 0.0)), x_max())
     elif family == "custom":
         out = CustomScale.from_csv(fget("path", cast=str))
     else:

@@ -673,6 +673,11 @@ OUT_OF_MODEL = {
     "capacity_resolutions_underflow": ("capacity", dict(CAPACITY, resolutions=[0.3, 0.2, 1e308])),
     "cantor_logscale_underflow": ("cantor", {"gamma": LOG, "zeta": 0.5, "depth": 6}),
     "cantor_power_underflow": ("cantor", {"gamma": "power:H=0.5", "zeta": 0.001, "depth": 2}),
+    # zeta = 3 exceeds dim_delta [0, 1] = 2: the children outgrow their parent at level 1
+    "cantor_ratio_overflow": ("cantor", {"gamma": "power:H=0.5", "zeta": 3.0, "depth": 4}),
+    # t_1 = exp(-log(2^100)^200): the power overflows a float, and t_1 underflows to 0
+    "cantor_explog_inverse_overflow": ("cantor", {"gamma": "explog:alpha=0.005", "zeta": 0.01,
+                                                  "depth": 2}),
     # the gamma-dyadic tiles of dim_rho_product underflow from level 10 on
     "hit_logscale_width_underflow": ("hit", dict(
         TestOutOfModel.HIT, gamma=LOG, grid={"a": 0.025, "b": 0.25, "n": 44}, tol=5.0,

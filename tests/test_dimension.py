@@ -18,7 +18,7 @@ from gpfractal.dimension import (
 )
 from gpfractal.fractal_sets import OutOfModelError, TimeSet, build_cantor
 from gpfractal.gp_sim import cov_stationary_increments
-from gpfractal.scale import LogScale, PowerScale
+from gpfractal.scale import LogCorrectedScale, LogScale, PowerScale
 
 
 class TestBoxDimension:
@@ -126,6 +126,14 @@ class TestDimDelta:
         est = dim_delta_estimate([(0.01, 0.5)], LogScale(1.0), n_range=range(1, 9))
         assert est.diverged
         assert est.value == math.inf
+
+    def test_logcorrected_diverges(self):
+        # tile widths underflow from level 9 on; levels 2 ... 8 grow faster
+        # than geometrically, as on the log scale
+        f = LogCorrectedScale(1.0, 0.5)
+        est = dim_delta_estimate([(0.01, 0.1)], f)
+        assert est.diverged and est.value == math.inf
+        assert est.window == (2, 8)
 
     def test_window_stability(self):
         # halving the fit window moves the estimate by <= 2 stderr-ish

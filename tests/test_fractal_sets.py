@@ -122,23 +122,26 @@ class TestGammaDyadic:
         # tiles are half-open: [0, w] with w a tile width meets one tile
         f = PowerScale(1.0)
         w = f.inverse(2.0**-3)
-        assert gamma_dyadic_count([(0.0, w)], 3, f) == 1
+        assert gamma_dyadic_count([(0.0, w)], [3], f) == [(w, 1)]
 
     def test_unit_interval_dyadic(self):
         f = PowerScale(1.0)
-        assert gamma_dyadic_count([(0.0, 1.0)], 3, f) == 8
+        assert gamma_dyadic_count([(0.0, 1.0)], [3], f) == [(0.125, 8)]
 
     def test_count_matches_cover(self):
         # the merged count equals the size of the union of tile ranges
         f = PowerScale(0.5)
         cs = build_cantor(f, 0.8, depth=8)
-        for n in (2, 4, 6):
-            w = f.inverse(2.0**-n, tol=1e-15)
+        table = gamma_dyadic_count(cs, (2, 4, 6), f)
+        assert len(table) == 3
+        for n, (width, count) in zip((2, 4, 6), table):
+            w = f.inverse(2.0**-n)
+            assert width == w
             tiles = set()
             for a, b in cs.intervals():
                 first = math.floor(a / w) + 1
                 tiles.update(range(first, max(first, math.ceil(b / w)) + 1))
-            assert len(tiles) == gamma_dyadic_count(cs, n, f)
+            assert len(tiles) == count
 
     def test_cantor_slope(self):
         # tiles meeting C_zeta at level n number ~ 2^(n zeta)
@@ -146,7 +149,7 @@ class TestGammaDyadic:
         zeta = 0.6
         cs = build_cantor(f, zeta, depth=12)
         ns = np.arange(3, 18)
-        counts = np.array([gamma_dyadic_count(cs, int(n), f) for n in ns])
+        counts = np.array([c for _, c in gamma_dyadic_count(cs, ns.tolist(), f)])
         slope = np.polyfit(ns, np.log2(counts), 1)[0]
         assert slope == pytest.approx(zeta, abs=0.05)
 

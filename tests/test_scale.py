@@ -112,7 +112,7 @@ class TestInverse:
     @given(st.floats(min_value=1e-9, max_value=1.0))
     def test_round_trip_power(self, v):
         f = PowerScale(0.4)
-        assert abs(f.gamma(f.inverse(v, tol=1e-13)) - v) <= 1e-9
+        assert abs(f.gamma(f.inverse(v)) - v) <= 1e-9
 
     def test_round_trip_all_families(self, registry, rng):
         # draw v = gamma(r_true) so the pre-image is representable; the
@@ -121,8 +121,24 @@ class TestInverse:
             vmax = f.gamma(f.x_max)
             r_true = f.x_max * np.exp(rng.uniform(np.log(1e-10), 0.0, size=200))
             for v in f.gamma(r_true):
-                r = f.inverse(v, tol=1e-12)
+                r = f.inverse(v)
                 assert abs(f.gamma(r) - v) <= 1e-9 * max(1.0, vmax), f.name
+
+    def test_round_trip_down_to_1e300(self, registry, rng):
+        # pre-images log-uniform over 300 decades below x_max: the families
+        # without a closed form invert by bisection in u = log(1/r)
+        for f in _every_family(registry):
+            r_true = f.x_max * np.exp(rng.uniform(np.log(1e-300), 0.0, size=200))
+            for v in f.gamma(r_true):
+                assert f.gamma(f.inverse(v)) == pytest.approx(v, rel=1e-9), f.name
+
+    def test_below_smallest_double_is_zero(self):
+        # gamma(5e-324) = 0.0015 for this scale, so 1e-6 has no float pre-image
+        f = LogCorrectedScale(1.0, 0.5)
+        assert f.inverse(1e-6) == 0.0
+        assert f.log_inverse(1e-6) > 1e5
+        # a closed form whose intermediate power overflows: log(2^100)^200
+        assert ExpLogScale(0.005).inverse(2.0**-100) == 0.0
 
 
 class TestPsi:
@@ -245,6 +261,35 @@ class TestSpecStrings:
         f = parse_scale_spec(spec)
         assert isinstance(f, cls)
         assert parse_scale_spec(f.spec_string()).spec_string() == f.spec_string()
+
+    @pytest.mark.parametrize("spec", [
+        "power:H=0.5", "power:H=0.123456789", "power:H=0.5,x_max=0.3",
+        "powerlog:H=0.3,beta=-1.0", "powerlog:H=0.123456789,beta=1.0",
+        "powerlog:H=0.3,beta=1.0,x_max=0.01", "logscale:beta=1.0", "logscale:beta=1.0,x_max=0.3",
+        "explog:alpha=0.3", "explog:alpha=0.3,x_max=0.25",
+        "logcorrected:beta=1.0,alpha=0.5", "logcorrected:beta=1.0,alpha=0.5,x_max=0.1",
+    ])
+    def test_spec_rebuilds_the_scale(self, spec):
+        # the report's spec gives back the family, its parameters and x_max
+        f = parse_scale_spec(spec)
+        g = parse_scale_spec(f.spec_string())
+        assert type(g) is type(f)
+        assert vars(g) == vars(f)
+        assert f.name == f.spec_string().replace(":", "(", 1) + ")"
+
+    def test_spec_keeps_its_short_form(self):
+        assert PowerScale(0.5).spec_string() == "power:H=0.5"
+        assert PowerScale(0.123456789).spec_string() == "power:H=0.123456789"
+        assert LogScale(1.0, x_max=0.3).spec_string() == "logscale:beta=1,x_max=0.3"
+        assert PowerScale(0.5).name == "power(H=0.5)"
+
+    def test_custom_spec_rebuilds_the_scale(self, tmp_path):
+        path = tmp_path / "knots.csv"
+        path.write_text("1e-6,0.004\n0.001,0.06\n0.5,0.75\n")
+        f = parse_scale_spec(f"custom:path={path}")
+        assert f.spec_string() == f"custom:path={path}"
+        g = parse_scale_spec(f.spec_string())
+        assert np.array_equal(g.knot_r, f.knot_r) and np.array_equal(g.knot_g, f.knot_g)
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -54,7 +54,14 @@ CAPACITY_PRODUCT = {**CAPACITY, "beta": 2.0, "d": 2,
 CANTOR_E = {"type": "cantor", "zeta": 0.5, "depth": 8}
 LOG = "logscale:beta=1.0"  # x_max = 0.5
 FAMILIES = ["power:H=0.4", "powerlog:H=0.3,beta=1.0", "explog:alpha=0.3", LOG]
-FILES = {"one_column_knots.csv": "0.001,0.01\n0.5\n"}  # the second row lacks gamma
+POWERLOG = "powerlog:H=0.3,beta=1.0"  # x_max = 0.8 exp(-1/0.3) = 0.0285
+LOGCORRECTED = "logcorrected:beta=1.0,alpha=0.5"  # x_max = 0.8 exp(-exp(0.6)) = 0.129
+FILES = {
+    "one_column_knots.csv": "0.001,0.01\n0.5\n",  # the second row lacks gamma
+    # gamma = r^0.4 at 40 log-spaced r in [1e-12, 0.5]
+    "power_knots.csv": "".join(f"{r!r},{r ** 0.4!r}\n"
+                               for r in (1e-12 * 5e11 ** (i / 39) for i in range(40))),
+}
 POINT_AND_BOX = [{"type": "box", "lo": [0.3, 0.3], "hi": [0.3, 0.3]},
                  {"type": "box", "lo": [0.0, 0.0], "hi": [0.5, 0.5]}]
 
@@ -86,8 +93,17 @@ ROWS = [
     ("cantor_log_eps", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 4, "eps0": 0.4}, []),
     ("cantor_log_eps1", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 4, "eps0": 1.0}, []),
     ("cantor_overflow", "cantor", {"gamma": "power:H=0.5", "zeta": 3.0, "depth": 4}, []),
+    # the two families without a closed-form inverse
+    ("cantor_powerlog", "cantor", {"gamma": POWERLOG, "zeta": 0.5, "depth": 6}, []),
+    ("cantor_logcorrected", "cantor", {"gamma": LOGCORRECTED, "zeta": 0.5, "depth": 4}, []),
+    # a given x_max belongs in the report's scale spec
+    ("cantor_x_max_spec", "cantor", {"gamma": "logscale:beta=1.0,x_max=0.3", "zeta": 0.5,
+                                     "depth": 4}, []),
     # 2^14 atoms: one level past the 8192-atom grid cap
     ("cantor_depth14", "cantor", {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 14}, []),
+    # the phi kernel's log (beta = 0) and constant (beta < 0) branches
+    ("capacity_beta0", "capacity", {**CAPACITY, "beta": 0.0, "n_atoms": 128}, []),
+    ("capacity_beta_negative", "capacity", {**CAPACITY, "beta": -1.0, "n_atoms": 128}, []),
     ("capacity_cantor", "capacity", {**CAPACITY, "beta": 0.3,
                                      "E": {"type": "cantor", "zeta": 0.5, "depth": 5}}, []),
     ("capacity_interval_ball", "capacity", {**CAPACITY, "beta": 2.5, "n_atoms": 256, "d": 2,
@@ -108,6 +124,7 @@ ROWS = [
     ("check_scale_families", "check-scale", {"families": FAMILIES, "eps": 0.1}, []),
     ("check_scale_families_trace", "check-scale", {"families": FAMILIES, "eps": 0.1},
      ["--trace"]),
+    ("check_scale_custom", "check-scale", {"gamma": "custom:path=$WORK/power_knots.csv"}, []),
     ("check_scale_single", "check-scale", {"gamma": "power:H=0.3"}, ["--trace"]),
     ("dims_cantor", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, []),
     ("dims_cantor_threads2", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, ["--threads", "2"]),
@@ -120,6 +137,10 @@ ROWS = [
     ("dims_cantor_eps", "dims", {**DIMS, "E": {**CANTOR_E, "eps0": 0.5}, "grid_n": 256}, []),
     ("dims_explog", "dims", {**DIMS, "gamma": "explog:alpha=0.3", "d": 1, "grid_n": 512,
                              "E": {"type": "interval", "a": 0.1, "b": 0.5}}, []),
+    ("dims_powerlog", "dims", {**DIMS, "gamma": POWERLOG, "d": 1, "grid_n": 256,
+                               "E": {"type": "interval", "a": 0.001, "b": 0.028}}, []),
+    ("dims_logcorrected", "dims", {**DIMS, "gamma": LOGCORRECTED, "d": 1, "grid_n": 256,
+                                   "E": {"type": "interval", "a": 0.01, "b": 0.1}}, []),
     ("dims_interval", "dims", {**DIMS, "E": {"type": "interval", "a": 0.2, "b": 1.0}}, []),
     ("dims_interval_threads2", "dims", {**DIMS, "E": {"type": "interval", "a": 0.2, "b": 1.0}},
      ["--threads", "2"]),
@@ -245,6 +266,8 @@ ROWS = [
     ("simulate_volterra_p130_threads3", "simulate", {**SIM, "cov": "volterra", "n_paths": 130,
                                                      "grid": {"a": 1 / 64, "b": 1.0, "n": 64}},
      ["--threads", "3"]),
+    ("simulate_volterra_powerlog", "simulate", {**SIM, "gamma": POWERLOG, "cov": "volterra",
+                                                "grid": {"a": 0.001, "b": 0.028, "n": 32}}, []),
     ("simulate_volterra_h03", "simulate", {**SIM, "gamma": "power:H=0.3", "cov": "volterra"},
      []),
     # 600 points: three blocks of the in-place Cholesky factor, the last one partial
