@@ -3,6 +3,15 @@ variance scale: exact simulation, adapted Cantor sets, dimension and
 capacity estimators, hitting-probability experiments, and the integral
 conditions that gate each regime."""
 
+import os
+
+# BLAS and LAPACK run on one thread: --threads is the only parallelism, and
+# no payload byte depends on the caller's environment.  This acts only when
+# NumPy is first imported after this package.
+os.environ.update(
+    dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+)
+
 __version__ = "0.1.0"
 
 from .conditions import (

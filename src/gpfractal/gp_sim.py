@@ -24,7 +24,8 @@ nothing else selects it:
 The Cholesky factor is taken in place: ``CovMatrix.cholesky`` runs a
 right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
 Sec. 4.2) on the one n x n buffer the covariance build returns, so the
-Cholesky path holds one n^2 array and temporaries of O(n * _CHOL_BLOCK).
+Cholesky path holds one n^2 array and temporaries of O(n * _CHOL_BLOCK)
+per worker.
 R stays bit-identical to an unblocked build; L equals
 np.linalg.cholesky(R) bit for bit for n <= _CHOL_BLOCK and differs from
 it by round-off above.
@@ -38,17 +39,19 @@ component), so results are bit-stable regardless of worker count or
 chunking.
 
 ``threads`` (the CLI's ``--threads``, which must lie in [1, _PATH_CHUNK]
-or is a config error) sets the worker count of the two stages split into
-disjoint jobs run by ``_run_jobs``: the rows of a dense covariance build,
-and path sampling, one job per path chunk.  Each job draws its chunk for
+or is a config error) sets the worker count of the three stages split
+into disjoint jobs run by ``_run_jobs``: the rows of a dense covariance
+build, the panel solves and column-block updates of the Cholesky factor,
+and path sampling, one job per path chunk.  It is the only parallelism:
+importing the package pins BLAS to one thread, so no byte depends on
+the BLAS thread count either.  Each job draws its chunk for
 every component and hands it to ``consume(p0, block)`` on its worker, so
 the per-path minima of ``hitting.PathMinima``, the per-path box counts of
 ``dims`` and the records of ``simulate``'s binary file are made in the
 same jobs.  consume is called once per chunk, possibly on a worker and in
 any order, and at most ``threads`` chunks are alive at once, so no
-command holds an (n_paths, n, d) array on either sampler.  The Cholesky
-factorization, the capacity and content terms and the condition
-integrals stay serial.
+command holds an (n_paths, n, d) array on either sampler.  The capacity
+and content terms and the condition integrals stay serial.
 """
 
 from __future__ import annotations
@@ -110,15 +113,18 @@ class CovMatrix:
     ``R`` is built by ``build()`` on first access (reading ``.R``, calling
     ``.cholesky()``, or ``metrics.covariance_delta_matrix``).  A covariance
     that carries a circulant sampler never needs it.  ``cholesky()``
-    factors the buffer ``.R`` holds in place and drops it, so the factor
-    is the only n x n array left; a later read of ``.R`` runs ``build()``
-    again and returns the same bytes, never L.  A matrix passed as ``R``
-    together with ``build`` is that build's first result and is
-    overwritten by the factor; passed alone it is left as given, and each
-    build is a copy of it.
+    factors the buffer ``.R`` holds in place on ``threads`` workers and
+    drops it, so the factor is the only n x n array left; a later read of
+    ``.R`` runs ``build()`` again and returns the same bytes, never L.  A
+    matrix passed as ``R`` together with ``build`` is that build's first
+    result and is overwritten by the factor.  A build is symmetric by
+    construction and is not checked; a matrix passed alone is checked
+    against its transpose (and symmetrized if it differs) once, left as
+    given, and each build is a copy of it.
     """
 
-    def __init__(self, grid, R=None, label: str = "cov", build=None, circulant=None):
+    def __init__(self, grid, R=None, label: str = "cov", build=None, circulant=None,
+                 threads: int = 1):
         self.grid = np.asarray(grid, dtype=float)
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid times must be strictly increasing")
@@ -129,17 +135,16 @@ class CovMatrix:
         self._R = None
         self._build = build
         self._circulant = circulant
-        if R is not None:
-            R = self._symmetric(R)
-            if build is None:
-                self._build = R.copy
-            else:
-                self._R = R
+        self.threads = threads
+        if R is not None and build is None:
+            self._build = self._symmetric(R).copy
+        else:
+            self._R = R
 
     @property
     def R(self) -> np.ndarray:
         if self._R is None:
-            self._R = self._symmetric(self._build())
+            self._R = self._build()
         return self._R
 
     def _symmetric(self, value) -> np.ndarray:
@@ -204,7 +209,7 @@ class CovMatrix:
                 _mirror_upper(A)
                 np.fill_diagonal(A, diag + jitter)
             try:
-                _factor_in_place(A)
+                _factor_in_place(A, self.threads)
             except np.linalg.LinAlgError as err:
                 last_err = err
                 continue
@@ -219,35 +224,49 @@ class CovMatrix:
         )
 
 
-def _factor_in_place(A):
+def _factor_in_place(A, threads: int = 1):
     """Overwrite the lower triangle of the symmetric A with its Cholesky factor.
 
     Right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
     Sec. 4.2): each _CHOL_BLOCK diagonal block is factored by
     np.linalg.cholesky, the panel below it is solved against that block's
     factor, and the trailing lower triangle takes a GEMM update one column
-    block at a time, so every temporary is O(n * _CHOL_BLOCK).  The strict
+    block at a time.  The panel's solves, chunks of _CHOL_BLOCK rows, and
+    then the column blocks' updates run as jobs on ``threads`` workers; each
+    writes its own rows or columns, and every boundary comes from
+    _CHOL_BLOCK, so no byte depends on ``threads``.  A one-row remainder
+    joins the chunk before it, since a one-row solve rounds apart from the
+    same row in a longer one.  Each job's temporaries are
+    O(n * _CHOL_BLOCK), at most ``threads`` of them at once.  The strict
     upper triangle is only read.  For n <= _CHOL_BLOCK this is one
     np.linalg.cholesky call on A, so L equals NumPy's bit for bit.  Raises
     np.linalg.LinAlgError when a diagonal block is not positive definite.
     """
-    n = A.shape[0]
-    lower = np.tri(min(n, _CHOL_BLOCK), dtype=bool)
-    for j0 in range(0, n, _CHOL_BLOCK):
-        j1 = min(j0 + _CHOL_BLOCK, n)
+    n, b = A.shape[0], _CHOL_BLOCK
+    lower = np.tri(min(n, b), dtype=bool)
+    for j0 in range(0, n, b):
+        j1 = min(j0 + b, n)
         blk, low = A[j0:j1, j0:j1], lower[: j1 - j0, : j1 - j0]
         # the updated lower triangle, mirrored: the block of R - L L^T so far
         L11 = np.linalg.cholesky(np.where(low, blk, blk.T))
         np.copyto(blk, L11, where=low)
         panel = A[j1:, j0:j1]
-        panel[...] = np.linalg.solve(L11, panel.T).T
-        for k0 in range(j1, n, _CHOL_BLOCK):
-            k1 = min(k0 + _CHOL_BLOCK, n)
+
+        def solve(r0, r1):
+            panel[r0:r1] = np.linalg.solve(L11, panel[r0:r1].T).T
+
+        def update(k0):
+            k1 = min(k0 + b, n)
             upd = panel[k0 - j1 :] @ panel[k0 - j1 : k1 - j1].T
             head = A[k0:k1, k0:k1]
             np.subtract(head, upd[: k1 - k0], out=head, where=lower[: k1 - k0, : k1 - k0])
             A[k1:, k0:k1] -= upd[k1 - k0 :]
-            del upd  # else two column blocks' updates are alive at the next product
+
+        cuts = [*range(0, n - j1, b), n - j1]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            del cuts[-2]
+        _run_jobs([partial(solve, r0, r1) for r0, r1 in zip(cuts, cuts[1:])], threads)
+        _run_jobs([partial(update, k0) for k0 in range(j1, n, b)], threads)
 
 
 def _mirror_upper(A):
@@ -459,6 +478,7 @@ def cov_stationary_increments(scale, grid, threads: int = 1) -> CovMatrix:
         label=f"stationary[{scale.name}]",
         build=lambda: _stationary_R(scale, grid, threads),
         circulant=_circulant_sampler(scale, grid),
+        threads=threads,
     )
     if cov.sampler == "cholesky":
         # R is built here, so a profile times the build in this call and
@@ -557,9 +577,8 @@ def cov_volterra(scale, grid, n_quad: int = 64, threads: int = 1) -> CovMatrix:
             f"after doubling the order (order {order // 2} -> {order}, "
             f"levels {levels}, n={grid.size})"
         )
-    cov = CovMatrix(
-        grid=grid, R=R, label=f"volterra[{scale.name}]", build=lambda: build(order)[0]
-    )
+    cov = CovMatrix(grid=grid, R=R, label=f"volterra[{scale.name}]",
+                    build=lambda: build(order)[0], threads=threads)
     cov.quad_rel_change = rel
     cov.cholesky()
     return cov
@@ -646,8 +665,10 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int =
     ``threads`` workers (at most _PATH_CHUNK).  For each component it
     turns its chunk's normals into paths: _Circulant.paths on chunks of
     _PATH_CHUNK // threads paths (at least 1), or L @ Z, Z being the
-    normals C-ordered (n, k), on blocks of _PATH_CHUNK paths at every
-    worker count, since a GEMM's rounding can depend on its column count.
+    normals C-ordered (n, _PATH_CHUNK), on blocks of _PATH_CHUNK paths at
+    every worker count, since a GEMM's rounding can depend on its column
+    count; the last block's Z is padded with zero columns, so a path's bytes
+    do not depend on n_paths either.
     block[i, j, c] is component c of path p0 + i at grid[j] and is dropped
     when consume returns.  consume is called once per chunk, possibly on a
     worker thread and in any order, must write only outputs of its own
@@ -672,11 +693,12 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int =
     def job(p0):
         k = min(size, n_paths - p0)
         block = np.empty((k, n, d))
-        z = np.empty((k, width))
+        # a Cholesky tail block keeps all _PATH_CHUNK columns, zeros past its k paths
+        z = np.empty((k, width)) if circ else np.zeros((size, width))
         for c in range(d):
-            for i, row in enumerate(z):
-                _substream(seed, p0 + i, c).standard_normal(out=row)
-            block[:, :, c] = circ.paths(z) if circ else (L @ np.ascontiguousarray(z.T)).T
+            for i in range(k):
+                _substream(seed, p0 + i, c).standard_normal(out=z[i])
+            block[:, :, c] = circ.paths(z) if circ else (L @ np.ascontiguousarray(z.T)).T[:k]
         consume(p0, block)
 
     _run_jobs([partial(job, p0) for p0 in range(0, n_paths, size)], threads)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import gpfractal
 from gpfractal.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -156,6 +160,35 @@ class TestDims:
         main(["dims", "--config", cfg, "--out", str(out1), "--threads", "1"])
         main(["dims", "--config", cfg, "--out", str(out2), "--threads", "4"])
         assert _read_outputs(out1) == _read_outputs(out2)
+
+
+class TestBlasThreads:
+    """Importing the package pins BLAS to one thread, so no payload byte
+    depends on the caller's OPENBLAS_NUM_THREADS."""
+
+    # the payload gate's capacity_interval_ball and simulate_volterra_n600 rows
+    CONFIGS = {
+        "capacity": {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
+                     "beta": 2.5, "seed": 0, "n_atoms": 256, "d": 2,
+                     "F": [{"type": "ball", "center": [0.0, 0.0], "radius": 0.3}]},
+        "simulate": {**SIM_CONFIG, "cov": "volterra",
+                     "grid": {"a": 1 / 600, "b": 1.0, "n": 600}},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_payloads_equal_across_blas_threads(self, tmp_path, command):
+        cfg = _write_config(tmp_path, self.CONFIGS[command])
+        src = str(Path(gpfractal.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        payloads = []
+        for blas in ("1", "2"):
+            out = tmp_path / blas
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": blas}
+            done = subprocess.run([sys.executable, "-m", "gpfractal.cli", command, "--config",
+                                   cfg, "--out", str(out)], env=env, capture_output=True)
+            assert done.returncode == EXIT_OK, done.stderr.decode()
+            payloads.append(_read_outputs(out))
+        assert payloads[0] and payloads[0] == payloads[1]
 
 
 class TestCantor:

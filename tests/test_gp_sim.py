@@ -100,6 +100,14 @@ class TestSampling:
         cov = cov_stationary_increments(f, np.linspace(0.1, 1.0, 32))
         assert np.array_equal(all_paths(cov, 2, 5, 99), all_paths(cov, 2, 5, 99))
 
+    def test_cholesky_paths_independent_of_n_paths(self):
+        # the last blocks of 129 and 130 paths hold 1 and 2 of them
+        cov = cov_volterra(PowerScale(0.5), np.linspace(1 / 64, 1.0, 64))
+        assert cov.sampler == "cholesky"
+        want = all_paths(cov, 2, 200, 3)
+        for n_paths in (129, 130):
+            assert np.array_equal(all_paths(cov, 2, n_paths, 3), want[:n_paths])
+
     def test_substreams_keyed_by_path_and_component(self):
         from gpfractal.gp_sim import _substream
 
@@ -652,6 +660,34 @@ class TestSymmetryCheck:
         assert peak < R.nbytes / 2
 
 
+def test_builds_skip_the_symmetry_check(monkeypatch):
+    def refuse(self, value):
+        raise AssertionError("a built R was checked")
+
+    monkeypatch.setattr(CovMatrix, "_symmetric", refuse)
+    grid = np.geomspace(0.05, 1.0, 300)
+    for cov in (cov_stationary_increments(PowerScale(0.5), grid),
+                cov_volterra(PowerScale(0.5), grid[:40])):
+        assert cov.R.shape == (cov.n, cov.n)  # rebuilt after the factor
+
+
+def _serial_factor(R):
+    """The blocked factor with one solve per panel and no jobs: L in the lower
+    triangle, written out as a reference for the chunked solves."""
+    A, n, b = R.copy(), R.shape[0], gp_sim._CHOL_BLOCK
+    for j0 in range(0, n, b):
+        j1 = min(j0 + b, n)
+        blk, panel = A[j0:j1, j0:j1], A[j1:, j0:j1]
+        blk[...] = np.linalg.cholesky(np.tril(blk) + np.tril(blk, -1).T)
+        panel[...] = np.linalg.solve(blk, panel.T).T
+        for k0 in range(j1, n, b):
+            k1 = min(k0 + b, n)
+            upd = panel[k0 - j1 :] @ panel[k0 - j1 : k1 - j1].T
+            A[k0:k1, k0:k1] -= np.tril(upd[: k1 - k0])
+            A[k1:, k0:k1] -= upd[k1 - k0 :]
+    return np.tril(A)
+
+
 def _cantor_atoms(n):
     """The first n atoms of a depth-10 Cantor set of delta-dimension 0.6."""
     from gpfractal.fractal_sets import build_cantor
@@ -728,14 +764,33 @@ class TestInPlaceFactor:
             cov.cholesky()
         assert np.array_equal(cov.R, R)
 
+    @pytest.mark.parametrize("n", [513, 600, 1025])
+    def test_bytes_equal_across_threads(self, n):
+        # 513 and 1025: each panel ends in a one-row remainder, solved with
+        # the chunk before it; 600: the last block is partial
+        R = gp_sim._stationary_R(PowerScale(0.5), np.geomspace(0.05, 1.0, n))
+        want = _serial_factor(R)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 3, 5):
+                A = R.copy()
+                gp_sim._factor_in_place(A, threads)
+                assert np.array_equal(np.tril(A), want), threads
+                assert np.array_equal(np.triu(A, 1), np.triu(R, 1))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_memory_is_one_buffer(self):
         n = 2048
         grid = np.geomspace(0.05, 1.0, n)
-        tracemalloc.start()
-        try:
-            cov = cov_stationary_increments(PowerScale(0.5), grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cov.sampler == "cholesky" and cov._R is None
-        assert peak < 1.5 * 8 * n * n
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                cov = cov_stationary_increments(PowerScale(0.5), grid, threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cov.sampler == "cholesky" and cov._R is None
+            assert peak < 1.5 * 8 * n * n, threads
+            del cov

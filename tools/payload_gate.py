@@ -275,6 +275,13 @@ ROWS = [
                                                                                "b": 1.0,
                                                                                "n": 600}},
      []),
+    # 513 points: the first panel's 257 rows are solved as one chunk, 256 rows
+    # and the one-row remainder joined to them, at every --threads
+    ("simulate_volterra_n513", "simulate", {**SIM, "cov": "volterra",
+                                            "grid": {"a": 1 / 513, "b": 1.0, "n": 513}}, []),
+    ("simulate_volterra_n513_threads3", "simulate", {**SIM, "cov": "volterra",
+                                                     "grid": {"a": 1 / 513, "b": 1.0, "n": 513}},
+     ["--threads", "3"]),
 ]
 
 
