@@ -41,10 +41,11 @@ def kernel_matrix(dists, beta: float, h: float, out=None) -> np.ndarray:
     ``dists`` itself when the caller owns it, else a new array, so
     ``dists`` is written only when it is ``out``.  K is then symmetrized
     in place, 0.5 (K_ij + K_ji), _BLOCK_ROWS rows at a time; addition
-    commutes, so both halves get the bytes 0.5 (K + K^T) would.
+    commutes, so both halves get the bytes 0.5 (K + K^T) would.  h <= 0
+    (or NaN) raises OutOfModelError.
     """
-    if h <= 0:
-        raise ValueError("truncation resolution h must be positive")
+    if not h > 0:
+        raise OutOfModelError(f"truncation resolution h = {h!r} must be positive")
     K = np.maximum(np.asarray(dists, dtype=float), h, out=out)
     phi_kernel(beta, K, out=K)
     for r0 in range(0, len(K), _BLOCK_ROWS):

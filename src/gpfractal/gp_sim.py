@@ -22,10 +22,12 @@ nothing else selects it:
   Toeplitz matrix is numerically singular.
 
 The Cholesky factor is taken in place: ``CovMatrix.cholesky`` runs a
-right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
+left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
 Sec. 4.2) on the one n x n buffer the covariance build returns, so the
-Cholesky path holds one n^2 array and temporaries of O(n * _CHOL_BLOCK)
-per worker.
+Cholesky path holds one n^2 array and temporaries of O(_CHOL_BLOCK^2)
+per worker.  Each block column is solved by a blocked triangular solve,
+GEMMs against the inverses of its diagonal block's _TRSM_LEAF x
+_TRSM_LEAF blocks (Sec. 3.1), with no LU.
 R stays bit-identical to an unblocked build; L equals
 np.linalg.cholesky(R) bit for bit for n <= _CHOL_BLOCK and differs from
 it by round-off above.
@@ -41,8 +43,8 @@ chunking.
 ``threads`` (the CLI's ``--threads``, which must lie in [1, _PATH_CHUNK]
 or is a config error) sets the worker count of the three stages split
 into disjoint jobs run by ``_run_jobs``: the rows of a dense covariance
-build, the panel solves and column-block updates of the Cholesky factor,
-and path sampling, one job per path chunk.  It is the only parallelism:
+build, the row chunks of each step of the Cholesky factor, and path
+sampling, one job per path chunk.  It is the only parallelism:
 importing the package pins BLAS to one thread, so no byte depends on
 the BLAS thread count either.  Each job draws its chunk for
 every component and hands it to ``consume(p0, block)`` on its worker, so
@@ -76,6 +78,7 @@ __all__ = [
 
 _MAX_N = 8192  # dense Cholesky cap; estimators upstream never need more
 _CHOL_BLOCK = 256  # diagonal block of the in-place factor
+_TRSM_LEAF = 16  # inverted diagonal block of the factor's panel solve
 _MAX_D = 65535  # the substream key (path << 16) ^ comp needs comp < 2^16
 _JITTER_BASE = 1e-14
 _JITTER_STEPS = 6
@@ -227,46 +230,64 @@ class CovMatrix:
 def _factor_in_place(A, threads: int = 1):
     """Overwrite the lower triangle of the symmetric A with its Cholesky factor.
 
-    Right-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
-    Sec. 4.2): each _CHOL_BLOCK diagonal block is factored by
-    np.linalg.cholesky, the panel below it is solved against that block's
-    factor, and the trailing lower triangle takes a GEMM update one column
-    block at a time.  The panel's solves, chunks of _CHOL_BLOCK rows, and
-    then the column blocks' updates run as jobs on ``threads`` workers; each
-    writes its own rows or columns, and every boundary comes from
-    _CHOL_BLOCK, so no byte depends on ``threads``.  A one-row remainder
-    joins the chunk before it, since a one-row solve rounds apart from the
-    same row in a longer one.  Each job's temporaries are
-    O(n * _CHOL_BLOCK), at most ``threads`` of them at once.  The strict
-    upper triangle is only read.  For n <= _CHOL_BLOCK this is one
-    np.linalg.cholesky call on A, so L equals NumPy's bit for bit.  Raises
-    np.linalg.LinAlgError when a diagonal block is not positive definite.
+    Left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
+    Sec. 4.2): at each step the next _CHOL_BLOCK block column takes one
+    GEMM update from the columns of L to its left, its diagonal block is
+    factored by np.linalg.cholesky, and the rows below are solved against
+    that block's factor (``_solve_panel``, GEMMs against the inverses of
+    its _TRSM_LEAF diagonal blocks, inverted once per step).  The rows
+    below run as jobs on ``threads`` workers, chunks of _CHOL_BLOCK rows
+    that each take their update and their solve and write only their own
+    rows; every boundary comes from _CHOL_BLOCK, so no byte depends on
+    ``threads``.  A one-row remainder joins the chunk before it, since a
+    one-row product takes NumPy's gemv path and rounds apart from the same
+    row in a longer one.  Each job's temporaries are O(_CHOL_BLOCK^2), at
+    most ``threads`` of them at once.  The strict upper triangle is
+    only read.  For n <= _CHOL_BLOCK this is one np.linalg.cholesky call
+    on A, so L equals NumPy's bit for bit.  Raises np.linalg.LinAlgError
+    when a diagonal block is not positive definite.
     """
     n, b = A.shape[0], _CHOL_BLOCK
     lower = np.tri(min(n, b), dtype=bool)
     for j0 in range(0, n, b):
         j1 = min(j0 + b, n)
-        blk, low = A[j0:j1, j0:j1], lower[: j1 - j0, : j1 - j0]
+        blk, low, left = A[j0:j1, j0:j1], lower[: j1 - j0, : j1 - j0], A[j0:j1, :j0]
+        np.subtract(blk, left @ left.T, out=blk, where=low)
         # the updated lower triangle, mirrored: the block of R - L L^T so far
         L11 = np.linalg.cholesky(np.where(low, blk, blk.T))
         np.copyto(blk, L11, where=low)
-        panel = A[j1:, j0:j1]
+        if j1 == n:
+            return
+        inv = [np.linalg.inv(L11[c : c + _TRSM_LEAF, c : c + _TRSM_LEAF])
+               for c in range(0, j1 - j0, _TRSM_LEAF)]
 
         def solve(r0, r1):
-            panel[r0:r1] = np.linalg.solve(L11, panel[r0:r1].T).T
+            rows = A[r0:r1, j0:j1] - A[r0:r1, :j0] @ left.T
+            _solve_panel(rows, L11, inv, 0, j1 - j0)
+            A[r0:r1, j0:j1] = rows
 
-        def update(k0):
-            k1 = min(k0 + b, n)
-            upd = panel[k0 - j1 :] @ panel[k0 - j1 : k1 - j1].T
-            head = A[k0:k1, k0:k1]
-            np.subtract(head, upd[: k1 - k0], out=head, where=lower[: k1 - k0, : k1 - k0])
-            A[k1:, k0:k1] -= upd[k1 - k0 :]
-
-        cuts = [*range(0, n - j1, b), n - j1]
+        cuts = [*range(j1, n, b), n]
         if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
             del cuts[-2]
         _run_jobs([partial(solve, r0, r1) for r0, r1 in zip(cuts, cuts[1:])], threads)
-        _run_jobs([partial(update, k0) for k0 in range(j1, n, b)], threads)
+
+
+def _solve_panel(P, L, inv, c0: int, c1: int):
+    """Overwrite P[:, c0:c1] with X solving X L[c0:c1, c0:c1]^T = P[:, c0:c1].
+
+    Columns c0:c1 of the lower triangular L are halved at a multiple of
+    _TRSM_LEAF: the left half is solved, one GEMM takes it out of the right
+    half, and the right half is solved (Golub & Van Loan, Sec. 3.1).  A
+    leaf, at most _TRSM_LEAF wide, is one GEMM against ``inv[c0 //
+    _TRSM_LEAF]``, the inverse of its diagonal block of L.
+    """
+    if c1 - c0 <= _TRSM_LEAF:
+        P[:, c0:c1] = P[:, c0:c1] @ inv[c0 // _TRSM_LEAF].T
+        return
+    mid = c0 + _TRSM_LEAF * -(-(c1 - c0) // (2 * _TRSM_LEAF))
+    _solve_panel(P, L, inv, c0, mid)
+    P[:, mid:c1] -= P[:, c0:mid] @ L[mid:c1, c0:mid].T
+    _solve_panel(P, L, inv, mid, c1)
 
 
 def _mirror_upper(A):

@@ -3,6 +3,9 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+# gpfractal first: its import pins BLAS to one thread, which acts only
+# before NumPy is loaded, so in-process tests run the BLAS the CLI runs
+import gpfractal  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 

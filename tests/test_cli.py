@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpfractal
@@ -189,6 +191,19 @@ class TestBlasThreads:
             assert done.returncode == EXIT_OK, done.stderr.decode()
             payloads.append(_read_outputs(out))
         assert payloads[0] and payloads[0] == payloads[1]
+
+    def test_in_process_blas_runs_one_thread(self):
+        # conftest imports gpfractal before NumPy, so the in-process byte
+        # tests run the one BLAS thread every CLI call runs
+        root = Path(np.__file__).resolve().parent
+        libs = sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")])
+        names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads")
+        getters = [getattr(ctypes.CDLL(str(lib)), name, None) for lib in libs for name in names]
+        getters = [g for g in getters if g is not None]
+        if not getters:
+            pytest.skip("this NumPy bundles no OpenBLAS to query")
+        assert getters[0]() == 1
 
 
 class TestCantor:

@@ -70,6 +70,11 @@ class TestEnergyDiscrete:
         K = kernel_matrix(dists, beta=beta, h=0.05, out=dists)
         assert K is dists and dists.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("h", [0.0, -0.05, float("nan")])
+    def test_nonpositive_resolution_is_out_of_model(self, h):
+        with pytest.raises(OutOfModelError, match="must be positive"):
+            kernel_matrix(np.zeros((2, 2)), beta=0.7, h=h)
+
     def test_mismatch_rejected(self, rng):
         # a measure's weights must align with its atoms, one per kernel row
         atoms = np.sort(rng.uniform(0.0, 1.0, size=4))

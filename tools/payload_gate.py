@@ -275,6 +275,10 @@ ROWS = [
                                                                                "b": 1.0,
                                                                                "n": 600}},
      []),
+    # 300 points: one 44-row panel chunk under a full block, then a 44-wide
+    # last block
+    ("simulate_volterra_n300", "simulate", {**SIM, "cov": "volterra",
+                                            "grid": {"a": 1 / 300, "b": 1.0, "n": 300}}, []),
     # 513 points: the first panel's 257 rows are solved as one chunk, 256 rows
     # and the one-row remainder joined to them, at every --threads
     ("simulate_volterra_n513", "simulate", {**SIM, "cov": "volterra",
