@@ -29,14 +29,7 @@ from .dimension import (
     intersection_dimension_experiment,
 )
 from .energy import capacity_estimate, kernel_matrix, minimize_energy
-from .fractal_sets import (
-    CantorSet,
-    DiscreteMeasure,
-    Target,
-    TimeSet,
-    build_cantor,
-    cantor_measure,
-)
+from .fractal_sets import Target, TimeSet, build_cantor
 from .gp_sim import (
     CovMatrix,
     PathBatch,

@@ -44,7 +44,7 @@ from .fractal_sets import (
     Target,
     TimeSet,
     build_cantor,
-    cantor_measure,
+    cantor_lengths,
 )
 from .gp_sim import (
     _MAX_D,
@@ -125,7 +125,7 @@ def _parse_d(cfg) -> int:
     return _require(cfg, "d", int, lambda v: 1 <= v <= _MAX_D, f"must be in [1, {_MAX_D}]")
 
 
-def _parse_cantor(cfg, scale):
+def _parse_cantor(cfg, scale) -> TimeSet:
     zeta = _require(cfg, "zeta", float, lambda v: v > 0, "must be > 0")
     # 2^depth atoms: 2^13 is _MAX_N, the largest atom set any command takes
     depth = _require(cfg, "depth", int, lambda v: 0 <= v <= 13, "must be in [0, 13]")
@@ -368,11 +368,18 @@ def cmd_check_scale(cfg, threads: int, trace: bool) -> dict:
 
 
 def cmd_cantor(cfg, threads: int, trace: bool) -> dict:
-    cs = _parse_cantor(cfg, _parse_gamma(cfg))
-    measure = cantor_measure(cs)
+    scale = _parse_gamma(cfg)
+    E = _parse_cantor(cfg, scale)
+    spec = {k: v for k, v in E.spec.items() if k != "type"}
+    t = cantor_lengths(scale, spec["zeta"], spec["depth"])
+    iv = E.intervals
+    # one atom row per deepest interval: E.atoms merges midpoints less than an ulp apart
+    mid = 0.5 * (iv[:, 0] + iv[:, 1])
+    report = {"scale": scale.spec_string(), **spec, "t_seq": t.tolist(),
+              "l_seq": (t[1:] / t[:-1]).tolist(), "deepest_intervals": iv.tolist()}
     return {
-        "cantor_set.json": _json(cs.to_json()),
-        "cantor_atoms.csv": _csv("weight,x0", zip(measure.weights, measure.atoms)),
+        "cantor_set.json": _json(report),
+        "cantor_atoms.csv": _csv("weight,x0", [(1.0 / len(iv), x) for x in mid]),
     }
 
 

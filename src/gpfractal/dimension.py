@@ -130,8 +130,8 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
     """
     E = TimeSet.of(E, scale)
     if n_range is None:
-        if E.cantor is not None:
-            top = max(4, int(E.cantor.depth / E.cantor.zeta) - 2)
+        if E.spec["type"] == "cantor":
+            top = max(4, int(E.spec["depth"] / E.spec["zeta"]) - 2)
             n_range = range(2, min(top, 40) + 1)
         else:
             n_range = range(2, 15)
@@ -213,9 +213,9 @@ def image_dimension_experiment(
     """Estimate dim of the image B(E) per path and compare with
     min(d, dim_delta(E)).
 
-    E is an interval (a, b), a CantorSet or a TimeSet.  A Cantor set's
-    atoms are the simulation grid itself, so no atom is moved to a
-    nearby grid time; an interval gets ``grid_n`` equispaced times.  The
+    E is an interval (a, b) or a TimeSet, such as build_cantor's.  A
+    Cantor set's atoms are the simulation grid itself, so no atom is moved
+    to a nearby grid time; an interval gets ``grid_n`` equispaced times.  The
     covariance is the stationary-increment model for the scale;
     ``params`` records which sampler drew the paths and its certificate.
     The paths stream from sample_paths chunk by chunk, and each chunk's

@@ -1,37 +1,39 @@
-"""Generalized Cantor sets in the gamma metric, their mass measure, the
-time set E and target F of the hitting and dimension experiments, and
-the gamma-dyadic covering table of E.
+"""Generalized Cantor sets in the gamma metric, the time set E and target
+F of the hitting and dimension experiments, and the gamma-dyadic covering
+table of E.
 
 The construction keeps two children of length t_k * eps0 at the extreme
 ends of each parent interval, with t_k = gamma^{-1}(2^{-k/zeta}), so the
 limit set has dimension zeta with respect to delta*(s,t) = gamma(|t-s|).
-One call of gamma_dyadic_count gives E's tile width gamma^{-1}(2^-n) and
-tile count at every level, and each dimension estimate reads that table.
+build_cantor returns the deepest level as a TimeSet, the one form of E
+that every estimator reads.  One call of gamma_dyadic_count gives E's
+tile width gamma^{-1}(2^-n) and tile count at every level, and each
+dimension estimate reads that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .scale import ScaleDomainError
 
 __all__ = [
-    "CantorSet",
-    "DiscreteMeasure",
     "OutOfModelError",
     "RatioOverflowError",
     "Target",
     "TimeSet",
     "build_cantor",
-    "cantor_measure",
+    "cantor_lengths",
     "core_sq_distance",
     "gamma_dyadic_count",
     "grid_lookup",
 ]
 
+# 2^13 deepest Cantor intervals: gp_sim._MAX_N, the largest atom set any command takes
+_MAX_DEPTH = 13
 _LATTICE_CAP = 400  # points in a target's lattice sample
 _LATTICE_CHUNK = 1 << 15  # mesh points generated at a time by Target.lattice
 _LATTICE_AXIS_MAX = 1 << 20  # mesh points on one axis of a member's lattice
@@ -49,84 +51,17 @@ class RatioOverflowError(OutOfModelError):
     too large for the scale at this depth."""
 
 
-@dataclass
-class CantorSet:
-    scale: object
-    zeta: float
-    depth: int
-    eps0: float
-    #: levels[k] is a (2^k, 2) array of [left, right] interval endpoints
-    levels: list = field(default_factory=list)
-    t_seq: np.ndarray | None = None  # t_0 = 1, t_k = gamma^{-1}(2^{-k/zeta})
-    l_seq: np.ndarray | None = None  # l_k = t_k / t_{k-1}
+def cantor_lengths(scale, zeta: float, depth: int) -> np.ndarray:
+    """t_0 = 1 and t_k = gamma^{-1}(2^{-k/zeta}) for k = 1 ... depth.
 
-    def intervals(self, k: int | None = None) -> np.ndarray:
-        return self.levels[self.depth if k is None else k]
-
-    def atoms(self) -> np.ndarray:
-        """Midpoints of the deepest-level intervals."""
-        deepest = self.levels[self.depth]
-        return 0.5 * (deepest[:, 0] + deepest[:, 1])
-
-    def to_json(self) -> dict:
-        return {
-            "scale": self.scale.spec_string(),
-            "zeta": self.zeta,
-            "depth": self.depth,
-            "eps0": self.eps0,
-            "t_seq": self.t_seq.tolist(),
-            "l_seq": self.l_seq.tolist(),
-            "deepest_intervals": self.levels[self.depth].tolist(),
-        }
-
-
-@dataclass
-class DiscreteMeasure:
-    """Probability measure with finitely many atoms on the time line.
-
-    ``atoms`` is the (m,) array of atom times and ``weights`` their masses.
-    """
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.atoms = np.asarray(self.atoms, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 1 or len(self.weights) != len(self.atoms):
-            raise ValueError("weights must align with atoms")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def ball_mass_time(self, model, t: float, r: float) -> float:
-        """nu(B_delta(t, r)) for a measure on the time line."""
-        d = model.delta(t, self.atoms)
-        return float(np.sum(self.weights[np.asarray(d) <= r]))
-
-
-def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> CantorSet:
-    """Construct the two-children Cantor set adapted to the scale.
-
-    Children sit at the extreme ends of their parent (maximal separation).
+    A level-k interval of the Cantor set has length t_k * eps0.  Raises
+    OutOfModelError when 2^(-k/zeta) exceeds gamma(x_max) or when t_k
+    underflows to 0, so that the level-k intervals would have no length.
     Raises RatioOverflowError when some l_k = t_k / t_{k-1} exceeds 1/2,
     i.e. the two children of combined length 2 t_k eps0 would overflow the
     parent of length t_{k-1} eps0 - the construction is infeasible for
-    this (gamma, zeta, depth).  Raises OutOfModelError when 2^(-k/zeta)
-    exceeds gamma(x_max) or when t_k underflows to 0, so that the level-k
-    intervals would have no length.
+    this (gamma, zeta, depth).
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    if not 0 <= depth <= 40:
-        raise ValueError("depth must be in [0, 40]")
-    if not 0 < eps0 <= 1:
-        raise ValueError("eps0 must be in (0, 1]")
     gxmax = scale.gamma(scale.x_max)
     t = [1.0]
     for k in range(1, depth + 1):
@@ -142,43 +77,41 @@ def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> CantorSet
                 f"t_{k} = gamma^-1(2^(-k/zeta) = {target:.3e}) underflows to {t[-1]!r}"
             )
     t_seq = np.array(t)
-    l_seq = t_seq[1:] / t_seq[:-1] if depth >= 1 else np.array([])
-    for k, l in enumerate(l_seq, start=1):
+    for k, l in enumerate(t_seq[1:] / t_seq[:-1], start=1):
         if l > 0.5 + 1e-12:
             raise RatioOverflowError(
                 f"ratio overflow at level {k}: l_{k} = {l:.6f} > 1/2 "
                 f"(children of combined length > parent)"
             )
-
-    levels = [np.array([[0.0, eps0]])]
-    for k in range(1, depth + 1):
-        parents = levels[-1]
-        length = t_seq[k] * eps0
-        children = np.empty((2 * parents.shape[0], 2))
-        children[0::2, 0] = parents[:, 0]
-        children[0::2, 1] = parents[:, 0] + length
-        children[1::2, 0] = parents[:, 1] - length
-        children[1::2, 1] = parents[:, 1]
-        levels.append(children)
-    return CantorSet(
-        scale=scale,
-        zeta=zeta,
-        depth=depth,
-        eps0=eps0,
-        levels=levels,
-        t_seq=t_seq,
-        l_seq=l_seq,
-    )
+    return t_seq
 
 
-def cantor_measure(cs: CantorSet) -> DiscreteMeasure:
-    """Mass-distribution measure: one atom per deepest interval, weight 2^-K.
+def build_cantor(scale, zeta: float, depth: int, eps0: float = 1.0) -> TimeSet:
+    """The two-children Cantor set adapted to the scale, as a TimeSet.
 
-    By construction every level-k ancestor interval carries mass 2^-k.
+    Children sit at the extreme ends of their parent (maximal separation)
+    and have length t_k * eps0 at level k (cantor_lengths, whose errors
+    pass through).  ``intervals`` are the 2^depth deepest intervals from
+    left to right, and ``atoms`` their distinct midpoints: midpoints of
+    intervals shorter than an ulp coincide.  A depth outside [0,
+    _MAX_DEPTH] raises ValueError before any interval is built.
     """
-    atoms = cs.atoms()
-    w = np.full(atoms.size, 1.0 / atoms.size)
-    return DiscreteMeasure(atoms=atoms, weights=w)
+    if zeta <= 0:
+        raise ValueError("zeta must be positive")
+    if not 0 <= depth <= _MAX_DEPTH:
+        raise ValueError(f"depth must be in [0, {_MAX_DEPTH}]")
+    if not 0 < eps0 <= 1:
+        raise ValueError("eps0 must be in (0, 1]")
+    iv = np.array([[0.0, eps0]])
+    for length in cantor_lengths(scale, zeta, depth)[1:] * eps0:
+        children = np.empty((2 * iv.shape[0], 2))
+        children[0::2, 0] = iv[:, 0]
+        children[0::2, 1] = iv[:, 0] + length
+        children[1::2, 0] = iv[:, 1] - length
+        children[1::2, 1] = iv[:, 1]
+        iv = children
+    spec = {"type": "cantor", "zeta": zeta, "depth": depth, "eps0": eps0}
+    return TimeSet(iv, np.unique(0.5 * (iv[:, 0] + iv[:, 1])), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +140,21 @@ class TimeSet:
     ``intervals`` is the (m, 2) array of closed components that coverings
     tile (degenerate ones for points).  ``atoms`` are the times a
     simulation uses, or None for an interval, whose grid the caller
-    chooses.  ``spec`` describes E in reports, and ``cantor`` is the
-    CantorSet E was built from, if any.
+    chooses.  ``spec`` describes E in reports.
     """
 
     intervals: np.ndarray
     atoms: np.ndarray | None
     spec: dict
-    cantor: CantorSet | None = None
 
     @classmethod
     def of(cls, E, scale) -> TimeSet:
-        """The one conversion of E: a TimeSet, a CantorSet or an interval (a, b).
+        """The one conversion of E: a TimeSet (build_cantor's, say) or an interval (a, b).
 
         Raises OutOfModelError unless E lies in [0, x_max] of ``scale``, so
         no time lag between points of E ever exceeds the scale's domain.
         """
-        if isinstance(E, CantorSet):
-            spec = {"type": "cantor", "zeta": E.zeta, "depth": E.depth, "eps0": E.eps0}
-            E = cls(E.intervals(), np.unique(E.atoms()), spec, E)
-        elif not isinstance(E, TimeSet):
+        if not isinstance(E, TimeSet):
             a, b = (float(v) for v in np.asarray(E, dtype=float).reshape(2))
             E = cls(np.array([[a, b]]), None, {"type": "interval", "a": a, "b": b})
         iv = E.intervals

@@ -7,7 +7,8 @@ on a geometric grid.  The Frank-Wolfe reference is the solver's earlier
 loop, which keeps a gradient array and masks the support on every step;
 the current loop must reproduce its bits.  The product-metric oracle
 evaluates rho on materialized (t, x) rows, one row per atom, where the
-code under test reads factored times and points.
+code under test reads factored times and points.  A ball mass of a
+uniform measure counts the atoms a delta-ball holds.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ def product_rho(gamma, u, rows) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return np.maximum(gamma(np.abs(rows[:, 0] - u[0])),
                       np.linalg.norm(rows[:, 1:] - u[1:], axis=-1))
+
+
+def uniform_ball_mass(gamma, atoms, t: float, r: float) -> float:
+    """nu(B_delta(t, r)) for the uniform probability measure on ``atoms``,
+    where delta(s, t) = gamma(|t - s|)."""
+    atoms = np.asarray(atoms, dtype=float)
+    return np.count_nonzero(gamma(np.abs(atoms - t)) <= r) / atoms.size
 
 
 def riemann_integral_I(scale, x: float, n_panels: int = 1_000_000) -> float:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from oracles import exact_min_energy
+from oracles import exact_min_energy, uniform_ball_mass
 
 from gpfractal.conditions import (
     check_strong_condition,
@@ -25,7 +25,7 @@ from gpfractal.dimension import (
     intersection_dimension_experiment,
 )
 from gpfractal.energy import capacity_estimate, kernel_matrix, minimize_energy
-from gpfractal.fractal_sets import build_cantor, cantor_measure
+from gpfractal.fractal_sets import build_cantor
 from gpfractal.gp_sim import cov_stationary_increments, cov_volterra
 from gpfractal.hitting import (
     check_hit_instance,
@@ -93,18 +93,19 @@ def test_criterion_3_cantor_construction(rng):
     details = []
     ok = True
     for zeta in (0.5, 1.0):
-        cs = build_cantor(f, zeta, depth=12, eps0=1.0)
-        est = dim_delta_estimate(cs, f)
+        depth, eps0 = 12, 1.0
+        E = build_cantor(f, zeta, depth=depth, eps0=eps0)
+        est = dim_delta_estimate(E, f)
         dim_ok = abs(est.value - zeta) <= 0.05
-        nu = cantor_measure(cs)
-        model = StationaryGamma(f)
-        r_lo = 2.0 ** (-(cs.depth - 1) / zeta)
-        r_hi = f.gamma(cs.eps0)
+        # the mass-distribution measure: 2^-depth on each deepest interval's midpoint
+        assert E.atoms.size == 2**depth
+        r_lo = 2.0 ** (-(depth - 1) / zeta)
+        r_hi = f.gamma(eps0)
         violations = 0
         for _ in range(1000):
-            t = rng.choice(nu.atoms)
+            t = rng.choice(E.atoms)
             r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-            if nu.ball_mass_time(model, t, r) > 8.0 * r**zeta + 1e-12:
+            if uniform_ball_mass(f.gamma, E.atoms, t, r) > 8.0 * r**zeta + 1e-12:
                 violations += 1
         ok &= dim_ok and violations == 0
         details.append(

@@ -13,6 +13,8 @@ import pytest
 
 import gpfractal
 from gpfractal.cli import EXIT_CONFIG, EXIT_OK, main
+from gpfractal.fractal_sets import build_cantor
+from gpfractal.scale import LogScale
 
 
 def _write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -226,6 +228,18 @@ class TestCantor:
         main(["cantor", "--config", cfg, "--out", str(out)])
         lines = (out / "cantor_atoms.csv").read_text().splitlines()
         assert len(lines) == 1 + 8
+
+    def test_atoms_csv_keeps_one_row_per_interval(self, tmp_path):
+        # logscale lengths fall below an ulp of the positions by depth 4, so
+        # 16 deepest intervals share 9 distinct midpoints
+        cfg = _write_config(tmp_path, {"gamma": "logscale:beta=1.0", "zeta": 0.5, "depth": 4,
+                                       "eps0": 0.4})
+        out = tmp_path / "out"
+        assert main(["cantor", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = _csv_rows(out / "cantor_atoms.csv")
+        assert len(rows) == 16 and {w for w, _ in rows} == {"0.0625"}
+        assert len({x for _, x in rows}) == 9
+        assert build_cantor(LogScale(1.0), 0.5, 4, eps0=0.4).atoms.size == 9
 
 
 class TestCheckScale:

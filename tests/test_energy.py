@@ -3,7 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import exact_min_energy, pairwise_fw_reference, product_rho, product_rows
+from oracles import (
+    exact_min_energy,
+    pairwise_fw_reference,
+    product_rho,
+    product_rows,
+    uniform_ball_mass,
+)
 
 from gpfractal import energy
 from gpfractal.energy import (
@@ -12,12 +18,7 @@ from gpfractal.energy import (
     kernel_matrix,
     minimize_energy,
 )
-from gpfractal.fractal_sets import (
-    DiscreteMeasure,
-    OutOfModelError,
-    build_cantor,
-    cantor_measure,
-)
+from gpfractal.fractal_sets import OutOfModelError, build_cantor
 from gpfractal.metrics import ProductAtoms, StationaryGamma
 from gpfractal.scale import PowerScale, phi_kernel
 
@@ -74,12 +75,6 @@ class TestEnergyDiscrete:
     def test_nonpositive_resolution_is_out_of_model(self, h):
         with pytest.raises(OutOfModelError, match="must be positive"):
             kernel_matrix(np.zeros((2, 2)), beta=0.7, h=h)
-
-    def test_mismatch_rejected(self, rng):
-        # a measure's weights must align with its atoms, one per kernel row
-        atoms = np.sort(rng.uniform(0.0, 1.0, size=4))
-        with pytest.raises(ValueError, match="align"):
-            DiscreteMeasure(atoms, np.array([1.0]))
 
 
 class TestMinimizeEnergy:
@@ -315,7 +310,7 @@ def _interval_atoms():
 def _cantor_box_atoms():
     # 8 Cantor times x a 5 x 5 lattice in a box of side 0.375: rho metric
     f = PowerScale(0.5)
-    times = build_cantor(f, 0.8, depth=3).atoms()
+    times = build_cantor(f, 0.8, depth=3).atoms
     side = np.linspace(0.0, 0.375, 5)
     box = np.array([(x, y) for x in side for y in side])
     atoms = ProductAtoms(times, box)
@@ -354,7 +349,7 @@ def _greedy_order(dist, spacing):
 @pytest.mark.parametrize("lattice", ["box", "ball"])
 def test_factored_fps_matches_greedy_on_materialized_rho(lattice):
     f = PowerScale(0.5)
-    times = build_cantor(f, 0.8, depth=4).atoms()
+    times = build_cantor(f, 0.8, depth=4).atoms
     if lattice == "box":
         side = np.linspace(0.0, 0.375, 4)
         points = np.array([(x, y) for x in side for y in side])
@@ -372,10 +367,9 @@ def test_factored_fps_matches_greedy_on_materialized_rho(lattice):
         assert np.array_equal(radii, want_radii)
 
 
-def _sup_ball_mass(nu, f, r, stride=16):
-    """max over every stride-th atom t of nu(B_delta(t, r))."""
-    model = StationaryGamma(f)
-    return max(nu.ball_mass_time(model, t, r) for t in nu.atoms[::stride])
+def _sup_ball_mass(atoms, f, r, stride=16):
+    """max over every stride-th atom t of nu(B_delta(t, r)), nu uniform on ``atoms``."""
+    return max(uniform_ball_mass(f.gamma, atoms, t, r) for t in atoms[::stride])
 
 
 class TestFrostman:
@@ -385,34 +379,34 @@ class TestFrostman:
         # the delta-ball of radius r is |s - t| <= r^2 for H = 1/2: mass ~ r^2
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 4096)
-        nu = DiscreteMeasure(atoms, np.full(4096, 1 / 4096))
         radii = [2.0**-j for j in range(1, 6)]
-        mass = [_sup_ball_mass(nu, f, r, stride=64) for r in radii]
+        mass = [_sup_ball_mass(atoms, f, r, stride=64) for r in radii]
         slope = np.polyfit(np.log2(radii), np.log2(mass), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_point_mass_zero(self):
         # a point mass fills every ball around its atom: exponent 0
-        nu = DiscreteMeasure(np.array([0.4]), np.array([1.0]))
-        assert all(_sup_ball_mass(nu, PowerScale(0.5), 2.0**-j) == 1.0 for j in range(12))
+        atoms = np.array([0.4])
+        assert all(_sup_ball_mass(atoms, PowerScale(0.5), 2.0**-j) == 1.0 for j in range(12))
 
     def test_ratio_band_for_regular_set(self):
         f = PowerScale(0.5)
-        cs = build_cantor(f, 0.8, depth=12)
-        nu = cantor_measure(cs)
-        ratios = [_sup_ball_mass(nu, f, r) / r**0.8 for r in (2.0 ** (-k / 0.8) for k in range(2, 10))]
+        atoms = build_cantor(f, 0.8, depth=12).atoms
+        assert atoms.size == 2**12  # nu: 2^-12 on each deepest interval's midpoint
+        ratios = [_sup_ball_mass(atoms, f, r) / r**0.8 for r in (2.0 ** (-k / 0.8) for k in range(2, 10))]
         assert 0 < min(ratios) <= max(ratios) <= 8.0 + 1e-9
 
     def test_energy_bounded_when_exponent_dominates(self):
         # measures with frostman exponent >= beta + 0.2 keep bounded
         # energy as the truncation refines (the dyadic-shell argument)
         f = PowerScale(0.5)
-        cs = build_cantor(f, 0.8, depth=12)
-        nu = cantor_measure(cs)
+        atoms = build_cantor(f, 0.8, depth=12).atoms
+        assert atoms.size == 2**12
+        w = np.full(atoms.size, 2.0**-12)
         beta = 0.5  # exponent ~0.8 >= 0.7
         energies = []
-        dists = f.gamma(np.abs(nu.atoms[:, None] - nu.atoms[None, :]))
+        dists = f.gamma(np.abs(atoms[:, None] - atoms[None, :]))
         for h in [2.0**-j for j in range(2, 9)]:
             K = kernel_matrix(dists, beta=beta, h=h)
-            energies.append(nu.weights @ K @ nu.weights)
+            energies.append(w @ K @ w)
         assert energies[-1] <= 2.0 * energies[0] + 5.0

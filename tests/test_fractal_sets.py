@@ -7,18 +7,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import uniform_ball_mass
+
 from gpfractal.fractal_sets import (
-    DiscreteMeasure,
     OutOfModelError,
     RatioOverflowError,
     Target,
     TimeSet,
     build_cantor,
-    cantor_measure,
+    cantor_lengths,
     gamma_dyadic_count,
     grid_lookup,
 )
-from gpfractal.metrics import StationaryGamma
 from gpfractal.scale import LogScale, PowerScale
 
 
@@ -26,20 +26,20 @@ class TestBuildCantor:
     def test_middle_thirds(self):
         # gamma(r) = r and zeta = log2/log3 give t_k = 3^-k
         zeta = math.log(2) / math.log(3)
-        cs = build_cantor(PowerScale(1.0), zeta, depth=6, eps0=1.0)
-        assert np.allclose(cs.t_seq, 3.0 ** -np.arange(7), rtol=1e-12)
-        lengths = np.diff(cs.intervals(6), axis=1)
+        assert np.allclose(cantor_lengths(PowerScale(1.0), zeta, 6), 3.0 ** -np.arange(7),
+                           rtol=1e-12)
+        lengths = np.diff(build_cantor(PowerScale(1.0), zeta, depth=6, eps0=1.0).intervals, axis=1)
         assert np.allclose(lengths, 3.0**-6, rtol=1e-10)
 
     def test_depth_zero(self):
-        cs = build_cantor(PowerScale(0.5), 1.0, depth=0, eps0=0.7)
-        assert cs.intervals().tolist() == [[0.0, 0.7]]
+        E = build_cantor(PowerScale(0.5), 1.0, depth=0, eps0=0.7)
+        assert E.intervals.tolist() == [[0.0, 0.7]] and E.atoms.tolist() == [0.35]
 
     def test_quarter_scaling(self):
         # H = 1/2, zeta = 1: t_k = (2^-k)^2 = 4^-k
-        cs = build_cantor(PowerScale(0.5), 1.0, depth=5, eps0=1.0)
-        assert np.allclose(cs.t_seq, 4.0 ** -np.arange(6), rtol=1e-12)
-        assert cs.intervals(5).shape == (32, 2)
+        assert np.allclose(cantor_lengths(PowerScale(0.5), 1.0, 5), 4.0 ** -np.arange(6),
+                           rtol=1e-12)
+        assert build_cantor(PowerScale(0.5), 1.0, depth=5, eps0=1.0).intervals.shape == (32, 2)
 
     @pytest.mark.parametrize(
         "scale, zeta, depth",
@@ -56,10 +56,12 @@ class TestBuildCantor:
             build_cantor(PowerScale(0.5), 3.0, depth=4, eps0=1.0)
 
     def test_nesting_and_disjointness(self):
-        cs = build_cantor(PowerScale(0.5), 0.8, depth=8, eps0=1.0)
+        # level k is the depth-k set
+        levels = [build_cantor(PowerScale(0.5), 0.8, depth=k, eps0=1.0).intervals
+                  for k in range(9)]
         for k in range(1, 9):
-            kids = cs.intervals(k)
-            parents = cs.intervals(k - 1)
+            kids = levels[k]
+            parents = levels[k - 1]
             # each child inside exactly one parent
             for lo, hi in kids:
                 inside = np.sum((parents[:, 0] <= lo + 1e-15) & (hi <= parents[:, 1] + 1e-15))
@@ -69,38 +71,37 @@ class TestBuildCantor:
             assert np.all(sorted_kids[1:, 0] > sorted_kids[:-1, 1] - 1e-15)
 
     def test_level_count(self):
-        cs = build_cantor(PowerScale(0.5), 0.7, depth=7)
         for k in range(8):
-            assert cs.intervals(k).shape == (2**k, 2)
+            assert build_cantor(PowerScale(0.5), 0.7, depth=k).intervals.shape == (2**k, 2)
 
 
 class TestCantorMeasure:
+    # the mass-distribution measure nu puts 2^-depth on each deepest interval's midpoint
+
     def test_atom_layout(self):
-        cs = build_cantor(PowerScale(0.5), 1.0, depth=3)
-        nu = cantor_measure(cs)
-        assert nu.n == 8
-        assert np.allclose(nu.weights, 1 / 8)
+        E = build_cantor(PowerScale(0.5), 1.0, depth=3)
+        assert E.atoms.size == 8
+        assert np.array_equal(E.atoms, 0.5 * (E.intervals[:, 0] + E.intervals[:, 1]))
 
     def test_ancestor_mass(self):
-        cs = build_cantor(PowerScale(0.5), 1.0, depth=6)
-        nu = cantor_measure(cs)
-        for lo, hi in cs.intervals(1):
-            mass = nu.weights[(nu.atoms >= lo) & (nu.atoms <= hi)].sum()
+        E = build_cantor(PowerScale(0.5), 1.0, depth=6)
+        assert E.atoms.size == 2**6
+        for lo, hi in build_cantor(PowerScale(0.5), 1.0, depth=1).intervals:
+            mass = 2.0**-6 * np.count_nonzero((E.atoms >= lo) & (E.atoms <= hi))
             assert mass == pytest.approx(0.5)
 
     def test_ball_bound(self, rng):
         # nu(B_{delta*}(t, r)) <= 8 r^zeta on the construction's range
         f = PowerScale(0.5)
+        K, eps0 = 12, 1.0
         for zeta in (0.5, 1.0):
-            cs = build_cantor(f, zeta, depth=12)
-            nu = cantor_measure(cs)
-            model = StationaryGamma(f)
-            K = cs.depth
-            r_lo, r_hi = 2.0 ** (-(K - 1) / zeta), f.gamma(cs.eps0)
+            E = build_cantor(f, zeta, depth=K, eps0=eps0)
+            assert E.atoms.size == 2**K
+            r_lo, r_hi = 2.0 ** (-(K - 1) / zeta), f.gamma(eps0)
             for _ in range(1000):
-                t = rng.choice(nu.atoms)
+                t = rng.choice(E.atoms)
                 r = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-                assert nu.ball_mass_time(model, t, r) <= 8.0 * r**zeta + 1e-12
+                assert uniform_ball_mass(f.gamma, E.atoms, t, r) <= 8.0 * r**zeta + 1e-12
 
     def test_upper_content_certificate(self):
         # the level-k cover certifies sum (2 * 2^{-k/zeta})^zeta = 2^zeta
@@ -109,12 +110,6 @@ class TestCantorMeasure:
             for k in range(1, 11):
                 cost = 2**k * (2.0 * 2.0 ** (-k / zeta)) ** zeta
                 assert cost == pytest.approx(2.0**zeta)
-
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            DiscreteMeasure(np.array([0.1, 0.2]), np.array([0.6, 0.6]))
-        with pytest.raises(ValueError):
-            DiscreteMeasure(np.array([0.1, 0.2]), np.array([1.2, -0.2]))
 
 
 class TestGammaDyadic:
@@ -131,14 +126,14 @@ class TestGammaDyadic:
     def test_count_matches_cover(self):
         # the merged count equals the size of the union of tile ranges
         f = PowerScale(0.5)
-        cs = build_cantor(f, 0.8, depth=8)
-        table = gamma_dyadic_count(cs, (2, 4, 6), f)
+        E = build_cantor(f, 0.8, depth=8)
+        table = gamma_dyadic_count(E, (2, 4, 6), f)
         assert len(table) == 3
         for n, (width, count) in zip((2, 4, 6), table):
             w = f.inverse(2.0**-n)
             assert width == w
             tiles = set()
-            for a, b in cs.intervals():
+            for a, b in E.intervals:
                 first = math.floor(a / w) + 1
                 tiles.update(range(first, max(first, math.ceil(b / w)) + 1))
             assert len(tiles) == count
@@ -158,10 +153,9 @@ class TestTimeSet:
     def test_interval_and_cantor_specs(self):
         f = PowerScale(0.5)
         assert TimeSet.of((0.2, 1.0), f).spec == {"type": "interval", "a": 0.2, "b": 1.0}
-        cs = build_cantor(f, 0.5, 3, eps0=0.5)
-        E = TimeSet.of(cs, f)
+        E = build_cantor(f, 0.5, 3, eps0=0.5)
+        assert isinstance(E, TimeSet)
         assert E.spec == {"type": "cantor", "zeta": 0.5, "depth": 3, "eps0": 0.5}
-        assert np.array_equal(E.atoms, cs.atoms()) and E.cantor is cs
         assert TimeSet.of(E, f) is E
 
     @pytest.mark.parametrize("E", [(0.2, 0.9), (-0.1, 0.3), (0.4, 0.2)])
@@ -365,10 +359,11 @@ class TestFrostmanConsistency:
     def test_exponent_fit_near_zeta(self):
         # log2 sup_t nu(B_delta(t, r)) against log2 r has slope zeta
         f = PowerScale(0.5)
-        model = StationaryGamma(f)
         for zeta in (0.5, 0.8):
-            nu = cantor_measure(build_cantor(f, zeta, depth=12))
+            atoms = build_cantor(f, zeta, depth=12).atoms
+            assert atoms.size == 2**12
             radii = [2.0 ** (-k / zeta) for k in range(2, 10)]
-            mass = [max(nu.ball_mass_time(model, t, r) for t in nu.atoms[::16]) for r in radii]
+            mass = [max(uniform_ball_mass(f.gamma, atoms, t, r) for t in atoms[::16])
+                    for r in radii]
             slope = np.polyfit(np.log2(radii), np.log2(mass), 1)[0]
             assert slope == pytest.approx(zeta, abs=0.1)

@@ -704,7 +704,7 @@ def _normalized_residual(L, R):
 
 def _cantor_atoms(n):
     """The first n atoms of a depth-10 Cantor set of delta-dimension 0.6."""
-    return np.unique(build_cantor(PowerScale(0.5), 0.6, 10).atoms())[:n]
+    return build_cantor(PowerScale(0.5), 0.6, 10).atoms[:n]
 
 
 class TestInPlaceFactor:
@@ -806,7 +806,7 @@ class TestInPlaceFactor:
         # reaching down to t = 1e-17; 1025 points end each panel in one row
         f = PowerScale(H)
         grid = (np.geomspace(0.05, 1.0, 1025) if kind == "geometric"
-                else np.unique(build_cantor(f, 0.6, 10).atoms()))
+                else build_cantor(f, 0.6, 10).atoms)
         R = gp_sim._stationary_R(f, grid)
         A = R.copy()
         gp_sim._factor_in_place(A)
@@ -816,7 +816,7 @@ class TestInPlaceFactor:
         # the bench's dims_cantor grid; one solve per panel gives 3.7e-13,
         # lost in the rows near t = 0
         f = PowerScale(0.5)
-        grid = np.unique(build_cantor(f, 0.6, 12).atoms())
+        grid = build_cantor(f, 0.6, 12).atoms
         assert grid.size == 4096
         cov = cov_stationary_increments(f, grid)
         L = cov.cholesky()

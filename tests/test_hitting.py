@@ -97,7 +97,7 @@ class TestHitProbability:
     def test_cantor_atoms_on_the_grid_map_to_their_indices(self):
         scale = PowerScale(0.5)
         cs = build_cantor(scale, 0.5, 4, eps0=0.8)
-        atoms = np.unique(cs.atoms())
+        atoms = cs.atoms
         grid = np.unique(np.concatenate([atoms, np.linspace(0.01, 0.8, 50)]))
         want = np.searchsorted(grid, atoms)
         assert np.array_equal(grid[want], atoms)

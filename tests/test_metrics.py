@@ -117,7 +117,7 @@ def _product_cases():
     interval = np.linspace(0.2, 1.0, 23)
     ball, _ = Target([{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.3}]).lattice()
     box, _ = Target([{"type": "box", "lo": [0.0, 0.1], "hi": [0.375, 0.475]}]).lattice()
-    cantor = build_cantor(f, 0.8, depth=4).atoms()
+    cantor = build_cantor(f, 0.8, depth=4).atoms
     return {
         "interval x ball lattice": (f, interval, ball),
         "interval x box lattice": (f, interval[::2], box),
