@@ -40,9 +40,11 @@ from .conditions import (
 from .dimension import image_dimension_experiment
 from .energy import _MAX_ATOMS, capacity_estimate
 from .fractal_sets import (
+    _MAX_DEPTH,
     OutOfModelError,
     Target,
     TimeSet,
+    _is_number,
     build_cantor,
     cantor_lengths,
 )
@@ -77,15 +79,6 @@ class ConfigError(ValueError):
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"config field {field!r}: {message}")
-
-
-def _is_number(val) -> bool:
-    """A finite JSON number: not a bool, NaN, an infinity or an int beyond float range."""
-    return (
-        isinstance(val, (int, float))
-        and not isinstance(val, bool)
-        and abs(val) <= sys.float_info.max
-    )
 
 
 def _require(cfg: dict, key: str, kind, predicate=None, what: str = ""):
@@ -127,25 +120,28 @@ def _parse_d(cfg) -> int:
 
 def _parse_cantor(cfg, scale) -> TimeSet:
     zeta = _require(cfg, "zeta", float, lambda v: v > 0, "must be > 0")
-    # 2^depth atoms: 2^13 is _MAX_N, the largest atom set any command takes
-    depth = _require(cfg, "depth", int, lambda v: 0 <= v <= 13, "must be in [0, 13]")
+    depth = _require(cfg, "depth", int, lambda v: 0 <= v <= _MAX_DEPTH,
+                     f"must be in [0, {_MAX_DEPTH}]")
     # optional keys: a default merged under the config, then the same checks
     eps0 = _require({"eps0": 1.0, **cfg}, "eps0", float, lambda v: 0 < v <= 1, "must be in (0, 1]")
-    return build_cantor(scale, zeta, depth, eps0)
+    E = build_cantor(scale, zeta, depth, eps0)
+    try:
+        return TimeSet.of(E, scale)
+    except OutOfModelError as err:  # E spans [0, eps0]
+        raise ConfigError("eps0", str(err))
 
 
 def _parse_E(cfg, scale) -> TimeSet:
     e = _require(cfg, "E", dict)
     etype = _require(e, "type", str)
-    if etype == "interval":
-        a = _require(e, "a", float, lambda v: v > 0, "must be > 0")
-        E = (a, _require(e, "b", float, lambda v: v > a, "must exceed a"))
-    elif etype == "cantor":
-        E = _parse_cantor(e, scale)
-    else:
+    if etype == "cantor":
+        return _parse_cantor(e, scale)
+    if etype != "interval":
         raise ConfigError("E.type", f"unknown set type {etype!r}")
+    a = _require(e, "a", float, lambda v: v > 0, "must be > 0")
+    b = _require(e, "b", float, lambda v: v > a, "must exceed a")
     try:
-        return TimeSet.of(E, scale)
+        return TimeSet.of((a, b), scale)
     except OutOfModelError as err:
         raise ConfigError("E", str(err))
 

@@ -14,6 +14,7 @@ dimension estimate reads that table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,13 +205,18 @@ class TimeSet:
         return idx
 
 
+def _is_number(x) -> bool:
+    """A finite real: not a bool, NaN, an infinity or an int beyond float range."""
+    return (
+        isinstance(x, (int, float, np.integer, np.floating))
+        and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max
+    )
+
+
 def _coords(member: dict, key: str, i: int) -> list:
     v = member.get(key)
-    if not (
-        isinstance(v, (list, tuple, np.ndarray))
-        and len(v) > 0
-        and all(isinstance(x, (int, float, np.number)) and math.isfinite(x) for x in v)
-    ):
+    if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) > 0 and all(map(_is_number, v))):
         raise ValueError(f"member {i}: {key} must be a non-empty list of finite numbers")
     return [float(x) for x in v]
 
@@ -320,7 +326,7 @@ class Target:
                 self._parts.append(("box", lo, hi, hi - lo, None, None))
             elif m["type"] == "ball":
                 c, r = _coords(m, "center", i), m.get("radius")
-                if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
+                if not (_is_number(r) and r > 0):
                     raise ValueError(f"member {i}: ball needs a radius > 0")
                 self.spec.append({"type": "ball", "center": c, "radius": float(r)})
                 self.cores.append(("ball", tuple(c), None))

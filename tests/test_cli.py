@@ -581,6 +581,7 @@ REJECTED = {
     "dims_interval_beyond_x_max": ("dims", dict(
         DIMS, gamma=LOG, E={"type": "interval", "a": 0.2, "b": 0.9})),
     "dims_cantor_eps0_beyond_x_max": ("dims", dict(DIMS, gamma=LOG, E=dict(CANTOR, eps0=1.0))),
+    "cantor_eps0_beyond_x_max": ("cantor", {"gamma": LOG, "zeta": 0.5, "depth": 4, "eps0": 1.0}),
     "capacity_cantor_eps0_beyond_x_max": ("capacity", dict(
         CAPACITY, gamma=LOG, E=dict(CANTOR, eps0=1.0))),
     "capacity_interval_beyond_x_max": ("capacity", dict(
@@ -610,6 +611,13 @@ REJECTED = {
     "hit_d_true": ("hit", dict(
         TestOutOfModel.HIT, d=True, F=[{"type": "box", "lo": [0.5], "hi": [1.0]}])),
     "hit_n_paths_true": ("hit", dict(TestOutOfModel.HIT, n_paths=True)),
+    "hit_center_false": ("hit", dict(
+        TestOutOfModel.HIT, F=[{"type": "ball", "center": [0.5, False], "radius": 0.2}])),
+    "hit_radius_true": ("hit", dict(
+        TestOutOfModel.HIT, F=[{"type": "ball", "center": [0.5, 0.0], "radius": True}])),
+    # an int beyond float range once escaped math.isfinite as an OverflowError
+    "hit_center_beyond_float": ("hit", dict(
+        TestOutOfModel.HIT, F=[{"type": "ball", "center": [0.5, 10**400], "radius": 0.2}])),
     "capacity_beta_nan": ("capacity", dict(CAPACITY, beta=float("nan"))),
     "capacity_beta_infinity": ("capacity", dict(CAPACITY, beta=float("inf"))),
     "check_scale_eps_nan": ("check-scale", {"gamma": "power:H=0.5", "eps": float("nan")}),

@@ -50,6 +50,12 @@ class TestBuildCantor:
         with pytest.raises(OutOfModelError, match="underflows to 0.0"):
             build_cantor(scale, zeta, depth)
 
+    @pytest.mark.parametrize("depth", [-1, 14])
+    def test_depth_outside_cap_rejected(self, depth):
+        # 2^14 deepest intervals is one level past the 8192-atom cap
+        with pytest.raises(ValueError, match=r"depth must be in \[0, 13\]"):
+            build_cantor(PowerScale(0.5), 0.5, depth)
+
     def test_ratio_overflow(self):
         # zeta large makes t_k shrink slower than 2^-k: children overflow
         with pytest.raises(RatioOverflowError):
@@ -213,6 +219,12 @@ class TestTarget:
             ([{"type": "ball", "center": [0.0, 0.0], "radius": 0.0}], "radius > 0"),
             ([{"type": "cube", "lo": [0.0]}], "unknown member type"),
             ([BOX, {"type": "ball", "center": [0.0], "radius": 1.0}], "length d=2"),
+            # JSON's true and false are ints in Python, but not numbers here
+            ([{"type": "box", "lo": [True], "hi": [1.0]}], "finite numbers"),
+            ([{"type": "ball", "center": [0.5, False], "radius": 0.2}], "finite numbers"),
+            ([{"type": "ball", "center": [0.5, 0.0], "radius": True}], "radius > 0"),
+            # an int beyond float range
+            ([{"type": "box", "lo": [0.0], "hi": [10**400]}], "finite numbers"),
         ],
     )
     def test_invalid_members_rejected(self, members, message):

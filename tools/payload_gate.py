@@ -93,12 +93,20 @@ ROWS = [
     ("cantor_log_eps", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 4, "eps0": 0.4}, []),
     ("cantor_log_eps1", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 4, "eps0": 1.0}, []),
     ("cantor_overflow", "cantor", {"gamma": "power:H=0.5", "zeta": 3.0, "depth": 4}, []),
-    # the two families without a closed-form inverse
+    # the two families without a closed-form inverse; the default eps0 = 1.0
+    # of the first two leaves their domain
     ("cantor_powerlog", "cantor", {"gamma": POWERLOG, "zeta": 0.5, "depth": 6}, []),
     ("cantor_logcorrected", "cantor", {"gamma": LOGCORRECTED, "zeta": 0.5, "depth": 4}, []),
+    ("cantor_powerlog_eps", "cantor", {"gamma": POWERLOG, "zeta": 0.5, "depth": 6,
+                                       "eps0": 0.028}, []),
+    ("cantor_logcorrected_eps", "cantor", {"gamma": LOGCORRECTED, "zeta": 0.5, "depth": 4,
+                                           "eps0": 0.125}, []),
     # a given x_max belongs in the report's scale spec
     ("cantor_x_max_spec", "cantor", {"gamma": "logscale:beta=1.0,x_max=0.3", "zeta": 0.5,
                                      "depth": 4}, []),
+    # the same within x_max: the default eps0 = 1.0 above leaves the domain
+    ("cantor_x_max_spec_eps03", "cantor", {"gamma": "logscale:beta=1.0,x_max=0.3", "zeta": 0.5,
+                                           "depth": 4, "eps0": 0.3}, []),
     # 2^14 atoms: one level past the 8192-atom grid cap
     ("cantor_depth14", "cantor", {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 14}, []),
     # the phi kernel's log (beta = 0) and constant (beta < 0) branches
@@ -223,6 +231,10 @@ ROWS = [
     ("rej_hit_d_true", "hit", {**HIT, "d": True, "grid": {"a": 0.2, "b": 1.0, "n": 64},
                                "F": [{"type": "box", "lo": [0.5], "hi": [1.0]}]}, []),
     ("rej_hit_n_paths_true", "hit", {**HIT, "n_paths": True}, []),
+    ("rej_hit_center_false", "hit", {**HIT, "F": [{"type": "ball", "center": [0.5, False],
+                                                   "radius": 0.2}]}, []),
+    ("rej_hit_radius_true", "hit", {**HIT, "F": [{"type": "ball", "center": [0.5, 0.0],
+                                                  "radius": True}]}, []),
     ("rej_check_scale_eps_not_a_number", "check-scale", {"gamma": "power:H=0.5", "eps": "x"},
      []),
     ("rej_dims_cantor_eps0_beyond_x_max", "dims", {**DIMS, "gamma": LOG,
