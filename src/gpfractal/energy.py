@@ -186,11 +186,12 @@ def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> Ca
     decay (slope <= -0.1) reads "zero", a near-flat tail reads "positive"
     with a geometric-series extrapolation, and the band in between is
     "inconclusive" (the critical-order regime that discretization cannot
-    settle).  More than _MAX_ATOMS atoms, fewer than 2 resolutions, atoms
-    too coarse for the second resolution, a resolution that keeps no atom
-    (h = inf) or a minimal energy whose inverse is not a finite positive
-    number (the kernel over- or underflows at that h and beta) raise
-    OutOfModelError.
+    settle), as does an extrapolation that falls to 0 or below, which
+    is reported as 0.0.  More than _MAX_ATOMS atoms, fewer than 2
+    resolutions, atoms too coarse for the second resolution, a resolution
+    that keeps no atom (h = inf) or a minimal energy whose inverse is not
+    a finite positive number (the kernel over- or underflows at that h
+    and beta) raise OutOfModelError.
     """
     if len(atoms) > _MAX_ATOMS:
         raise OutOfModelError(f"atom count {len(atoms)} exceeds cap {_MAX_ATOMS}")
@@ -260,7 +261,8 @@ def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> Ca
                 extrap = c_last
         else:
             extrap = c_last
-        extrap = max(extrap, 0.0)
+        if extrap <= 0.0:
+            verdict, extrap = "inconclusive", 0.0
     return CapacityReport(
         resolutions=res,
         e_min=e_mins,

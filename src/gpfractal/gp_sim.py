@@ -30,7 +30,9 @@ GEMMs against the inverses of its diagonal block's _TRSM_LEAF x
 _TRSM_LEAF blocks (Sec. 3.1), with no LU.
 R stays bit-identical to an unblocked build; L equals
 np.linalg.cholesky(R) bit for bit for n <= _CHOL_BLOCK and differs from
-it by round-off above.
+it by round-off above.  The factor is one attempt on R as built: no
+jitter is added, so a covariance that does not factor raises PSDError
+instead of being sampled with a changed law at its finest scales.
 
 The embedding is PSD-certified by its eigenvalues (its Toeplitz block is
 the covariance T of X) and the conditional variance g2(a) - s^T T^-1 s of
@@ -80,10 +82,9 @@ _MAX_N = 8192  # dense Cholesky cap; estimators upstream never need more
 _CHOL_BLOCK = 256  # diagonal block of the in-place factor
 _TRSM_LEAF = 16  # inverted diagonal block of the factor's panel solve
 _MAX_D = 65535  # the substream key (path << 16) ^ comp needs comp < 2^16
-_JITTER_BASE = 1e-14
-_JITTER_STEPS = 6
 _UNIFORM_RTOL = 1e-9  # a grid step this close to h counts as h
 _EIG_RTOL = 1e-10  # eigenvalues / prediction errors below this are not positive
+_COND_VAR_RTOL = 1e-8  # Var(B(a) | increments) above -this * g2(a) is round-off
 _PATH_CHUNK = 64  # paths drawn at once over all workers; bounds the sampler's temporaries
 _ROW_BLOCK = 64  # rows of a dense stationary R filled per block
 _QUAD_BLOCK = 64  # pairs (s, t > s) of one row per Volterra quadrature block
@@ -116,11 +117,12 @@ class CovMatrix:
     ``R`` is built by ``build()`` on first access (reading ``.R``, calling
     ``.cholesky()``, or ``metrics.covariance_delta_matrix``).  A covariance
     that carries a circulant sampler never needs it.  ``cholesky()``
-    factors the buffer ``.R`` holds in place on ``threads`` workers and
-    drops it, so the factor is the only n x n array left; a later read of
-    ``.R`` runs ``build()`` again and returns the same bytes, never L.  A
-    matrix passed as ``R`` together with ``build`` is that build's first
-    result and is overwritten by the factor.  A build is symmetric by
+    factors the buffer ``.R`` holds in place on ``threads`` workers, with
+    no jitter (a failure raises PSDError), and drops it, so the factor is
+    the only n x n array left; a later read of ``.R`` runs ``build()``
+    again and returns the same bytes, never L.  A matrix passed as ``R``
+    together with ``build`` is that build's first result and is
+    overwritten by the factor.  A build is symmetric by
     construction and is not checked; a matrix passed alone is checked
     against its transpose (and symmetrized if it differs) once, left as
     given, and each build is a copy of it.
@@ -132,7 +134,7 @@ class CovMatrix:
         if np.any(np.diff(self.grid) <= 0):
             raise ValueError("grid times must be strictly increasing")
         self.label = label
-        self.jitter_used = 0.0
+        self.jitter_used = 0.0  # the factor adds no jitter; kept for reports
         self.quad_rel_change = None  # Volterra: relative change on doubling the order
         self._chol = None
         self._R = None
@@ -174,9 +176,9 @@ class CovMatrix:
 
         Circulant: the smallest embedding eigenvalue relative to the
         largest, and the conditional variance of B(a) given the
-        increments.  Cholesky: the jitter added to the diagonal, and for
-        a checked Volterra build the relative change of R on doubling the
-        quadrature order.
+        increments.  Cholesky: ``jitter_used``, always 0.0 since the
+        factor adds no jitter, and for a checked Volterra build the
+        relative change of R on doubling the quadrature order.
         """
         if self._circulant is not None:
             return {
@@ -191,40 +193,34 @@ class CovMatrix:
         return cert
 
     def cholesky(self) -> np.ndarray:
-        """Lower factor L with L L^T = R, escalating jitter on failure.
+        """Lower factor L with L L^T = R, in one attempt on R as built.
 
-        Jitter level k adds 1e-14 * mean(diag) * 10^k to the diagonal,
-        k = 0..6; failure beyond that rejects the (family, grid) pair.
-        The factor overwrites R's own buffer (``_factor_in_place``), which
-        leaves the strict upper triangle alone, so a failed level restores
-        R from that triangle and the saved diagonal before the next one.
+        The factor overwrites R's own buffer (``_factor_in_place``).  A
+        diagonal block that is not positive definite rejects the (family,
+        grid) pair with PSDError naming that block column's rows and grid
+        times; nothing is added to the diagonal, since any jitter would
+        change B's law at the finest scales of the grid.
         """
         if self._chol is not None:
             return self._chol
         A = self.R
         self._R = None
-        diag = A.diagonal().copy()
-        base = _JITTER_BASE * float(np.mean(diag))
-        last_err = None
-        for k in range(_JITTER_STEPS + 1):
-            jitter = 0.0 if k == 0 else base * 10.0**k
-            if k:
-                _mirror_upper(A)
-                np.fill_diagonal(A, diag + jitter)
-            try:
-                _factor_in_place(A, self.threads)
-            except np.linalg.LinAlgError as err:
-                last_err = err
-                continue
-            _zero_upper(A)
-            self._chol = A
-            self.jitter_used = jitter
-            return A
-        raise PSDError(
-            f"{self.label}: Cholesky failed after {_JITTER_STEPS} jitter "
-            f"escalations (base {base:.3e}); rejecting this family/grid "
-            f"combination ({last_err})"
-        )
+        try:
+            _factor_in_place(A, self.threads)
+        except _BlockError as err:
+            j0, j1 = err.args
+            raise PSDError(
+                f"{self.label}: R is not positive definite (n={self.n}) in the block "
+                f"column of rows {j0}..{j1 - 1}, t in [{self.grid[j0]:.6g}, "
+                f"{self.grid[j1 - 1]:.6g}]; rejecting this family/grid combination"
+            ) from None
+        _zero_upper(A)
+        self._chol = A
+        return A
+
+
+class _BlockError(np.linalg.LinAlgError):
+    """The diagonal block of rows args[0]..args[1] - 1 is not positive definite."""
 
 
 def _factor_in_place(A, threads: int = 1):
@@ -244,8 +240,8 @@ def _factor_in_place(A, threads: int = 1):
     row in a longer one.  Each job's temporaries are O(_CHOL_BLOCK^2), at
     most ``threads`` of them at once.  The strict upper triangle is
     only read.  For n <= _CHOL_BLOCK this is one np.linalg.cholesky call
-    on A, so L equals NumPy's bit for bit.  Raises np.linalg.LinAlgError
-    when a diagonal block is not positive definite.
+    on A, so L equals NumPy's bit for bit.  Raises _BlockError, a
+    np.linalg.LinAlgError, when a diagonal block is not positive definite.
     """
     n, b = A.shape[0], _CHOL_BLOCK
     lower = np.tri(min(n, b), dtype=bool)
@@ -254,7 +250,10 @@ def _factor_in_place(A, threads: int = 1):
         blk, low, left = A[j0:j1, j0:j1], lower[: j1 - j0, : j1 - j0], A[j0:j1, :j0]
         np.subtract(blk, left @ left.T, out=blk, where=low)
         # the updated lower triangle, mirrored: the block of R - L L^T so far
-        L11 = np.linalg.cholesky(np.where(low, blk, blk.T))
+        try:
+            L11 = np.linalg.cholesky(np.where(low, blk, blk.T))
+        except np.linalg.LinAlgError:
+            raise _BlockError(j0, j1) from None
         np.copyto(blk, L11, where=low)
         if j1 == n:
             return
@@ -288,16 +287,6 @@ def _solve_panel(P, L, inv, c0: int, c1: int):
     _solve_panel(P, L, inv, c0, mid)
     P[:, mid:c1] -= P[:, c0:mid] @ L[mid:c1, c0:mid].T
     _solve_panel(P, L, inv, mid, c1)
-
-
-def _mirror_upper(A):
-    """Copy the strict upper triangle of A onto its lower one, a block at a time."""
-    n = A.shape[0]
-    for r0 in range(0, n, _CHOL_BLOCK):
-        r1 = min(r0 + _CHOL_BLOCK, n)
-        blk = A[r0:r1, r0:r1]
-        np.copyto(blk, blk.T.copy(), where=np.tri(r1 - r0, k=-1, dtype=bool))
-        A[r1:, r0:r1] = A[r0:r1, r1:].T
 
 
 def _zero_upper(A):
@@ -437,8 +426,7 @@ def _circulant_sampler(scale, grid):
         return None
     g2_a = float(g2_t[0])
     cond_var = g2_a - float(s @ mu)
-    # round-off allowance: the largest jitter Cholesky may add, relative
-    if cond_var < -_JITTER_BASE * 10.0**_JITTER_STEPS * g2_a:
+    if cond_var < -_COND_VAR_RTOL * g2_a:
         raise PSDError(
             f"stationary[{scale.name}]: Var(B(a) | increments) = {cond_var:.3e} < 0 "
             f"on the uniform grid [{grid[0]:g}, {grid[-1]:g}], n={n}; "

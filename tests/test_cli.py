@@ -165,6 +165,19 @@ class TestDims:
         main(["dims", "--config", cfg, "--out", str(out2), "--threads", "4"])
         assert _read_outputs(out1) == _read_outputs(out2)
 
+    def test_cantor_that_does_not_factor_exits_3(self, tmp_path, capsys):
+        # the finest delta^2 of this set, about 4e-14, is round-off of R's
+        # O(1) entries; no jitter rescues the factor
+        from gpfractal.cli import EXIT_NUMERICAL
+
+        E = {"type": "cantor", "zeta": 0.5, "depth": 12, "eps0": 1.0}
+        cfg = _write_config(tmp_path, {"gamma": "power:H=0.75", "E": E, "d": 2, "n_paths": 3,
+                                       "grid_n": 1024, "seed": 5})
+        assert main(["dims", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "not positive definite (n=4096) in the block column of rows 2816..3071" in err
+
 
 class TestBlasThreads:
     """Importing the package pins BLAS to one thread, so no payload byte
@@ -333,6 +346,16 @@ class TestHitAndCapacity:
         assert main(["capacity", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "atom set too coarse" in err and "Traceback" not in err
+
+    def test_clipped_extrapolation_is_inconclusive(self, tmp_path):
+        # the geometric extrapolation of this sweep is negative; clipped to
+        # 0, it contradicts a "positive" verdict
+        E = {"type": "cantor", "zeta": 0.5, "depth": 4, "eps0": 0.4}
+        cfg = _write_config(tmp_path, {"gamma": "logscale:beta=1.0", "E": E, "beta": 0.35,
+                                       "seed": 0})
+        assert main(["capacity", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "capacity_report.json").read_text())
+        assert report["verdict"] == "inconclusive" and report["extrapolated"] == 0.0
 
     def test_capacity_point_and_box(self, tmp_path):
         # a point member used to set the lattice pitch to 0

@@ -110,12 +110,16 @@ class TestCantorMeasure:
                 assert uniform_ball_mass(f.gamma, E.atoms, t, r) <= 8.0 * r**zeta + 1e-12
 
     def test_upper_content_certificate(self):
-        # the level-k cover certifies sum (2 * 2^{-k/zeta})^zeta = 2^zeta
-        for zeta in (0.5, 1.0):
-            cs = build_cantor(PowerScale(0.5), zeta, depth=10)
-            for k in range(1, 11):
-                cost = 2**k * (2.0 * 2.0 ** (-k / zeta)) ** zeta
-                assert cost == pytest.approx(2.0**zeta)
+        # the level-k cover of the built set: each of the 2^k ancestors of
+        # the deepest intervals has delta-diameter gamma(its span) =
+        # 2^{-k/zeta}, so sum diam^zeta is 1 at every level
+        f, zeta = PowerScale(0.5), 0.5
+        iv = build_cantor(f, zeta, depth=10).intervals
+        assert iv.shape == (2**10, 2)
+        for k in range(11):
+            groups = iv.reshape(2**k, -1, 2)
+            diam = f.gamma(groups[:, -1, 1] - groups[:, 0, 0])
+            assert abs(float(np.sum(diam**zeta)) - 1.0) <= 1e-9, k
 
 
 class TestGammaDyadic:

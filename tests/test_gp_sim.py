@@ -68,15 +68,6 @@ class TestStationaryCov:
         with pytest.raises(PSDError):
             cov.cholesky()
 
-    def test_jitter_escalation_leaves_R_unchanged(self):
-        # rank one: level 0 fails, a jittered copy of R is factored
-        R = np.ones((4, 4))
-        cov = CovMatrix(grid=np.linspace(0.1, 1.0, 4), R=R)
-        L = cov.cholesky()
-        assert cov.jitter_used > 0
-        assert np.array_equal(cov.R, np.ones((4, 4)))
-        assert np.allclose(L @ L.T, R + cov.jitter_used * np.eye(4), atol=1e-12)
-
 
 class TestVolterraCov:
     def test_brownian_kernel(self):
@@ -702,6 +693,12 @@ def _normalized_residual(L, R):
     return worst
 
 
+def _rank40_300():
+    X = np.random.default_rng(11).standard_normal((300, 40))
+    R = X @ X.T
+    return 0.5 * (R + R.T)
+
+
 def _cantor_atoms(n):
     """The first n atoms of a depth-10 Cantor set of delta-dimension 0.6."""
     return build_cantor(PowerScale(0.5), 0.6, 10).atoms[:n]
@@ -744,35 +741,26 @@ class TestInPlaceFactor:
         assert np.array_equal(cov.R, _volterra_reference(f, grid, 16))
         assert np.max(np.abs(L @ L.T - cov.R)) <= 1e-13 * np.max(np.abs(cov.R))
 
-    def test_jitter_retry_matches_fresh_factor(self):
-        # rank 40 of 300: level 0 fails, and every retry restores R first
-        n = 300
-        X = np.random.default_rng(11).standard_normal((n, 40))
-        R = X @ X.T
-        R = 0.5 * (R + R.T)
-        cov = CovMatrix(grid=np.linspace(0.1, 1.0, n), R=R)
-        L = cov.cholesky()
-        assert cov.jitter_used > 0
+    @pytest.mark.parametrize("R", [np.ones((4, 4)), _rank40_300()],
+                             ids=["rank1_4x4", "rank40_300x300"])
+    def test_singular_R_raises_and_keeps_bytes(self, R):
+        # no jitter is added: a singular R is rejected, and R keeps its bytes
+        cov = CovMatrix(grid=np.linspace(0.1, 1.0, R.shape[0]), R=R.copy())
+        with pytest.raises(PSDError, match="not positive definite"):
+            cov.cholesky()
         assert np.array_equal(cov.R, R)
-        base = gp_sim._JITTER_BASE * float(np.mean(np.diag(R)))
-        for k in range(1, gp_sim._JITTER_STEPS + 1):
-            A = R.copy()
-            A.flat[:: n + 1] += base * 10.0**k
-            try:
-                gp_sim._factor_in_place(A)
-            except np.linalg.LinAlgError:
-                continue
-            break
-        assert cov.jitter_used == base * 10.0**k
-        assert np.array_equal(L, np.tril(A))
+        assert cov.jitter_used == 0.0
 
-    def test_non_psd_raises_after_retries(self):
-        # indefinite in the second block only: R keeps its bytes after failing
+    def test_non_psd_raises(self):
+        # indefinite in the second block only: the error names that block
+        # column, and R keeps its bytes after failing
         n = 300
         R = np.eye(n)
         R[280, 281] = R[281, 280] = 2.0
-        cov = CovMatrix(grid=np.linspace(0.1, 1.0, n), R=R)
-        with pytest.raises(PSDError):
+        grid = np.linspace(0.1, 1.0, n)
+        cov = CovMatrix(grid=grid, R=R, label="bogus")
+        with pytest.raises(PSDError, match=rf"bogus: .*n=300.* rows 256\.\.299, "
+                                           rf"t in \[{grid[256]:.6g}, 1\]"):
             cov.cholesky()
         assert np.array_equal(cov.R, R)
 
@@ -822,6 +810,22 @@ class TestInPlaceFactor:
         L = cov.cholesky()
         assert cov.jitter_used == 0.0
         assert _normalized_residual(L, cov.R) <= 1e-14
+
+    @pytest.mark.parametrize("H", [0.5, 0.75], ids=["h05_bench_dims_cantor", "h075"])
+    def test_finest_sibling_variance_is_delta_squared(self, H):
+        # depth-12, zeta = 0.6 sets: Var(B(t') - B(t)) = delta^2(t, t') for
+        # the 2048 sibling pairs, whose delta^2 is about 1e-12.  The mean of
+        # (increment / delta)^2 over pairs is i.i.d. across the 400 (path,
+        # component) draws; z read 0.76 (H = 0.5) and 0.89 (H = 0.75), and
+        # 389 and 382 on the zeta = 0.5 sets a jittered factor used to sample
+        f = PowerScale(H)
+        t = build_cantor(f, 0.6, 12).atoms
+        assert t.size == 4096
+        X = all_paths(cov_stationary_increments(f, t), 2, 200, 3)
+        ratio = (X[:, 1::2] - X[:, 0::2]) ** 2 / f.gamma2(t[1::2] - t[0::2])[:, None]
+        m = ratio.mean(axis=1).ravel()
+        z = (m.mean() - 1.0) / (m.std(ddof=1) / np.sqrt(m.size))
+        assert abs(z) <= 4.42
 
     @pytest.mark.parametrize("width", [1, 12, 16, 44, 256])
     @pytest.mark.parametrize("rows", [1, 7, 256])

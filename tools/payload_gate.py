@@ -112,6 +112,9 @@ ROWS = [
     # the phi kernel's log (beta = 0) and constant (beta < 0) branches
     ("capacity_beta0", "capacity", {**CAPACITY, "beta": 0.0, "n_atoms": 128}, []),
     ("capacity_beta_negative", "capacity", {**CAPACITY, "beta": -1.0, "n_atoms": 128}, []),
+    # the geometric extrapolation falls below 0
+    ("capacity_cantor_log_clipped", "capacity", {**CAPACITY, "gamma": LOG, "beta": 0.35, "E": {
+        "type": "cantor", "zeta": 0.5, "depth": 4, "eps0": 0.4}}, []),
     ("capacity_cantor", "capacity", {**CAPACITY, "beta": 0.3,
                                      "E": {"type": "cantor", "zeta": 0.5, "depth": 5}}, []),
     ("capacity_interval_ball", "capacity", {**CAPACITY, "beta": 2.5, "n_atoms": 256, "d": 2,
@@ -214,6 +217,11 @@ ROWS = [
     ("rej_capacity_cantor_one_atom", "capacity", {
         **CAPACITY, "E": {"type": "cantor", "zeta": 0.001, "depth": 0}}, []),
     ("rej_check_scale_eps_above_one", "check-scale", {"gamma": "power:H=0.5", "eps": 70}, []),
+    # depth-12 sets whose finest delta^2 lies near round-off of R: no factor
+    ("rej_dims_cantor_h075_z05_d12", "dims", {**DIMS, "gamma": "power:H=0.75", "E": {
+        "type": "cantor", "zeta": 0.5, "depth": 12, "eps0": 1.0}}, []),
+    ("rej_dims_cantor_h06_z05_d12", "dims", {**DIMS, "gamma": "power:H=0.6", "E": {
+        "type": "cantor", "zeta": 0.5, "depth": 12, "eps0": 1.0}}, []),
     ("rej_dims_shallow_cantor", "dims", {**DIMS, "E": {"type": "cantor", "zeta": 0.001,
                                                        "depth": 0}}, []),
     ("rej_hit_logscale_width_underflow", "hit", {
