@@ -58,7 +58,7 @@ from .gp_sim import (
     cov_stationary_increments,
     cov_volterra,
 )
-from .hitting import check_hit_instance, hit_probability_mc, sandwich_report
+from .hitting import PathMinima, check_hit_instance, hit_probability_mc, sandwich_report
 from .metrics import ProductAtoms, StationaryGamma
 from .scale import ScaleDomainError, parse_scale_spec
 
@@ -268,7 +268,8 @@ def _hit_reports(cfg, instances, threads: int) -> list:
     """One hit report per instance (an object with E, F and an optional tol).
 
     The grid, d, tol, n_paths, seed and cov keys come from ``cfg``.  Every
-    instance is parsed and passes check_hit_instance before any
+    instance is parsed and passes check_hit_instance, and the table of
+    per-path minima fits its budget (PathMinima.plan), before any
     covariance work; then one hit_probability_mc call on ``threads``
     workers counts every instance's hits from one pass over the paths.
     """
@@ -286,6 +287,7 @@ def _hit_reports(cfg, instances, threads: int) -> list:
         F = _parse_full_F(inst, d)
         inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
         parsed.append(check_hit_instance(scale, grid, E, F, d, inst_tol))
+    PathMinima.plan(n_paths, [(inst.e_idx, inst.F) for inst in parsed])
     cov = _build_cov(cfg, scale, grid, threads)
     return hit_probability_mc(scale, cov, parsed, d, n_paths, seed, threads)
 

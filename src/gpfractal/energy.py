@@ -39,21 +39,28 @@ def kernel_matrix(dists, beta: float, h: float, out=None) -> np.ndarray:
 
     K is built in one k x k buffer: ``out`` when given, which may be
     ``dists`` itself when the caller owns it, else a new array, so
-    ``dists`` is written only when it is ``out``.  K is then symmetrized
-    in place, 0.5 (K_ij + K_ji), _BLOCK_ROWS rows at a time; addition
-    commutes, so both halves get the bytes 0.5 (K + K^T) would.  h <= 0
-    (or NaN) raises OutOfModelError.
+    ``dists`` is written only when it is ``out``.  K is symmetrized in
+    place, 0.5 (K_ij + K_ji), _BLOCK_ROWS rows at a time; addition
+    commutes, so both halves get the bytes 0.5 (K + K^T) would.  A strip
+    whose truncated distances right of the diagonal equal those below it,
+    as in every distance block, takes phi once and halves k + k, which
+    is k, or inf where k exceeds half the largest double; any other
+    strip takes phi on both sides.  h <= 0 (or NaN) raises
+    OutOfModelError.
     """
     if not h > 0:
         raise OutOfModelError(f"truncation resolution h = {h!r} must be positive")
     K = np.maximum(np.asarray(dists, dtype=float), h, out=out)
-    phi_kernel(beta, K, out=K)
     for r0 in range(0, len(K), _BLOCK_ROWS):
         r1 = r0 + _BLOCK_ROWS
-        strip = K[r0:r1, r0:] + K[r0:, r0:r1].T
-        strip *= 0.5
-        K[r0:r1, r0:] = strip
-        K[r0:, r0:r1] = strip.T
+        upper, lower = K[r0:r1, r0:], K[r0:, r0:r1]
+        if np.array_equal(upper.T, lower):
+            phi_kernel(beta, upper, out=upper)
+            upper += upper
+        else:
+            upper[...] = phi_kernel(beta, upper) + phi_kernel(beta, lower).T
+        upper *= 0.5
+        lower[...] = upper.T
     return K
 
 
@@ -80,11 +87,20 @@ def minimize_energy(K, tol: float = _FW_TOL, max_iter: int = _FW_MAX_ITER, trace
     away vertex the first argmax of Kw over the support; and doubling
     commutes with every rounding, so w.grad = 2 e with e = w.Kw, the
     energy the step before computed, and gap = 2 e - 2 Kw[v] =
-    2 (e - min Kw).  The support is kept as the ascending index list of
-    atoms with w > 0, so its first argmax is the first on the whole
-    simplex, and it is rebuilt only when an atom leaves or enters.  The
-    identities fail only when 2 Kw overflows or some w_i Kw_i is
-    subnormal.
+    2 (e - min Kw).  The identities fail only when 2 Kw overflows or
+    some w_i Kw_i is subnormal.
+
+    The support is a second copy of Kw, ``top``, with -inf off it: each
+    step adds the same update to both, so top's first argmax is the away
+    vertex, and an atom that enters or leaves costs one write.  An update
+    holding inf or NaN turns -inf into NaN off the support; an away
+    vertex without weight shows that, or an empty support, and top is
+    then rebuilt from w, so once NaNs have emptied the support the away
+    vertex is atom 0.  Scalars are read as Python floats, which round as
+    the float64 values do.  Only a NaN's sign bit can differ: it follows
+    operand order, which NumPy's scalar ops fix and Python's specialized
+    float ops need not, so while w or Kw holds a NaN (e is then NaN) the
+    step runs on NumPy scalars as the gradient loop did.
 
     Returns (weights, e_min, gap).
     """
@@ -94,33 +110,55 @@ def minimize_energy(K, tol: float = _FW_TOL, max_iter: int = _FW_MAX_ITER, trace
     w = np.full(n, 1.0 / n)
     Kw = K @ w
     e = float(w @ Kw)
-    supp = np.flatnonzero(w > 0.0)
+    top = Kw.copy()
+    rows, diag = list(K), K.diagonal().tolist()
+    w_at, Kw_at, K_at = w.item, Kw.item, K.item
     buf = np.empty(n)
     for k in range(max_iter):
         v = int(Kw.argmin())
-        gap = 2.0 * e - 2.0 * float(Kw[v])
-        stop = gap <= tol * max(e, 1e-300)
+        kv = Kw_at(v)
+        gap = 2.0 * e - 2.0 * kv
+        stop = gap <= tol * (1e-300 if e < 1e-300 else e)  # max(e, 1e-300), NaN kept
         if trace is not None and (k < 100 or k % 100 == 0 or stop or k == max_iter - 1):
             trace.append((k, e, gap))
         if stop:
             break
-        # away vertex: the largest gradient on the support (atom 0 once NaNs
-        # have emptied it).  A positive gap puts it above Kw[v], so the slope
-        # along e_v - e_s is negative and the step positive.  K is
-        # symmetric, so the update reads rows.
-        s = int(supp[Kw[supp].argmax()]) if supp.size else 0
-        slope = float(Kw[v] - Kw[s])
-        curv = float(K[v, v] - 2.0 * K[v, s] + K[s, s])
-        step = w[s] if curv <= 0 else min(-slope / curv, w[s])
-        np.subtract(K[v], K[s], out=buf)
-        buf *= step
-        Kw += buf
-        v_in = w[v] > 0.0
-        w[v] += step
-        w[s] -= step  # exactly 0 when the step reaches the cap
-        if (w[v] > 0.0) != v_in or not w[s] > 0.0:
-            supp = np.flatnonzero(w > 0.0)
-        e = float(w @ Kw)
+        s = int(top.argmax())
+        ws = w_at(s)
+        if not ws > 0.0:  # a NaN off the support, or no support left
+            top = np.where(w > 0.0, Kw, -math.inf)
+            s = int(top.argmax())
+            ws = w_at(s)
+        # a positive gap puts Kw[s] above Kw[v], so the slope along
+        # e_v - e_s is negative and the step positive.  K is symmetric,
+        # so the update reads rows.
+        nan_free = e == e
+        if nan_free:
+            slope = kv - Kw_at(s)
+            curv = diag[v] - 2.0 * K_at(v, s) + diag[s]
+        else:
+            slope = float(Kw[v] - Kw[s])
+            curv = float(K[v, v] - 2.0 * K[v, s] + K[s, s])
+        step = ws if curv <= 0 else -slope / curv
+        if ws < step:  # min(step, ws), NaN included
+            step = ws
+        np.subtract(rows[v], rows[s], buf)
+        np.multiply(buf, step, buf)
+        np.add(Kw, buf, Kw)
+        np.add(top, buf, top)
+        wv = w_at(v)
+        v_in = wv > 0.0
+        if nan_free:
+            w[v] = wv + step
+            w[s] = w_at(s) - step  # exactly 0 when the step reaches the cap
+        else:
+            w[v] += step
+            w[s] -= step
+        if (w_at(v) > 0.0) != v_in:
+            top[v] = -math.inf if v_in else Kw_at(v)
+        if not w_at(s) > 0.0:
+            top[s] = -math.inf
+        e = float(w.dot(Kw))
     w = np.maximum(w, 0.0)
     w /= w.sum()
     Kw = K @ w

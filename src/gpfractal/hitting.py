@@ -42,6 +42,7 @@ __all__ = [
 
 
 _HIT_CHUNK = 8  # paths per indicator block: small enough to stay in cache
+_TABLE_BYTES = 2**30  # budget of one PathMinima table, n_paths x columns float64
 _Z95 = 1.959964  # two-sided 95% normal quantile of the Wilson interval
 #: instances with |dim_rho(E x F) - d| at most this carry no sandwich information
 _CRITICAL_BAND = 0.15
@@ -133,7 +134,8 @@ class PathMinima:
     a union takes the minimum over its members.
 
     The table has one row per path and one column per distinct (E grid
-    indices, core) key of all the (e_idx, Target) pairs given.  ``add``
+    indices, core) key of all the (e_idx, Target) pairs given; ``plan``
+    lays it out and refuses one above _TABLE_BYTES.  ``add``
     fills the rows of the paths it is handed, reading them in blocks of
     _HIT_CHUNK; as sample_paths(..., consume=add) calls it once per path
     chunk, on that chunk's worker, calls for different paths may run at
@@ -142,17 +144,30 @@ class PathMinima:
     """
 
     def __init__(self, n_paths: int, pairs):
-        self._column = {}  # (E key, core) -> table column
-        self._sets = {}  # E key -> (grid indices, [(core, column)])
+        self._column, self._sets = self.plan(n_paths, pairs)
+        self.table = np.empty((n_paths, len(self._column)))
+
+    @staticmethod
+    def plan(n_paths: int, pairs) -> tuple[dict, dict]:
+        """The table's columns, {(E key, core): column}, and {E key: (grid
+        indices, [(core, column)])}; OutOfModelError when n_paths rows of
+        them take more than _TABLE_BYTES, before anything is allocated."""
+        column, sets = {}, {}
         for e_idx, F in pairs:
             e_idx = np.asarray(e_idx, dtype=np.intp)
             e_key = e_idx.tobytes()
-            _, cores = self._sets.setdefault(e_key, (e_idx, []))
+            _, cores = sets.setdefault(e_key, (e_idx, []))
             for core in F.cores:
-                if (e_key, core) not in self._column:
-                    self._column[e_key, core] = len(self._column)
-                    cores.append((core, self._column[e_key, core]))
-        self.table = np.empty((n_paths, len(self._column)))
+                if (e_key, core) not in column:
+                    column[e_key, core] = len(column)
+                    cores.append((core, column[e_key, core]))
+        need = 8 * n_paths * len(column)
+        if need > _TABLE_BYTES:
+            raise OutOfModelError(
+                f"n_paths = {n_paths} needs a {need / 2**30:.1f} GiB table of path minima "
+                f"({len(column)} columns), above its {_TABLE_BYTES / 2**30:g} GiB budget"
+            )
+        return column, sets
 
     def add(self, p0: int, values):
         """Fill the table rows of paths p0, p0 + 1, ... from their values (k, n, d)."""

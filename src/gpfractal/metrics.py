@@ -25,7 +25,7 @@ __all__ = [
 
 # round-off tolerance for delta^2 < 0 coming out of covariance algebra
 _NEG_VAR_TOL = 1e-10
-_BLOCK_ROWS = 16  # rows of a distance block filled per step
+_BLOCK_ROWS = 64  # rows of a distance block filled per step
 
 
 class StationaryGamma:
@@ -103,27 +103,34 @@ class AtomRows:
 
         Product atoms take one gamma table over the distinct times of idx
         and one norm table over its distinct points, gathered by np.ix_.
-        The block is filled _BLOCK_ROWS rows at a time, so temporaries
-        stay small beside the k x k result.
+        Each strip of _BLOCK_ROWS rows is filled from its diagonal rightward
+        and mirrored below, so temporaries stay small beside the k x k
+        result and each pair is evaluated once.  The mirror is exact:
+        fl(t - s) is -fl(s - t), so |t - s|, its gamma and ||x - y|| are
+        the same bits either way.  Time atoms take the square on the
+        diagonal apart from the positive gaps right of it.
         """
         idx = np.asarray(idx)
         out = np.empty((idx.size, idx.size))
-        chunks = [slice(a, a + _BLOCK_ROWS) for a in range(0, idx.size, _BLOCK_ROWS)]
         if self.points is None:
             t = self.times[idx]
-            for rows in chunks:
-                out[rows] = self.model.delta(t[rows, None], t)
-            return out
-        ti, fi = np.divmod(idx, len(self.points))
-        ut, t_of = np.unique(ti, return_inverse=True)
-        uf, f_of = np.unique(fi, return_inverse=True)
-        g = self.model.delta_matrix(self.times[ut])
-        p = self.points[uf]
-        norms = np.linalg.norm(p[None, :, :] - p[:, None, :], axis=-1)
-        for rows in chunks:
-            np.maximum(
-                g[np.ix_(t_of[rows], t_of)], norms[np.ix_(f_of[rows], f_of)], out=out[rows]
-            )
+        else:
+            ti, fi = np.divmod(idx, len(self.points))
+            ut, t_of = np.unique(ti, return_inverse=True)
+            uf, f_of = np.unique(fi, return_inverse=True)
+            g = self.model.delta_matrix(self.times[ut])
+            p = self.points[uf]
+            norms = np.linalg.norm(p[None, :, :] - p[:, None, :], axis=-1)
+        for a in range(0, idx.size, _BLOCK_ROWS):
+            rows, b = slice(a, a + _BLOCK_ROWS), a + _BLOCK_ROWS
+            upper = out[rows, a:]
+            if self.points is None:
+                upper[:, :_BLOCK_ROWS] = self.model.delta(t[rows, None], t[rows])
+                upper[:, _BLOCK_ROWS:] = self.model.delta(t[rows, None], t[b:])
+            else:
+                np.maximum(g[np.ix_(t_of[rows], t_of[a:])], norms[np.ix_(f_of[rows], f_of[a:])],
+                           out=upper)
+            out[a:, rows] = upper.T
         return out
 
     def diameter(self) -> float:

@@ -55,11 +55,13 @@ def exact_min_energy(K: np.ndarray) -> float:
     return best
 
 
-def pairwise_fw_reference(K: np.ndarray, tol: float, max_iter: int, trace=None):
+def pairwise_fw_reference(K: np.ndarray, tol: float, max_iter: int, trace=None, moves=None):
     """Pairwise Frank-Wolfe on w^T K w over the simplex, gradient kept as 2 K w.
 
     The loop of ``minimize_energy`` before it dropped the gradient array,
-    unchanged.  Returns (w, e, gap).
+    unchanged.  ``moves``, if a list, receives (v, s, dropped) per step:
+    the FW vertex, the away vertex and whether the step emptied s.
+    Returns (w, e, gap).
     """
     n = K.shape[0]
     if n == 1:
@@ -83,6 +85,8 @@ def pairwise_fw_reference(K: np.ndarray, tol: float, max_iter: int, trace=None):
         Kw += step * (K[v] - K[s])
         w[v] += step
         w[s] -= step
+        if moves is not None:
+            moves.append((v, s, not w[s] > 0.0))
         e = float(w @ Kw)
     w = np.maximum(w, 0.0)
     w /= w.sum()

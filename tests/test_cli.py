@@ -464,6 +464,18 @@ class TestOutOfModel:
     def test_tol_below_guard(self, tmp_path, capsys):
         self._run(tmp_path, capsys, "hit", dict(self.HIT, tol=1e-3), "grid too coarse for tol")
 
+    @pytest.mark.parametrize("command", ["hit", "battery"])
+    def test_path_minima_table_above_budget(self, tmp_path, capsys, command):
+        # 10^10 paths would need a 74.5 GiB table for one ball center, 447 GiB for six
+        cfg = dict(self.HIT, grid={"a": 0.2, "b": 1.0, "n": 64}, tol=2.0, n_paths=10**10,
+                   E={"type": "interval", "a": 0.2, "b": 1.0})
+        if command == "battery":
+            cfg["instances"] = [{"E": cfg["E"], "F": [{"type": "ball", "center": [0.5, y],
+                                                       "radius": 0.2}]}
+                                for y in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]
+        table = "74.5 GiB" if command == "hit" else "447.0 GiB"
+        self._run(tmp_path, capsys, command, cfg, f"n_paths = 10000000000 needs a {table}")
+
     def test_E_outside_grid(self, tmp_path, capsys):
         cfg = dict(self.HIT, E={"type": "interval", "a": 0.2, "b": 0.5})
         self._run(tmp_path, capsys, "hit", cfg, "E contains no grid points")

@@ -53,9 +53,9 @@ class TestEnergyDiscrete:
 
     @pytest.mark.parametrize("beta", [1.5, 1.0, 0.0, -1.0])
     def test_kernel_in_one_buffer_matches_unfused_build(self, rng, beta):
-        # 40 rows: two full 16-row strips and a partial one; the distances
+        # 150 rows: two full 64-row strips and a partial one; the distances
         # are not symmetric, so the symmetrization does work
-        dists = rng.uniform(0.0, 1.0, (40, 40))
+        dists = rng.uniform(0.0, 1.0, (150, 150))
         given = dists.copy()
         a = np.maximum(dists, 0.05)
         if beta > 0:
@@ -70,6 +70,34 @@ class TestEnergyDiscrete:
         assert dists.tobytes() == given.tobytes()
         K = kernel_matrix(dists, beta=beta, h=0.05, out=dists)
         assert K is dists and dists.tobytes() == ref.tobytes()
+
+    def test_symmetric_doubling_overflows_where_the_unfused_build_does(self):
+        # beta = 2 and h = 9e-155 put phi(h) = 1.23e308 between max/2 and
+        # max: k + k overflows there, and 0.5 (K + K^T) is inf exactly there
+        x = np.concatenate([[0.0, 2e-155, 5e-155], np.linspace(1e-154, 3e-154, 37)])
+        dists = np.abs(x[:, None] - x[None, :])
+        a = np.maximum(dists, 9e-155)
+        with np.errstate(over="ignore"):
+            ref = a ** -2.0
+            ref = 0.5 * (ref + ref.T)
+            K = kernel_matrix(dists, beta=2.0, h=9e-155)
+        assert K.tobytes() == ref.tobytes()
+        big = np.finfo(float).max / 2
+        assert np.isinf(K).any() and ((K > big / 2) & np.isfinite(K)).any()
+
+    def test_symmetric_strips_take_phi_once(self, monkeypatch):
+        # phi sees each 64-row strip right of the diagonal once: 150 rows
+        # make strips of 64 x 150, 64 x 86 and 22 x 22
+        atoms = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 150))
+        dists = np.abs(atoms[:, None] - atoms[None, :])
+        sizes = []
+        phi = energy.phi_kernel
+        monkeypatch.setattr(energy, "phi_kernel",
+                            lambda beta, r, out=None: sizes.append(np.size(r)) or phi(beta, r, out))
+        K = kernel_matrix(dists, beta=1.5, h=0.05)
+        assert sizes == [64 * 150, 64 * 86, 22 * 22]
+        ref = 0.5 * (np.maximum(dists, 0.05) ** -1.5 + np.maximum(dists, 0.05).T ** -1.5)
+        assert K.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("h", [0.0, -0.05, float("nan")])
     def test_nonpositive_resolution_is_out_of_model(self, h):
@@ -146,9 +174,9 @@ def _psd_kernel(rng, n):
     return feats @ feats.T + 1e-3 * np.eye(n)
 
 
-def _run_both(K, tol, max_iter):
+def _run_both(K, tol, max_iter, moves=None):
     ref_trace, trace = [], []
-    ref = pairwise_fw_reference(K, tol, max_iter, ref_trace)
+    ref = pairwise_fw_reference(K, tol, max_iter, ref_trace, moves)
     return ref, minimize_energy(K, tol=tol, max_iter=max_iter, trace=trace), ref_trace, trace
 
 
@@ -156,8 +184,8 @@ class TestMatchesGradientLoopBitwise:
     """minimize_energy's loop on Kw alone gives the bits of the loop that
     kept grad = 2 Kw (tests/oracles.py::pairwise_fw_reference)."""
 
-    def _check(self, K, tol, max_iter):
-        (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(K, tol, max_iter)
+    def _check(self, K, tol, max_iter, moves=None):
+        (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(K, tol, max_iter, moves)
         assert w.tobytes() == w_ref.tobytes()
         assert e == e_ref and gap == gap_ref
         assert trace == ref_trace
@@ -200,16 +228,58 @@ class TestMatchesGradientLoopBitwise:
             held.append(bool(w[7] > 0))
         assert held[0] is False and True in held
 
+    def test_bench_scale_kernel(self):
+        # the finest kernel of the default sweep on 3000 atoms of [0.2, 1]
+        # (power:H=0.5, beta = 1.5): after 2000 steps 10 atoms are empty
+        times = np.linspace(0.2, 1.0, 3000)
+        model = StationaryGamma(PowerScale(0.5))
+        K = model.rows(times).block(np.arange(3000))
+        kernel_matrix(K, beta=1.5, h=float(model.delta(0.2, 1.0)) / 64, out=K)
+        moves = []
+        (w_ref, _, _), (w, _, _), _, trace = _run_both(K, 1e-5, 2_000, moves)
+        assert w.tobytes() == w_ref.tobytes()
+        assert trace[-1][0] == 2_000 - 1
+        assert np.count_nonzero(w) < 3_000 and any(d for _, _, d in moves)
+
+    def test_atom_away_again_after_it_returns(self):
+        # atom 12 leaves the support at step 4, comes back as the FW vertex
+        # at step 43 and is the away vertex again at step 152, which it can
+        # be only if its entry in the masked copy came back with it
+        atoms = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 40))
+        K = kernel_matrix(np.abs(atoms[:, None] - atoms[None, :]), beta=2.5, h=0.05)
+        moves = []
+        self._check(K, 1e-12, 400, moves)
+        left = [k for k, (_, s, dropped) in enumerate(moves) if s == 12 and dropped]
+        back = [k for k, (v, _, _) in enumerate(moves) if v == 12 and k > left[0]]
+        again = [k for k, (_, s, _) in enumerate(moves) if s == 12 and k > back[0]]
+        assert (left[0], back[0], again[0]) == (4, 43, 152)
+
     def test_overflowing_kernel(self):
         # an infinite diagonal turns every weight into NaN one step at a
         # time; both loops then take atom 0 as the away vertex
         atoms = np.linspace(0.2, 1.0, 16)
         with np.errstate(over="ignore"):
             K = kernel_matrix(np.abs(atoms[:, None] - atoms[None, :]), 2.0, 1e-200)
+        moves = []
         with np.errstate(invalid="ignore"):
-            (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(K, 1e-5, 100)
+            (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(K, 1e-5, 100, moves)
         assert np.isnan(w).all() and w.tobytes() == w_ref.tobytes()
         assert repr((e, gap, trace)) == repr((e_ref, gap_ref, ref_trace))
+        # the NaNs hide which atoms the steps moved, so the pairs are read
+        # off K: from step 1 on, e is NaN and each step reads K[v, v],
+        # K[v, s] and K[s, s]; the support empties after 16 steps
+        reads = []
+
+        class Reads(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, tuple):
+                    reads.append(key)
+                return super().__getitem__(key)
+
+        with np.errstate(invalid="ignore"):
+            minimize_energy(K.view(Reads), tol=1e-5, max_iter=100)
+        assert reads[1::3] == [(v, s) for v, s, _ in moves[1:]]
+        assert [s for _, s, _ in moves] == list(range(16)) + [0] * 84
 
 
 class TestCapacity:

@@ -208,6 +208,21 @@ class TestPathMinima:
                 norm = [_norm_distance(spec, values[p][e_idx]).min() for p in range(37)]
                 assert np.array_equal(got, norm)
 
+    def test_plan_refuses_a_table_above_the_budget(self, monkeypatch):
+        # two E sets and a ball and a box on each: 4 columns of 8 bytes
+        import gpfractal.hitting as hitting
+
+        F = Target([{"type": "ball", "center": [0.0], "radius": 0.1},
+                    {"type": "box", "lo": [0.2], "hi": [0.3]}])
+        pairs = [(np.arange(5), F), (np.arange(3), F), (np.arange(5), F)]
+        monkeypatch.setattr(hitting, "_TABLE_BYTES", 32 * 1000)
+        column, sets = PathMinima.plan(1000, pairs)
+        assert len(column) == 4 and len(sets) == 2
+        with pytest.raises(OutOfModelError, match="n_paths = 1001 needs"):
+            PathMinima.plan(1001, pairs)
+        with pytest.raises(OutOfModelError, match="n_paths = 1001 needs"):
+            PathMinima(1001, pairs)
+
     def test_battery_hits_equal_per_instance_counts(self, brownian_setup, rng):
         scale, grid, cov = brownian_setup
         tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), len(grid), 3)

@@ -14,7 +14,7 @@ from gpfractal.metrics import (
     commensurability_report,
     covariance_delta_matrix,
 )
-from gpfractal.scale import LogScale, PowerScale
+from gpfractal.scale import LogScale, PowerScale, parse_scale_spec
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +136,13 @@ class TestFactoredRows:
         mat = product_rows(times, points)
         assert len(atoms) == len(mat)
         metric = StationaryGamma(f).rows(atoms)
-        idx = np.sort(rng.choice(len(mat), size=min(60, len(mat)), replace=False))
+        # 150 atoms: two full strips of the block and a partial one
+        idx = np.sort(rng.choice(len(mat), size=min(150, len(mat)), replace=False))
         for i in rng.choice(len(mat), size=12, replace=False):
             assert np.array_equal(metric(i, slice(None)), product_rho(f.gamma, mat[i], mat))
             assert np.array_equal(metric(i, idx), product_rho(f.gamma, mat[i], mat[idx]))
         want = np.array([product_rho(f.gamma, mat[a], mat[idx]) for a in idx])
-        assert np.array_equal(metric.block(idx), want)
+        assert metric.block(idx).tobytes() == want.tobytes()
 
     def test_time_rows_and_blocks_bit_identical(self, rng):
         model = StationaryGamma(PowerScale(0.3))
@@ -152,6 +153,21 @@ class TestFactoredRows:
             assert np.array_equal(metric(i, slice(None)), model.delta(times[i], times))
         want = np.array([model.delta(times[a], times[idx]) for a in idx])
         assert np.array_equal(metric.block(idx), want)
+
+    @pytest.mark.parametrize("spec, k", [
+        (spec, k) for spec in ("power:H=0.5", "power:H=0.3", "logscale:beta=1.0",
+                               "explog:alpha=0.3") for k in (1, 17, 40, 150)
+    ] + [("power:H=0.5", 3000)])
+    def test_time_block_is_the_full_delta_matrix(self, spec, k):
+        # each strip is filled right of the diagonal and mirrored: the block
+        # must equal delta over every (row, column) pair, bit for bit
+        model = StationaryGamma(parse_scale_spec(spec))
+        rng = np.random.default_rng(k)
+        times = np.sort(rng.uniform(0.01, 0.45, size=k + 5))
+        idx = np.sort(rng.choice(k + 5, size=k, replace=False))
+        block = model.rows(times).block(idx)
+        assert block.tobytes() == model.delta_matrix(times[idx]).tobytes()
+        assert np.array_equal(block, block.T)
 
     def test_block_reads_one_gamma_table_per_block(self, monkeypatch):
         f = PowerScale(0.5)

@@ -18,7 +18,9 @@ calls of ``bench/workloads.build(workload, 1)`` from this checkout, each
 path-sampling call once more at ``--threads 2`` (the ``_threads2`` rows), and
 ``criterion5`` writes the p_hat lists of acceptance criterion 5's two
 small-ball sweeps.  ``run`` first writes the files of ``FILES`` into its
-work directory, and ``$WORK`` in a config stands for that directory.
+work directory, and ``$WORK`` in a config stands for that directory; a
+payload that names that directory is hashed with ``$WORK`` in its place,
+so runs into different ``--work`` directories compare equal.
 ``compare`` prints a Markdown table, one line per row, and exits 1 when
 any row differs.
 """
@@ -239,6 +241,9 @@ ROWS = [
     ("rej_hit_d_true", "hit", {**HIT, "d": True, "grid": {"a": 0.2, "b": 1.0, "n": 64},
                                "F": [{"type": "box", "lo": [0.5], "hi": [1.0]}]}, []),
     ("rej_hit_n_paths_true", "hit", {**HIT, "n_paths": True}, []),
+    # 10^10 paths: a 74.5 GiB table of path minima, refused before the covariance
+    ("rej_hit_npaths_table", "hit", {**HIT, "grid": {"a": 0.2, "b": 1.0, "n": 64}, "tol": 2.0,
+                                     "n_paths": 10**10}, []),
     ("rej_hit_center_false", "hit", {**HIT, "F": [{"type": "ball", "center": [0.5, False],
                                                    "radius": 0.2}]}, []),
     ("rej_hit_radius_true", "hit", {**HIT, "F": [{"type": "ball", "center": [0.5, 0.0],
@@ -355,12 +360,12 @@ def _strip(obj, keys):
     return obj
 
 
-def _hash_outputs(out: Path, strip: set) -> dict:
+def _hash_outputs(out: Path, strip: set, work: Path) -> dict:
     files = {}
     for p in sorted(out.iterdir()) if out.exists() else []:
         if p.name.endswith("_manifest.json"):
             continue
-        raw = p.read_bytes()
+        raw = p.read_bytes().replace(str(work).encode(), b"$WORK")
         entry = {}
         if p.suffix == ".json":
             obj = json.loads(raw)
@@ -398,7 +403,7 @@ def run(args) -> int:
             result = str(code)
         except Exception as exc:  # the parent of a fix may crash
             result = f"raised {type(exc).__name__}"
-        table[name] = {"exit": result, "files": _hash_outputs(out, set(args.strip))}
+        table[name] = {"exit": result, "files": _hash_outputs(out, set(args.strip), work)}
         print(f"{name}: {result} in {time.perf_counter() - t0:.1f} s", file=sys.stderr)
     Path(args.out).write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
     return 0
