@@ -65,6 +65,7 @@ from .scale import ScaleDomainError, parse_scale_spec
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_BIN_BYTES = 2**30  # budget of simulate's paths.bin
 
 _NUMERICAL_ERRORS = (
     PSDError,
@@ -202,9 +203,11 @@ def _write_manifest(out_dir: Path, name: str, cfg: dict, outputs: list, t0: floa
 
 def _load_config(args) -> dict:
     try:
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("--config", f"file not found: {args.config}")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError("--config", f"cannot read {args.config}: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError("--config", f"invalid JSON: {err}")
     if not isinstance(cfg, dict):
@@ -238,6 +241,10 @@ def cmd_simulate(cfg, threads: int, trace: bool) -> dict:
     d = _parse_d(cfg)
     n_paths = _require(cfg, "n_paths", int, lambda v: v >= 1, "must be >= 1")
     seed = _seed(cfg)
+    need = 40 + 8 * grid.size * (1 + d * n_paths)  # header, grid and values of paths.bin
+    if need > _BIN_BYTES:
+        raise OutOfModelError(f"n_paths = {n_paths} needs a {need / 2**30:.1f} GiB paths.bin, "
+                              f"above its {_BIN_BYTES / 2**30:g} GiB budget")
     cov = _build_cov(cfg, scale, grid, threads)
     batch = PathBatch(grid=cov.grid, d=d, n_paths=n_paths, seed=seed)
     # the paths are drawn while paths.bin is written; paths.csv renders that file
@@ -431,7 +438,10 @@ def main(argv=None) -> int:
             raise ConfigError("--threads", f"must be in [1, {_PATH_CHUNK}]")
         cfg = _load_config(args)
         payloads = _COMMANDS[args.command](cfg, args.threads, args.trace)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError("--out", f"cannot make the directory {args.out}: {err}")
         for name, write in payloads.items():
             write(out_dir / name)
     except ConfigError as err:

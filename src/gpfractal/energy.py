@@ -6,8 +6,8 @@ h)).  Sweeping h downward and extrapolating recovers the direction of
 the continuum limit: bounded minimal energies mean positive capacity,
 geometric decay of 1/e_min means the capacity verdict is "zero".
 Every distance comes from metrics.AtomRows: the kernel is built in place
-in the distance block of the subsample, and the solver works on that
-bare (k, k) array and returns the weights.
+in the symmetric distance block of the subsample, and the solver works
+on that bare, finite (k, k) array and returns the weights.
 """
 
 from __future__ import annotations
@@ -35,32 +35,28 @@ _FW_MAX_ITER = 20_000  # iteration cap of a solve
 
 
 def kernel_matrix(dists, beta: float, h: float, out=None) -> np.ndarray:
-    """K_ij = phi_beta(max(dist_ij, h)); h > 0 keeps the diagonal finite.
+    """K_ij = phi_beta(max(dist_ij, h)) of a symmetric distance block.
 
     K is built in one k x k buffer: ``out`` when given, which may be
     ``dists`` itself when the caller owns it, else a new array, so
-    ``dists`` is written only when it is ``out``.  K is symmetrized in
-    place, 0.5 (K_ij + K_ji), _BLOCK_ROWS rows at a time; addition
-    commutes, so both halves get the bytes 0.5 (K + K^T) would.  A strip
-    whose truncated distances right of the diagonal equal those below it,
-    as in every distance block, takes phi once and halves k + k, which
-    is k, or inf where k exceeds half the largest double; any other
-    strip takes phi on both sides.  h <= 0 (or NaN) raises
-    OutOfModelError.
+    ``dists`` is written only when it is ``out``.  Each truncated
+    _BLOCK_ROWS-row strip takes phi in place from its diagonal rightward
+    and is mirrored below it.  h <= 0 (or NaN) raises OutOfModelError, and
+    so does phi(h), K's largest entry, above half the largest double, as
+    the solver's curvature K_vv - 2 K_vs + K_ss needs 2 phi(h) finite.
     """
     if not h > 0:
         raise OutOfModelError(f"truncation resolution h = {h!r} must be positive")
+    with np.errstate(over="ignore"):  # the strips' power; phi(h) <= log(e / h) for beta <= 0
+        phi_h = float(np.array(h) ** -beta) if beta > 0 else 0.0
+    if phi_h > np.finfo(float).max / 2:
+        raise OutOfModelError(f"phi(h) = {phi_h!r} at h = {h!r}, beta = {beta!r} "
+                              "is above half the largest double")
     K = np.maximum(np.asarray(dists, dtype=float), h, out=out)
     for r0 in range(0, len(K), _BLOCK_ROWS):
-        r1 = r0 + _BLOCK_ROWS
-        upper, lower = K[r0:r1, r0:], K[r0:, r0:r1]
-        if np.array_equal(upper.T, lower):
-            phi_kernel(beta, upper, out=upper)
-            upper += upper
-        else:
-            upper[...] = phi_kernel(beta, upper) + phi_kernel(beta, lower).T
-        upper *= 0.5
-        lower[...] = upper.T
+        upper = K[r0 : r0 + _BLOCK_ROWS, r0:]
+        phi_kernel(beta, upper, out=upper)
+        K[r0:, r0 : r0 + _BLOCK_ROWS] = upper.T
     return K
 
 
@@ -73,34 +69,27 @@ def minimize_energy(K, tol: float = _FW_TOL, max_iter: int = _FW_MAX_ITER, trace
     weight; reaching the cap drops that atom from the support.  Unlike
     vanilla Frank-Wolfe this does not zig-zag near faces of the simplex
     (it converges linearly on polytopes, Lacoste-Julien & Jaggi 2015).
-    It stops when the duality gap w.grad - min grad falls below
-    tol * current energy.  The gap certifies e_min - e_opt <= gap only
-    when K is positive semidefinite on the simplex's tangent space.  The
-    truncated kernel often is not; then a small gap says only that w is
-    near a stationary point, which may sit above e_opt.  ``trace``, if a
-    list, receives (iteration, energy, gap) tuples at every iteration
-    below 100, every 100th after that, and the last one.
+    It stops once the duality gap w.grad - min grad is not above
+    tol * max(e, 1e-300), e the current energy, so a NaN gap (a K that is
+    not finite, or a K w that overflows) stops it where it appears.  The
+    gap certifies e_min - e_opt <= gap only when K is positive
+    semidefinite on the simplex's tangent space.  The truncated kernel
+    often is not; then a small gap says only that w is near a stationary
+    point, which may sit above e_opt.  ``trace``, if a list, receives
+    (iteration, energy, gap) tuples at every iteration below 100, every
+    100th after that, and the last one.
 
-    The loop keeps Kw and no gradient array grad = 2 Kw.  Three
-    identities give the same bits as reading grad: doubling preserves
-    order and ties, so the FW vertex v is the first argmin of Kw and the
-    away vertex the first argmax of Kw over the support; and doubling
-    commutes with every rounding, so w.grad = 2 e with e = w.Kw, the
-    energy the step before computed, and gap = 2 e - 2 Kw[v] =
-    2 (e - min Kw).  The identities fail only when 2 Kw overflows or
-    some w_i Kw_i is subnormal.
-
-    The support is a second copy of Kw, ``top``, with -inf off it: each
-    step adds the same update to both, so top's first argmax is the away
-    vertex, and an atom that enters or leaves costs one write.  An update
-    holding inf or NaN turns -inf into NaN off the support; an away
-    vertex without weight shows that, or an empty support, and top is
-    then rebuilt from w, so once NaNs have emptied the support the away
-    vertex is atom 0.  Scalars are read as Python floats, which round as
-    the float64 values do.  Only a NaN's sign bit can differ: it follows
-    operand order, which NumPy's scalar ops fix and Python's specialized
-    float ops need not, so while w or Kw holds a NaN (e is then NaN) the
-    step runs on NumPy scalars as the gradient loop did.
+    The loop keeps Kw and no gradient array grad = 2 Kw.  On a finite K
+    three identities give the bits of reading grad: doubling preserves order
+    and ties, so the FW vertex v is the first argmin of Kw and the away
+    vertex the first argmax of Kw over the support; and doubling commutes
+    with every rounding, so w.grad = 2 e with e = w.Kw, the energy the step
+    before computed, and gap = 2 e - 2 Kw[v] = 2 (e - min Kw).  The
+    identities fail only when 2 Kw overflows or some w_i Kw_i is subnormal.
+    The support is a second copy of Kw, ``top``, with -inf off it: each step
+    adds the same update to both, so top's first argmax is the away vertex,
+    and an atom that enters or leaves costs one write.  Scalars are read as
+    Python floats, which round as the float64 values do.
 
     Returns (weights, e_min, gap).
     """
@@ -118,48 +107,32 @@ def minimize_energy(K, tol: float = _FW_TOL, max_iter: int = _FW_MAX_ITER, trace
         v = int(Kw.argmin())
         kv = Kw_at(v)
         gap = 2.0 * e - 2.0 * kv
-        stop = gap <= tol * (1e-300 if e < 1e-300 else e)  # max(e, 1e-300), NaN kept
+        stop = not gap > tol * (1e-300 if e < 1e-300 else e)  # max(e, 1e-300)
         if trace is not None and (k < 100 or k % 100 == 0 or stop or k == max_iter - 1):
             trace.append((k, e, gap))
         if stop:
             break
         s = int(top.argmax())
         ws = w_at(s)
-        if not ws > 0.0:  # a NaN off the support, or no support left
-            top = np.where(w > 0.0, Kw, -math.inf)
-            s = int(top.argmax())
-            ws = w_at(s)
-        # a positive gap puts Kw[s] above Kw[v], so the slope along
-        # e_v - e_s is negative and the step positive.  K is symmetric,
-        # so the update reads rows.
-        nan_free = e == e
-        if nan_free:
-            slope = kv - Kw_at(s)
-            curv = diag[v] - 2.0 * K_at(v, s) + diag[s]
-        else:
-            slope = float(Kw[v] - Kw[s])
-            curv = float(K[v, v] - 2.0 * K[v, s] + K[s, s])
+        # a positive gap puts Kw[s] above Kw[v], so the slope along e_v - e_s
+        # is negative and the step positive.  K is symmetric: the update reads rows.
+        slope = kv - Kw_at(s)
+        curv = diag[v] - 2.0 * K_at(v, s) + diag[s]
         step = ws if curv <= 0 else -slope / curv
-        if ws < step:  # min(step, ws), NaN included
+        if ws < step:
             step = ws
         np.subtract(rows[v], rows[s], buf)
         np.multiply(buf, step, buf)
         np.add(Kw, buf, Kw)
         np.add(top, buf, top)
         wv = w_at(v)
-        v_in = wv > 0.0
-        if nan_free:
-            w[v] = wv + step
-            w[s] = w_at(s) - step  # exactly 0 when the step reaches the cap
-        else:
-            w[v] += step
-            w[s] -= step
-        if (w_at(v) > 0.0) != v_in:
-            top[v] = -math.inf if v_in else Kw_at(v)
+        w[v] = wv + step
+        w[s] = w_at(s) - step  # exactly 0 when the step reaches the cap
+        if not wv > 0.0 and w_at(v) > 0.0:
+            top[v] = Kw_at(v)
         if not w_at(s) > 0.0:
             top[s] = -math.inf
         e = float(w.dot(Kw))
-    w = np.maximum(w, 0.0)
     w /= w.sum()
     Kw = K @ w
     e = float(w @ Kw)

@@ -513,16 +513,13 @@ class CustomScale(ScaleFunction):
 def phi_kernel(beta: float, r, out=None):
     """Radial potential kernel: r^-beta (beta>0), log(e/(r^1)) (beta=0), 1 (beta<0).
 
-    The kernel is computed in place in ``out``, an array of r's shape that
-    may be r itself, or else in a copy of r.
+    ``out`` is None, for a new array, or r itself, a float64 array that
+    then holds the kernel.
     """
     a, scalar = _as_array(r)
     if np.any(a <= 0):
         raise ValueError("phi_kernel needs r > 0; truncate at a resolution first")
-    if out is None:
-        out = a.copy()
-    elif out is not a:
-        np.copyto(out, a)
+    out = a.copy() if out is None else out
     if beta > 0:
         out **= -beta
     elif beta == 0:

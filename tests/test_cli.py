@@ -61,6 +61,19 @@ class TestSimulate:
             assert code == EXIT_OK
         assert peaks[2] - peaks[1] <= 1e6
 
+    def test_paths_bin_budget_is_its_size(self, tmp_path, monkeypatch):
+        from gpfractal import cli
+
+        cfg = _write_config(tmp_path, SIM_CONFIG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
+        size = (tmp_path / "a" / "paths.bin").stat().st_size
+        assert size == 40 + 8 * 32 * (1 + 2 * 4)
+        monkeypatch.setattr(cli, "_BIN_BYTES", size)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+        monkeypatch.setattr(cli, "_BIN_BYTES", size - 1)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+        assert not (tmp_path / "c").exists()
+
     def test_happy_path(self, tmp_path):
         cfg = _write_config(tmp_path, SIM_CONFIG)
         out = tmp_path / "out"
@@ -476,6 +489,13 @@ class TestOutOfModel:
         table = "74.5 GiB" if command == "hit" else "447.0 GiB"
         self._run(tmp_path, capsys, command, cfg, f"n_paths = 10000000000 needs a {table}")
 
+    def test_paths_bin_above_budget(self, tmp_path, capsys):
+        # 8192 points, d = 3 and 10^6 paths would make a 196.6 GB paths.bin
+        cfg = dict(SIM_CONFIG, grid={"a": 0.2, "b": 1.0, "n": 8192}, d=3, n_paths=10**6)
+        self._run(tmp_path, capsys, "simulate", cfg,
+                  "n_paths = 1000000 needs a 183.1 GiB paths.bin")
+        assert not (tmp_path / "out").exists()
+
     def test_E_outside_grid(self, tmp_path, capsys):
         cfg = dict(self.HIT, E={"type": "interval", "a": 0.2, "b": 0.5})
         self._run(tmp_path, capsys, "hit", cfg, "E contains no grid points")
@@ -678,6 +698,22 @@ def test_invalid_config_exits_2_at_parse_time(tmp_path, capsys, name):
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["config_directory", "config_not_utf8", "out_under_a_file"])
+def test_unreadable_config_or_out_exits_2(tmp_path, capsys, case):
+    config = _write_config(tmp_path, {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 4})
+    out, flag = tmp_path / "out", "--config"
+    if case == "config_directory":
+        config = str(tmp_path)
+    elif case == "config_not_utf8":
+        Path(config).write_bytes(b'{"gamma": "power:H=0.5", "zeta": 0.5, "depth": 4, "\xff": 1}')
+    else:
+        out, flag = Path(config) / "out", "--out"
+    assert main(["cantor", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field '{flag}'") and "Traceback" not in err
+    assert not out.exists()
 
 
 DEEP_CANTOR = {"type": "cantor", "zeta": 0.5, "depth": 40}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,9 +55,9 @@ class TestEnergyDiscrete:
 
     @pytest.mark.parametrize("beta", [1.5, 1.0, 0.0, -1.0])
     def test_kernel_in_one_buffer_matches_unfused_build(self, rng, beta):
-        # 150 rows: two full 64-row strips and a partial one; the distances
-        # are not symmetric, so the symmetrization does work
+        # 150 rows: two full 64-row strips and a partial one
         dists = rng.uniform(0.0, 1.0, (150, 150))
+        dists = np.triu(dists, 1) + np.triu(dists, 1).T
         given = dists.copy()
         a = np.maximum(dists, 0.05)
         if beta > 0:
@@ -64,26 +66,33 @@ class TestEnergyDiscrete:
             ref = np.log(np.e / np.minimum(a, 1.0))
         else:
             ref = np.ones_like(a)
-        ref = 0.5 * (ref + ref.T)
         K = kernel_matrix(dists, beta=beta, h=0.05)
         assert K.tobytes() == ref.tobytes()
         assert dists.tobytes() == given.tobytes()
         K = kernel_matrix(dists, beta=beta, h=0.05, out=dists)
         assert K is dists and dists.tobytes() == ref.tobytes()
 
-    def test_symmetric_doubling_overflows_where_the_unfused_build_does(self):
+    def test_phi_of_h_above_half_max_is_out_of_model(self):
         # beta = 2 and h = 9e-155 put phi(h) = 1.23e308 between max/2 and
-        # max: k + k overflows there, and 0.5 (K + K^T) is inf exactly there
+        # max, where K_vv - 2 K_vs + K_ss overflows; the block is not touched
         x = np.concatenate([[0.0, 2e-155, 5e-155], np.linspace(1e-154, 3e-154, 37)])
         dists = np.abs(x[:, None] - x[None, :])
-        a = np.maximum(dists, 9e-155)
-        with np.errstate(over="ignore"):
-            ref = a ** -2.0
-            ref = 0.5 * (ref + ref.T)
-            K = kernel_matrix(dists, beta=2.0, h=9e-155)
-        assert K.tobytes() == ref.tobytes()
-        big = np.finfo(float).max / 2
-        assert np.isinf(K).any() and ((K > big / 2) & np.isfinite(K)).any()
+        given = dists.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfModelError, match="above half the largest double"):
+                kernel_matrix(dists, beta=2.0, h=9e-155, out=dists)
+            with pytest.raises(OutOfModelError, match="above half the largest double"):
+                kernel_matrix(dists, beta=2.0, h=1e-200)
+        assert dists.tobytes() == given.tobytes()
+        # the largest phi(h) = h^-2 at or below max/2 builds a finite K with that entry
+        half = np.finfo(float).max / 2
+        h = float(np.sqrt(1.0 / half))
+        while phi_kernel(2.0, np.full(1, h))[0] > half:
+            h = float(np.nextafter(h, np.inf))
+        K = kernel_matrix(dists, beta=2.0, h=h)
+        assert np.isfinite(K).all() and K.max() == phi_kernel(2.0, np.full(1, h))[0]
+        assert half / 2 < K.max() <= half
 
     def test_symmetric_strips_take_phi_once(self, monkeypatch):
         # phi sees each 64-row strip right of the diagonal once: 150 rows
@@ -255,31 +264,16 @@ class TestMatchesGradientLoopBitwise:
         assert (left[0], back[0], again[0]) == (4, 43, 152)
 
     def test_overflowing_kernel(self):
-        # an infinite diagonal turns every weight into NaN one step at a
-        # time; both loops then take atom 0 as the away vertex
+        # an infinite diagonal makes K w and e infinite and the first gap
+        # NaN, which stops the solve at once
         atoms = np.linspace(0.2, 1.0, 16)
-        with np.errstate(over="ignore"):
-            K = kernel_matrix(np.abs(atoms[:, None] - atoms[None, :]), 2.0, 1e-200)
-        moves = []
-        with np.errstate(invalid="ignore"):
-            (w_ref, e_ref, gap_ref), (w, e, gap), ref_trace, trace = _run_both(K, 1e-5, 100, moves)
-        assert np.isnan(w).all() and w.tobytes() == w_ref.tobytes()
-        assert repr((e, gap, trace)) == repr((e_ref, gap_ref, ref_trace))
-        # the NaNs hide which atoms the steps moved, so the pairs are read
-        # off K: from step 1 on, e is NaN and each step reads K[v, v],
-        # K[v, s] and K[s, s]; the support empties after 16 steps
-        reads = []
-
-        class Reads(np.ndarray):
-            def __getitem__(self, key):
-                if isinstance(key, tuple):
-                    reads.append(key)
-                return super().__getitem__(key)
-
-        with np.errstate(invalid="ignore"):
-            minimize_energy(K.view(Reads), tol=1e-5, max_iter=100)
-        assert reads[1::3] == [(v, s) for v, s, _ in moves[1:]]
-        assert [s for _, s, _ in moves] == list(range(16)) + [0] * 84
+        K = kernel_matrix(np.abs(atoms[:, None] - atoms[None, :]), 2.0, 0.01)
+        np.fill_diagonal(K, np.inf)
+        trace = []
+        w, e, gap = minimize_energy(K, tol=1e-5, max_iter=100, trace=trace)
+        assert len(trace) == 1 and trace[0][0] == 0 and trace[0][1] == np.inf
+        assert np.isnan(trace[0][2])
+        assert not np.isfinite(e) and w.tobytes() == np.full(16, 1 / 16).tobytes()
 
 
 class TestCapacity:

@@ -213,6 +213,12 @@ ROWS = [
      []),
     ("rej_capacity_resolutions_underflow", "capacity", {
         **CAPACITY, "resolutions": [0.3, 0.2, 1e308]}, []),
+    # phi(h) = h^-2 overflows to inf at h = 1e-160; the parent ran 20,000 NaN steps
+    ("rej_capacity_kernel_overflow", "capacity", {**CAPACITY, "beta": 2.0, "n_atoms": 3000,
+                                                  "resolutions": [1e-160, 1e-170]}, []),
+    # phi(9e-155) = 1.23e308 lies between half the largest double and the largest
+    ("rej_capacity_kernel_half_max", "capacity", {**CAPACITY, "beta": 2.0, "n_atoms": 512,
+                                                  "resolutions": [0.1, 9e-155]}, []),
     ("rej_cantor_logscale_underflow", "cantor", {"gamma": LOG, "zeta": 0.5, "depth": 6}, []),
     ("rej_cantor_power_underflow", "cantor", {"gamma": "power:H=0.5", "zeta": 0.001,
                                               "depth": 2}, []),
@@ -274,6 +280,9 @@ ROWS = [
     ("rej_hit_flat_box", "hit", {**HIT, "grid": {"a": 0.2, "b": 1.0, "n": 64}, "tol": 2.0,
                                  "F": [{"type": "box", "lo": [0.2, 0.0], "hi": [0.5, 0.0]}]},
      []),
+    # a 196.6 GB paths.bin; run the parent of this row under a file-size limit
+    ("rej_simulate_bytes", "simulate", {**SIM, "grid": {"a": 0.2, "b": 1.0, "n": 8192}, "d": 3,
+                                        "n_paths": 10**6}, []),
     ("simulate_stationary", "simulate", SIM, []),
     ("simulate_threads2", "simulate", {**SIM, "d": 3, "n_paths": 97}, ["--threads", "2"]),
     ("simulate_volterra_threads2", "simulate", {**SIM, "cov": "volterra", "d": 3, "n_paths": 97,
