@@ -44,7 +44,7 @@ from .hitting import (
     small_ball_sweep,
     wilson_interval,
 )
-from .metrics import StationaryGamma, commensurability_report, covariance_delta_matrix
+from .metrics import AtomRows, commensurability_report, covariance_delta_matrix
 from .scale import (
     CustomScale,
     ExpLogScale,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -59,7 +60,7 @@ from .gp_sim import (
     cov_volterra,
 )
 from .hitting import PathMinima, check_hit_instance, hit_probability_mc, sandwich_report
-from .metrics import ProductAtoms, StationaryGamma
+from .metrics import AtomRows, delta
 from .scale import ScaleDomainError, parse_scale_spec
 
 EXIT_OK = 0
@@ -217,6 +218,18 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _check_out(out_dir: Path):
+    """ConfigError unless the nearest existing ancestor of ``out_dir`` is a
+    writable directory, so a command whose --out cannot be made never runs.
+    The directory itself is made only after the work (main)."""
+    p = out_dir.absolute()
+    while not os.path.exists(p):  # False, not an error, for an unreadable path
+        p = p.parent
+    if not (p.is_dir() and os.access(p, os.W_OK | os.X_OK)):
+        raise ConfigError("--out", f"cannot make the directory {out_dir}: "
+                                   f"{p} is not a writable directory")
+
+
 def _seed(cfg) -> int:
     # paths.bin stores the seed as an int64
     return _require(cfg, "seed", int, lambda v: 0 <= v < 2**63, "must be in [0, 2^63)")
@@ -315,12 +328,12 @@ def cmd_capacity(cfg, threads: int, trace: bool) -> dict:
     times = E.sample(n_atoms)
     if len(times) < 2:
         raise ConfigError("E", "a capacity sweep needs at least 2 atoms")
-    atoms = times
+    rows = AtomRows(scale, times)
     if "F" in cfg:
         F = _parse_F(cfg, _parse_d(cfg))
-        atoms = ProductAtoms(times[:: max(1, len(times) // 64)], F.lattice()[0])
-    metric = StationaryGamma(scale)
-    diam_hint = metric.delta(times[0], times[-1])
+        rows = AtomRows(scale, times[:: max(1, len(times) // 64)], F.lattice()[0])
+    # the unthinned span: a thinned product sample may end before times[-1]
+    diam_hint = delta(scale, times[0], times[-1])
     resolutions = cfg.get("resolutions")
     if resolutions is None:
         resolutions = [diam_hint / 2.0**j for j in range(1, 7)]
@@ -331,9 +344,7 @@ def cmd_capacity(cfg, threads: int, trace: bool) -> dict:
     ):
         raise ConfigError("resolutions", "must be a list of distinct finite positive numbers")
     fw_trace = [] if trace else None
-    report = capacity_estimate(
-        atoms, metric.rows(atoms), beta=beta, resolutions=resolutions, trace=fw_trace
-    )
+    report = capacity_estimate(rows, beta=beta, resolutions=resolutions, trace=fw_trace)
     payloads = {"capacity_report.json": _json(asdict(report))}
     if trace:
         payloads["capacity_trace.csv"] = _csv("h,iteration,energy,gap", fw_trace)
@@ -437,6 +448,7 @@ def main(argv=None) -> int:
         if not 1 <= args.threads <= _PATH_CHUNK:
             raise ConfigError("--threads", f"must be in [1, {_PATH_CHUNK}]")
         cfg = _load_config(args)
+        _check_out(out_dir)
         payloads = _COMMANDS[args.command](cfg, args.threads, args.trace)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -140,19 +140,20 @@ def minimize_energy(K, tol: float = _FW_TOL, max_iter: int = _FW_MAX_ITER, trace
     return w, e, gap
 
 
-def farthest_point_subsample(atoms, metric, spacing: float):
-    """Greedy farthest-point order down to the given spacing.
+def farthest_point_subsample(m: int, metric, spacing: float):
+    """Greedy farthest-point order over m atoms down to the given spacing.
 
-    ``metric(i, idx)`` returns distances from atom i to atoms[idx]; every
-    call here asks for a whole row, with idx = slice(None).  Selection
-    stops when every remaining atom is within ``spacing`` of the selected
-    set (or at _MAX_ATOMS points).  Returns the selected indices in
-    pick order and each pick's insertion radius, its distance to the atoms
-    picked before it (inf for the first).  The radii never increase, so
-    ``np.sort(order[radii > h])`` is exactly the set a greedy run at
-    spacing h >= ``spacing`` selects.  Stabilizes kernel conditioning.
+    ``metric(i, idx)`` returns distances from atom i to the atoms idx;
+    every call here asks for a whole row, with idx = slice(None).  The
+    count m is passed apart, so ``metric`` may be any such function, not
+    only an AtomRows.  Selection stops when every remaining atom is within
+    ``spacing`` of the selected set (or at _MAX_ATOMS points).  Returns
+    the selected indices in pick order and each pick's insertion radius,
+    its distance to the atoms picked before it (inf for the first).  The
+    radii never increase, so ``np.sort(order[radii > h])`` is exactly the
+    set a greedy run at spacing h >= ``spacing`` selects.  Stabilizes
+    kernel conditioning.
     """
-    m = len(atoms)
     every = slice(None)
     order, radii = [0], [math.inf]
     mind = np.array(metric(0, every), dtype=float)
@@ -184,16 +185,15 @@ class CapacityReport:
         return 0.0 if self.verdict == "zero" else self.extrapolated
 
 
-def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> CapacityReport:
-    """Capacity 1/inf-energy across a decreasing resolution sweep.
+def capacity_estimate(rows, beta: float, resolutions, trace=None) -> CapacityReport:
+    """Capacity 1/inf-energy of the atom set ``rows``, an AtomRows, across a resolution sweep.
 
-    ``atoms`` are (m,) times or ProductAtoms, of which only the count is
-    read, and ``metric`` their StationaryGamma.rows.  At each h the atom
-    set is thinned to spacing ~h by farthest-point selection (one greedy
-    pass serves the whole sweep), the truncated kernel is built inside
-    one distance block (metric.block), and the energy is minimized by
-    pairwise Frank-Wolfe, whose iteration count per h the report keeps.
-    The verdict comes from the decay rate of the capacity estimates per octave of h: geometric
+    At each h, largest first, the len(rows) atoms are thinned to spacing
+    ~h by farthest-point selection (one greedy pass serves the whole
+    sweep), the truncated kernel is built inside one distance block
+    (rows.block), and the energy is minimized by pairwise Frank-Wolfe,
+    whose iteration count per h the report keeps.  The verdict comes
+    from the decay rate of the capacity estimates per octave of h: geometric
     decay (slope <= -0.1) reads "zero", a near-flat tail reads "positive"
     with a geometric-series extrapolation, and the band in between is
     "inconclusive" (the critical-order regime that discretization cannot
@@ -204,20 +204,21 @@ def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> Ca
     a finite positive number (the kernel over- or underflows at that h
     and beta) raise OutOfModelError.
     """
-    if len(atoms) > _MAX_ATOMS:
-        raise OutOfModelError(f"atom count {len(atoms)} exceeds cap {_MAX_ATOMS}")
+    m = len(rows)
+    if m > _MAX_ATOMS:
+        raise OutOfModelError(f"atom count {m} exceeds cap {_MAX_ATOMS}")
     res = sorted((float(h) for h in resolutions), reverse=True)
     if len(res) < 2:
         raise OutOfModelError("need at least 2 resolutions")
     # greedy farthest-point order is nested: one pass at the finest
     # resolution, read at each h as the prefix of picks farther than h
-    order, radii = farthest_point_subsample(atoms, metric, spacing=res[-1])
+    order, radii = farthest_point_subsample(m, rows, spacing=res[-1])
     e_mins, gaps, iterations, caps_est, n_atoms = [], [], [], [], []
     for h in res:
         idx = np.sort(order[radii > h])
         if idx.size == 0:
             raise OutOfModelError(f"the subsample at resolution h = {h!r} is empty")
-        K = metric.block(idx)
+        K = rows.block(idx)
         kernel_matrix(K, beta=beta, h=h, out=K)
         fw_trace = []
         _, e, gap = minimize_energy(K, trace=fw_trace)
@@ -234,7 +235,7 @@ def capacity_estimate(atoms, metric, beta: float, resolutions, trace=None) -> Ca
         iterations.append(fw_trace[-1][0] + 1 if fw_trace else 0)
         caps_est.append(1.0 / e)
         n_atoms.append(len(idx))
-        if len(idx) == len(atoms):
+        if len(idx) == m:
             # below the sampling resolution the kernel no longer resolves
             # the set, only the atom discreteness; stop the sweep
             break

@@ -121,14 +121,12 @@ class CovMatrix:
     no jitter (a failure raises PSDError), and drops it, so the factor is
     the only n x n array left; a later read of ``.R`` runs ``build()``
     again and returns the same bytes, never L.  A matrix passed as ``R``
-    together with ``build`` is that build's first result and is
-    overwritten by the factor.  A build is symmetric by
-    construction and is not checked; a matrix passed alone is checked
-    against its transpose (and symmetrized if it differs) once, left as
-    given, and each build is a copy of it.
+    is that build's first result and is overwritten by the factor.  A
+    build is symmetric by construction and is not checked.  ``build`` is
+    required: a fixed matrix R is passed as ``build=R.copy``.
     """
 
-    def __init__(self, grid, R=None, label: str = "cov", build=None, circulant=None,
+    def __init__(self, grid, R=None, label: str = "cov", *, build, circulant=None,
                  threads: int = 1):
         self.grid = np.asarray(grid, dtype=float)
         if np.any(np.diff(self.grid) <= 0):
@@ -137,30 +135,16 @@ class CovMatrix:
         self.jitter_used = 0.0  # the factor adds no jitter; kept for reports
         self.quad_rel_change = None  # Volterra: relative change on doubling the order
         self._chol = None
-        self._R = None
+        self._R = R
         self._build = build
         self._circulant = circulant
         self.threads = threads
-        if R is not None and build is None:
-            self._build = self._symmetric(R).copy
-        else:
-            self._R = R
 
     @property
     def R(self) -> np.ndarray:
         if self._R is None:
             self._R = self._build()
         return self._R
-
-    def _symmetric(self, value) -> np.ndarray:
-        R = np.asarray(value, dtype=float)
-        if R.shape != (self.n, self.n):
-            raise ValueError("covariance shape does not match grid")
-        b = _CHOL_BLOCK  # each tile against its mirror tile: in cache, no n x n temporary
-        if not all(np.array_equal(R[i : i + b, j : j + b], R[j : j + b, i : i + b].T)
-                   for i in range(0, self.n, b) for j in range(i, self.n, b)):
-            R = 0.5 * (R + R.T)
-        return R
 
     @property
     def n(self) -> int:

@@ -7,7 +7,7 @@ compares p_hat against a capacity term (lower bound) and a Hausdorff
 content term (upper bound) of the product set E x F in the metric
 rho = max(delta, Euclidean), with instances near the critical product
 dimension d excluded as uninformative.  Both terms read one product
-sample of E x F: the same atoms, AtomRows, diameter and resolution floor.
+sample of E x F: the same AtomRows, diameter and resolution floor.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .dimension import dim_rho_product
 from .energy import capacity_estimate
 from .fractal_sets import OutOfModelError, Target, TimeSet, core_sq_distance
 from .gp_sim import CovMatrix, sample_paths
-from .metrics import ProductAtoms, StationaryGamma
+from .metrics import AtomRows, delta
 
 __all__ = [
     "OutOfModelError",
@@ -242,16 +242,14 @@ def _add_sandwich_terms(rep: HitProbReport, scale, times, inst: HitInstance, d: 
     # both terms.  Below the sampling pitch of either factor the product
     # atoms are isolated and capacity/content see only discreteness
     # artifacts; the closest pair of sampled times sets the time pitch.
-    metric = StationaryGamma(scale)
     k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
-    floor = max(metric.delta(t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
-    atoms = ProductAtoms(t_sub, f_pts)
-    rows = metric.rows(atoms)
+    floor = max(delta(scale, t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
+    rows = AtomRows(scale, t_sub, f_pts)
     diam = rows.diameter()
     resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
     if len(resolutions) < 2:
         resolutions = [diam / 2.0, diam / 4.0]
-    cap = capacity_estimate(atoms, rows, beta=float(d), resolutions=resolutions)
+    cap = capacity_estimate(rows, beta=float(d), resolutions=resolutions)
     rep.capacity_term = cap.capacity_value
     rep.capacity_verdict = cap.verdict
     rep.extras.update(
@@ -260,9 +258,7 @@ def _add_sandwich_terms(rep: HitProbReport, scale, times, inst: HitInstance, d: 
         capacity_iterations=cap.iterations,
         capacity_n_atoms=cap.n_atoms,
     )
-    rep.content_term = hausdorff_content_estimate(
-        atoms, rows, s_exponent=float(d), diam=diam, r_floor=floor
-    )
+    rep.content_term = hausdorff_content_estimate(rows, s_exponent=float(d), r_floor=floor)
     rep.dim_rho_est = dim_rho_product(inst.E, inst.F, scale).value
 
 
@@ -294,7 +290,7 @@ def small_ball_sweep(cov: CovMatrix, t0: float, radii, z, d: int, n_paths: int, 
     Reference values r^d and (r + f(r))^d are attached (f is the
     entropy-integral majorant).
     """
-    dvec = np.asarray(StationaryGamma(scale).delta(t0, cov.grid))
+    dvec = np.asarray(delta(scale, t0, cov.grid))
     z = np.asarray(z, dtype=float).ravel()
     point = Target([{"type": "box", "lo": z, "hi": z}])
     balls = [np.flatnonzero(dvec <= r) for r in radii]
@@ -327,13 +323,12 @@ def small_ball_sweep(cov: CovMatrix, t0: float, radii, z, d: int, n_paths: int, 
 
 
 def hausdorff_content_estimate(
-    atoms, rows, s_exponent: float, diam: float, r_floor: float = 0.0, menu_depth: int = 8
+    rows, s_exponent: float, r_floor: float = 0.0, menu_depth: int = 8
 ) -> float:
-    """Greedy multi-scale cover of the atoms by rho-balls; returns sum (2r)^s.
+    """Greedy multi-scale cover of an AtomRows atom set by rho-balls; returns sum (2r)^s.
 
-    ``rows`` are the atoms' StationaryGamma.rows and ``diam`` their
-    rows.diameter().  Centers are taken at the first uncovered atom; the
-    radius comes from a dyadic menu below diam, choosing the smallest
+    Centers are taken at the first uncovered atom; the radius comes from
+    a dyadic menu below diam = rows.diameter(), choosing the smallest
     marginal (2r)^s per newly covered atom.  Any greedy cover
     upper-bounds the content, so the returned value is the minimum over
     nested menu truncations, which also makes menu refinement monotone by
@@ -344,13 +339,13 @@ def hausdorff_content_estimate(
     content vanishes no matter what the underlying set is.  A menu radius
     whose (2r)^s is not a finite float raises OutOfModelError.
     """
-    best = math.inf
+    diam, best = rows.diameter(), math.inf
     for depth in range(1, menu_depth + 1):
         menu = [diam / 2.0**j for j in range(depth + 1)]
         menu = [r for r in menu if r >= r_floor] or [max(diam, r_floor)]
         sizes = [_ball_content(r, s_exponent) for r in menu]
         total = 0.0
-        covered = np.zeros(len(atoms), dtype=bool)
+        covered = np.zeros(len(rows), dtype=bool)
         while not covered.all() and total < best:
             rho = rows(int(np.argmin(covered)), slice(None))
             # the center's own row holds it at rho = 0, so every radius

@@ -5,8 +5,8 @@ delta*(s, t) = gamma(|t - s|), used for set geometry, and the
 covariance-derived delta(s, t) = sqrt(R(t,t) + R(s,s) - 2 R(s,t)) of a
 simulated process.  The product metric on time x space is
 rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||), evaluated only by
-AtomRows over factored ProductAtoms: distance rows, distance blocks and
-the diameter.
+AtomRows, the one handle for an atom set (times, or times x points held
+factored): distance rows, distance blocks and the diameter.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "StationaryGamma",
-    "ProductAtoms",
+    "delta",
+    "delta_matrix",
+    "AtomRows",
     "covariance_delta_matrix",
     "CommensurabilityReport",
     "commensurability_report",
@@ -28,78 +29,54 @@ _NEG_VAR_TOL = 1e-10
 _BLOCK_ROWS = 64  # rows of a distance block filled per step
 
 
-class StationaryGamma:
+def delta(scale, s, t):
     """delta*(s, t) = gamma(|t - s|), the one place that evaluates it.
 
-    ``rows`` gives the AtomRows of a fixed atom set.  E is validated to
-    lie in [0, x_max] (fractal_sets.TimeSet), so |t - s| never leaves the
-    scale's domain and is not clipped.
+    E is validated to lie in [0, x_max] (fractal_sets.TimeSet), so
+    |t - s| never leaves the scale's domain and is not clipped.
     """
-
-    def __init__(self, scale):
-        self.scale = scale
-
-    def delta(self, s, t):
-        return self.scale.gamma(np.abs(np.asarray(t, dtype=float) - s))
-
-    def delta_matrix(self, times):
-        times = np.asarray(times, dtype=float)
-        return self.delta(times[:, None], times[None, :])
-
-    def rows(self, atoms) -> AtomRows:
-        """Distance rows over ``atoms``: delta* for (m,) times, rho for ProductAtoms."""
-        return AtomRows(self, atoms)
+    return scale.gamma(np.abs(np.asarray(t, dtype=float) - s))
 
 
-@dataclass(frozen=True, eq=False)
-class ProductAtoms:
-    """Every pair (t, x) of n_t times and n_f points of R^d, held factored.
-
-    Atom j is (times[j // n_f], points[j % n_f]).  Since
-    rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||), a distance row
-    needs n_t values of gamma and n_f norms, not m of each.
-    """
-
-    times: np.ndarray
-    points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float).ravel())
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
-
-    def __len__(self) -> int:
-        return self.times.size * len(self.points)
+def delta_matrix(scale, times) -> np.ndarray:
+    """delta* over every (row, column) pair of ``times``."""
+    times = np.asarray(times, dtype=float)
+    return delta(scale, times[:, None], times[None, :])
 
 
 class AtomRows:
-    """metric(i, idx): distances from atom i to atoms idx; block(idx): among atoms idx.
+    """One atom set and its metric: (m,) times, or every pair of n_t times and n_f points.
 
-    The one evaluation of rho, and of delta* between atoms.  ``idx`` is
-    any index of a 1-D array; ``slice(None)`` reads a whole row without a
-    copy.  Each element is max(gamma(|t - s|), ||x - y||) for its pair,
-    from StationaryGamma.delta and one norm reduction over the spatial
-    axis; times-only atoms keep the bare gamma row.
+    Product atom j is (times[j // n_f], points[j % n_f]), held factored:
+    since rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||), a distance
+    row needs n_t values of gamma and n_f norms, not m of each.  ``len()``
+    is the count, n_t or n_t * n_f.  ``rows(i, idx)`` gives the distances
+    from atom i to atoms idx (any index of a 1-D array; ``slice(None)``
+    reads a whole row without a copy), ``block(idx)`` those among atoms
+    idx and ``diameter()`` a bound on them all: the one evaluation of
+    rho, and of delta* between atoms.
     """
 
-    def __init__(self, model: StationaryGamma, atoms):
-        self.model = model
-        if isinstance(atoms, ProductAtoms):
-            self.times, self.points = atoms.times, atoms.points
-        else:
-            self.times, self.points = np.asarray(atoms, dtype=float), None
-            if self.times.ndim != 1:
-                raise ValueError("atoms must be (m,) times or ProductAtoms")
+    def __init__(self, scale, times, points=None):
+        self.scale = scale
+        self.times = np.asarray(times, dtype=float)
+        if self.times.ndim != 1:
+            raise ValueError("atom times must be 1-D; product atoms take their points apart")
+        self.points = None if points is None else np.atleast_2d(np.asarray(points, dtype=float))
+
+    def __len__(self) -> int:
+        return self.times.size * (1 if self.points is None else len(self.points))
 
     def __call__(self, i, idx) -> np.ndarray:
         if self.points is None:
-            return self.model.delta(self.times[i], self.times[idx])
+            return delta(self.scale, self.times[i], self.times[idx])
         ta, fb = divmod(int(i), len(self.points))
-        g = self.model.delta(self.times[ta], self.times)
+        g = delta(self.scale, self.times[ta], self.times)
         norms = np.linalg.norm(self.points - self.points[fb], axis=-1)
         return np.maximum.outer(g, norms).ravel()[idx]
 
     def block(self, idx) -> np.ndarray:
-        """The (k, k) distance matrix among atoms[idx], row a = metric(idx[a], idx).
+        """The (k, k) distance matrix among atoms idx, row a = self(idx[a], idx).
 
         Product atoms take one gamma table over the distinct times of idx
         and one norm table over its distinct points, gathered by np.ix_.
@@ -118,15 +95,15 @@ class AtomRows:
             ti, fi = np.divmod(idx, len(self.points))
             ut, t_of = np.unique(ti, return_inverse=True)
             uf, f_of = np.unique(fi, return_inverse=True)
-            g = self.model.delta_matrix(self.times[ut])
+            g = delta_matrix(self.scale, self.times[ut])
             p = self.points[uf]
             norms = np.linalg.norm(p[None, :, :] - p[:, None, :], axis=-1)
         for a in range(0, idx.size, _BLOCK_ROWS):
             rows, b = slice(a, a + _BLOCK_ROWS), a + _BLOCK_ROWS
             upper = out[rows, a:]
             if self.points is None:
-                upper[:, :_BLOCK_ROWS] = self.model.delta(t[rows, None], t[rows])
-                upper[:, _BLOCK_ROWS:] = self.model.delta(t[rows, None], t[b:])
+                upper[:, :_BLOCK_ROWS] = delta(self.scale, t[rows, None], t[rows])
+                upper[:, _BLOCK_ROWS:] = delta(self.scale, t[rows, None], t[b:])
             else:
                 np.maximum(g[np.ix_(t_of[rows], t_of[a:])], norms[np.ix_(f_of[rows], f_of[a:])],
                            out=upper)
@@ -140,7 +117,7 @@ class AtomRows:
         extent, so this bounds every pairwise distance, and equals the
         largest one when both corners are atoms.
         """
-        span = self.model.delta(self.times.min(), self.times.max())
+        span = delta(self.scale, self.times.min(), self.times.max())
         if self.points is not None:
             span = max(span, np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
         return max(float(span), 1e-12)
@@ -181,7 +158,7 @@ def commensurability_report(cov, scale) -> CommensurabilityReport:
     """Ratio delta(s,t) / gamma(|t-s|) over all distinct grid pairs."""
     grid = cov.grid
     dm = covariance_delta_matrix(cov)
-    gm = StationaryGamma(scale).delta_matrix(grid)
+    gm = delta_matrix(scale, grid)
     iu = np.triu_indices(grid.size, k=1)
     ratios = dm[iu] / gm[iu]
     rmin = float(np.min(ratios))

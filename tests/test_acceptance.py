@@ -34,7 +34,7 @@ from gpfractal.hitting import (
     sandwich_report,
     small_ball_sweep,
 )
-from gpfractal.metrics import StationaryGamma, commensurability_report
+from gpfractal.metrics import AtomRows, commensurability_report
 from gpfractal.scale import ExpLogScale, LogScale, PowerLogScale, PowerScale
 
 
@@ -191,11 +191,11 @@ def test_criterion_6_energy_capacity_oracle(rng):
 
     f = PowerScale(0.5)
     atoms = np.linspace(0.2, 1.0, 3000)
-    metric = StationaryGamma(f).rows(atoms)
+    metric = AtomRows(f, atoms)
     diam = f.gamma(0.8)
     res = [diam / 2**j for j in range(1, 7)]
-    low = capacity_estimate(atoms, metric, beta=1.5, resolutions=res)
-    high = capacity_estimate(atoms, metric, beta=2.5, resolutions=res)
+    low = capacity_estimate(metric, beta=1.5, resolutions=res)
+    high = capacity_estimate(metric, beta=2.5, resolutions=res)
     verdict_ok = low.verdict == "positive" and high.verdict == "zero"
     _report(
         "criterion 6 (energy/capacity oracle)",

@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpfractal
@@ -116,3 +118,22 @@ def test_tracer_installs_runs_and_uninstalls(tracing, tmp_path):
                for name in ("capacity", "product")]
     assert len(finals) == tracer.calls["energy.farthest_point_subsample"] == 9
     assert tracer.counts["energy.farthest_point_subsample.metric_calls"] == sum(finals)
+
+
+def test_names_the_tracer_binds():
+    """The parameters and attributes bench/tracing.py binds by name on calls
+    the tracer test above does not reach: the Cholesky factor, the path
+    writers and the energy layer."""
+    from gpfractal import energy, gp_sim
+    from gpfractal.scale import PowerScale
+
+    for fn, names in ((gp_sim.PathBatch.to_binary, {"path"}),
+                      (gp_sim.PathBatch.to_csv, {"path"}),
+                      (gp_sim.CovMatrix.cholesky, {"self"}),
+                      (energy.farthest_point_subsample, {"metric"}),
+                      (energy.minimize_energy, {"trace", "tol"})):
+        assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
+    # a non-uniform grid takes the Cholesky sampler, whose hook reads these
+    cov = gp_sim.cov_stationary_increments(PowerScale(0.5), np.geomspace(0.05, 1.0, 40))
+    assert cov.sampler == "cholesky"
+    assert cov.cholesky() is cov._chol and cov.jitter_used == 0.0

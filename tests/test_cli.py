@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gpfractal
+from gpfractal import cli
 from gpfractal.cli import EXIT_CONFIG, EXIT_OK, main
 from gpfractal.fractal_sets import build_cantor
 from gpfractal.scale import LogScale
@@ -701,7 +702,7 @@ def test_invalid_config_exits_2_at_parse_time(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("case", ["config_directory", "config_not_utf8", "out_under_a_file"])
-def test_unreadable_config_or_out_exits_2(tmp_path, capsys, case):
+def test_unreadable_config_or_out_exits_2(tmp_path, capsys, monkeypatch, case):
     config = _write_config(tmp_path, {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 4})
     out, flag = tmp_path / "out", "--config"
     if case == "config_directory":
@@ -710,6 +711,12 @@ def test_unreadable_config_or_out_exits_2(tmp_path, capsys, case):
         Path(config).write_bytes(b'{"gamma": "power:H=0.5", "zeta": 0.5, "depth": 4, "\xff": 1}')
     else:
         out, flag = Path(config) / "out", "--out"
+
+        def refuse(*args):
+            raise AssertionError("the command ran with an --out that cannot be made")
+
+        # the --out check comes before the work
+        monkeypatch.setitem(cli._COMMANDS, "cantor", refuse)
     assert main(["cantor", "--config", config, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config field '{flag}'") and "Traceback" not in err

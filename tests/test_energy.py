@@ -21,7 +21,7 @@ from gpfractal.energy import (
     minimize_energy,
 )
 from gpfractal.fractal_sets import OutOfModelError, build_cantor
-from gpfractal.metrics import ProductAtoms, StationaryGamma
+from gpfractal.metrics import AtomRows, delta
 from gpfractal.scale import PowerScale, phi_kernel
 
 
@@ -241,9 +241,9 @@ class TestMatchesGradientLoopBitwise:
         # the finest kernel of the default sweep on 3000 atoms of [0.2, 1]
         # (power:H=0.5, beta = 1.5): after 2000 steps 10 atoms are empty
         times = np.linspace(0.2, 1.0, 3000)
-        model = StationaryGamma(PowerScale(0.5))
-        K = model.rows(times).block(np.arange(3000))
-        kernel_matrix(K, beta=1.5, h=float(model.delta(0.2, 1.0)) / 64, out=K)
+        f = PowerScale(0.5)
+        K = AtomRows(f, times).block(np.arange(3000))
+        kernel_matrix(K, beta=1.5, h=float(delta(f, 0.2, 1.0)) / 64, out=K)
         moves = []
         (w_ref, _, _), (w, _, _), _, trace = _run_both(K, 1e-5, 2_000, moves)
         assert w.tobytes() == w_ref.tobytes()
@@ -279,11 +279,9 @@ class TestMatchesGradientLoopBitwise:
 class TestCapacity:
     def test_resolution_monotonicity(self, rng):
         atoms = np.sort(rng.uniform(0.2, 1.0, size=400))
-        metric = StationaryGamma(PowerScale(0.5)).rows(atoms)
+        metric = AtomRows(PowerScale(0.5), atoms)
         diam = PowerScale(0.5).gamma(0.8)
-        rep = capacity_estimate(
-            atoms, metric, beta=1.5, resolutions=[diam / 2**j for j in range(1, 6)]
-        )
+        rep = capacity_estimate(metric, beta=1.5, resolutions=[diam / 2**j for j in range(1, 6)])
         assert all(a <= b + 1e-12 for a, b in zip(rep.e_min, rep.e_min[1:]))
 
     def test_verdicts_across_critical_order(self):
@@ -291,22 +289,20 @@ class TestCapacity:
         # beta above is zero
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 3000)
-        metric = StationaryGamma(f).rows(atoms)
+        metric = AtomRows(f, atoms)
         diam = f.gamma(0.8)
         res = [diam / 2**j for j in range(1, 7)]
-        low = capacity_estimate(atoms, metric, beta=1.5, resolutions=res)
-        high = capacity_estimate(atoms, metric, beta=2.5, resolutions=res)
+        low = capacity_estimate(metric, beta=1.5, resolutions=res)
+        high = capacity_estimate(metric, beta=2.5, resolutions=res)
         assert low.verdict == "positive" and low.extrapolated > 0
         assert high.verdict == "zero" and high.capacity_value == 0.0
 
     def test_saturated_sweep_is_truncated(self):
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 40)  # deliberately coarse
-        metric = StationaryGamma(f).rows(atoms)
+        metric = AtomRows(f, atoms)
         diam = f.gamma(0.8)
-        rep = capacity_estimate(
-            atoms, metric, beta=1.0, resolutions=[diam / 2**j for j in range(1, 10)]
-        )
+        rep = capacity_estimate(metric, beta=1.0, resolutions=[diam / 2**j for j in range(1, 10)])
         assert len(rep.resolutions) < 9
 
     @pytest.mark.parametrize(
@@ -316,14 +312,30 @@ class TestCapacity:
     )
     def test_resolutions_the_solver_cannot_carry(self, resolutions, message):
         atoms = np.linspace(0.2, 1.0, 64)
-        metric = StationaryGamma(PowerScale(0.5)).rows(atoms)
+        metric = AtomRows(PowerScale(0.5), atoms)
         with pytest.raises(OutOfModelError, match=message):
-            capacity_estimate(atoms, metric, beta=1.5, resolutions=resolutions)
+            capacity_estimate(metric, beta=1.5, resolutions=resolutions)
+
+    def test_atom_cap_on_product_atoms(self, monkeypatch):
+        # 101 times x 100 points: 10,100 atoms, refused before any row is read
+        f = PowerScale(0.5)
+        times = np.linspace(0.2, 1.0, 101)
+        rows = AtomRows(f, times, np.linspace(0.0, 1.0, 100)[:, None])
+        assert len(AtomRows(f, times)) == 101
+        assert len(rows) == 10_100 > energy._MAX_ATOMS
+
+        def refuse(*args):
+            raise AssertionError("a row was read")
+
+        monkeypatch.setattr(AtomRows, "__call__", refuse)
+        monkeypatch.setattr(AtomRows, "block", refuse)
+        with pytest.raises(OutOfModelError, match="atom count 10100 exceeds cap 10000"):
+            capacity_estimate(rows, beta=1.5, resolutions=[0.5, 0.25])
 
     def test_subsample_spacing(self, rng):
         atoms = np.sort(rng.uniform(0.0, 1.0, size=500))
-        metric = StationaryGamma(PowerScale(1.0)).rows(atoms)
-        order, radii = farthest_point_subsample(atoms, metric, spacing=0.05)
+        metric = AtomRows(PowerScale(1.0), atoms)
+        order, radii = farthest_point_subsample(len(atoms), metric, spacing=0.05)
         assert radii[0] == np.inf and np.all(np.diff(radii) <= 0)
         assert np.all(radii[1:] > 0.05)
         sub = atoms[order]
@@ -340,11 +352,11 @@ class TestCapacity:
         monkeypatch.setattr(energy, "farthest_point_subsample", counted)
         f = PowerScale(0.5)
         atoms = np.linspace(0.2, 1.0, 200)
-        metric = StationaryGamma(f).rows(atoms)
-        _, radii = farthest_point_subsample(atoms, metric, spacing=0.0)
+        metric = AtomRows(f, atoms)
+        _, radii = farthest_point_subsample(len(atoms), metric, spacing=0.0)
         # resolutions at insertion radii, where an atom sits exactly at h
         res = [radii[j] for j in (3, 9, 27, 81)]
-        rep = capacity_estimate(atoms, metric, beta=1.5, resolutions=res)
+        rep = capacity_estimate(metric, beta=1.5, resolutions=res)
         assert calls == [min(res)]
         dist = np.array([metric(i, np.arange(200)) for i in range(200)])
         assert rep.n_atoms == [len(_greedy_selection(dist, h)) for h in rep.resolutions]
@@ -367,8 +379,7 @@ def _greedy_selection(dist, spacing):
 
 def _interval_atoms():
     f = PowerScale(0.5)
-    atoms = np.linspace(0.2, 1.0, 200)
-    return atoms, StationaryGamma(f).rows(atoms), f.gamma(0.8)
+    return AtomRows(f, np.linspace(0.2, 1.0, 200)), f.gamma(0.8)
 
 
 def _cantor_box_atoms():
@@ -377,19 +388,18 @@ def _cantor_box_atoms():
     times = build_cantor(f, 0.8, depth=3).atoms
     side = np.linspace(0.0, 0.375, 5)
     box = np.array([(x, y) for x in side for y in side])
-    atoms = ProductAtoms(times, box)
-    metric = StationaryGamma(f).rows(atoms)
-    return atoms, metric, float(np.max(metric(0, np.arange(len(atoms)))))
+    metric = AtomRows(f, times, box)
+    return metric, float(np.max(metric(0, np.arange(len(metric)))))
 
 
 @pytest.mark.parametrize("make", [_interval_atoms, _cantor_box_atoms])
 def test_one_pass_prefix_equals_fresh_greedy_run(make):
-    atoms, metric, diam = make()
-    m = len(atoms)
+    metric, diam = make()
+    m = len(metric)
     assert m == 200
     dist = np.array([np.asarray(metric(i, np.arange(m)), dtype=float) for i in range(m)])
     finest = diam / 2**8
-    order, radii = farthest_point_subsample(atoms, metric, spacing=finest)
+    order, radii = farthest_point_subsample(m, metric, spacing=finest)
     # every sweep spacing, and every insertion radius, where ties decide
     spacings = [diam / 2**j for j in range(1, 9)] + sorted(set(radii[1:].tolist()))
     for h in spacings:
@@ -420,12 +430,11 @@ def test_factored_fps_matches_greedy_on_materialized_rho(lattice):
     else:
         points = np.array([(0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 0.1, 0.0),
                            (0.0, 0.0, 0.1), (-0.1, 0.0, 0.0), (0.05, 0.05, 0.05)])
-    model = StationaryGamma(f)
     mat = product_rows(times, points)
     dist = np.array([product_rho(f.gamma, u, mat) for u in mat])
-    atoms = ProductAtoms(times, points)
+    rows = AtomRows(f, times, points)
     for spacing in (0.0, 0.05, 0.2):
-        order, radii = farthest_point_subsample(atoms, model.rows(atoms), spacing=spacing)
+        order, radii = farthest_point_subsample(len(rows), rows, spacing=spacing)
         want_order, want_radii = _greedy_order(dist, spacing)
         assert np.array_equal(order, want_order)
         assert np.array_equal(radii, want_radii)

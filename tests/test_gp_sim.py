@@ -64,7 +64,7 @@ class TestStationaryCov:
     def test_psd_failure_reported(self):
         grid = np.linspace(0.1, 1.0, 4)
         R = -np.eye(4)
-        cov = CovMatrix(grid=grid, R=R, label="bogus")
+        cov = CovMatrix(grid=grid, build=R.copy, label="bogus")
         with pytest.raises(PSDError):
             cov.cholesky()
 
@@ -628,42 +628,6 @@ class TestThreadedBuilds:
         assert extra[3] <= 1.1 * extra[1]
 
 
-class TestSymmetryCheck:
-    """CovMatrix compares R with R^T tile by tile against the mirror tile."""
-
-    def test_asymmetric_entry_in_last_partial_tile(self):
-        n = 300  # tiles of 256 and 44 rows
-        grid = np.geomspace(0.05, 1.0, n)
-        R = gp_sim._stationary_R(PowerScale(0.5), grid)
-        R[270, 290] += 1e-3
-        cov = CovMatrix(grid, R=R)
-        assert np.array_equal(cov.R, 0.5 * (R + R.T))
-
-    def test_symmetric_R_unchanged_without_n_by_n_temporary(self):
-        grid = np.geomspace(0.05, 1.0, 300)
-        R = gp_sim._stationary_R(PowerScale(0.5), grid)
-        cov = CovMatrix(grid, R=R.copy())
-        tracemalloc.start()
-        try:
-            out = cov._symmetric(R)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out is R
-        assert peak < R.nbytes / 2
-
-
-def test_builds_skip_the_symmetry_check(monkeypatch):
-    def refuse(self, value):
-        raise AssertionError("a built R was checked")
-
-    monkeypatch.setattr(CovMatrix, "_symmetric", refuse)
-    grid = np.geomspace(0.05, 1.0, 300)
-    for cov in (cov_stationary_increments(PowerScale(0.5), grid),
-                cov_volterra(PowerScale(0.5), grid[:40])):
-        assert cov.R.shape == (cov.n, cov.n)  # rebuilt after the factor
-
-
 def _serial_factor(R):
     """The blocked factor with one LU solve per panel and no jobs: L in the
     lower triangle, written out as an accuracy baseline."""
@@ -745,7 +709,7 @@ class TestInPlaceFactor:
                              ids=["rank1_4x4", "rank40_300x300"])
     def test_singular_R_raises_and_keeps_bytes(self, R):
         # no jitter is added: a singular R is rejected, and R keeps its bytes
-        cov = CovMatrix(grid=np.linspace(0.1, 1.0, R.shape[0]), R=R.copy())
+        cov = CovMatrix(grid=np.linspace(0.1, 1.0, R.shape[0]), build=R.copy)
         with pytest.raises(PSDError, match="not positive definite"):
             cov.cholesky()
         assert np.array_equal(cov.R, R)
@@ -758,7 +722,7 @@ class TestInPlaceFactor:
         R = np.eye(n)
         R[280, 281] = R[281, 280] = 2.0
         grid = np.linspace(0.1, 1.0, n)
-        cov = CovMatrix(grid=grid, R=R, label="bogus")
+        cov = CovMatrix(grid=grid, build=R.copy, label="bogus")
         with pytest.raises(PSDError, match=rf"bogus: .*n=300.* rows 256\.\.299, "
                                            rf"t in \[{grid[256]:.6g}, 1\]"):
             cov.cholesky()

@@ -22,7 +22,7 @@ from gpfractal.hitting import (
     small_ball_sweep,
     wilson_interval,
 )
-from gpfractal.metrics import ProductAtoms, StationaryGamma
+from gpfractal.metrics import AtomRows
 from gpfractal.scale import LogScale, PowerScale
 
 
@@ -406,10 +406,8 @@ class TestSmallBall:
 
 
 def _content(times, f_pts, s_exponent, scale, menu_depth=8):
-    """hausdorff_content_estimate over times x f_pts, its rows and diameter built here."""
-    atoms = ProductAtoms(times, f_pts)
-    rows = StationaryGamma(scale).rows(atoms)
-    return hausdorff_content_estimate(atoms, rows, s_exponent, rows.diameter(),
+    """hausdorff_content_estimate over the atoms times x f_pts."""
+    return hausdorff_content_estimate(AtomRows(scale, times, f_pts), s_exponent,
                                       menu_depth=menu_depth)
 
 

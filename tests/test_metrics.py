@@ -9,10 +9,11 @@ from oracles import product_rho, product_rows
 from gpfractal.fractal_sets import Target, build_cantor
 from gpfractal.gp_sim import CovMatrix, cov_stationary_increments, cov_volterra
 from gpfractal.metrics import (
-    ProductAtoms,
-    StationaryGamma,
+    AtomRows,
     commensurability_report,
     covariance_delta_matrix,
+    delta,
+    delta_matrix,
 )
 from gpfractal.scale import LogScale, PowerScale, parse_scale_spec
 
@@ -23,16 +24,15 @@ def brownian_cov():
     # make sure the hand-check times are on the grid
     grid = np.unique(np.concatenate([grid, [0.1, 0.35, 0.5]]))
     R = np.minimum.outer(grid, grid)
-    return CovMatrix(grid=grid, R=R, label="brownian")
+    return CovMatrix(grid=grid, build=R.copy, label="brownian")
 
 
 class TestDelta:
     def test_stationary_power(self):
-        model = StationaryGamma(PowerScale(0.5))
-        assert model.delta(0.1, 0.35) == pytest.approx(0.5)
+        assert delta(PowerScale(0.5), 0.1, 0.35) == pytest.approx(0.5)
 
     def test_zero_on_diagonal(self, brownian_cov):
-        assert StationaryGamma(PowerScale(0.5)).delta(0.5, 0.5) == pytest.approx(0.0)
+        assert delta(PowerScale(0.5), 0.5, 0.5) == pytest.approx(0.0)
         assert np.all(np.diag(covariance_delta_matrix(brownian_cov)) == 0.0)
 
     def test_from_covariance_brownian(self, brownian_cov):
@@ -49,17 +49,17 @@ class TestDelta:
         grid = np.linspace(0.1, 1.0, 32)
         cov = cov_stationary_increments(f, grid)
         d1 = covariance_delta_matrix(cov)
-        d2 = StationaryGamma(f).delta_matrix(grid)
+        d2 = delta_matrix(f, grid)
         assert np.max(np.abs(d1 - d2)) <= 1e-10
 
 
 class TestRho:
-    """The product metric as AtomRows reads it off ProductAtoms, against the oracle."""
+    """The product metric as AtomRows reads it off factored atoms, against the oracle."""
 
     def test_coincident(self):
         # two copies of the time 0.3 make atoms 0 and 1 the same point
         f = PowerScale(0.5)
-        metric = StationaryGamma(f).rows(ProductAtoms([0.3, 0.3], [[1.0, 2.0]]))
+        metric = AtomRows(f, [0.3, 0.3], [[1.0, 2.0]])
         assert metric(0, slice(None)).tolist() == [0.0, 0.0]
         assert metric.block([0, 1]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
         mat = product_rows([0.3, 0.3], [[1.0, 2.0]])
@@ -67,14 +67,13 @@ class TestRho:
 
     def test_max_semantics(self):
         f = PowerScale(0.5)
-        model = StationaryGamma(f)
         # atoms 0 = (0.1, 0.0) and 3 = (0.35, 0.2): delta = 0.5, spatial = 0.2
-        metric = model.rows(ProductAtoms([0.1, 0.35], [[0.0], [0.2]]))
+        metric = AtomRows(f, [0.1, 0.35], [[0.0], [0.2]])
         assert metric(0, 3) == pytest.approx(0.5)
         assert metric.block([0, 3])[1, 0] == pytest.approx(0.5)
         # atoms 0 = (0.3, 0.0) and 3 = (0.31, 0.2): delta = 0.1, spatial = 0.2
         times, points = [0.3, 0.31], [[0.0], [0.2]]
-        metric = model.rows(ProductAtoms(times, points))
+        metric = AtomRows(f, times, points)
         assert metric(0, 3) == pytest.approx(0.2)
         mat = product_rows(times, points)
         assert metric(0, 3) == product_rho(f.gamma, mat[0], mat[3])[0]
@@ -82,14 +81,13 @@ class TestRho:
     def test_dimension_mismatch(self):
         # points of different spatial dimension make no product atom set
         with pytest.raises(ValueError):
-            ProductAtoms([0.1, 0.2], [[0.0, 1.0], [0.0]])
+            AtomRows(PowerScale(0.5), [0.1, 0.2], [[0.0, 1.0], [0.0]])
 
     def test_triangle_inequality(self, rng):
         f = PowerScale(0.5)
-        model = StationaryGamma(f)
         for _ in range(300):
             times, points = rng.uniform(0.01, 1.0, size=3), rng.normal(size=(3, 2))
-            D = model.rows(ProductAtoms(times, points)).block(np.arange(9))
+            D = AtomRows(f, times, points).block(np.arange(9))
             mat = product_rows(times, points)
             assert np.array_equal(D, [product_rho(f.gamma, u, mat) for u in mat])
             # D[u, w] <= D[u, v] + D[v, w] over every triple (u, v, w)
@@ -97,19 +95,18 @@ class TestRho:
 
     def test_rows_match_pairs(self, rng):
         f = PowerScale(0.5)
-        model = StationaryGamma(f)
         times, points = rng.uniform(0.01, 1.0, size=8), rng.normal(size=(5, 3))
-        metric = model.rows(ProductAtoms(times, points))
+        metric = AtomRows(f, times, points)
         mat = product_rows(times, points)
         idx = np.arange(0, 40, 3)
         want = [product_rho(f.gamma, mat[5], mat[j])[0] for j in idx]
         assert metric(5, idx) == pytest.approx(want, rel=1e-15)
         times = mat[:, 0]
-        assert np.array_equal(model.rows(times)(5, idx), model.delta(times[5], times[idx]))
+        assert np.array_equal(AtomRows(f, times)(5, idx), delta(f, times[5], times[idx]))
 
     def test_rows_reject_materialized_product_arrays(self, rng):
-        with pytest.raises(ValueError, match="ProductAtoms"):
-            StationaryGamma(PowerScale(0.5)).rows(rng.normal(size=(10, 3)))
+        with pytest.raises(ValueError, match="1-D"):
+            AtomRows(PowerScale(0.5), rng.normal(size=(10, 3)))
 
 
 def _product_cases():
@@ -132,10 +129,9 @@ class TestFactoredRows:
     @pytest.mark.parametrize("case", list(_product_cases()))
     def test_product_rows_and_blocks_bit_identical(self, case, rng):
         f, times, points = _product_cases()[case]
-        atoms = ProductAtoms(times, points)
+        metric = AtomRows(f, times, points)
         mat = product_rows(times, points)
-        assert len(atoms) == len(mat)
-        metric = StationaryGamma(f).rows(atoms)
+        assert len(metric) == len(mat)
         # 150 atoms: two full strips of the block and a partial one
         idx = np.sort(rng.choice(len(mat), size=min(150, len(mat)), replace=False))
         for i in rng.choice(len(mat), size=12, replace=False):
@@ -145,13 +141,13 @@ class TestFactoredRows:
         assert metric.block(idx).tobytes() == want.tobytes()
 
     def test_time_rows_and_blocks_bit_identical(self, rng):
-        model = StationaryGamma(PowerScale(0.3))
+        f = PowerScale(0.3)
         times = np.sort(rng.uniform(0.1, 1.0, size=300))
-        metric = model.rows(times)
+        metric = AtomRows(f, times)
         idx = np.sort(rng.choice(300, size=50, replace=False))
         for i in (0, 17, 299):
-            assert np.array_equal(metric(i, slice(None)), model.delta(times[i], times))
-        want = np.array([model.delta(times[a], times[idx]) for a in idx])
+            assert np.array_equal(metric(i, slice(None)), delta(f, times[i], times))
+        want = np.array([delta(f, times[a], times[idx]) for a in idx])
         assert np.array_equal(metric.block(idx), want)
 
     @pytest.mark.parametrize("spec, k", [
@@ -161,18 +157,17 @@ class TestFactoredRows:
     def test_time_block_is_the_full_delta_matrix(self, spec, k):
         # each strip is filled right of the diagonal and mirrored: the block
         # must equal delta over every (row, column) pair, bit for bit
-        model = StationaryGamma(parse_scale_spec(spec))
+        f = parse_scale_spec(spec)
         rng = np.random.default_rng(k)
         times = np.sort(rng.uniform(0.01, 0.45, size=k + 5))
         idx = np.sort(rng.choice(k + 5, size=k, replace=False))
-        block = model.rows(times).block(idx)
-        assert block.tobytes() == model.delta_matrix(times[idx]).tobytes()
+        block = AtomRows(f, times).block(idx)
+        assert block.tobytes() == delta_matrix(f, times[idx]).tobytes()
         assert np.array_equal(block, block.T)
 
     def test_block_reads_one_gamma_table_per_block(self, monkeypatch):
         f = PowerScale(0.5)
-        atoms = ProductAtoms(np.linspace(0.2, 1.0, 30), np.linspace(0.0, 1.0, 7)[:, None])
-        metric = StationaryGamma(f).rows(atoms)
+        metric = AtomRows(f, np.linspace(0.2, 1.0, 30), np.linspace(0.0, 1.0, 7)[:, None])
         sizes = []
         gamma = f.gamma
         monkeypatch.setattr(f, "gamma", lambda r: sizes.append(np.size(r)) or gamma(r))
@@ -192,27 +187,26 @@ class TestDiameter:
 
     def test_equals_largest_pair_when_corners_are_atoms(self):
         f, times, points = _product_cases()["interval x box lattice"]
-        diam = StationaryGamma(f).rows(ProductAtoms(times, points)).diameter()
+        diam = AtomRows(f, times, points).diameter()
         assert diam == self._largest_pair(f, times, points)
 
     def test_bounds_every_pair_on_a_ball_lattice(self):
         f, times, points = _product_cases()["interval x ball lattice"]
-        diam = StationaryGamma(f).rows(ProductAtoms(times, points)).diameter()
+        diam = AtomRows(f, times, points).diameter()
         assert diam >= self._largest_pair(f, times, points)
 
     def test_single_atom_is_floored(self):
-        metric = StationaryGamma(PowerScale(0.5)).rows(ProductAtoms([0.5], [[0.0, 0.0]]))
+        metric = AtomRows(PowerScale(0.5), [0.5], [[0.0, 0.0]])
         assert metric.diameter() == 1e-12
 
 
 class TestTriangleInequalityDelta:
     def test_concave_gamma_subadditive_metric(self, concave_registry, rng):
         for f in concave_registry:
-            model = StationaryGamma(f)
             ts = rng.uniform(1e-6, f.x_conc / 2 if f.x_conc else f.x_max / 2, size=(1000, 3))
-            d_su = model.delta(ts[:, 0], ts[:, 2])
-            d_st = model.delta(ts[:, 0], ts[:, 1])
-            d_tu = model.delta(ts[:, 1], ts[:, 2])
+            d_su = delta(f, ts[:, 0], ts[:, 2])
+            d_st = delta(f, ts[:, 0], ts[:, 1])
+            d_tu = delta(f, ts[:, 1], ts[:, 2])
             assert np.all(d_su <= d_st + d_tu + 1e-12), f.name
 
 

@@ -18,9 +18,10 @@ calls of ``bench/workloads.build(workload, 1)`` from this checkout, each
 path-sampling call once more at ``--threads 2`` (the ``_threads2`` rows), and
 ``criterion5`` writes the p_hat lists of acceptance criterion 5's two
 small-ball sweeps.  ``run`` first writes the files of ``FILES`` into its
-work directory, and ``$WORK`` in a config stands for that directory; a
-payload that names that directory is hashed with ``$WORK`` in its place,
-so runs into different ``--work`` directories compare equal.
+work directory, and ``$WORK`` in a config or an extra CLI argument stands
+for that directory; a payload that names that directory is hashed with
+``$WORK`` in its place, so runs into different ``--work`` directories
+compare equal.
 ``compare`` prints a Markdown table, one line per row, and exits 1 when
 any row differs.
 """
@@ -280,6 +281,8 @@ ROWS = [
     ("rej_hit_flat_box", "hit", {**HIT, "grid": {"a": 0.2, "b": 1.0, "n": 64}, "tol": 2.0,
                                  "F": [{"type": "box", "lo": [0.2, 0.0], "hi": [0.5, 0.0]}]},
      []),
+    # --out under a regular file: refused before the sweep, nothing written
+    ("rej_out_under_file", "capacity", CAPACITY, ["--out", "$WORK/power_knots.csv/out"]),
     # a 196.6 GB paths.bin; run the parent of this row under a file-size limit
     ("rej_simulate_bytes", "simulate", {**SIM, "grid": {"a": 0.2, "b": 1.0, "n": 8192}, "d": 3,
                                         "n_paths": 10**6}, []),
@@ -408,6 +411,7 @@ def run(args) -> int:
                     path = work / f"{name}.json"
                     path.parent.mkdir(parents=True, exist_ok=True)
                     path.write_text(json.dumps(cfg).replace("$WORK", str(work)))
+                    extra = [a.replace("$WORK", str(work)) for a in extra]
                     code = main([command, "--config", str(path), "--out", str(out), *extra])
             result = str(code)
         except Exception as exc:  # the parent of a fix may crash
