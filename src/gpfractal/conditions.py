@@ -10,11 +10,12 @@ thresholds, never limit claims.  Two scales defeat any float64 grid,
 though: ratios in the logarithmic and exp-log families drift like
 powers of log log, far below the trend thresholds, while their limits
 are provably infinite.  For those regimes the checkers consult two
-analytic certificates evaluated from the family closed forms in
-u = log(1/r) space: the elasticity criterion psi(r) sqrt(log(1/r)) -> 0
-(which forces I/gamma -> inf), and the Laplace surrogate
-I/gamma ~ sqrt(pi / psi(r)) for the weak condition.  Overrides are
-recorded on the verdict.
+analytic certificates evaluated from log gamma and psi as functions of
+u = log(1/r), which every scale provides, a knot table included: the
+elasticity criterion psi(r) sqrt(log(1/r)) -> 0 (which forces
+I/gamma -> inf), and the Laplace surrogate I/gamma ~ sqrt(pi / psi(r))
+for the weak condition.  Overrides are recorded on the verdict.  I
+itself is integrated in u too, so every scale takes one path.
 
 The adaptive quadrature uses two Gauss-Legendre rules, of order 16 and
 32.  Each is built once per process, on first use (never at import), and
@@ -104,11 +105,9 @@ def _adaptive_window(f, lo, hi, tol_abs, depth=0):
 def _integral_I_u(f: ScaleFunction, u0: float, gamma_x: float, tol: float) -> float:
     """Core of integral_I in the variable u = log(1/r).
 
-    I = int_{log 2}^inf g(u0 + z) z^{-1/2} dz where g(u) = gamma(e^{-u}).
-    Built-in families evaluate g through their closed form in u, which
-    never underflows; table-backed scales fall back to direct gamma
-    evaluation (and are declared non-convergent if the tail is still
-    alive when the argument leaves the representable range).
+    I = int_{log 2}^inf g(u0 + z) z^{-1/2} dz where g(u) = gamma(e^{-u}),
+    evaluated as exp(log_gamma_u(u)), so the argument e^{-u} is never
+    formed and never underflows.
 
     Integrates on doubling windows [Z, 2Z] with adaptive Gauss-Legendre
     panels.  A stop needs two certificates: window contributions
@@ -117,21 +116,8 @@ def _integral_I_u(f: ScaleFunction, u0: float, gamma_x: float, tol: float) -> fl
     gamma(x e^{-Z}) <= tol * gamma(x) / sqrt(Z), which guards against a
     spurious collapse of the contributions.
     """
-    try:
-        f.log_gamma_u(u0 + 1.0)
-
-        def g_of(z):
-            return np.exp(f.log_gamma_u(u0 + z))
-
-    except NotImplementedError:
-        x = math.exp(-u0)
-        # keep x e^{-z} just above the subnormal floor; a tail still alive
-        # at the clamp never passes the level certificate, so the loop
-        # reports non-convergence instead of silently truncating
-        z_clamp = 741.0 - u0
-
-        def g_of(z):
-            return f.gamma(x * np.exp(-np.minimum(z, z_clamp)))
+    def g_of(z):
+        return np.exp(f.log_gamma_u(u0 + z))
 
     def integrand(z):
         return g_of(z) / np.sqrt(z)
@@ -234,21 +220,13 @@ def psi_sqrtlog_criterion(f: ScaleFunction) -> ConditionVerdict:
     0.05" is kept as a secondary rule.  A float64 r-grid cannot reach the
     0.05 level for some families whose limit is provably 0 (exp-log with
     small alpha approaches it like u^{alpha - 1/2}), hence the slope
-    rule; built-in families evaluate psi through closed forms in u, so
-    their grid runs down to 1e-250 exactly.  Table-backed scales use the
-    trend checks' grid.
+    rule.  psi is read off psi_u, so for every scale the grid of 40
+    log-spaced r runs from 1e-2 down to 1e-250; a knot table's psi below
+    its first knot is its first segment's slope.
     """
-    try:
-        f.psi_u(10.0)
-        r_grid = list(np.geomspace(1e-2, 1e-250, 40))
-    except NotImplementedError:
-        r_grid = _X_GRID
-    r = np.asarray(sorted(r_grid, reverse=True), dtype=float)
+    r = np.geomspace(1e-2, 1e-250, 40)
     u = np.log(1.0 / r)
-    try:
-        psi = np.asarray(f.psi_u(u), dtype=float)
-    except NotImplementedError:
-        psi = np.array([f.psi(float(t)) for t in r])
+    psi = np.asarray(f.psi_u(u), dtype=float)
     vals = psi * np.sqrt(u)
     slope, _ = _fit_slope(np.log(u), np.log(np.maximum(vals, 1e-300)))
     decreasing = vals[-1] < vals[0]
@@ -276,15 +254,12 @@ def _weak_surrogate_diverges(f: ScaleFunction, eps: float):
     Uses I/gamma ~ sqrt(pi / psi) (exact direction for every built-in
     family), i.e. checks whether
     D(u) = eps * log gamma + (1/2) log(1/psi) tends to +inf along
-    u = 1e2 .. 1e8.  Returns True/False, or None when the family exposes
-    no closed forms (table-backed scales).
+    u = 1e2 .. 1e8.  Returns True/False, or None when psi is not positive
+    there or D has no clear trend.
     """
-    try:
-        u = np.geomspace(1e2, 1e8, 13)
-        lg = np.asarray(f.log_gamma_u(u), dtype=float)
-        psi = np.asarray(f.psi_u(u), dtype=float)
-    except NotImplementedError:
-        return None
+    u = np.geomspace(1e2, 1e8, 13)
+    lg = np.asarray(f.log_gamma_u(u), dtype=float)
+    psi = np.asarray(f.psi_u(u), dtype=float)
     if np.any(psi <= 0):
         return None
     D = eps * lg + 0.5 * np.log(1.0 / psi)

@@ -3,12 +3,14 @@
 A scale function gamma is a continuous increasing function on (0, x_max]
 with gamma(0+) = 0.  It drives everything else in the package: the
 canonical metric of the process, the covariance builders, the adapted
-dyadic coverings and the integral conditions.  Each built-in family
-carries closed forms for the derivative and the elasticity
-psi(r) = r * gamma'(r) / gamma(r), because those quantities are needed at
-scales where finite differences underflow.  gamma^{-1} is the family
-closed form where there is one, else a bisection in u = log(1/r) on the
-closed form of log gamma, exact for pre-images far below the float64 range.
+dyadic coverings and the integral conditions.  Every scale answers in
+u = log(1/r): log gamma and the elasticity psi(r) = r * gamma'(r) / gamma(r)
+as functions of u, which stay evaluable where r itself underflows.  The
+built-in families give them in closed form; a knot table is piecewise
+linear in u, so its psi is the slope of the segment that holds r.  The
+derivative is closed form too, never a finite difference.  gamma^{-1} is
+the family closed form where there is one, else a bisection in u on
+log gamma, exact for pre-images far below the float64 range.
 A scale's spec string parses back to the same family, parameters and x_max.
 """
 
@@ -56,12 +58,12 @@ class ScaleFunction:
     """Base class for variance-scale functions.
 
     Instances are immutable after construction and safe to share across
-    threads.  Subclasses implement ``_gamma``, ``_dgamma`` and, when a
-    closed form exists, ``_inverse_closed``; ``_spec`` pairs each spec key
-    with the attribute holding its parameter.
-    ``log_gamma_u``/``psi_u`` expose the same quantities as functions of
-    u = log(1/r), which stays evaluable far beyond the float64 range of r
-    itself; families without closed forms may leave them unimplemented.
+    threads.  Subclasses implement ``_gamma``, ``_dgamma``,
+    ``log_gamma_u``, ``psi_u`` and, when a closed form exists,
+    ``_inverse_closed``; ``_spec`` pairs each spec key with the attribute
+    holding its parameter.  ``log_gamma_u``/``psi_u`` give log gamma and
+    psi as functions of u = log(1/r), which stays evaluable far beyond the
+    float64 range of r itself.
     """
 
     family = "abstract"
@@ -176,14 +178,13 @@ class ScaleFunction:
     def _inverse_closed(self, v: float):
         return None
 
-    # u-space closed forms, u = log(1/r).  Needed by the asymptotic
-    # condition checkers; table-backed scales cannot provide them.
+    # log gamma and psi as functions of u = log(1/r)
 
     def log_gamma_u(self, u):
-        raise NotImplementedError(f"{self.name}: no closed form in u-space")
+        raise NotImplementedError
 
     def psi_u(self, u):
-        raise NotImplementedError(f"{self.name}: no closed form in u-space")
+        raise NotImplementedError
 
     # -- the spec ---------------------------------------------------------
 
@@ -407,16 +408,23 @@ class LogCorrectedScale(ScaleFunction):
 class CustomScale(ScaleFunction):
     """Table-backed scale, log-log linear between knots.
 
-    ``knots`` is a sequence of (r, gamma) pairs, strictly increasing in
-    both coordinates.  Derivatives use central finite differences with
-    step r * 1e-6 and need at least 3 knots within a decade of r.  ``path``
-    is the CSV file the knots came from, if any, and makes the spec.
+    ``knots`` is a sequence of (r, gamma) pairs, finite, positive and
+    strictly increasing in both coordinates.  In u = log(1/r) the table is
+    piecewise linear: log gamma interpolates the knots, with the first
+    segment extended below the first knot so gamma(0+) = 0, and psi is the
+    slope of the segment that holds r.  ``path`` is the CSV file the knots
+    came from, if any, and makes the spec.
     """
 
     family = "custom"
 
     def __init__(self, knots, path=None):
-        pts = sorted((float(r), float(g)) for r, g in knots)
+        pts = [(float(r), float(g)) for r, g in knots]
+        where = "" if path is None else f" {path}"
+        for knot in pts:
+            if not (math.isfinite(knot[0]) and math.isfinite(knot[1])):
+                raise ValueError(f"custom scale{where}: knot {knot} is not finite")
+        pts.sort()
         if len(pts) < 2:
             raise ValueError("custom scale needs at least 2 knots")
         r = np.array([p[0] for p in pts])
@@ -429,6 +437,7 @@ class CustomScale(ScaleFunction):
         self.knot_g = g
         self._log_r = np.log(r)
         self._log_g = np.log(g)
+        self._slope = np.diff(self._log_g) / np.diff(self._log_r)
         self.x_max = float(r[-1])
         self.path = path
         self.x_conc = 0.0
@@ -454,54 +463,29 @@ class CustomScale(ScaleFunction):
         return cls(knots, path=path)
 
     def _gamma(self, a):
-        # log-log linear interpolation; left of the first knot the first
-        # segment's slope is extended so gamma(0+) = 0 is preserved
-        lr = np.log(a)
-        slope0 = (self._log_g[1] - self._log_g[0]) / (self._log_r[1] - self._log_r[0])
-        lg = np.interp(lr, self._log_r, self._log_g)
-        below = lr < self._log_r[0]
-        if np.any(below):
-            lg = np.where(
-                below, self._log_g[0] + slope0 * (lr - self._log_r[0]), lg
-            )
-        return np.exp(lg)
+        # -(-log a) is log a exactly
+        return np.exp(self.log_gamma_u(-np.log(a)))
 
     def _dgamma(self, a):
-        h = a * 1e-6
-        hi = np.minimum(a + h, self.x_max)
-        lo = a - h
-        return (self._gamma(hi) - self._gamma(lo)) / (hi - lo)
+        return self._gamma(a) * self.psi_u(-np.log(a)) / a
 
-    def psi(self, r):
-        a, scalar = _as_array(r)
-        for x in np.atleast_1d(a):
-            near = np.sum((self.knot_r >= x / 10) & (self.knot_r <= x * 10))
-            if near < 3:
-                raise ScaleDomainError(
-                    f"custom scale: fewer than 3 knots within a decade of r={x:g}"
-                )
-        out = a * self._dgamma(a) / self._gamma(a)
-        return float(out) if scalar else out
+    def log_gamma_u(self, u):
+        lr = -np.asarray(u, dtype=float)
+        below = self._log_g[0] + self._slope[0] * (lr - self._log_r[0])
+        return np.where(lr < self._log_r[0], below, np.interp(lr, self._log_r, self._log_g))
+
+    def psi_u(self, u):
+        # segment j holds r_j <= r < r_(j+1); x_max belongs to the last one
+        j = np.searchsorted(self._log_r, -np.asarray(u, dtype=float), side="right") - 1
+        return self._slope[np.clip(j, 0, len(self._slope) - 1)]
 
     def _inverse_closed(self, v):
         # the log-log interpolant is piecewise linear, hence exactly invertible
         lv = math.log(v)
         lg = self._log_g
         lr = self._log_r
-        if lv <= lg[0]:
-            slope0 = (lg[1] - lg[0]) / (lr[1] - lr[0])
-            return math.exp(lr[0] + (lv - lg[0]) / slope0)
-        j = int(np.searchsorted(lg, lv)) - 1
-        j = min(max(j, 0), len(lg) - 2)
-        slope = (lg[j + 1] - lg[j]) / (lr[j + 1] - lr[j])
-        return math.exp(lr[j] + (lv - lg[j]) / slope)
-
-    def log_inverse(self, v):
-        """log(1/r) of the closed-form pre-image: a table has no log_gamma_u."""
-        x = self.inverse(v)
-        if x <= 0:
-            raise ScaleDomainError(f"{self.name}: pre-image of {v:g} underflows")
-        return math.log(1.0 / x)
+        j = min(max(int(np.searchsorted(lg, lv)) - 1, 0), len(lg) - 2)
+        return math.exp(lr[j] + (lv - lg[j]) / self._slope[j])
 
     def spec_string(self):
         return self.family if self.path is None else f"{self.family}:path={self.path}"

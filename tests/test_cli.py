@@ -689,13 +689,17 @@ REJECTED = {
     # 2^14 atoms, past the 8192-point cap of every command's atom set
     "cantor_depth14": ("cantor", {"gamma": "power:H=0.5", "zeta": 0.5, "depth": 14}),
     "dims_cantor_depth14": ("dims", dict(DIMS, E=dict(CANTOR, depth=14))),
+    # an infinite r in a knot file once made x_max = inf with a flat last segment
+    "custom_scale_inf_knot": ("cantor", {"gamma": "custom:path=$TMP/inf_knot.csv", "zeta": 0.5,
+                                         "depth": 4}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
 def test_invalid_config_exits_2_at_parse_time(tmp_path, capsys, name):
     command, cfg = REJECTED[name]
-    path = _write_config(tmp_path, cfg)
+    (tmp_path / "inf_knot.csv").write_text("1e-6,0.004\n0.001,0.06\n0.5,0.75\ninf,0.8\n")
+    path = _write_config(tmp_path, json.loads(json.dumps(cfg).replace("$TMP", str(tmp_path))))
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err

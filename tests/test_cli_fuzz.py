@@ -7,7 +7,8 @@ most 8 paths, Cantor depth at most 6, at most 64 atoms and at most 4
 threads.  A well-formed config of each command is drawn first, and then
 up to two of its fields are deleted or replaced by a value of the wrong
 type, out of range or not finite.  ``$TMP`` in a config stands for the
-test's scratch directory, which holds a knot file with a one-column row.
+test's scratch directory, which holds a knot file with a one-column row
+and one with a NaN knot.
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ CAPACITY = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0
 @example(call=("check-scale", {"gamma": "custom:path=$TMP/missing.csv"}, []))
 @example(call=("check-scale", {"gamma": "custom:path=$TMP"}, []))
 @example(call=("check-scale", {"gamma": "custom:path=$TMP/one_column.csv"}, []))
+# a NaN knot made gamma NaN everywhere, and check-scale's quadrature never finished
+@example(call=("check-scale", {"gamma": "custom:path=$TMP/nan_knot.csv"}, []))
 # found by this test: eps beyond 1 overflowed gamma(x)^(1 - eps), a one-atom E
 # left only zero resolutions, a shallow Cantor E had 3 covering levels, logscale
 # tiles underflowed in dim_rho_product, and paths.bin could not hold the seed
@@ -189,6 +192,7 @@ def test_exit_code_contract(call):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "one_column.csv").write_text("0.001,0.01\n0.5\n")
+        (tmp / "nan_knot.csv").write_text("nan,0.5\n0.001,0.06\n0.5,0.75\n")
         path = tmp / "config.json"
         path.write_text(json.dumps(cfg).replace("$TMP", str(tmp)))
         code = main([command, "--config", str(path), "--out", str(tmp / "out"), *extra])

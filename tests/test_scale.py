@@ -312,17 +312,67 @@ class TestSpecStrings:
 
 
 class TestCustomGuards:
-    @pytest.mark.parametrize("name", ["missing.csv", ".", "one_column.csv"])
+    @pytest.mark.parametrize(
+        "name", ["missing.csv", ".", "one_column.csv", "nan_knot.csv", "inf_knot.csv"])
     def test_unreadable_knot_files_raise_value_error(self, tmp_path, name):
         (tmp_path / "one_column.csv").write_text("0.001,0.01\n0.5\n")
+        (tmp_path / "nan_knot.csv").write_text("nan,0.5\n0.001,0.06\n0.5,0.75\n")
+        (tmp_path / "inf_knot.csv").write_text("1e-6,0.004\n0.001,0.06\n0.5,0.75\ninf,0.8\n")
         with pytest.raises(ValueError, match="custom scale"):
             CustomScale.from_csv(tmp_path / name)
 
-    def test_needs_knots_near_r_for_psi(self):
-        f = CustomScale([(1e-8, 1e-4), (1e-4, 1e-2), (1.0, 1.0)])
-        with pytest.raises(ScaleDomainError):
-            f.psi(1e-6)
+    def test_psi_is_the_segment_slope(self):
+        f = CustomScale([(1e-6, 1e-3), (1e-3, 1e-1), (1.0, 1.0)])
+        s0 = (math.log(1e-1) - math.log(1e-3)) / (math.log(1e-3) - math.log(1e-6))
+        s1 = (math.log(1.0) - math.log(1e-1)) / (math.log(1.0) - math.log(1e-3))
+        assert s0 == pytest.approx(2 / 3) and s1 == pytest.approx(1 / 3)
+        # below the first knot, inside each segment, at the inner knot, at x_max
+        for r, slope in ((1e-9, s0), (1e-4, s0), (1e-3, s1), (0.03, s1), (1.0, s1)):
+            assert f.psi(r) == pytest.approx(slope, rel=1e-15, abs=0), r
+            assert f.dgamma(r) == pytest.approx(f.gamma(r) * slope / r, rel=1e-15, abs=0), r
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
             CustomScale([(0.1, 0.5), (0.2, 0.4)])
+
+
+class TestPowerTable:
+    """A knot table of r^0.4 is power:H=0.4: its u-space forms, gamma,
+    condition verdicts and Volterra covariance agree."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        # 40 log-spaced r in [1e-12, 0.5]
+        return CustomScale([(r, r**0.4) for r in (1e-12 * 5e11 ** (i / 39) for i in range(40))])
+
+    def test_u_space_forms(self, table):
+        u = np.geomspace(0.7, 1e4, 2001)
+        assert np.max(np.abs(table.psi_u(u) - 0.4)) <= 1e-14
+        assert np.all(np.abs(table.log_gamma_u(u) + 0.4 * u) <= 1e-14 * u)
+
+    def test_gamma_is_the_log_log_interpolation(self, table):
+        r = np.geomspace(1e-14, 0.5, 10_000)
+        lr, log_r, log_g = np.log(r), np.log(table.knot_r), np.log(table.knot_g)
+        slope0 = (log_g[1] - log_g[0]) / (log_r[1] - log_r[0])
+        below = log_g[0] + slope0 * (lr - log_r[0])
+        want = np.exp(np.where(lr < log_r[0], below, np.interp(lr, log_r, log_g)))
+        assert np.array_equal(table.gamma(r), want)
+
+    def test_verdicts_match_power(self, table):
+        from gpfractal.conditions import (
+            check_strong_condition,
+            check_weak_condition,
+            psi_sqrtlog_criterion,
+        )
+
+        power = PowerScale(0.4)
+        for check in (check_strong_condition, check_weak_condition, psi_sqrtlog_criterion):
+            assert check(table).verdict == check(power).verdict, check.__name__
+
+    def test_volterra_covariance_matches_power(self, table):
+        from gpfractal.gp_sim import cov_volterra
+
+        grid = np.linspace(0.5 / 64, 0.5, 64)
+        want = cov_volterra(PowerScale(0.4), grid).R
+        got = cov_volterra(table, grid).R
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

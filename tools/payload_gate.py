@@ -61,6 +61,10 @@ POWERLOG = "powerlog:H=0.3,beta=1.0"  # x_max = 0.8 exp(-1/0.3) = 0.0285
 LOGCORRECTED = "logcorrected:beta=1.0,alpha=0.5"  # x_max = 0.8 exp(-exp(0.6)) = 0.129
 FILES = {
     "one_column_knots.csv": "0.001,0.01\n0.5\n",  # the second row lacks gamma
+    "nan_knot.csv": "nan,0.5\n0.001,0.06\n0.5,0.75\n",
+    "inf_knot.csv": "1e-6,0.004\n0.001,0.06\n0.5,0.75\ninf,0.8\n",
+    # one knot per decade or wider, three segments of distinct slopes
+    "sparse_knots.csv": "0.001,0.02\n0.01,0.09\n0.1,0.3\n0.5,0.8\n",
     # gamma = r^0.4 at 40 log-spaced r in [1e-12, 0.5]
     "power_knots.csv": "".join(f"{r!r},{r ** 0.4!r}\n"
                                for r in (1e-12 * 5e11 ** (i / 39) for i in range(40))),
@@ -139,6 +143,8 @@ ROWS = [
     ("check_scale_families_trace", "check-scale", {"families": FAMILIES, "eps": 0.1},
      ["--trace"]),
     ("check_scale_custom", "check-scale", {"gamma": "custom:path=$WORK/power_knots.csv"}, []),
+    ("check_scale_custom_sparse", "check-scale", {"gamma": "custom:path=$WORK/sparse_knots.csv"},
+     []),
     ("check_scale_single", "check-scale", {"gamma": "power:H=0.3"}, ["--trace"]),
     ("dims_cantor", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, []),
     ("dims_cantor_threads2", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256}, ["--threads", "2"]),
@@ -245,6 +251,11 @@ ROWS = [
         "gamma": "custom:path=$WORK/no_such_knots.csv"}, []),
     ("rej_custom_scale_one_column", "check-scale", {
         "gamma": "custom:path=$WORK/one_column_knots.csv"}, []),
+    # cantor rows: a check-scale run on the NaN file does not finish without the knot check
+    ("rej_custom_scale_nan_knot", "cantor", {"gamma": "custom:path=$WORK/nan_knot.csv",
+                                             "zeta": 0.5, "depth": 4}, []),
+    ("rej_custom_scale_inf_knot", "cantor", {"gamma": "custom:path=$WORK/inf_knot.csv",
+                                             "zeta": 0.5, "depth": 4}, []),
     ("rej_hit_d_true", "hit", {**HIT, "d": True, "grid": {"a": 0.2, "b": 1.0, "n": 64},
                                "F": [{"type": "box", "lo": [0.5], "hi": [1.0]}]}, []),
     ("rej_hit_n_paths_true", "hit", {**HIT, "n_paths": True}, []),
@@ -307,6 +318,10 @@ ROWS = [
                                                 "grid": {"a": 0.001, "b": 0.028, "n": 32}}, []),
     ("simulate_volterra_h03", "simulate", {**SIM, "gamma": "power:H=0.3", "cov": "volterra"},
      []),
+    # the power knot table, inside its x_max = 0.5
+    ("simulate_volterra_custom", "simulate", {**SIM, "gamma": "custom:path=$WORK/power_knots.csv",
+                                              "cov": "volterra",
+                                              "grid": {"a": 0.5 / 32, "b": 0.5, "n": 32}}, []),
     # 600 points: three blocks of the in-place Cholesky factor, the last one partial
     ("simulate_volterra_n600", "simulate", {**SIM, "cov": "volterra", "grid": {"a": 1 / 600,
                                                                                "b": 1.0,
