@@ -240,8 +240,7 @@ def _build_cov(cfg, scale, grid, threads: int):
     if model == "stationary":
         return cov_stationary_increments(scale, grid, threads)
     if model == "volterra":
-        n_quad = _require({"n_quad": 64, **cfg}, "n_quad", int, lambda v: v >= 64, "must be >= 64")
-        return cov_volterra(scale, grid, n_quad=n_quad, threads=threads)
+        return cov_volterra(scale, grid, threads=threads)
     raise ConfigError("cov", f"unknown covariance model {model!r}")
 
 
@@ -355,8 +354,8 @@ def cmd_check_scale(cfg, threads: int, trace: bool) -> dict:
     specs = cfg.get("families")
     if specs is None:
         specs = [_require(cfg, "gamma", str)]
-    if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
-        raise ConfigError("families", "must be a list of scale spec strings")
+    if not (isinstance(specs, list) and specs and all(isinstance(s, str) for s in specs)):
+        raise ConfigError("families", "must be a non-empty list of scale spec strings")
     # 1 - eps is the exponent of gamma(x) in the weak condition
     eps = _require({"eps": 0.1, **cfg}, "eps", float, lambda v: 0 < v < 1, "must be in (0, 1)")
     rows, summary, traces = [], [], []

@@ -9,7 +9,6 @@ identified with a finite value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -70,7 +69,6 @@ def default_dyadic_scales(j_min: int = 0, j_max: int = 10) -> list[float]:
 # box sides 2^0 ... 2^-10 of the per-path fits, two trimmed at each end
 _SCALES = default_dyadic_scales()
 _TRIM = 2
-_MAX_SAMPLE_LEVEL = 16  # gamma-dyadic levels 2 ... 15 of a sampled time set
 
 
 def _occupied_boxes(cells: np.ndarray) -> int:
@@ -254,7 +252,6 @@ def image_dimension_experiment(
 class IntersectionDimensionReport:
     per_path_time_dim: list
     per_path_image_dim: list
-    per_path_time_dim_delta: list
     hit_paths: int
     n_paths: int
     max_time_dim: float
@@ -264,21 +261,6 @@ class IntersectionDimensionReport:
     dim_rho: DimensionEstimate
     flagged_empty: bool
     params: dict = field(default_factory=dict)
-
-
-def _dim_delta_of_sample(points, scale) -> float:
-    """Gamma-dyadic dimension of a finite sample, saturation-aware.
-
-    Levels where the tile count approaches the sample size only measure
-    the sampling, so the fit stops at a third of it.
-    """
-    pts = np.asarray(points, dtype=float).ravel()
-    table = gamma_dyadic_count(TimeSet.points(pts), range(2, _MAX_SAMPLE_LEVEL), scale)
-    cap = max(2.0, pts.size / 3.0)
-    logs = [math.log2(c) for _, c in itertools.takewhile(lambda wc: wc[1] <= cap, table)]
-    if len(logs) < 4:
-        return math.nan
-    return _estimate(range(2, 2 + len(logs)), logs, None, [], "GammaDyadic").value
 
 
 def intersection_dimension_experiment(
@@ -295,17 +277,18 @@ def intersection_dimension_experiment(
 
     Per path, the preimage surrogate is the set of grid times whose image
     lies within ``tol`` of F, and the image surrogate is the set of those
-    image points.  The max over paths stands in for the essential-sup
-    norm; the reported bounds are the slowly-varying-scale sandwich
-    evaluated from the report's own estimates with H taken from the
-    elasticity at mid-grid.  The paths stream from sample_paths chunk by
-    chunk, and each path's results are written at its index.
+    image points; each gets a Euclidean box dimension, NaN on a path that
+    misses.  The max over paths stands in for the essential-sup norm; the
+    reported bounds are the slowly-varying-scale sandwich evaluated from
+    the report's own estimates with H taken from the elasticity at
+    mid-grid.  The paths stream from sample_paths chunk by chunk, and
+    each path's results are written at its index.
     """
     E = TimeSet.of(E, scale)
     F = Target.of(F_members)
     grid = E.sample(grid_n)
     cov = cov_stationary_increments(scale, grid)
-    time_dims, image_dims, time_dims_delta = ([math.nan] * n_paths for _ in range(3))
+    time_dims, image_dims = [math.nan] * n_paths, [math.nan] * n_paths
 
     def select(p0, block):
         for p, pts in enumerate(block, start=p0):
@@ -314,7 +297,6 @@ def intersection_dimension_experiment(
                 t_hat = grid[sel]
                 time_dims[p] = box_dimension_euclidean(t_hat[:, None], _SCALES, trim=_TRIM).value
                 image_dims[p] = box_dimension_euclidean(pts[sel], _SCALES, trim=_TRIM).value
-                time_dims_delta[p] = _dim_delta_of_sample(t_hat, scale)
 
     sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=select)
     # box counting of finite points is finite, so NaN marks exactly the missed paths
@@ -331,7 +313,6 @@ def intersection_dimension_experiment(
     return IntersectionDimensionReport(
         per_path_time_dim=time_dims,
         per_path_image_dim=image_dims,
-        per_path_time_dim_delta=time_dims_delta,
         hit_paths=hits,
         n_paths=n_paths,
         max_time_dim=max(valid_t) if valid_t else math.nan,

@@ -136,12 +136,12 @@ def grid_lookup(grid, times):
 
 @dataclass(frozen=True, eq=False)
 class TimeSet:
-    """A time set E in [0, x_max]: one closed interval, a Cantor set or points.
+    """A time set E in [0, x_max]: one closed interval or a Cantor set.
 
     ``intervals`` is the (m, 2) array of closed components that coverings
-    tile (degenerate ones for points).  ``atoms`` are the times a
-    simulation uses, or None for an interval, whose grid the caller
-    chooses.  ``spec`` describes E in reports.
+    tile: the interval itself, or build_cantor's deepest intervals.
+    ``atoms`` are the times a simulation uses, or None for an interval,
+    whose grid the caller chooses.  ``spec`` describes E in reports.
     """
 
     intervals: np.ndarray
@@ -168,12 +168,6 @@ class TimeSet:
                 f"E {E.spec} is not a closed subset of [0, x_max = {scale.x_max:g}]"
             )
         return E
-
-    @classmethod
-    def points(cls, times) -> TimeSet:
-        """Finitely many times, each a degenerate component."""
-        t = np.asarray(times, dtype=float).ravel()
-        return cls(np.column_stack([t, t]), t, {"type": "points", "n": int(t.size)})
 
     def sample(self, n: int) -> np.ndarray:
         """The atoms of E, or n equispaced times spanning its interval."""
@@ -447,11 +441,13 @@ def gamma_dyadic_count(E, levels, scale) -> list:
     Level-n tiles have width w_n = gamma^{-1}(2^-n) and are half-open:
     tile j covers [(j-1) w_n, j w_n), and a right endpoint that is an exact
     multiple of w_n joins the next tile only if its component has interior
-    there.  N_n, the number of tiles meeting E, is counted without
-    materializing them, in float64 because deep levels of slow scales
-    produce tile counts far beyond int64.  The table ends at the first
-    level whose width cannot be formed: 2^-n above gamma(x_max), or a
-    width that is not a positive finite float.
+    there.  A degenerate component meets one tile; only an interval (a, a)
+    or a Cantor interval shorter than an ulp of its position (build_cantor
+    collapses those) is one.  N_n, the number of tiles meeting E, is
+    counted without materializing them, in float64 because deep levels of
+    slow scales produce tile counts far beyond int64.  The table ends at
+    the first level whose width cannot be formed: 2^-n above
+    gamma(x_max), or a width that is not a positive finite float.
     """
     iv = TimeSet.of(E, scale).intervals
     a, b = iv[:, 0], iv[:, 1]

@@ -88,6 +88,7 @@ _COND_VAR_RTOL = 1e-8  # Var(B(a) | increments) above -this * g2(a) is round-off
 _PATH_CHUNK = 64  # paths drawn at once over all workers; bounds the sampler's temporaries
 _ROW_BLOCK = 64  # rows of a dense stationary R filled per block
 _QUAD_BLOCK = 64  # pairs (s, t > s) of one row per Volterra quadrature block
+_VOLTERRA_ORDER = 16  # Gauss-Legendre nodes per Volterra panel, checked against half as many
 
 
 def _run_jobs(jobs, threads: int) -> list:
@@ -503,26 +504,25 @@ def _volterra_pattern(order: int, levels: int):
     return np.concatenate(pos), np.concatenate(wts)
 
 
-def cov_volterra(scale, grid, n_quad: int = 64, threads: int = 1) -> CovMatrix:
+def cov_volterra(scale, grid, threads: int = 1) -> CovMatrix:
     """Covariance of the Volterra model driven by sqrt((gamma^2)') kernels.
 
     Entries are computed in the offset variable x = min(s,t) - u, so the
     endpoint singularity sits at x = 0 and nodes never cancel against
     the grid times.  Diagonal entries use the exact identity
-    int_0^t g2'(t-u) du = g2(t).  n_quad controls the Gauss-Legendre
-    order per subinterval (n_quad // 8, at least 8).  The build is then
-    repeated at doubled order over the first one, row block by row block,
-    keeping the running max |R - R2| and max |R2|, so the checked build
-    holds one n x n array; a relative disagreement above 1e-6 raises
-    QuadratureError, and the relative change is kept as the covariance's
-    ``quad_rel_change`` certificate.  The rows are strided
-    over ``threads`` jobs, each with its own maxima, combined exactly by
-    max.  The quadrature runs over _QUAD_BLOCK pairs at a time, so its
-    temporaries stay O(_QUAD_BLOCK * nodes) per job whatever the grid.
+    int_0^t g2'(t-u) du = g2(t).  R is built with _VOLTERRA_ORDER // 2
+    Gauss-Legendre nodes per subinterval, then again with _VOLTERRA_ORDER
+    over the first build, row block by row block, keeping the running max
+    |R - R2| and max |R2|, so the checked build holds one n x n array; a
+    relative disagreement above 1e-6 raises QuadratureError, and the
+    relative change is kept as the covariance's ``quad_rel_change``
+    certificate; at this fixed order every built-in family is far below
+    1e-6.  The rows are strided over ``threads`` jobs, each with its own
+    maxima, combined exactly by max.  The quadrature runs over _QUAD_BLOCK
+    pairs at a time, so its temporaries stay O(_QUAD_BLOCK * nodes) per
+    job whatever the grid.
     """
     grid = _check_grid(scale, grid, threads)
-    if n_quad < 64:
-        raise ValueError("n_quad must be at least 64")
     levels = 40
 
     def build(order, R=None):
@@ -562,16 +562,15 @@ def cov_volterra(scale, grid, n_quad: int = 64, threads: int = 1) -> CovMatrix:
         np.fill_diagonal(R, diag)
         return R, float(change / (top or 1.0))
 
-    order = 2 * max(8, n_quad // 8)
-    R, rel = build(order, build(order // 2)[0])
+    R, rel = build(_VOLTERRA_ORDER, build(_VOLTERRA_ORDER // 2)[0])
     if rel > 1e-6:
         raise QuadratureError(
             f"Volterra quadrature not converged: relative change {rel:.3e} "
-            f"after doubling the order (order {order // 2} -> {order}, "
+            f"after doubling the order (order {_VOLTERRA_ORDER // 2} -> {_VOLTERRA_ORDER}, "
             f"levels {levels}, n={grid.size})"
         )
     cov = CovMatrix(grid=grid, R=R, label=f"volterra[{scale.name}]",
-                    build=lambda: build(order)[0], threads=threads)
+                    build=lambda: build(_VOLTERRA_ORDER)[0], threads=threads)
     cov.quad_rel_change = rel
     cov.cholesky()
     return cov

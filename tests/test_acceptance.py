@@ -53,7 +53,7 @@ def _slope(xs, ys):
 def test_criterion_1_brownian_consistency():
     f = PowerScale(0.5)
     grid = np.linspace(1 / 64, 1.0, 64)
-    cov = cov_volterra(f, grid, n_quad=64)
+    cov = cov_volterra(f, grid)
     err = float(np.max(np.abs(cov.R - np.minimum.outer(grid, grid))))
     rep = commensurability_report(cov, f)
     ok = err <= 1e-8 and abs(rep.l_hat - 1.0) <= 1e-6

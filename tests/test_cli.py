@@ -679,6 +679,8 @@ REJECTED = {
     "check_scale_eps_nan": ("check-scale", {"gamma": "power:H=0.5", "eps": float("nan")}),
     # gamma(x)^(1 - eps) overflowed a float
     "check_scale_eps_above_one": ("check-scale", {"gamma": "power:H=0.5", "eps": 70}),
+    # a table with no rows answers nothing
+    "check_scale_no_families": ("check-scale", {"families": []}),
     "capacity_resolutions_infinity": ("capacity", dict(CAPACITY, resolutions=[float("inf"), 0.1])),
     "capacity_resolutions_repeated": ("capacity", dict(CAPACITY, resolutions=[0.5, 0.5])),
     # paths.bin stores the seed as an int64

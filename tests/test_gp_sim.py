@@ -22,7 +22,7 @@ from gpfractal.gp_sim import (
     sample_paths,
 )
 from gpfractal.metrics import covariance_delta_matrix
-from gpfractal.scale import ExpLogScale, LogScale, PowerLogScale, PowerScale
+from gpfractal.scale import ExpLogScale, LogScale, PowerLogScale, PowerScale, parse_scale_spec
 
 
 def _drop(p0, block):
@@ -82,9 +82,15 @@ class TestVolterraCov:
             cov = cov_volterra(f, grid)
             assert np.max(np.abs(np.diag(cov.R) - f.gamma2(grid))) <= 1e-10
 
-    def test_requires_order(self):
-        with pytest.raises(ValueError):
-            cov_volterra(PowerScale(0.5), np.linspace(0.1, 1, 4), n_quad=32)
+    @pytest.mark.parametrize("spec", ["power:H=0.05", "logscale:beta=0.3", "explog:alpha=0.05",
+                                      "powerlog:H=0.05,beta=2.0",
+                                      "logcorrected:beta=0.5,alpha=-1.0"])
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_fixed_order_has_margin(self, spec, n):
+        # rough and slow scales certify far below QuadratureError's 1e-6
+        f = parse_scale_spec(spec)
+        cov = cov_volterra(f, np.linspace(f.x_max / n, f.x_max, n))
+        assert cov.quad_rel_change <= 1e-9
 
 
 class TestSampling:

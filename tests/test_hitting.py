@@ -441,6 +441,23 @@ class TestContent:
 
 
 class TestSandwich:
+    def test_terms_increase_with_the_ball(self):
+        # capacity and content are monotone set functions, so a term that
+        # ignores F (a constant, say) fails here
+        scale = PowerScale(0.5)
+        grid = np.linspace(0.9, 1.0, 1024)
+        tol = grid_tolerance_guard(scale, float(grid[1] - grid[0]), grid.size, 3)
+        cov = cov_stationary_increments(scale, grid)
+        instances = [
+            check_hit_instance(scale, grid, (0.9, 1.0),
+                               [{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": r}], 3, tol)
+            for r in (0.05, 0.1, 0.3)
+        ]
+        reps = hit_probability_mc(scale, cov, instances, d=3, n_paths=16, seed=1)
+        for terms in ([r.capacity_term for r in reps], [r.content_term for r in reps]):
+            assert all(math.isfinite(t) and t > 0 for t in terms)
+            assert terms[0] < terms[1] < terms[2]
+
     def test_battery_too_small(self):
         with pytest.raises(ValueError):
             sandwich_report([], d=1)

@@ -17,7 +17,8 @@ so a stripped hash still compares bytes.  The ``bench_*`` rows are the
 calls of ``bench/workloads.build(workload, 1)`` from this checkout, each
 path-sampling call once more at ``--threads 2`` (the ``_threads2`` rows), and
 ``criterion5`` writes the p_hat lists of acceptance criterion 5's two
-small-ball sweeps.  ``run`` first writes the files of ``FILES`` into its
+small-ball sweeps and ``criterion8`` the report of criterion 8's
+intersection experiment.  ``run`` first writes the files of ``FILES`` into its
 work directory, and ``$WORK`` in a config or an extra CLI argument stands
 for that directory; a payload that names that directory is hashed with
 ``$WORK`` in its place, so runs into different ``--work`` directories
@@ -232,6 +233,7 @@ ROWS = [
     ("rej_capacity_cantor_one_atom", "capacity", {
         **CAPACITY, "E": {"type": "cantor", "zeta": 0.001, "depth": 0}}, []),
     ("rej_check_scale_eps_above_one", "check-scale", {"gamma": "power:H=0.5", "eps": 70}, []),
+    ("rej_check_scale_no_families", "check-scale", {"families": [], "eps": 0.1}, []),
     # depth-12 sets whose finest delta^2 lies near round-off of R: no factor
     ("rej_dims_cantor_h075_z05_d12", "dims", {**DIMS, "gamma": "power:H=0.75", "E": {
         "type": "cantor", "zeta": 0.5, "depth": 12, "eps0": 1.0}}, []),
@@ -357,6 +359,13 @@ def _bench_rows() -> list:
     ]
 
 
+def _write_json(path: Path, payload):
+    """Write ``payload`` as the CLI writes JSON; the in-process rows' exit code, 0."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return 0
+
+
 def _criterion5(out: Path):
     """p_hat lists of acceptance criterion 5's two small-ball sweeps."""
     import numpy as np
@@ -374,9 +383,28 @@ def _criterion5(out: Path):
         cov = cov_stationary_increments(f, grid)
         reps = small_ball_sweep(cov, t0, radii, np.zeros(d), d, 20_000, seed=seed, scale=f)
         payload[name] = [r.p_hat for r in reps]
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "p_hats.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0
+    return _write_json(out / "p_hats.json", payload)
+
+
+def _criterion8(out: Path):
+    """The report fields of acceptance criterion 8's intersection experiment."""
+    from gpfractal.dimension import intersection_dimension_experiment
+    from gpfractal.hitting import grid_tolerance_guard
+    from gpfractal.scale import PowerScale
+
+    f, grid_n = PowerScale(0.5), 4096
+    rep = intersection_dimension_experiment(
+        f, (0.2, 1.0), [{"type": "box", "lo": [0.0], "hi": [0.2]}], d=1, n_paths=50,
+        tol=grid_tolerance_guard(f, 0.8 / (grid_n - 1), grid_n, 1), seed=21, grid_n=grid_n,
+    )
+    keys = ("max_time_dim", "max_image_dim", "lower_bound", "upper_bound", "hit_paths",
+            "per_path_time_dim", "per_path_image_dim", "params")
+    payload = {k: getattr(rep, k) for k in keys}
+    payload["dim_rho.value"] = rep.dim_rho.value
+    return _write_json(out / "report.json", payload)
+
+
+IN_PROCESS = {"criterion5": _criterion5, "criterion8": _criterion8}
 
 
 def _strip(obj, keys):
@@ -412,7 +440,7 @@ def run(args) -> int:
     work.mkdir(parents=True)
     for name, text in FILES.items():
         (work / name).write_text(text)
-    rows = ROWS + _bench_rows() + [("criterion5", None, None, [])]
+    rows = ROWS + _bench_rows() + [(name, None, None, []) for name in IN_PROCESS]
     table = {}
     for name, command, cfg, extra in rows:
         out = work / name
@@ -421,7 +449,7 @@ def run(args) -> int:
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 if command is None:
-                    code = _criterion5(out)
+                    code = IN_PROCESS[name](out)
                 else:
                     path = work / f"{name}.json"
                     path.parent.mkdir(parents=True, exist_ok=True)
