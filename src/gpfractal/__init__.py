@@ -38,6 +38,7 @@ from .gp_sim import (
     sample_paths,
 )
 from .hitting import (
+    add_sandwich_terms,
     hausdorff_content_estimate,
     hit_probability_mc,
     sandwich_report,

@@ -45,7 +45,6 @@ from .fractal_sets import (
     OutOfModelError,
     Target,
     TimeSet,
-    _is_number,
     build_cantor,
     cantor_lengths,
 )
@@ -59,9 +58,10 @@ from .gp_sim import (
     cov_stationary_increments,
     cov_volterra,
 )
-from .hitting import PathMinima, check_hit_instance, hit_probability_mc, sandwich_report
+from .hitting import (PathMinima, add_sandwich_terms, check_hit_instance, hit_probability_mc,
+                      sandwich_report)
 from .metrics import AtomRows, delta
-from .scale import ScaleDomainError, parse_scale_spec
+from .scale import ScaleDomainError, _is_number, parse_scale_spec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,7 +79,6 @@ _NUMERICAL_ERRORS = (
 
 class ConfigError(ValueError):
     def __init__(self, field, message):
-        self.field = field
         super().__init__(f"config field {field!r}: {message}")
 
 
@@ -284,13 +283,13 @@ def cmd_dims(cfg, threads: int, trace: bool) -> dict:
 
 
 def _hit_reports(cfg, instances, threads: int) -> list:
-    """One hit report per instance (an object with E, F and an optional tol).
+    """One hit report, with its sandwich terms, per instance (an object with E and F).
 
     The grid, d, tol, n_paths, seed and cov keys come from ``cfg``.  Every
     instance is parsed and passes check_hit_instance, and the table of
     per-path minima fits its budget (PathMinima.plan), before any
-    covariance work; then one hit_probability_mc call on ``threads``
-    workers counts every instance's hits from one pass over the paths.
+    covariance work; then hit_probability_mc counts every instance's hits
+    in one pass over the paths on ``threads`` workers.
     """
     scale = _parse_gamma(cfg)
     grid = _parse_grid(cfg, scale)
@@ -302,17 +301,20 @@ def _hit_reports(cfg, instances, threads: int) -> list:
     for i, inst in enumerate(instances):
         if not isinstance(inst, dict):
             raise ConfigError(f"instances[{i}]", "expected an object")
+        if "tol" in inst:
+            raise ConfigError(f"instances[{i}].tol", "the top-level tol applies to every instance")
         E = _parse_E(inst, scale)
         F = _parse_full_F(inst, d)
-        inst_tol = _require({"tol": tol, **inst}, "tol", float, lambda v: v > 0, "must be > 0")
-        parsed.append(check_hit_instance(scale, grid, E, F, d, inst_tol))
+        parsed.append(check_hit_instance(scale, grid, E, F, d, tol))
     PathMinima.plan(n_paths, [(inst.e_idx, inst.F) for inst in parsed])
     cov = _build_cov(cfg, scale, grid, threads)
-    return hit_probability_mc(scale, cov, parsed, d, n_paths, seed, threads)
+    reports = hit_probability_mc(cov, parsed, d, n_paths, seed, threads)
+    add_sandwich_terms(reports, scale, grid, parsed, d)
+    return reports
 
 
 def cmd_hit(cfg, threads: int, trace: bool) -> dict:
-    (report,) = _hit_reports(cfg, [cfg], threads)
+    (report,) = _hit_reports(cfg, [{k: v for k, v in cfg.items() if k in ("E", "F")}], threads)
     return {"hit_report.json": _json(asdict(report))}
 
 

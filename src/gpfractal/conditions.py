@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import _fit_slope
+from .fractal_sets import OutOfModelError
 from .scale import ExpLogScale, ScaleFunction
 
 __all__ = [
@@ -271,6 +272,35 @@ def _weak_surrogate_diverges(f: ScaleFunction, eps: float):
     return None
 
 
+def _growth_condition(f: ScaleFunction, condition: str, exponent: float, override,
+                      notes: str) -> ConditionVerdict:
+    """Classify I(x) <= c gamma(x)^exponent on the x grid within (0, x_max].
+
+    The grid ratios I(x) / gamma(x)^exponent get the trend thresholds;
+    ``override(trend)`` then returns the verdict and the name of the
+    certificate that changed it, or None.  ``notes`` heads the verdict's
+    notes.  Fewer than 2 grid points within x_max raise OutOfModelError.
+    """
+    x_grid = [x for x in _X_GRID if x <= f.x_max]
+    if len(x_grid) < 2:
+        raise OutOfModelError(f"{f.name}: the condition grid 1e-2 ... 1e-10 has {len(x_grid)} "
+                              f"points within x_max = {f.x_max:g}, below the 2 a trend needs")
+    ratios = [integral_I(f, x) / f.gamma(x) ** exponent for x in x_grid]
+    trend, variation, growth = _trend_classify(x_grid, ratios)
+    verdict, name = override(trend)
+    return ConditionVerdict(
+        condition=condition,
+        x_grid=x_grid,
+        ratios=ratios,
+        verdict=verdict,
+        fitted_constant=float(np.max(ratios)),
+        trend_verdict=trend,
+        override=name,
+        paper_open=_paper_open(f),
+        notes=f"{notes}variation {variation:.3f}, growth/decade {growth:.3f}",
+    )
+
+
 def check_strong_condition(f: ScaleFunction) -> ConditionVerdict:
     """Classify I(x) <= c gamma(x): the gate for the sharp hitting bounds.
 
@@ -278,26 +308,12 @@ def check_strong_condition(f: ScaleFunction) -> ConditionVerdict:
     psi sqrt(log) -> 0, the verdict is overridden to Violated (that
     limit provably forces I/gamma -> inf).
     """
-    x_grid = [x for x in _X_GRID if x <= f.x_max]
-    ratios = [integral_I(f, x) / f.gamma(x) for x in x_grid]
-    trend, variation, growth = _trend_classify(x_grid, ratios)
-    verdict = trend
-    override = None
-    crit = psi_sqrtlog_criterion(f)
-    if crit.verdict == SATISFIED and verdict != VIOLATED:
-        verdict = VIOLATED
-        override = "psi-sqrtlog"
-    return ConditionVerdict(
-        condition="Strong24",
-        x_grid=x_grid,
-        ratios=ratios,
-        verdict=verdict,
-        fitted_constant=float(np.max(ratios)),
-        trend_verdict=trend,
-        override=override,
-        paper_open=_paper_open(f),
-        notes=f"variation {variation:.3f}, growth/decade {growth:.3f}",
-    )
+    def override(trend):
+        if psi_sqrtlog_criterion(f).verdict == SATISFIED and trend != VIOLATED:
+            return VIOLATED, "psi-sqrtlog"
+        return trend, None
+
+    return _growth_condition(f, "Strong24", 1.0, override, "")
 
 
 def check_weak_condition(f: ScaleFunction, eps: float = 0.1) -> ConditionVerdict:
@@ -308,27 +324,12 @@ def check_weak_condition(f: ScaleFunction, eps: float = 0.1) -> ConditionVerdict
     float64 grid can expose (the log scale drifts like log^{1/2 - eps
     beta}(1/x)).
     """
-    x_grid = [x for x in _X_GRID if x <= f.x_max]
-    ratios = [integral_I(f, x) / f.gamma(x) ** (1.0 - eps) for x in x_grid]
-    trend, variation, growth = _trend_classify(x_grid, ratios)
-    verdict = trend
-    override = None
-    surrogate = _weak_surrogate_diverges(f, eps)
-    if surrogate is True and verdict != VIOLATED:
-        verdict = VIOLATED
-        override = "asymptotic-surrogate"
-    elif surrogate is False and verdict == INCONCLUSIVE:
-        verdict = SATISFIED
-        override = "asymptotic-surrogate"
-    return ConditionVerdict(
-        condition="WeakNice",
-        x_grid=x_grid,
-        ratios=ratios,
-        verdict=verdict,
-        fitted_constant=float(np.max(ratios)),
-        trend_verdict=trend,
-        override=override,
-        paper_open=_paper_open(f),
-        notes=f"eps={eps:g}; variation {variation:.3f}, growth/decade {growth:.3f}",
-    )
+    def override(trend):
+        surrogate = _weak_surrogate_diverges(f, eps)
+        if surrogate is True and trend != VIOLATED:
+            return VIOLATED, "asymptotic-surrogate"
+        if surrogate is False and trend == INCONCLUSIVE:
+            return SATISFIED, "asymptotic-surrogate"
+        return trend, None
 
+    return _growth_condition(f, "WeakNice", 1.0 - eps, override, f"eps={eps:g}; ")

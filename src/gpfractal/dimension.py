@@ -79,16 +79,15 @@ def _occupied_boxes(cells: np.ndarray) -> int:
 
 
 def box_dimension_euclidean(points, scales, trim: int = 0) -> DimensionEstimate:
-    """Box-counting dimension of a finite point set in R^m.
+    """Box-counting dimension of a finite point set in R^m, an (n, m) array.
 
     Counts occupied boxes of side s per scale and fits log2(count)
     against -log2(scale).  ``trim`` drops that many scales at each end of
     the menu before fitting (coarse scales have too few boxes, fine ones
-    feel the discretization of the point set).
+    feel the discretization of the point set).  A cloud that fills one box
+    at every scale, such as a single point, fits exactly 0 with stderr 0.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
-        pts = pts.T
+    pts = np.asarray(points, dtype=float)
     scales = sorted(float(s) for s in scales)
     if len(scales) - 2 * trim < 4:
         raise ValueError("need at least 4 scales after trimming")
@@ -97,17 +96,8 @@ def box_dimension_euclidean(points, scales, trim: int = 0) -> DimensionEstimate:
     if not np.all(np.isfinite(pts)):
         raise ValueError("box counting needs finite points")
     counts = [_occupied_boxes(np.floor(pts / s)) for s in scales]
-    # degenerate clouds (all points equal) have dimension 0
-    if all(c == 1 for c in counts):
-        return DimensionEstimate(
-            value=0.0,
-            stderr=0.0,
-            window=(scales[0], scales[-1]),
-            counts=list(zip(scales, map(float, counts))),
-            method="BoxEuclidean",
-        )
-    fit_scales = scales[trim : len(scales) - trim] if trim else scales
-    fit_counts = counts[trim : len(counts) - trim] if trim else counts
+    fit_scales = scales[trim : len(scales) - trim]
+    fit_counts = counts[trim : len(counts) - trim]
     xs = [-math.log2(s) for s in fit_scales]
     ys = [math.log2(c) for c in fit_counts]
     window = (fit_scales[0], fit_scales[-1])

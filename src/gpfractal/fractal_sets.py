@@ -14,12 +14,11 @@ dimension estimate reads that table.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scale import ScaleDomainError
+from .scale import ScaleDomainError, _is_number
 
 __all__ = [
     "OutOfModelError",
@@ -197,15 +196,6 @@ class TimeSet:
         if idx.size == 0:
             raise OutOfModelError("E contains no grid points")
         return idx
-
-
-def _is_number(x) -> bool:
-    """A finite real: not a bool, NaN, an infinity or an int beyond float range."""
-    return (
-        isinstance(x, (int, float, np.integer, np.floating))
-        and not isinstance(x, bool)
-        and abs(x) <= sys.float_info.max
-    )
 
 
 def _coords(member: dict, key: str, i: int) -> list:

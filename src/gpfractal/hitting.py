@@ -35,6 +35,7 @@ __all__ = [
     "check_hit_instance",
     "PathMinima",
     "hit_probability_mc",
+    "add_sandwich_terms",
     "small_ball_sweep",
     "hausdorff_content_estimate",
     "sandwich_report",
@@ -186,35 +187,38 @@ class PathMinima:
         return F.distance_from_sq(self.table[:, cols])
 
 
-def hit_probability_mc(
-    scale,
-    cov: CovMatrix,
-    instances: list[HitInstance],
-    d: int,
-    n_paths: int,
-    seed: int,
-    threads: int = 1,
-    with_terms: bool = True,
-) -> list[HitProbReport]:
+def _hit_counts(cov: CovMatrix, triples, d: int, n_paths: int, seed: int,
+                threads: int = 1) -> list[int]:
+    """How many of n_paths paths hit, one count per (E grid indices, F, tol) triple.
+
+    A path hits a triple when some grid point of its E has its image
+    within tol of F.  The paths stream chunk by chunk through one
+    PathMinima, filled by the path-chunk jobs on ``threads`` workers,
+    whose table serves every triple, so no batch of values is kept; at a
+    fixed seed the per-path indicator is monotone in F and in tol by
+    construction.
+    """
+    minima = PathMinima(n_paths, [(e_idx, F) for e_idx, F, _ in triples])
+    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=minima.add)
+    return [int(np.count_nonzero(minima.distance(e_idx, F) <= tol)) for e_idx, F, tol in triples]
+
+
+def hit_probability_mc(cov: CovMatrix, instances: list[HitInstance], d: int, n_paths: int,
+                       seed: int, threads: int = 1) -> list[HitProbReport]:
     """P{B(E) intersects F} by Monte Carlo over exact paths, per instance.
 
-    ``instances`` are check_hit_instance results on cov.grid.  A path
-    hits an instance when some grid point of its E has its image within
-    its tol of its F.  The paths stream chunk by chunk through one
-    PathMinima, filled by the path-chunk jobs on ``threads`` workers,
-    whose table serves every instance's hit count, so no batch of values
-    is kept; at a fixed seed the per-path indicator is monotone in F and
-    in tol by construction.
-    ``with_terms`` adds the capacity and content terms of E x F used by
-    the sandwich.  Returns one report per instance, in order.
+    ``instances`` are check_hit_instance results on cov.grid; one pass
+    over the paths counts every instance's hits (_hit_counts).  Returns
+    one report per instance, in order, with p_hat, its Wilson interval
+    and the covariance certificate; the capacity and content terms are
+    NaN until add_sandwich_terms fills them.
     """
-    minima = PathMinima(n_paths, [(inst.e_idx, inst.F) for inst in instances])
-    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, threads=threads, consume=minima.add)
+    counts = _hit_counts(cov, [(inst.e_idx, inst.F, inst.tol) for inst in instances],
+                         d, n_paths, seed, threads)
     reports = []
-    for inst in instances:
-        hits = int(np.count_nonzero(minima.distance(inst.e_idx, inst.F) <= inst.tol))
+    for inst, hits in zip(instances, counts):
         lo, hi = wilson_interval(hits, n_paths)
-        rep = HitProbReport(
+        reports.append(HitProbReport(
             p_hat=hits / n_paths,
             ci_low=lo,
             ci_high=hi,
@@ -226,40 +230,42 @@ def hit_probability_mc(
             capacity_term=math.nan,
             content_term=math.nan,
             extras={"hits": hits, "seed": seed, "guard": inst.guard, **cov.certificate()},
-        )
-        if with_terms:
-            _add_sandwich_terms(rep, scale, cov.grid[inst.e_idx], inst, d)
-        reports.append(rep)
+        ))
     return reports
 
 
-def _add_sandwich_terms(rep: HitProbReport, scale, times, inst: HitInstance, d: int):
-    """The capacity and content terms of E x F and dim_rho(E x F), into ``rep``."""
-    f_pts, f_pitch = inst.lattice
-    t_budget = max(16, 9000 // max(len(f_pts), 1))
-    t_sub = times[:: max(1, int(math.ceil(len(times) / t_budget)))]
-    # one product sample, its rows, diameter and resolution floor serve
-    # both terms.  Below the sampling pitch of either factor the product
-    # atoms are isolated and capacity/content see only discreteness
-    # artifacts; the closest pair of sampled times sets the time pitch.
-    k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
-    floor = max(delta(scale, t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
-    rows = AtomRows(scale, t_sub, f_pts)
-    diam = rows.diameter()
-    resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
-    if len(resolutions) < 2:
-        resolutions = [diam / 2.0, diam / 4.0]
-    cap = capacity_estimate(rows, beta=float(d), resolutions=resolutions)
-    rep.capacity_term = cap.capacity_value
-    rep.capacity_verdict = cap.verdict
-    rep.extras.update(
-        capacity_resolutions=cap.resolutions,
-        capacity_gaps=cap.gaps,
-        capacity_iterations=cap.iterations,
-        capacity_n_atoms=cap.n_atoms,
-    )
-    rep.content_term = hausdorff_content_estimate(rows, s_exponent=float(d), r_floor=floor)
-    rep.dim_rho_est = dim_rho_product(inst.E, inst.F, scale).value
+def add_sandwich_terms(reports: list[HitProbReport], scale, grid, instances: list[HitInstance],
+                       d: int):
+    """Fill in each report of hit_probability_mc on ``grid`` the capacity and
+    content terms of its instance's E x F, and dim_rho(E x F), which
+    sandwich_report reads; the capacity sweep's details go into its extras."""
+    for rep, inst in zip(reports, instances):
+        times = grid[inst.e_idx]
+        f_pts, f_pitch = inst.lattice
+        t_budget = max(16, 9000 // max(len(f_pts), 1))
+        t_sub = times[:: max(1, int(math.ceil(len(times) / t_budget)))]
+        # one product sample, its rows, diameter and resolution floor serve
+        # both terms.  Below the sampling pitch of either factor the product
+        # atoms are isolated and capacity/content see only discreteness
+        # artifacts; the closest pair of sampled times sets the time pitch.
+        k = int(np.argmin(np.diff(t_sub))) if len(t_sub) > 1 else None
+        floor = max(delta(scale, t_sub[k], t_sub[k + 1]) if k is not None else 0.0, f_pitch)
+        rows = AtomRows(scale, t_sub, f_pts)
+        diam = rows.diameter()
+        resolutions = [r for j in range(1, 9) if (r := diam / 2.0**j) >= floor]
+        if len(resolutions) < 2:
+            resolutions = [diam / 2.0, diam / 4.0]
+        cap = capacity_estimate(rows, beta=float(d), resolutions=resolutions)
+        rep.capacity_term = cap.capacity_value
+        rep.capacity_verdict = cap.verdict
+        rep.extras.update(
+            capacity_resolutions=cap.resolutions,
+            capacity_gaps=cap.gaps,
+            capacity_iterations=cap.iterations,
+            capacity_n_atoms=cap.n_atoms,
+        )
+        rep.content_term = hausdorff_content_estimate(rows, s_exponent=float(d), r_floor=floor)
+        rep.dim_rho_est = dim_rho_product(inst.E, inst.F, scale).value
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +275,6 @@ def _add_sandwich_terms(rep: HitProbReport, scale, times, inst: HitInstance, d: 
 @dataclass
 class SmallBallReport:
     p_hat: float
-    ci_low: float
-    ci_high: float
-    r: float
     n_ball_points: int
     ref_r_d: float
     ref_fgamma_d: float
@@ -284,9 +287,9 @@ def small_ball_sweep(cov: CovMatrix, t0: float, radii, z, d: int, n_paths: int, 
     Each ball is measured with the stationary surrogate gamma(|s - t0|),
     which handles arbitrary t0 in [a, b] and can be genuinely empty on a
     coarse grid (ValueError).  The event is a hit of the point z (a box
-    lo = hi = z) within tol r by B over the ball.  The paths stream once
-    through one PathMinima with a (ball indices, z) pair per radius, so
-    every radius reads the same paths and the balls are nested.
+    lo = hi = z) within tol r by B over the ball, counted by _hit_counts
+    with one (ball indices, z, r) triple per radius, so every radius reads
+    the same paths and the balls are nested.
     Reference values r^d and (r + f(r))^d are attached (f is the
     entropy-integral majorant).
     """
@@ -296,21 +299,15 @@ def small_ball_sweep(cov: CovMatrix, t0: float, radii, z, d: int, n_paths: int, 
     balls = [np.flatnonzero(dvec <= r) for r in radii]
     if any(idx.size == 0 for idx in balls):
         raise ValueError("empty delta-ball on the grid")
-    minima = PathMinima(n_paths, [(idx, point) for idx in balls])
-    sample_paths(cov, d=d, n_paths=n_paths, seed=seed, consume=minima.add)
+    counts = _hit_counts(cov, [(idx, point, r) for r, idx in zip(radii, balls)], d, n_paths, seed)
     reports = []
-    for r, idx in zip(radii, balls):
-        hits = int(np.count_nonzero(minima.distance(idx, point) <= r))
-        lo, hi = wilson_interval(hits, n_paths)
+    for r, idx, hits in zip(radii, balls, counts):
         try:
             ref_f = (r + f_gamma(scale, r)) ** d
         except (ValueError, IntegralError):
             ref_f = math.nan
         reports.append(SmallBallReport(
             p_hat=hits / n_paths,
-            ci_low=lo,
-            ci_high=hi,
-            r=r,
             n_ball_points=int(idx.size),
             ref_r_d=r**d,
             ref_fgamma_d=ref_f,

@@ -151,7 +151,6 @@ class CommensurabilityReport:
     ratio_min: float
     ratio_max: float
     n_pairs: int
-    grid: np.ndarray
 
 
 def commensurability_report(cov, scale) -> CommensurabilityReport:
@@ -169,5 +168,4 @@ def commensurability_report(cov, scale) -> CommensurabilityReport:
         ratio_min=rmin,
         ratio_max=rmax,
         n_pairs=ratios.size,
-        grid=grid,
     )

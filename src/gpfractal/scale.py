@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 
 import numpy as np
 
@@ -46,6 +47,15 @@ _U_TINY = 1074 * math.log(2.0)
 def _as_array(r):
     a = np.asarray(r, dtype=float)
     return a, (a.ndim == 0)
+
+
+def _is_number(x) -> bool:
+    """A finite real: not a bool, NaN, an infinity or an int beyond float range."""
+    return (
+        isinstance(x, (int, float, np.integer, np.floating))
+        and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max
+    )
 
 
 def _num(x: float) -> str:
@@ -189,9 +199,11 @@ class ScaleFunction:
     # -- the spec ---------------------------------------------------------
 
     def _set_x_max(self, x_max, default: float):
-        """x_max, or the family default when None."""
+        """x_max, or the family default when None; ValueError unless x_max > 0."""
         self._x_max_default = float(default)
         self.x_max = float(default if x_max is None else x_max)
+        if not self.x_max > 0:
+            raise ValueError(f"x_max must be > 0, got {self.x_max}")
 
     def spec_string(self) -> str:
         """The spec that parse_scale_spec turns back into this scale (x_max if not the default)."""
@@ -422,7 +434,7 @@ class CustomScale(ScaleFunction):
         pts = [(float(r), float(g)) for r, g in knots]
         where = "" if path is None else f" {path}"
         for knot in pts:
-            if not (math.isfinite(knot[0]) and math.isfinite(knot[1])):
+            if not all(map(_is_number, knot)):
                 raise ValueError(f"custom scale{where}: knot {knot} is not finite")
         pts.sort()
         if len(pts) < 2:
@@ -538,14 +550,16 @@ def parse_scale_spec(spec: str) -> ScaleFunction:
             raise ValueError(f"malformed scale parameter {item!r} in {spec!r}")
         params[key.strip().lower()] = val.strip()
 
-    def fget(key, cast=float):
-        if key not in params:
+    def fget(key, cast=float, default=None):
+        if key not in params and default is None:
             raise ValueError(f"scale spec {spec!r} missing parameter {key!r}")
-        return cast(params.pop(key))
+        val = cast(params.pop(key, default))
+        if cast is float and not _is_number(val):
+            raise ValueError(f"scale parameter {key}={val} in {spec!r} is not a finite number")
+        return val
 
     def x_max():
-        val = params.pop("x_max", None)
-        return None if val is None else float(val)
+        return fget("x_max") if "x_max" in params else None
 
     if family == "power":
         out = PowerScale(fget("h"), x_max())
@@ -556,7 +570,7 @@ def parse_scale_spec(spec: str) -> ScaleFunction:
     elif family == "explog":
         out = ExpLogScale(fget("alpha"), x_max())
     elif family == "logcorrected":
-        out = LogCorrectedScale(fget("beta"), float(params.pop("alpha", 0.0)), x_max())
+        out = LogCorrectedScale(fget("beta"), fget("alpha", default=0.0), x_max())
     elif family == "custom":
         out = CustomScale.from_csv(fget("path", cast=str))
     else:

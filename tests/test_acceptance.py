@@ -28,6 +28,7 @@ from gpfractal.energy import capacity_estimate, kernel_matrix, minimize_energy
 from gpfractal.fractal_sets import build_cantor
 from gpfractal.gp_sim import cov_stationary_increments, cov_volterra
 from gpfractal.hitting import (
+    add_sandwich_terms,
     check_hit_instance,
     grid_tolerance_guard,
     hit_probability_mc,
@@ -221,7 +222,8 @@ def test_criterion_7_hitting_sandwich_battery():
         {"type": "ball", "center": [0.3, 0.3, 0.3], "radius": 0.1},
     ]
     instances = [check_hit_instance(f, grid, (0.9, 1.0), [b], d, tol) for b in balls]
-    reports = hit_probability_mc(f, cov, instances, d=d, n_paths=n_paths, seed=404)
+    reports = hit_probability_mc(cov, instances, d=d, n_paths=n_paths, seed=404)
+    add_sandwich_terms(reports, f, grid, instances, d=d)
     verdict = sandwich_report(reports, d=d)
     exponent = _slope(
         [math.log(r) for r in sweep_radii],

@@ -694,6 +694,17 @@ REJECTED = {
     # an infinite r in a knot file once made x_max = inf with a flat last segment
     "custom_scale_inf_knot": ("cantor", {"gamma": "custom:path=$TMP/inf_knot.csv", "zeta": 0.5,
                                          "depth": 4}),
+    # a NaN scale parameter once wrote paths that were NaN throughout
+    "simulate_scale_nan": ("simulate", dict(SIM_CONFIG, gamma="powerlog:H=0.3,beta=nan",
+                                            grid={"a": 0.01, "b": 0.02, "n": 32})),
+    # no point of the condition grid lay in (0, x_max]: an IndexError escaped
+    "check_scale_x_max_negative": ("check-scale", {"gamma": "power:H=0.5,x_max=-1"}),
+    # a per-instance tol was read but set by nothing; the top-level tol applies
+    "battery_instance_tol": ("battery", {
+        **{k: v for k, v in TestOutOfModel.HIT.items() if k not in ("E", "F")},
+        "instances": [{"E": TestOutOfModel.HIT["E"], "F": TestOutOfModel.HIT["F"]}] * 5
+        + [{"E": TestOutOfModel.HIT["E"], "F": TestOutOfModel.HIT["F"], "tol": 2.0}],
+    }),
 }
 
 
@@ -850,6 +861,8 @@ OUT_OF_MODEL = {
         TestOutOfModel.HIT, d=60, tol=20.0, n_paths=8, seed=1,
         grid={"a": 0.2, "b": 1.0, "n": 64}, E={"type": "interval", "a": 0.2, "b": 1.0},
         F=[{"type": "box", "lo": [0.0] * 60, "hi": [1e5] + [0.5] * 59}])),
+    # the condition grid 1e-2 ... 1e-10 has no point within x_max: an IndexError escaped
+    "check_scale_x_max_below_grid": ("check-scale", {"gamma": "power:H=0.5,x_max=1e-11"}),
 }
 
 

@@ -33,7 +33,8 @@ GAMMAS = [
     "explog:alpha=0.3",
     "logcorrected:beta=1.0,alpha=0.5",
 ]
-BAD_GAMMAS = ["power:H=2", "power", "custom:path=$TMP/missing.csv"]
+BAD_GAMMAS = ["power:H=2", "power", "custom:path=$TMP/missing.csv", "powerlog:H=0.3,beta=nan",
+              "logscale:beta=inf", "logcorrected:beta=1.0,alpha=-inf", "explog:alpha=0.3,x_max=nan"]
 WILD = st.sampled_from(
     [True, False, None, "x", [], {}, -1, 0, 0.0, 0.5, 70, 1e308, -1e-300,
      float("nan"), float("inf"), float("-inf"), 10**400]
@@ -168,6 +169,8 @@ CAPACITY = {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0
 @example(call=("check-scale", {"gamma": "custom:path=$TMP/one_column.csv"}, []))
 # a NaN knot made gamma NaN everywhere, and check-scale's quadrature never finished
 @example(call=("check-scale", {"gamma": "custom:path=$TMP/nan_knot.csv"}, []))
+# so did a NaN scale parameter
+@example(call=("check-scale", {"gamma": "powerlog:H=0.3,beta=nan"}, []))
 # found by this test: eps beyond 1 overflowed gamma(x)^(1 - eps), a one-atom E
 # left only zero resolutions, a shallow Cantor E had 3 covering levels, logscale
 # tiles underflowed in dim_rho_product, and paths.bin could not hold the seed

@@ -14,6 +14,7 @@ from gpfractal.gp_sim import cov_stationary_increments, cov_volterra, sample_pat
 from gpfractal.hitting import (
     OutOfModelError,
     PathMinima,
+    add_sandwich_terms,
     check_hit_instance,
     grid_tolerance_guard,
     hausdorff_content_estimate,
@@ -32,7 +33,7 @@ BOX = [{"type": "box", "lo": [-1.0], "hi": [1.0]}]
 def _hit(scale, cov, E, F, d, tol, n_paths, seed, **kw):
     """The one report of a single checked instance, without the sandwich terms."""
     inst = check_hit_instance(scale, cov.grid, E, F, d, tol)
-    (rep,) = hit_probability_mc(scale, cov, [inst], d, n_paths, seed, with_terms=False, **kw)
+    (rep,) = hit_probability_mc(cov, [inst], d, n_paths, seed, **kw)
     return rep
 
 
@@ -116,8 +117,7 @@ class TestHitProbability:
         e_idx = np.flatnonzero((grid >= 0.3 - 1e-12) & (grid <= 0.7 + 1e-12))
         targets = (members[:1], members[1:], members)
         instances = [check_hit_instance(scale, grid, (0.3, 0.7), F, 2, tol) for F in targets]
-        reps = hit_probability_mc(scale, cov, instances, d=2, n_paths=203, seed=8,
-                                  with_terms=False)
+        reps = hit_probability_mc(cov, instances, d=2, n_paths=203, seed=8)
         for F, rep in zip(targets, reps):
             want = sum(
                 float(np.min(Target(F).distance(values[p][e_idx]))) <= tol
@@ -143,7 +143,7 @@ class TestHitProbability:
         instances = [check_hit_instance(scale, grid, (0.2, 1.0), [F], 1, t)
                      for F, t in ((small, tol), (big, tol), (small, 2 * tol))]
         p_small, p_big, p_tol = (rep.p_hat for rep in hit_probability_mc(
-            scale, cov, instances, d=1, n_paths=400, seed=3, with_terms=False))
+            cov, instances, d=1, n_paths=400, seed=3))
         assert p_small <= p_big
         assert p_small <= p_tol
 
@@ -231,8 +231,7 @@ class TestPathMinima:
                      for r in (0.05, 0.1, 0.3)]
         instances += [((0.3, 0.7), _members(3, rng)), ((0.2, 1.0), _members(3, rng)[2:])]
         checked = [check_hit_instance(scale, grid, E, F, 3, tol) for E, F in instances]
-        reps = hit_probability_mc(scale, cov, checked, d=3, n_paths=120, seed=12,
-                                  with_terms=False)
+        reps = hit_probability_mc(cov, checked, d=3, n_paths=120, seed=12)
         for (E, F), inst, shared in zip(instances, checked, reps):
             alone = _hit(scale, cov, E, F, 3, tol, 120, 12)
             want = sum(_norm_distance(F, values[p][inst.e_idx]).min() <= tol
@@ -453,7 +452,8 @@ class TestSandwich:
                                [{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": r}], 3, tol)
             for r in (0.05, 0.1, 0.3)
         ]
-        reps = hit_probability_mc(scale, cov, instances, d=3, n_paths=16, seed=1)
+        reps = hit_probability_mc(cov, instances, d=3, n_paths=16, seed=1)
+        add_sandwich_terms(reps, scale, grid, instances, d=3)
         for terms in ([r.capacity_term for r in reps], [r.content_term for r in reps]):
             assert all(math.isfinite(t) and t > 0 for t in terms)
             assert terms[0] < terms[1] < terms[2]

@@ -311,6 +311,23 @@ class TestSpecStrings:
         assert f.psi(1e-3) == pytest.approx(0.4, rel=1e-3)
 
 
+_FAMILY_PARAMS = {"power": {"H": 0.5}, "powerlog": {"H": 0.3, "beta": 1.0},
+                  "logscale": {"beta": 1.0}, "explog": {"alpha": 0.3},
+                  "logcorrected": {"beta": 1.0, "alpha": 0.5}}
+
+
+class TestSpecValues:
+    @pytest.mark.parametrize("family, key, value", [
+        (family, key, value) for family, params in _FAMILY_PARAMS.items()
+        for key in [*params, "x_max"] for value in ("nan", "inf", "-inf")
+    ] + [(family, "x_max", value) for family in _FAMILY_PARAMS for value in ("0", "-1")])
+    def test_rejects_non_finite_values_and_x_max_at_most_0(self, family, key, value):
+        params = {**_FAMILY_PARAMS[family], key: value}
+        spec = f"{family}:" + ",".join(f"{k}={v}" for k, v in params.items())
+        with pytest.raises(ValueError):
+            parse_scale_spec(spec)
+
+
 class TestCustomGuards:
     @pytest.mark.parametrize(
         "name", ["missing.csv", ".", "one_column.csv", "nan_knot.csv", "inf_knot.csv"])

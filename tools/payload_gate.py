@@ -234,6 +234,17 @@ ROWS = [
         **CAPACITY, "E": {"type": "cantor", "zeta": 0.001, "depth": 0}}, []),
     ("rej_check_scale_eps_above_one", "check-scale", {"gamma": "power:H=0.5", "eps": 70}, []),
     ("rej_check_scale_no_families", "check-scale", {"families": [], "eps": 0.1}, []),
+    # no point of the condition grid 1e-2 ... 1e-10 lies within x_max
+    ("rej_check_scale_x_max_below_grid", "check-scale", {"gamma": "power:H=0.5,x_max=1e-11"},
+     []),
+    # a NaN scale parameter made every path value NaN
+    ("rej_simulate_scale_nan", "simulate", {**SIM, "gamma": "powerlog:H=0.3,beta=nan", "d": 1,
+                                            "grid": {"a": 0.01, "b": 0.02, "n": 32}}, []),
+    # the top-level tol applies to every instance
+    ("rej_battery_instance_tol", "battery", _battery(2, [
+        {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
+        for r in (0.05, 0.1, 0.15, 0.2, 0.3)] + [{"E": HIT["E"], "F": HIT["F"], "tol": 1.0}],
+        tol=GUARD_BALLS, n_paths=50), []),
     # depth-12 sets whose finest delta^2 lies near round-off of R: no factor
     ("rej_dims_cantor_h075_z05_d12", "dims", {**DIMS, "gamma": "power:H=0.75", "E": {
         "type": "cantor", "zeta": 0.5, "depth": 12, "eps0": 1.0}}, []),
