@@ -135,7 +135,7 @@ def dim_delta_estimate(E, scale, n_range=None) -> DimensionEstimate:
     first = increments[: max(2, len(increments) // 3)]
     last = increments[-max(2, len(increments) // 3) :]
     diverged = bool(np.median(last) >= 2.0 * max(np.median(first), 1e-9))
-    counts = [(w, float(2.0**c if c < 1000 else math.inf)) for (w, _), c in zip(table, lc)]
+    counts = [(w, c if c < 1e300 else math.inf) for w, c in table]
     if diverged:
         return DimensionEstimate(
             value=math.inf,
@@ -169,8 +169,9 @@ def dim_rho_product(E, F_members, scale, levels=None) -> DimensionEstimate:
     table = gamma_dyadic_count(E, ms, scale)
     if len(table) < len(ms):
         raise OutOfModelError(f"gamma-dyadic width cannot be formed at level {ms[len(table)]}")
-    ys = [math.log2(ce) + math.log2(F.box_count(2.0**-m)) for m, (_, ce) in zip(ms, table)]
-    counts = list(zip([2.0**-m for m in ms], [2.0**y for y in ys]))
+    factors = [(ce, F.box_count(2.0**-m)) for m, (_, ce) in zip(ms, table)]
+    ys = [math.log2(ce) + math.log2(cf) for ce, cf in factors]
+    counts = [(2.0**-m, ce * cf) for m, (ce, cf) in zip(ms, factors)]
     return _estimate(ms, ys, (ms[0], ms[-1]), counts, "ProductRho")
 
 

@@ -4,6 +4,8 @@ Covariance matrices come from either the stationary-increment model
 R(s,t) = (g2(s) + g2(t) - g2(|t-s|)) / 2 (the canonical model attaining
 commensurability with l = 1) or the Volterra representation
 R(s,t) = int_0^{s^t} sqrt(g2'(t-u)) sqrt(g2'(s-u)) du, where g2 = gamma^2.
+A lag's g2(|t-s|) is delta*(s, t)^2, read from metrics.delta; gamma2 is
+taken only of grid times, as variances.
 
 Two exact samplers draw the paths; the covariance builder picks one and
 nothing else selects it:
@@ -27,10 +29,10 @@ Sec. 4.2) on the one n x n buffer the covariance build returns, so the
 Cholesky path holds one n^2 array and temporaries of O(_CHOL_BLOCK^2)
 per worker.  Each block column is solved by a blocked triangular solve,
 GEMMs against the inverses of its diagonal block's _TRSM_LEAF x
-_TRSM_LEAF blocks (Sec. 3.1), with no LU.
-R stays bit-identical to an unblocked build; L equals
-np.linalg.cholesky(R) bit for bit for n <= _CHOL_BLOCK and differs from
-it by round-off above.  The factor is one attempt on R as built: no
+_TRSM_LEAF blocks (Sec. 3.1), with no LU; each step zeroes its rows right
+of the diagonal, so no later pass touches the buffer.  R stays
+bit-identical to an unblocked build; L equals np.linalg.cholesky(R) bit
+for bit for n <= _CHOL_BLOCK and differs from it by round-off above.  The factor is one attempt on R as built: no
 jitter is added, so a covariance that does not factor raises PSDError
 instead of being sampled with a changed law at its finest scales.
 
@@ -68,6 +70,8 @@ from functools import partial
 
 import numpy as np
 
+from .metrics import _BLOCK_ROWS, delta
+
 __all__ = [
     "PSDError",
     "QuadratureError",
@@ -86,7 +90,6 @@ _UNIFORM_RTOL = 1e-9  # a grid step this close to h counts as h
 _EIG_RTOL = 1e-10  # eigenvalues / prediction errors below this are not positive
 _COND_VAR_RTOL = 1e-8  # Var(B(a) | increments) above -this * g2(a) is round-off
 _PATH_CHUNK = 64  # paths drawn at once over all workers; bounds the sampler's temporaries
-_ROW_BLOCK = 64  # rows of a dense stationary R filled per block
 _QUAD_BLOCK = 64  # pairs (s, t > s) of one row per Volterra quadrature block
 _VOLTERRA_ORDER = 16  # Gauss-Legendre nodes per Volterra panel, checked against half as many
 
@@ -180,7 +183,8 @@ class CovMatrix:
     def cholesky(self) -> np.ndarray:
         """Lower factor L with L L^T = R, in one attempt on R as built.
 
-        The factor overwrites R's own buffer (``_factor_in_place``).  A
+        The factor overwrites R's own buffer with L, zero above the
+        diagonal (``_factor_in_place``).  A
         diagonal block that is not positive definite rejects the (family,
         grid) pair with PSDError naming that block column's rows and grid
         times; nothing is added to the diagonal, since any jitter would
@@ -199,7 +203,6 @@ class CovMatrix:
                 f"column of rows {j0}..{j1 - 1}, t in [{self.grid[j0]:.6g}, "
                 f"{self.grid[j1 - 1]:.6g}]; rejecting this family/grid combination"
             ) from None
-        _zero_upper(A)
         self._chol = A
         return A
 
@@ -223,9 +226,10 @@ def _factor_in_place(A, threads: int = 1):
     ``threads``.  A one-row remainder joins the chunk before it, since a
     one-row product takes NumPy's gemv path and rounds apart from the same
     row in a longer one.  Each job's temporaries are O(_CHOL_BLOCK^2), at
-    most ``threads`` of them at once.  The strict upper triangle is
-    only read.  For n <= _CHOL_BLOCK this is one np.linalg.cholesky call
-    on A, so L equals NumPy's bit for bit.  Raises _BlockError, a
+    most ``threads`` of them at once.  Each step writes its diagonal block's
+    factor whole and zeroes its rows right of that block, so A ends as L
+    with a zero strict upper triangle.  For n <= _CHOL_BLOCK this is one
+    np.linalg.cholesky call on A, so L equals NumPy's bit for bit.  Raises _BlockError, a
     np.linalg.LinAlgError, when a diagonal block is not positive definite.
     """
     n, b = A.shape[0], _CHOL_BLOCK
@@ -239,7 +243,8 @@ def _factor_in_place(A, threads: int = 1):
             L11 = np.linalg.cholesky(np.where(low, blk, blk.T))
         except np.linalg.LinAlgError:
             raise _BlockError(j0, j1) from None
-        np.copyto(blk, L11, where=low)
+        blk[:] = L11
+        A[j0:j1, j1:] = 0.0
         if j1 == n:
             return
         inv = [np.linalg.inv(L11[c : c + _TRSM_LEAF, c : c + _TRSM_LEAF])
@@ -272,15 +277,6 @@ def _solve_panel(P, L, inv, c0: int, c1: int):
     _solve_panel(P, L, inv, c0, mid)
     P[:, mid:c1] -= P[:, c0:mid] @ L[mid:c1, c0:mid].T
     _solve_panel(P, L, inv, mid, c1)
-
-
-def _zero_upper(A):
-    """Set the strict upper triangle of A to zero, a block at a time."""
-    n = A.shape[0]
-    for r0 in range(0, n, _CHOL_BLOCK):
-        r1 = min(r0 + _CHOL_BLOCK, n)
-        A[r0:r1, r0:r1][~np.tri(r1 - r0, dtype=bool)] = 0.0
-        A[r0:r1, r1:] = 0.0
 
 
 def _check_grid(scale, grid, threads: int = 1):
@@ -392,8 +388,7 @@ def _circulant_sampler(scale, grid):
     if np.max(np.abs(np.diff(grid) - h)) > _UNIFORM_RTOL * h:
         return None
     N = n - 1  # increments
-    lags = h * np.arange(N + 1)
-    g2 = scale.gamma2(lags)
+    g2 = np.square(delta(scale, 0.0, h * np.arange(N + 1)))  # the lag variogram
     c = np.empty(N)
     c[0] = g2[1]
     c[1:] = 0.5 * (g2[2:] - 2.0 * g2[1:-1] + g2[:-2])
@@ -430,28 +425,30 @@ def _circulant_sampler(scale, grid):
 
 
 def _stationary_R(scale, grid, threads: int = 1) -> np.ndarray:
-    """Dense R, filled by jobs of _ROW_BLOCK // threads rows into one n x n buffer.
+    """Dense R, filled by jobs of _BLOCK_ROWS // threads rows into one n x n buffer.
 
     A job fills its rows' upper-triangle columns and their mirror image, so
-    jobs write disjoint entries and hold O(_ROW_BLOCK * n) temporaries in
-    all.  Entries are (g2(s) + g2(t) - g2(|t - s|)) / 2 in that order of
-    operations, so no byte depends on the split; |t - s| is symmetric, so R is too.
-    The zero lags lie in a job's first _ROW_BLOCK columns, its tile, so the
-    strip right of it takes gamma's one-pass path.  g2(s) + g2(t) is one
-    1-d add per row, since a broadcast 2-d add allocates NumPy's iterator
-    buffers, up to 2 x 8192 floats a job.
+    jobs write disjoint entries and hold O(_BLOCK_ROWS * n) temporaries in
+    all.  Entries are (g2(s) + g2(t) - delta*(s, t)^2) / 2 in that order of
+    operations, delta* read from metrics.delta and squared in place, so no
+    byte depends on the split; |t - s| is symmetric, so R is too.  The zero
+    lags lie in a job's first _BLOCK_ROWS columns, its tile, so the strip
+    right of it takes gamma's one-pass path.  g2(s) + g2(t) is one 1-d add
+    per row, since a broadcast 2-d add allocates NumPy's iterator buffers,
+    up to 2 x 8192 floats a job.
     """
     g2 = scale.gamma2(grid)
     n = grid.size
     R = np.empty((n, n))
-    rows = max(1, _ROW_BLOCK // threads)
+    rows = max(1, _BLOCK_ROWS // threads)
     def fill(r0):
-        r1, c1 = min(r0 + rows, n), min(r0 + _ROW_BLOCK, n)
+        r1, c1 = min(r0 + rows, n), min(r0 + _BLOCK_ROWS, n)
         blk = R[r0:r1, r0:]
         for k, row in enumerate(blk):
             np.add(g2[r0 + k], g2[r0:], out=row)
-        blk[:, : c1 - r0] -= scale.gamma2(np.abs(grid[r0:r1, None] - grid[None, r0:c1]))
-        blk[:, c1 - r0 :] -= scale.gamma2(grid[None, c1:] - grid[r0:r1, None])
+        for c0, c2 in ((r0, c1), (c1, n)):  # the tile, then the strip right of it
+            lag = delta(scale, grid[r0:r1, None], grid[c0:c2])
+            blk[:, c0 - r0 : c2 - r0] -= np.square(lag, out=lag)
         blk *= 0.5
         R[r1:, r0:r1] = blk[:, r1 - r0 :].T
 
@@ -510,11 +507,11 @@ def cov_volterra(scale, grid, threads: int = 1) -> CovMatrix:
     Entries are computed in the offset variable x = min(s,t) - u, so the
     endpoint singularity sits at x = 0 and nodes never cancel against
     the grid times.  Diagonal entries use the exact identity
-    int_0^t g2'(t-u) du = g2(t).  R is built with _VOLTERRA_ORDER // 2
-    Gauss-Legendre nodes per subinterval, then again with _VOLTERRA_ORDER
-    over the first build, row block by row block, keeping the running max
-    |R - R2| and max |R2|, so the checked build holds one n x n array; a
-    relative disagreement above 1e-6 raises QuadratureError, and the
+    int_0^t g2'(t-u) du = g2(t).  One pass builds R with _VOLTERRA_ORDER
+    Gauss-Legendre nodes per subinterval and, in the same block loop, the
+    same entries with half as many, keeping only the running max
+    |R8 - R16| and max |R16|, so the checked build holds one n x n array;
+    a relative disagreement above 1e-6 raises QuadratureError, and the
     relative change is kept as the covariance's ``quad_rel_change``
     certificate; at this fixed order every built-in family is far below
     1e-6.  The rows are strided over ``threads`` jobs, each with its own
@@ -524,37 +521,28 @@ def cov_volterra(scale, grid, threads: int = 1) -> CovMatrix:
     """
     grid = _check_grid(scale, grid, threads)
     levels = 40
+    patterns = [_volterra_pattern(k, levels) for k in (_VOLTERRA_ORDER, _VOLTERRA_ORDER // 2)]
 
-    def build(order, R=None):
-        """R at ``order`` and, when the R of another order is given, the
-        relative change max |R - R2| / max |R2| as it is overwritten in place."""
-        p, wts = _volterra_pattern(order, levels)
+    def build():
+        """R and the relative change max |R8 - R16| / max |R16| of halving the order."""
         n = grid.size
         diag = scale.gamma2(grid)
-        compare = R is not None
-        if not compare:
-            R = np.zeros((n, n))
+        R = np.zeros((n, n))
         def rows(k):
             change, top = 0.0, np.max(np.abs(diag))
             for i in range(k, n - 1, threads):
                 # grid[i] = min(s, t) for s = grid[i] and every later t, so the
-                # first kernel factor and m * w serve the whole row
+                # first kernel factors and m * w serve the whole row
                 m = grid[i]
-                X = m * p
-                head = np.sqrt(scale.dgamma2(X))
-                mw = m * wts
+                heads = [(m * p, np.sqrt(scale.dgamma2(m * p)), m * w) for p, w in patterns]
                 for j0 in range(i + 1, n, _QUAD_BLOCK):
                     j1 = min(j0 + _QUAD_BLOCK, n)
                     gap = np.abs(m - grid[j0:j1])
-                    vals = np.sqrt(scale.dgamma2(gap[:, None] + X))
-                    vals *= head
-                    vals *= mw
                     # each row's sum depends on that row alone
-                    row = vals.sum(axis=1)
-                    if compare:
-                        # R[i, j0:j1] still holds the other order's entries
-                        change = np.maximum(change, np.max(np.abs(R[i, j0:j1] - row)))
-                        top = np.maximum(top, np.max(np.abs(row)))
+                    row, half = ((np.sqrt(scale.dgamma2(gap[:, None] + X)) * head * mw).sum(axis=1)
+                                 for X, head, mw in heads)
+                    change = np.maximum(change, np.max(np.abs(half - row)))
+                    top = np.maximum(top, np.max(np.abs(row)))
                     R[i, j0:j1] = R[j0:j1, i] = row
             return change, top
 
@@ -562,7 +550,7 @@ def cov_volterra(scale, grid, threads: int = 1) -> CovMatrix:
         np.fill_diagonal(R, diag)
         return R, float(change / (top or 1.0))
 
-    R, rel = build(_VOLTERRA_ORDER, build(_VOLTERRA_ORDER // 2)[0])
+    R, rel = build()
     if rel > 1e-6:
         raise QuadratureError(
             f"Volterra quadrature not converged: relative change {rel:.3e} "
@@ -570,7 +558,7 @@ def cov_volterra(scale, grid, threads: int = 1) -> CovMatrix:
             f"levels {levels}, n={grid.size})"
         )
     cov = CovMatrix(grid=grid, R=R, label=f"volterra[{scale.name}]",
-                    build=lambda: build(_VOLTERRA_ORDER)[0], threads=threads)
+                    build=lambda: build()[0], threads=threads)
     cov.quad_rel_change = rel
     cov.cholesky()
     return cov

@@ -1,9 +1,10 @@
 """Canonical metrics of the process and the commensurability diagnostic.
 
 Two metrics on the time line: the stationary-increment model
-delta*(s, t) = gamma(|t - s|), used for set geometry, and the
-covariance-derived delta(s, t) = sqrt(R(t,t) + R(s,s) - 2 R(s,t)) of a
-simulated process.  The product metric on time x space is
+delta*(s, t) = gamma(|t - s|), evaluated only by ``delta`` for set
+geometry and the covariance builds, and the covariance-derived
+delta(s, t) = sqrt(R(t,t) + R(s,s) - 2 R(s,t)) of a simulated process.
+The product metric on time x space is
 rho((s, x), (t, y)) = max(delta*(s, t), ||x - y||), evaluated only by
 AtomRows, the one handle for an atom set (times, or times x points held
 factored): distance rows, distance blocks and the diameter.
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "delta",
-    "delta_matrix",
     "AtomRows",
     "covariance_delta_matrix",
     "CommensurabilityReport",
@@ -36,12 +36,6 @@ def delta(scale, s, t):
     |t - s| never leaves the scale's domain and is not clipped.
     """
     return scale.gamma(np.abs(np.asarray(t, dtype=float) - s))
-
-
-def delta_matrix(scale, times) -> np.ndarray:
-    """delta* over every (row, column) pair of ``times``."""
-    times = np.asarray(times, dtype=float)
-    return delta(scale, times[:, None], times[None, :])
 
 
 class AtomRows:
@@ -78,11 +72,12 @@ class AtomRows:
     def block(self, idx) -> np.ndarray:
         """The (k, k) distance matrix among atoms idx, row a = self(idx[a], idx).
 
-        Product atoms take one gamma table over the distinct times of idx
-        and one norm table over its distinct points, gathered by np.ix_.
-        Each strip of _BLOCK_ROWS rows is filled from its diagonal rightward
-        and mirrored below, so temporaries stay small beside the k x k
-        result and each pair is evaluated once.  The mirror is exact:
+        Product atoms take one delta* table over the distinct times of idx,
+        the time-atom block of those times, and one norm table over its
+        distinct points, gathered by np.ix_.  Each strip of _BLOCK_ROWS rows
+        is filled from its diagonal rightward and mirrored below, so
+        temporaries stay small beside the k x k result and each pair is
+        evaluated once.  The mirror is exact:
         fl(t - s) is -fl(s - t), so |t - s|, its gamma and ||x - y|| are
         the same bits either way.  Time atoms take the square on the
         diagonal apart from the positive gaps right of it.
@@ -95,7 +90,7 @@ class AtomRows:
             ti, fi = np.divmod(idx, len(self.points))
             ut, t_of = np.unique(ti, return_inverse=True)
             uf, f_of = np.unique(fi, return_inverse=True)
-            g = delta_matrix(self.scale, self.times[ut])
+            g = AtomRows(self.scale, self.times).block(ut)
             p = self.points[uf]
             norms = np.linalg.norm(p[None, :, :] - p[:, None, :], axis=-1)
         for a in range(0, idx.size, _BLOCK_ROWS):
@@ -157,7 +152,7 @@ def commensurability_report(cov, scale) -> CommensurabilityReport:
     """Ratio delta(s,t) / gamma(|t-s|) over all distinct grid pairs."""
     grid = cov.grid
     dm = covariance_delta_matrix(cov)
-    gm = delta_matrix(scale, grid)
+    gm = AtomRows(scale, grid).block(np.arange(grid.size))
     iu = np.triu_indices(grid.size, k=1)
     ratios = dm[iu] / gm[iu]
     rmin = float(np.min(ratios))

@@ -16,7 +16,7 @@ from gpfractal.dimension import (
     dim_rho_product,
     image_dimension_experiment,
 )
-from gpfractal.fractal_sets import OutOfModelError, TimeSet, build_cantor
+from gpfractal.fractal_sets import OutOfModelError, TimeSet, build_cantor, gamma_dyadic_count
 from gpfractal.gp_sim import cov_stationary_increments
 from gpfractal.scale import LogCorrectedScale, LogScale, PowerScale
 
@@ -116,6 +116,16 @@ class TestDimDelta:
             cs = build_cantor(f, zeta, depth=12)
             est = dim_delta_estimate(cs, f)
             assert est.value == pytest.approx(zeta, abs=0.05)
+
+    @pytest.mark.parametrize("E", [[(0.2, 1.0)], [(0.01, 0.5)], "cantor"])
+    @pytest.mark.parametrize("h", [0.3, 0.5])
+    def test_counts_are_the_covering_table(self, E, h):
+        # each reported count is N_n itself, not 2 ** log2(N_n)
+        f = PowerScale(h)
+        E = build_cantor(f, 0.6, depth=10) if E == "cantor" else E
+        est = dim_delta_estimate(E, f)
+        table = gamma_dyadic_count(E, range(2, 2 + len(est.counts)), f)
+        assert est.counts == table
 
     def test_shallow_cantor_is_out_of_model(self):
         # depth / zeta = 0 leaves covering levels 2 ... 4 only

@@ -422,10 +422,10 @@ class TestBlocks:
     @pytest.mark.parametrize("f", BLOCK_FAMILIES, ids=lambda f: f.name)
     def test_stationary_R_matches_unblocked(self, f, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(gp_sim, "_ROW_BLOCK", block)
+            monkeypatch.setattr(gp_sim, "_BLOCK_ROWS", block)
         # 2 * 64 + 37 rows: the last block is partial at either block size
         grid = np.sort(np.random.default_rng(5).uniform(0.1, 0.9, 165)) * f.x_max
-        assert grid.size % gp_sim._ROW_BLOCK != 0
+        assert grid.size % gp_sim._BLOCK_ROWS != 0
         assert np.array_equal(gp_sim._stationary_R(f, grid), _dense_stationary_R(f, grid))
 
     @pytest.mark.parametrize("block", [None, 7])
@@ -574,7 +574,7 @@ class TestThreadedBuilds:
 
     @staticmethod
     def _builds(threads):
-        # 300 points: no multiple of _ROW_BLOCK or of its 1/2 and 1/3 parts;
+        # 300 points: no multiple of _BLOCK_ROWS or of its 1/2 and 1/3 parts;
         # 96 Volterra rows strided over the jobs
         stationary = cov_stationary_increments(PowerScale(0.4), np.geomspace(0.05, 1.0, 300),
                                                threads)
@@ -598,6 +598,11 @@ class TestThreadedBuilds:
 
     def test_worker_errors_reach_the_caller(self):
         class WorkerBoom(PowerScale):
+            def gamma(self, r):
+                if threading.current_thread() is not threading.main_thread():
+                    raise ZeroDivisionError("worker failed")
+                return super().gamma(r)
+
             def gamma2(self, r):
                 if threading.current_thread() is not threading.main_thread():
                     raise ZeroDivisionError("worker failed")
@@ -750,9 +755,7 @@ class TestInPlaceFactor:
                 digest = hashlib.sha256(A).hexdigest()
                 want = want or digest
                 assert digest == want, threads
-                for r0 in range(0, n, gp_sim._CHOL_BLOCK):  # the strict upper triangle is R's
-                    rows = slice(r0, r0 + gp_sim._CHOL_BLOCK)
-                    assert np.array_equal(np.triu(A[rows], r0 + 1), np.triu(R[rows], r0 + 1))
+                assert not np.any(np.triu(A, 1))  # each step zeroes its rows right of the diagonal
                 del A
         finally:
             sys.setswitchinterval(interval)

@@ -13,7 +13,6 @@ from gpfractal.metrics import (
     commensurability_report,
     covariance_delta_matrix,
     delta,
-    delta_matrix,
 )
 from gpfractal.scale import LogScale, PowerScale, parse_scale_spec
 
@@ -49,7 +48,7 @@ class TestDelta:
         grid = np.linspace(0.1, 1.0, 32)
         cov = cov_stationary_increments(f, grid)
         d1 = covariance_delta_matrix(cov)
-        d2 = delta_matrix(f, grid)
+        d2 = delta(f, grid[:, None], grid[None, :])
         assert np.max(np.abs(d1 - d2)) <= 1e-10
 
 
@@ -162,7 +161,8 @@ class TestFactoredRows:
         times = np.sort(rng.uniform(0.01, 0.45, size=k + 5))
         idx = np.sort(rng.choice(k + 5, size=k, replace=False))
         block = AtomRows(f, times).block(idx)
-        assert block.tobytes() == delta_matrix(f, times[idx]).tobytes()
+        t = times[idx]
+        assert block.tobytes() == delta(f, t[:, None], t[None, :]).tobytes()
         assert np.array_equal(block, block.T)
 
     def test_block_reads_one_gamma_table_per_block(self, monkeypatch):
@@ -173,8 +173,9 @@ class TestFactoredRows:
         monkeypatch.setattr(f, "gamma", lambda r: sizes.append(np.size(r)) or gamma(r))
         metric.block(np.arange(0, 210, 2))
         metric(5, slice(None))
-        # one 30 x 30 table of distinct times for the block, one 30-time row
-        assert sizes == [900, 30]
+        # one 30 x 30 table of distinct times for the block (its one strip:
+        # the tile and an empty remainder), one 30-time row
+        assert sizes == [900, 0, 30]
 
 
 class TestDiameter:

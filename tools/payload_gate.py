@@ -344,6 +344,10 @@ ROWS = [
     # last block
     ("simulate_volterra_n300", "simulate", {**SIM, "cov": "volterra",
                                             "grid": {"a": 1 / 300, "b": 1.0, "n": 300}}, []),
+    # the blocked factor (n > 256) on a Volterra R, its steps split over three workers
+    ("simulate_volterra_n300_threads3", "simulate", {**SIM, "cov": "volterra",
+                                                     "grid": {"a": 1 / 300, "b": 1.0, "n": 300}},
+     ["--threads", "3"]),
     # 513 points: the first panel's 257 rows are solved as one chunk, 256 rows
     # and the one-row remainder joined to them, at every --threads
     ("simulate_volterra_n513", "simulate", {**SIM, "cov": "volterra",
