@@ -332,7 +332,11 @@ def cmd_capacity(cfg, threads: int, trace: bool) -> dict:
     rows = AtomRows(scale, times)
     if "F" in cfg:
         F = _parse_F(cfg, _parse_d(cfg))
-        rows = AtomRows(scale, times[:: max(1, len(times) // 64)], F.lattice()[0])
+        lattice = F.lattice()[0]
+        # 64-127 times, or the most that keep the product within the atom
+        # cap; capacity_estimate refuses a product that 2 times overfill
+        fit = max(2, _MAX_ATOMS // len(lattice))
+        rows = AtomRows(scale, times[:: max(1, len(times) // 64, -(-len(times) // fit))], lattice)
     # the unthinned span: a thinned product sample may end before times[-1]
     diam_hint = delta(scale, times[0], times[-1])
     resolutions = cfg.get("resolutions")

@@ -48,16 +48,20 @@ chunking.
 or is a config error) sets the worker count of the three stages split
 into disjoint jobs run by ``_run_jobs``: the rows of a dense covariance
 build, the row chunks of each step of the Cholesky factor, and path
-sampling, one job per path chunk.  It is the only parallelism:
-importing the package pins BLAS to one thread, so no byte depends on
-the BLAS thread count either.  Each job draws its chunk for
-every component and hands it to ``consume(p0, block)`` on its worker, so
-the per-path minima of ``hitting.PathMinima``, the per-path box counts of
-``dims`` and the records of ``simulate``'s binary file are made in the
-same jobs.  consume is called once per chunk, possibly on a worker and in
-any order, and at most ``threads`` chunks are alive at once, so no
-command holds an (n_paths, n, d) array on either sampler.  The capacity
-and content terms and the condition integrals stay serial.
+sampling, one job per worker over its share of the path chunks.  It is
+the only parallelism: importing the package pins BLAS to one thread, so
+no byte depends on the BLAS thread count either.  A sampling job
+allocates one chunk's buffers and reuses them for each chunk it draws,
+for every component, and hands each chunk to ``consume(p0, block)`` on
+its worker, so the per-path minima of ``hitting.PathMinima``, the
+per-path box counts of ``dims`` and the records of ``simulate``'s binary
+file are made in the same jobs.  consume is called once per chunk,
+possibly on a worker and in any order, and the block is reused once it
+returns, so consume keeps nothing of it.  At most ``threads`` sets of
+buffers exist, so no command holds an (n_paths, n, d) array on either
+sampler: a circulant worker holds 8 (n d + 3 m + 3) floats, with
+m = 2(n - 2).  The capacity and content terms and the condition
+integrals stay serial.
 """
 
 from __future__ import annotations
@@ -89,7 +93,8 @@ _MAX_D = 65535  # the substream key (path << 16) ^ comp needs comp < 2^16
 _UNIFORM_RTOL = 1e-9  # a grid step this close to h counts as h
 _EIG_RTOL = 1e-10  # eigenvalues / prediction errors below this are not positive
 _COND_VAR_RTOL = 1e-8  # Var(B(a) | increments) above -this * g2(a) is round-off
-_PATH_CHUNK = 64  # paths drawn at once over all workers; bounds the sampler's temporaries
+_PATH_CHUNK = 64  # GEMM columns of a Cholesky path block; also the cap on threads
+_CIRC_CHUNK = 8  # paths of a circulant chunk, drawn into its worker's reused buffers
 _QUAD_BLOCK = 64  # pairs (s, t > s) of one row per Volterra quadrature block
 _VOLTERRA_ORDER = 16  # Gauss-Legendre nodes per Volterra panel, checked against half as many
 
@@ -346,30 +351,29 @@ class _Circulant:
     def m(self) -> int:
         return 2 * (self.weights.size - 1)
 
-    def paths(self, z: np.ndarray) -> np.ndarray:
-        """Paths (k, n) from normals z of shape (k, m + 1).
+    def paths(self, z: np.ndarray, out: np.ndarray, coef: np.ndarray, X: np.ndarray):
+        """Write the paths of normals z (k, m + 1) into out (k, n).
 
         z[:, 0] drives B(a) given the increments; z[:, 1:] fill the
         Hermitian rfft coefficients: the real parts at j = 0 and m/2 and
-        the real and imaginary parts in between, m normals in all.
+        the real and imaginary parts in between, m normals in all.  out
+        may be a strided view, such as one component of a path block.
+        coef (k, m/2 + 1) complex and X (k, m) are the caller's buffers,
+        reused from chunk to chunk, so the call allocates no array of m
+        floats: coef is zeroed once, its imaginary parts at j = 0 and m/2
+        stay zero, and every other entry read here is written here first.
         """
         half = self.weights.size - 1
-        coef = np.zeros((z.shape[0], half + 1), dtype=complex)
         coef.real[:, 0] = z[:, 1]
         coef.real[:, half] = z[:, 2]
         coef.real[:, 1:half] = z[:, 3 : half + 2]
         coef.imag[:, 1:half] = z[:, half + 2 :]
         coef *= self.weights
-        # each temporary is dropped before the next one is made, so a
-        # worker holds z and at most two of them at a time
-        X = np.fft.irfft(coef, n=self.m, norm="forward")[:, : self.mu.size]
-        del coef
-        out = np.empty((z.shape[0], self.mu.size + 1))
-        out[:, 0] = np.einsum("ij,j->i", X, self.mu) + self.start_sd * z[:, 0]
+        X = np.fft.irfft(coef, n=self.m, norm="forward", out=X)[:, : self.mu.size]
+        np.einsum("ij,j->i", X, self.mu, out=out[:, 0])
+        out[:, 0] += self.start_sd * z[:, 0]
         np.cumsum(X, axis=1, out=out[:, 1:])
-        del X
         out[:, 1:] += out[:, :1]
-        return out
 
 
 def _circulant_sampler(scale, grid):
@@ -641,24 +645,25 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int =
 
     Components are independent copies of the scalar process; the normals
     for (path p, component c) come from the Philox substream keyed by
-    (seed, p, c), so d is limited to _MAX_D.  One job per chunk runs on
-    ``threads`` workers (at most _PATH_CHUNK).  For each component it
-    turns its chunk's normals into paths: _Circulant.paths on chunks of
-    _PATH_CHUNK // threads paths (at least 1), or L @ Z, Z being the
-    normals C-ordered (n, _PATH_CHUNK), on blocks of _PATH_CHUNK paths at
-    every worker count, since a GEMM's rounding can depend on its column
-    count; the last block's Z is padded with zero columns, so a path's bytes
-    do not depend on n_paths either.
-    block[i, j, c] is component c of path p0 + i at grid[j] and is dropped
-    when consume returns.  consume is called once per chunk, possibly on a
-    worker thread and in any order, must write only outputs of its own
-    paths, and at most ``threads`` chunks exist at once; no byte depends
-    on the worker count.  Returns the PathBatch the paths belong to.
+    (seed, p, c), so d is limited to _MAX_D.  The chunks have a fixed size
+    at every worker count: _CIRC_CHUNK paths for _Circulant.paths, or
+    _PATH_CHUNK for L @ Z, Z being the normals C-ordered (n, _PATH_CHUNK),
+    since a GEMM's rounding can depend on its column count; the last
+    block's Z is padded with zero columns, so a path's bytes do not depend
+    on n_paths either.  min(threads, chunks) jobs run on ``threads``
+    workers (at most _PATH_CHUNK); job w draws chunks w, w + jobs, ... in
+    order into buffers of min(chunk, n_paths) rows it allocates once (Z
+    and L @ Z keep their _PATH_CHUNK columns).
+    block[i, j, c] is component c of path p0 + i at grid[j], and the
+    block is reused once consume returns.  consume is called once per
+    chunk, possibly on a worker thread and in any order, must write only
+    outputs of its own paths and keep no reference to the block; no byte
+    depends on the worker count.  Returns the PathBatch the paths belong to.
     """
     if d < 1 or n_paths < 1 or threads < 1:
         raise ValueError("d, n_paths and threads must be positive")
     if threads > _PATH_CHUNK:
-        raise ValueError(f"threads = {threads} exceeds {_PATH_CHUNK}, where a chunk is one path")
+        raise ValueError(f"threads = {threads} exceeds {_PATH_CHUNK}")
     if d > _MAX_D:
         raise ValueError(
             f"d = {d} exceeds {_MAX_D}: the (path, component) substreams would collide"
@@ -666,20 +671,32 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int =
     n, circ = cov.n, cov._circulant
     if circ is None:
         L = cov.cholesky()
-        size, width = _PATH_CHUNK, n
-    else:
-        size, width = max(1, _PATH_CHUNK // threads), circ.m + 1
+    size = _PATH_CHUNK if circ is None else _CIRC_CHUNK
+    chunks = range(0, n_paths, size)
+    workers = min(threads, len(chunks))
+    rows = min(size, n_paths)
 
-    def job(p0):
-        k = min(size, n_paths - p0)
-        block = np.empty((k, n, d))
-        # a Cholesky tail block keeps all _PATH_CHUNK columns, zeros past its k paths
-        z = np.empty((k, width)) if circ else np.zeros((size, width))
-        for c in range(d):
-            for i in range(k):
-                _substream(seed, p0 + i, c).standard_normal(out=z[i])
-            block[:, :, c] = circ.paths(z) if circ else (L @ np.ascontiguousarray(z.T)).T[:k]
-        consume(p0, block)
+    def job(w):
+        # one worker's buffers, reused for each of its chunks w, w + workers, ...
+        block = np.empty((rows, n, d))
+        if circ:
+            z = np.empty((rows, circ.m + 1))
+            coef, X = np.zeros((rows, circ.weights.size), dtype=complex), np.empty((rows, circ.m))
+        else:
+            Z, LZ = np.empty((n, size)), np.empty((n, size))
+        for p0 in chunks[w::workers]:
+            k = min(size, n_paths - p0)
+            for c in range(d):
+                if circ:
+                    for i in range(k):
+                        _substream(seed, p0 + i, c).standard_normal(out=z[i])
+                    circ.paths(z[:k], block[:k, :, c], coef[:k], X[:k])
+                else:
+                    for i in range(k):
+                        Z[:, i] = _substream(seed, p0 + i, c).standard_normal(n)
+                    Z[:, k:] = 0.0  # a tail block keeps all _PATH_CHUNK GEMM columns
+                    block[:k, :, c] = np.matmul(L, Z, out=LZ).T[:k]
+            consume(p0, block[:k])
 
-    _run_jobs([partial(job, p0) for p0 in range(0, n_paths, size)], threads)
+    _run_jobs([partial(job, w) for w in range(workers)], threads)
     return PathBatch(grid=cov.grid, d=d, n_paths=n_paths, seed=seed)

@@ -193,7 +193,7 @@ def _hit_counts(cov: CovMatrix, triples, d: int, n_paths: int, seed: int,
 
     A path hits a triple when some grid point of its E has its image
     within tol of F.  The paths stream chunk by chunk through one
-    PathMinima, filled by the path-chunk jobs on ``threads`` workers,
+    PathMinima, filled by the sampling jobs on ``threads`` workers,
     whose table serves every triple, so no batch of values is kept; at a
     fixed seed the per-path indicator is monotone in F and in tol by
     construction.

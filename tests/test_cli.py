@@ -385,6 +385,30 @@ class TestHitAndCapacity:
         rep = json.loads((out / "capacity_report.json").read_text())
         assert rep["verdict"] in {"positive", "zero", "inconclusive"}
 
+    def test_capacity_product_thinned_to_the_atom_cap(self, tmp_path, monkeypatch):
+        # 343 lattice points x 64 times would be 21,952 atoms; every 18th of
+        # the 512 times leaves 29, 9,947 atoms.  Coarse resolutions keep the
+        # solves small: the thinning happens before the sweep.
+        sizes = []
+        atom_rows = cli.AtomRows
+
+        def recorded(scale, times, points=None):
+            sizes.append((len(times), 0 if points is None else len(points)))
+            return atom_rows(scale, times, points)
+
+        monkeypatch.setattr(cli, "AtomRows", recorded)
+        cfg = _write_config(
+            tmp_path,
+            {"gamma": "power:H=0.5", "E": {"type": "interval", "a": 0.2, "b": 1.0},
+             "beta": 1.5, "seed": 0, "d": 3, "resolutions": [0.4, 0.2],
+             "F": [{"type": "box", "lo": [0.0, 0.0, 0.0], "hi": [0.3, 0.3, 0.3]}]},
+        )
+        out = tmp_path / "out"
+        assert main(["capacity", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert sizes[-1] == (29, 343)
+        rep = json.loads((out / "capacity_report.json").read_text())
+        assert rep["resolutions"] == [0.4, 0.2]
+
     def test_capacity_box_above_64_dimensions(self, tmp_path):
         # 65 axes, more than an ndarray may have; the box's lattice holds 7 points
         cfg = _write_config(

@@ -360,8 +360,8 @@ class TestExport:
 
     @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
     def test_files_equal_across_threads(self, sampler, tmp_path):
-        # 130 paths: circulant chunks of 64 or 21 paths, Cholesky blocks of
-        # 64, 64 and 2, written by workers in any order
+        # 130 paths: 17 circulant chunks of 8 paths, the last of 2, or Cholesky
+        # blocks of 64, 64 and 2, written by workers in any order
         cov = cov_stationary_increments(PowerScale(0.5), THREAD_GRIDS[sampler])
         assert cov.sampler == sampler
         interval = sys.getswitchinterval()
@@ -464,14 +464,15 @@ def _reference_paths(cov, d, n_paths, seed):
             values[:, :, c] = (cov.cholesky() @ Z).T
         else:
             circ = cov._circulant
+            coef = np.zeros((1, circ.weights.size), dtype=complex)
             for p in range(n_paths):
-                z = gp_sim._substream(seed, p, c).standard_normal(circ.m + 1)
-                values[p, :, c] = circ.paths(z[None, :])[0]
+                z = gp_sim._substream(seed, p, c).standard_normal((1, circ.m + 1))
+                circ.paths(z, values[p : p + 1, :, c], coef, np.empty((1, circ.m)))
     return values
 
 
 class TestThreads:
-    """The path-chunk jobs and their consumers write disjoint slices, so
+    """The sampling jobs and their consumers write disjoint slices, so
     no worker count changes a byte."""
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
@@ -491,21 +492,50 @@ class TestThreads:
         assert np.array_equal(got, want)
 
     def test_chunk_size_follows_threads(self, monkeypatch):
-        sizes = []
+        jobs, blocks = [], []
         run_jobs = gp_sim._run_jobs
 
-        def counted(jobs, threads):
-            sizes.append(len(jobs))
-            return run_jobs(jobs, threads)
+        def counted(job_list, threads):
+            jobs.append(len(job_list))
+            return run_jobs(job_list, threads)
+
+        def sizes(p0, block):
+            blocks.append((p0, len(block)))
 
         covs = [cov_stationary_increments(PowerScale(0.5), grid) for grid in THREAD_GRIDS.values()]
         monkeypatch.setattr(gp_sim, "_run_jobs", counted)
         for cov in covs:
+            size = 8 if cov.sampler == "circulant" else 64
             for threads in (1, 2, 3, 64):
-                sample_paths(cov, d=2, n_paths=97, seed=1, threads=threads, consume=_drop)
-        # one job per chunk, each over both components: circulant chunks of
-        # 64, 32, 21 and 1 paths, Cholesky blocks of 64 at every worker count
-        assert sizes == [2, 4, 5, 97] + [2] * 4
+                blocks.clear()
+                sample_paths(cov, d=2, n_paths=97, seed=1, threads=threads, consume=sizes)
+                # chunks of a fixed size at every worker count, the last one partial
+                assert sorted(blocks) == [(p0, min(size, 97 - p0)) for p0 in range(0, 97, size)]
+        # one job per worker, min(threads, chunks) of them, each over both
+        # components: 13 circulant chunks of 8 paths, 2 Cholesky blocks of 64
+        assert jobs == [1, 2, 3, 13] + [1, 2, 2, 2]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_circulant_working_set_is_bounded_by_design(self, threads):
+        # each worker holds one chunk's block (8, n, d), normals (8, m + 1),
+        # rfft coefficients (8, m/2 + 1) complex and irfft output (8, m)
+        n, d = 8192, 3
+        cov = cov_stationary_increments(PowerScale(0.5), np.linspace(0.9, 1.0, n))
+        m = cov._circulant.m
+        bound = threads * 8 * 8 * (n * d + 3 * m + 3)
+        slack = 2**20
+        sample_paths(cov, d=d, n_paths=1, seed=3, consume=_drop)  # NumPy's lazy imports
+        peaks = []
+        for n_paths in (64, 512):
+            tracemalloc.start()
+            try:
+                sample_paths(cov, d=d, n_paths=n_paths, seed=3, threads=threads, consume=_drop)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= bound + slack
+        # the working set does not grow with the number of paths
+        assert abs(peaks[1] - peaks[0]) <= slack
 
     @pytest.mark.parametrize("sampler", list(THREAD_GRIDS))
     def test_threads_above_cap_rejected_before_any_worker(self, sampler, monkeypatch):

@@ -281,10 +281,10 @@ class TestStreamedMinima:
             sys.setswitchinterval(interval)
         assert batch.n_paths == n_paths and not hasattr(batch, "values")
         assert minima.table.tobytes() == want.tobytes()
-        # the blocks partition the paths; a circulant chunk holds at most
-        # 64 // threads paths, a Cholesky block at most 64 at every count
+        # the blocks partition the paths; a circulant chunk holds at most 8
+        # paths, a Cholesky block at most 64, at every worker count
         assert sorted(p for p0, k in blocks for p in range(p0, p0 + k)) == list(range(n_paths))
-        bound = max(1, 64 // threads) if sampler == "circulant" else 64
+        bound = 8 if sampler == "circulant" else 64
         assert max(k for _, k in blocks) <= bound
 
     def test_streamed_hit_memory_does_not_grow_with_paths(self):

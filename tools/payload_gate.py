@@ -88,7 +88,7 @@ ROWS = [
         {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
         for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=97),
      ["--threads", "2"]),
-    # 70 paths in chunks of 21: four chunk jobs, the last one partial
+    # 70 paths: nine circulant chunks of 8 on three workers, the last one of 6 paths
     ("battery_n70_threads3", "battery", _battery(2, [
         {"E": HIT["E"], "F": [{"type": "ball", "center": [0.5, 0.0], "radius": r}]}
         for r in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)], tol=GUARD_BALLS, n_paths=70),
@@ -137,6 +137,9 @@ ROWS = [
     ("capacity_logscale", "capacity", {**CAPACITY, "gamma": LOG, "beta": 0.5, "n_atoms": 400,
                                        "E": {"type": "interval", "a": 0.1, "b": 0.4}}, []),
     ("capacity_product", "capacity", CAPACITY_PRODUCT, []),
+    # 343 lattice points x 64 times would pass the atom cap; every 18th time fits it
+    ("capacity_product_atom_cap", "capacity", {
+        **CAPACITY, "d": 3, "F": [{"type": "box", "lo": [0.0] * 3, "hi": [0.3] * 3}]}, []),
     ("capacity_product_trace", "capacity", CAPACITY_PRODUCT, ["--trace"]),
     ("capacity_resolutions", "capacity", {**CAPACITY, "n_atoms": 500,
                                           "resolutions": [0.4, 0.2, 0.1, 0.05, 0.025]}, []),
@@ -165,6 +168,10 @@ ROWS = [
     ("dims_interval", "dims", {**DIMS, "E": {"type": "interval", "a": 0.2, "b": 1.0}}, []),
     ("dims_interval_threads2", "dims", {**DIMS, "E": {"type": "interval", "a": 0.2, "b": 1.0}},
      ["--threads", "2"]),
+    # one circulant chunk of 5 paths: one worker at --threads 2
+    ("dims_interval_p5_threads2", "dims", {**DIMS, "n_paths": 5,
+                                           "E": {"type": "interval", "a": 0.2, "b": 1.0}},
+     ["--threads", "2"]),
     ("dims_interval_n70_threads2", "dims", {**DIMS, "n_paths": 70,
                                             "E": {"type": "interval", "a": 0.2, "b": 1.0}},
      ["--threads", "2"]),
@@ -188,7 +195,10 @@ ROWS = [
     ("hit_threads2", "hit", {**HIT, "d": 3, "n_paths": 97, "tol": 1.2,
                              "F": [{"type": "ball", "center": [0.5, 0.0, 0.0], "radius": 0.2}]},
      ["--threads", "2"]),
-    # a Cholesky sampler: 70 paths in chunks of 21, each chunk's minima filled by its job
+    # 73 paths: ten circulant chunks, the last of one path, on workers of 4, 3 and 3 chunks
+    ("hit_p73_threads3", "hit", {**HIT, "n_paths": 73}, ["--threads", "3"]),
+    # a Cholesky sampler: 70 paths in blocks of 64 and 6 on two workers, each
+    # block's minima filled by its worker
     ("hit_volterra_threads3", "hit", {**HIT, "cov": "volterra", "n_paths": 70}, ["--threads", "3"]),
     ("hit_union", "hit", {**HIT, "F": [{"type": "ball", "center": [0.5, 0.0], "radius": 0.2},
                                        {"type": "box", "lo": [-0.6, -0.6],
