@@ -46,11 +46,12 @@ chunking.
 
 ``threads`` (the CLI's ``--threads``, which must lie in [1, _PATH_CHUNK]
 or is a config error) sets the worker count of the three stages split
-into disjoint jobs run by ``_run_jobs``: the rows of a dense covariance
-build, the row chunks of each step of the Cholesky factor, and path
-sampling, one job per worker over its share of the path chunks.  It is
-the only parallelism: importing the package pins BLAS to one thread, so
-no byte depends on the BLAS thread count either.  A sampling job
+into disjoint jobs run by ``_run_jobs``: the rows of the Volterra build,
+the row chunks of each step of the Cholesky factor, and path sampling,
+one job per worker over its share of the path chunks; a stationary R is
+built on the calling thread (_stationary_R).  ``threads`` is the only
+parallelism: importing the package pins BLAS to one thread, so no byte
+depends on the BLAS thread count either.  A sampling job
 allocates one chunk's buffers and reuses them for each chunk it draws,
 for every component, and hands each chunk to ``consume(p0, block)`` on
 its worker, so the per-path minima of ``hitting.PathMinima``, the
@@ -74,7 +75,8 @@ from functools import partial
 
 import numpy as np
 
-from .metrics import _BLOCK_ROWS, delta
+from . import metrics
+from .metrics import AtomRows, delta
 
 __all__ = [
     "PSDError",
@@ -428,35 +430,21 @@ def _circulant_sampler(scale, grid):
     )
 
 
-def _stationary_R(scale, grid, threads: int = 1) -> np.ndarray:
-    """Dense R, filled by jobs of _BLOCK_ROWS // threads rows into one n x n buffer.
+def _stationary_R(scale, grid) -> np.ndarray:
+    """Dense R on the calling thread: the delta* block of metrics.AtomRows,
+    turned into R in place one _BLOCK_ROWS-row strip at a time.
 
-    A job fills its rows' upper-triangle columns and their mirror image, so
-    jobs write disjoint entries and hold O(_BLOCK_ROWS * n) temporaries in
-    all.  Entries are (g2(s) + g2(t) - delta*(s, t)^2) / 2 in that order of
-    operations, delta* read from metrics.delta and squared in place, so no
-    byte depends on the split; |t - s| is symmetric, so R is too.  The zero
-    lags lie in a job's first _BLOCK_ROWS columns, its tile, so the strip
-    right of it takes gamma's one-pass path.  g2(s) + g2(t) is one 1-d add
-    per row, since a broadcast 2-d add allocates NumPy's iterator buffers,
-    up to 2 x 8192 floats a job.
+    Entries are (g2(s) + g2(t) - delta*(s, t)^2) / 2 in that order of
+    operations, so temporaries stay those of a strip beside the n x n
+    result; the block is symmetric bit for bit, so R is too.
     """
     g2 = scale.gamma2(grid)
-    n = grid.size
-    R = np.empty((n, n))
-    rows = max(1, _BLOCK_ROWS // threads)
-    def fill(r0):
-        r1, c1 = min(r0 + rows, n), min(r0 + _BLOCK_ROWS, n)
-        blk = R[r0:r1, r0:]
-        for k, row in enumerate(blk):
-            np.add(g2[r0 + k], g2[r0:], out=row)
-        for c0, c2 in ((r0, c1), (c1, n)):  # the tile, then the strip right of it
-            lag = delta(scale, grid[r0:r1, None], grid[c0:c2])
-            blk[:, c0 - r0 : c2 - r0] -= np.square(lag, out=lag)
-        blk *= 0.5
-        R[r1:, r0:r1] = blk[:, r1 - r0 :].T
-
-    _run_jobs([partial(fill, r0) for r0 in range(0, n, rows)], threads)
+    R = AtomRows(scale, grid).block(np.arange(grid.size))
+    for r0 in range(0, grid.size, metrics._BLOCK_ROWS):
+        strip = R[r0 : r0 + metrics._BLOCK_ROWS]
+        np.square(strip, out=strip)
+        np.subtract(np.add.outer(g2[r0 : r0 + metrics._BLOCK_ROWS], g2), strip, out=strip)
+        strip *= 0.5
     return R
 
 
@@ -464,14 +452,15 @@ def cov_stationary_increments(scale, grid, threads: int = 1) -> CovMatrix:
     """R(s,t) = (g2(s) + g2(t) - g2(|t-s|)) / 2 for g2 = gamma^2.
 
     On a uniform grid the covariance carries the circulant sampler and R
-    stays unbuilt until read; otherwise R is built on ``threads`` workers
-    and PSD is certified a posteriori by the Cholesky factorization.
+    stays unbuilt until read; otherwise R is built on the calling thread
+    (_stationary_R) and factored on ``threads`` workers, which certifies
+    PSD a posteriori.
     """
     grid = _check_grid(scale, grid, threads)
     cov = CovMatrix(
         grid=grid,
         label=f"stationary[{scale.name}]",
-        build=lambda: _stationary_R(scale, grid, threads),
+        build=lambda: _stationary_R(scale, grid),
         circulant=_circulant_sampler(scale, grid),
         threads=threads,
     )

@@ -8,7 +8,10 @@ loop, which keeps a gradient array and masks the support on every step;
 the current loop must reproduce its bits.  The product-metric oracle
 evaluates rho on materialized (t, x) rows, one row per atom, where the
 code under test reads factored times and points.  A ball mass of a
-uniform measure counts the atoms a delta-ball holds.
+uniform measure counts the atoms a delta-ball holds.  The
+Riemann-Liouville covariance is a Gauss hypergeometric closed form, and
+the Brownian hitting probability of a box is the reflection principle
+integrated against the law of B(a), by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import integrate, special, stats
 
 
 def exact_min_energy(K: np.ndarray) -> float:
@@ -157,3 +161,41 @@ def riemann_integral_I(scale, x: float, n_panels: int = 1_000_000) -> float:
     mids = 0.5 * (edges[1:] + edges[:-1])
     vals = g_of(mids) / np.sqrt(mids)
     return float(np.sum(vals * np.diff(edges)))
+
+
+def riemann_liouville_cov(H: float, s: float, t: float) -> float:
+    """Cov(B(s), B(t)) of B(t) = int_0^t sqrt(2H) (t - u)^(H - 1/2) dW(u), the
+    Volterra model of gamma(r) = r^H.
+
+    With a = H - 1/2 and s < t, substituting v = s - u and then v = s x in
+    2H int_0^s (t - s + v)^a v^a dv gives
+    2H (t - s)^a s^(a+1) / (a + 1) 2F1(-a, a + 1; a + 2; -s / (t - s));
+    the diagonal is int_0^t 2H u^(2a) du = t^(2H).
+    """
+    s, t = min(s, t), max(s, t)
+    if s == t:
+        return t ** (2.0 * H)
+    a = H - 0.5
+    c = t - s
+    return 2.0 * H * c**a * s ** (a + 1.0) / (a + 1.0) * special.hyp2f1(-a, a + 1.0, a + 2.0, -s / c)
+
+
+def bm_box_hit_1d(a: float, b: float, lo: float, hi: float) -> float:
+    """P{B(t) in [lo, hi] for some t in [a, b]} for standard Brownian motion, 0 < a < b.
+
+    B(a) ~ N(0, a).  From B(a) = y < lo the path reaches lo by time b with
+    probability P{max_[0, T] W >= lo - y} = 2 Phi-bar((lo - y) / sqrt(T)),
+    T = b - a (reflection principle), and from y > hi symmetrically; the
+    two integrals stop where 2 Phi-bar is below 1e-32.
+    """
+    sa, sT = math.sqrt(a), math.sqrt(b - a)
+    inside = stats.norm.cdf(hi / sa) - stats.norm.cdf(lo / sa)
+
+    def reach(y, gap):
+        return stats.norm.pdf(y / sa) / sa * 2.0 * stats.norm.sf(gap / sT)
+
+    below = integrate.quad(lambda y: reach(y, lo - y), lo - 12.0 * sT, lo, epsabs=0.0,
+                           epsrel=1e-12)[0]
+    above = integrate.quad(lambda y: reach(y, y - hi), hi, hi + 12.0 * sT, epsabs=0.0,
+                           epsrel=1e-12)[0]
+    return float(inside + below + above)

@@ -179,6 +179,21 @@ class TestDims:
         main(["dims", "--config", cfg, "--out", str(out2), "--threads", "4"])
         assert _read_outputs(out1) == _read_outputs(out2)
 
+    def test_block_budget_is_its_size(self, tmp_path, monkeypatch):
+        from gpfractal import cli
+
+        cfg = _write_config(tmp_path, {"gamma": "power:H=0.5", "d": 3, "n_paths": 5,
+                                       "E": {"type": "interval", "a": 0.2, "b": 1.0},
+                                       "grid_n": 64, "seed": 5})
+        need = 8 * 2 * 5 * 64 * 3  # floats of 2 workers x 5 paths x 64 times x d = 3
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", need)
+        assert main(["dims", "--config", cfg, "--out", str(tmp_path / "a"),
+                     "--threads", "2"]) == EXIT_OK
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", need - 1)
+        assert main(["dims", "--config", cfg, "--out", str(tmp_path / "b"),
+                     "--threads", "2"]) == EXIT_CONFIG
+        assert not (tmp_path / "b").exists()
+
     def test_cantor_that_does_not_factor_exits_3(self, tmp_path, capsys):
         # the finest delta^2 of this set, about 4e-14, is round-off of R's
         # O(1) entries; no jitter rescues the factor
@@ -874,6 +889,9 @@ OUT_OF_MODEL = {
         F=[{"type": "ball", "center": [0.0, 0.3], "radius": 0.05}])),
     # depth / zeta = 0 leaves three covering levels
     "dims_shallow_cantor": ("dims", dict(DIMS, E={"type": "cantor", "zeta": 0.001, "depth": 0})),
+    # one path block of 8192 points x 65535 components is 4 GiB, four times the budget
+    "dims_block_budget": ("dims", dict(DIMS, d=65535, n_paths=1, grid_n=8192,
+                                       E={"type": "interval", "a": 0.2, "b": 1.0})),
     # one pitch for both members: 6e12 lattice points on the wide box's axis
     "capacity_lattice_pitch_spread": ("capacity", dict(CAPACITY, n_atoms=64, d=1, F=[
         {"type": "box", "lo": [0.0], "hi": [1e-9]}, {"type": "box", "lo": [0.0], "hi": [1000.0]}])),

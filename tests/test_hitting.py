@@ -8,12 +8,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from conftest import all_paths
+from oracles import bm_box_hit_1d
 
 from gpfractal.fractal_sets import Target, TimeSet, build_cantor
 from gpfractal.gp_sim import cov_stationary_increments, cov_volterra, sample_paths
 from gpfractal.hitting import (
     OutOfModelError,
     PathMinima,
+    _hit_counts,
     add_sandwich_terms,
     check_hit_instance,
     grid_tolerance_guard,
@@ -437,6 +439,38 @@ class TestContent:
         coarse = _content(times, f_pts, 6.0, scale, menu_depth=2)
         fine = _content(times, f_pts, 6.0, scale, menu_depth=7)
         assert fine < 0.25 * coarse
+
+
+class TestBrownianOracle:
+    """p_hat against the exact hitting probability of Brownian motion,
+    power:H=0.5, on E = [0.9, 1] (B(0.9) ~ N(0, 0.9), then 0.1 of time)."""
+
+    GRIDS = {
+        "circulant": np.linspace(0.9, 1.0, 8192),
+        "cholesky": np.geomspace(0.9, 1.0, 2048),
+    }
+    BOXES = [(1.0, 1.1), (-1.3, -1.2), (0.5, 0.6), (2.0, 2.05)]
+    N_PATHS, Z = 4000, 4.42
+
+    @pytest.mark.parametrize("sampler", sorted(GRIDS))
+    def test_box_hits_match_reflection(self, sampler):
+        scale, grid = PowerScale(0.5), self.GRIDS[sampler]
+        cov = cov_stationary_increments(scale, grid)
+        assert cov.sampler == sampler
+        n, seed = self.N_PATHS, 21
+        tol = grid_tolerance_guard(scale, float(np.max(np.diff(grid))), grid.size, 1)
+        targets = [[{"type": "box", "lo": [lo], "hi": [hi]}] for lo, hi in self.BOXES]
+        instances = [check_hit_instance(scale, grid, (0.9, 1.0), F, 1, tol) for F in targets]
+        reports = hit_probability_mc(cov, instances, 1, n, seed, threads=2)
+        hits = _hit_counts(cov, [(inst.e_idx, inst.F, 0.0) for inst in instances], 1, n, seed,
+                           threads=2)
+        for (lo, hi), rep, k in zip(self.BOXES, reports, hits):
+            # at tol = guard the estimate is of the fattened box [lo - tol, hi + tol]
+            p = bm_box_hit_1d(0.9, 1.0, lo - tol, hi + tol)
+            assert abs(rep.p_hat - p) <= self.Z * math.sqrt(p * (1 - p) / n)
+            # at tol = 0 a grid misses the crossings between its points, never adds one
+            p = bm_box_hit_1d(0.9, 1.0, lo, hi)
+            assert k / n <= p + self.Z * math.sqrt(p * (1 - p) / n)
 
 
 class TestSandwich:

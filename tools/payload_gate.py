@@ -320,6 +320,10 @@ ROWS = [
     # a 196.6 GB paths.bin; run the parent of this row under a file-size limit
     ("rej_simulate_bytes", "simulate", {**SIM, "grid": {"a": 0.2, "b": 1.0, "n": 8192}, "d": 3,
                                         "n_paths": 10**6}, []),
+    # a 4 GiB path block (8192 points x 65535 components), refused before the
+    # covariance; run the parent of this row under an address-space limit
+    ("rej_dims_block_budget", "dims", {**DIMS, "d": 65535, "n_paths": 1, "grid_n": 8192,
+                                       "E": {"type": "interval", "a": 0.2, "b": 1.0}}, []),
     ("simulate_stationary", "simulate", SIM, []),
     ("simulate_threads2", "simulate", {**SIM, "d": 3, "n_paths": 97}, ["--threads", "2"]),
     ("simulate_volterra_threads2", "simulate", {**SIM, "cov": "volterra", "d": 3, "n_paths": 97,
