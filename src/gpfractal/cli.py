@@ -49,6 +49,7 @@ from .fractal_sets import (
     cantor_lengths,
 )
 from .gp_sim import (
+    _CIRC_CHUNK,
     _MAX_D,
     _MAX_N,
     _PATH_CHUNK,
@@ -67,7 +68,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 _BIN_BYTES = 2**30  # budget of simulate's paths.bin
-_BLOCK_BYTES = 2**30  # budget of dims' path blocks in flight, 64 paths per worker
+_BLOCK_BYTES = 2**30  # budget of dims' path blocks in flight on the workers that run
 
 _NUMERICAL_ERRORS = (
     PSDError,
@@ -274,11 +275,15 @@ def cmd_dims(cfg, threads: int, trace: bool) -> dict:
     grid_n = _require(cfg, "grid_n", int, lambda v: 16 <= v <= _MAX_N,
                       f"must be in [16, {_MAX_N}]")
     seed = _seed(cfg)
-    paths, n = min(_PATH_CHUNK, n_paths), len(E.sample(grid_n))
-    need = 8 * threads * paths * n * d
+    n = len(E.sample(grid_n))
+    # the paths in flight on the workers that run, for either sampler, since a
+    # uniform grid may fall back from the circulant one to Cholesky
+    paths = max(min(threads, -(-n_paths // chunk)) * min(chunk, n_paths)
+                for chunk in (_CIRC_CHUNK, _PATH_CHUNK))
+    need = 8 * paths * n * d
     if need > _BLOCK_BYTES:
-        raise OutOfModelError(f"path blocks of {threads} worker(s) x {paths} paths x {n} times "
-                              f"x d = {d} need {need / 2**30:.1f} GiB, above their "
+        raise OutOfModelError(f"path blocks of {paths} paths in flight x {n} times x d = {d} "
+                              f"need {need / 2**30:.1f} GiB, above their "
                               f"{_BLOCK_BYTES / 2**30:g} GiB budget")
     report = image_dimension_experiment(
         scale, E, d=d, n_paths=n_paths, grid_n=grid_n, seed=seed, threads=threads

@@ -23,18 +23,24 @@ nothing else selects it:
   embedding has an eigenvalue below -1e-10 lambda_max or whose increment
   Toeplitz matrix is numerically singular.
 
-The Cholesky factor is taken in place: ``CovMatrix.cholesky`` runs a
-left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
-Sec. 4.2) on the one n x n buffer the covariance build returns, so the
-Cholesky path holds one n^2 array and temporaries of O(_CHOL_BLOCK^2)
+A dense covariance lives only as its lower triangle, packed in block
+rows (``_Packed``): block row [r0, r1) of ``_row_cuts(0, n)`` holds
+columns 0:r1, so the store is about n (n + _CHOL_BLOCK) / 2 floats, 71 MB
+at n = 4096 where an n x n array takes 134 MB.  The builds write only
+entries on or below the diagonal tiles, and no step reads above the
+diagonal.  The Cholesky factor is taken in place: ``CovMatrix.cholesky``
+runs a left-looking blocked Cholesky (Golub & Van Loan, Matrix
+Computations, Sec. 4.2) on the store the covariance build returns, so
+the Cholesky path holds that store and temporaries of O(_CHOL_BLOCK^2)
 per worker.  Each block column is solved by a blocked triangular solve,
 GEMMs against the inverses of its diagonal block's _TRSM_LEAF x
-_TRSM_LEAF blocks (Sec. 3.1), with no LU; each step zeroes its rows right
-of the diagonal, so no later pass touches the buffer.  R stays
-bit-identical to an unblocked build; L equals np.linalg.cholesky(R) bit
-for bit for n <= _CHOL_BLOCK and differs from it by round-off above.  The factor is one attempt on R as built: no
-jitter is added, so a covariance that does not factor raises PSDError
-instead of being sampled with a changed law at its finest scales.
+_TRSM_LEAF blocks (Sec. 3.1), with no LU.  R stays bit-identical to an
+unblocked build, and L to the same factor run on a dense n x n array;
+L equals np.linalg.cholesky(R) bit for bit for n <= _CHOL_BLOCK and
+differs from it by round-off above.  The factor is one attempt on R as
+built: no jitter is added, so a covariance that does not factor raises
+PSDError instead of being sampled with a changed law at its finest
+scales.
 
 The embedding is PSD-certified by its eigenvalues (its Toeplitz block is
 the covariance T of X) and the conditional variance g2(a) - s^T T^-1 s of
@@ -46,7 +52,7 @@ chunking.
 
 ``threads`` (the CLI's ``--threads``, which must lie in [1, _PATH_CHUNK]
 or is a config error) sets the worker count of the three stages split
-into disjoint jobs run by ``_run_jobs``: the rows of the Volterra build,
+into disjoint jobs run by ``_run_jobs``: the columns of the Volterra build,
 the row chunks of each step of the Cholesky factor, and path sampling,
 one job per worker over its share of the path chunks; a stationary R is
 built on the calling thread (_stationary_R).  ``threads`` is the only
@@ -61,12 +67,14 @@ possibly on a worker and in any order, and the block is reused once it
 returns, so consume keeps nothing of it.  At most ``threads`` sets of
 buffers exist, so no command holds an (n_paths, n, d) array on either
 sampler: a circulant worker holds 8 (n d + 3 m + 3) floats, with
-m = 2(n - 2).  The capacity and content terms and the condition
-integrals stay serial.
+m = 2(n - 2), and a Cholesky worker 64 n d + (2 * 64 + _CHOL_BLOCK) n
+floats, its panel included.  The capacity and content terms and the
+condition integrals stay serial.
 """
 
 from __future__ import annotations
 
+import bisect
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -123,18 +131,22 @@ class QuadratureError(RuntimeError):
 
 
 class CovMatrix:
-    """Grid covariance with a lazy dense matrix and a lazy Cholesky factor.
+    """Grid covariance with a lazy packed R and a lazy Cholesky factor.
 
-    ``R`` is built by ``build()`` on first access (reading ``.R``, calling
-    ``.cholesky()``, or ``metrics.covariance_delta_matrix``).  A covariance
-    that carries a circulant sampler never needs it.  ``cholesky()``
-    factors the buffer ``.R`` holds in place on ``threads`` workers, with
-    no jitter (a failure raises PSDError), and drops it, so the factor is
-    the only n x n array left; a later read of ``.R`` runs ``build()``
-    again and returns the same bytes, never L.  A matrix passed as ``R``
-    is that build's first result and is overwritten by the factor.  A
-    build is symmetric by construction and is not checked.  ``build`` is
-    required: a fixed matrix R is passed as ``build=R.copy``.
+    ``build()`` returns R as a ``_Packed`` lower triangle, or as a dense
+    symmetric matrix, which is packed; it runs on first need (reading
+    ``.R``, calling ``.cholesky()``, or
+    ``metrics.covariance_delta_matrix``), and its store is kept.  A
+    covariance that carries a circulant sampler never needs it.
+    ``cholesky()`` factors that store in place on ``threads`` workers,
+    with no jitter (a failure raises PSDError), and drops it, so the
+    factor is the only store left.  ``.R`` is the dense symmetric matrix,
+    expanded from the store on each read, for diagnostics; a read after
+    the factor runs ``build()`` again and returns the same bytes, never
+    L.  A store passed as ``R`` is that build's first result and is
+    overwritten by the factor.  A build is symmetric by construction and
+    is not checked.  ``build`` is required: a fixed matrix R is passed as
+    ``build=R.copy``.
     """
 
     def __init__(self, grid, R=None, label: str = "cov", *, build, circulant=None,
@@ -151,11 +163,15 @@ class CovMatrix:
         self._circulant = circulant
         self.threads = threads
 
+    def _store(self) -> _Packed:
+        if self._R is None:
+            R = self._build()
+            self._R = R if isinstance(R, _Packed) else _Packed.from_dense(np.asarray(R, float))
+        return self._R
+
     @property
     def R(self) -> np.ndarray:
-        if self._R is None:
-            self._R = self._build()
-        return self._R
+        return self._store().symmetric()
 
     @property
     def n(self) -> int:
@@ -187,11 +203,11 @@ class CovMatrix:
             cert["quad_rel_change"] = self.quad_rel_change
         return cert
 
-    def cholesky(self) -> np.ndarray:
+    def cholesky(self) -> _Packed:
         """Lower factor L with L L^T = R, in one attempt on R as built.
 
-        The factor overwrites R's own buffer with L, zero above the
-        diagonal (``_factor_in_place``).  A
+        The factor overwrites R's own store with L, which reads zero above
+        the diagonal (``_factor_in_place``); ``.dense()`` expands it.  A
         diagonal block that is not positive definite rejects the (family,
         grid) pair with PSDError naming that block column's rows and grid
         times; nothing is added to the diagonal, since any jitter would
@@ -199,7 +215,7 @@ class CovMatrix:
         """
         if self._chol is not None:
             return self._chol
-        A = self.R
+        A = self._store()
         self._R = None
         try:
             _factor_in_place(A, self.threads)
@@ -214,12 +230,79 @@ class CovMatrix:
         return A
 
 
+def _row_cuts(r0: int, n: int) -> list:
+    """Boundaries r0, r0 + _CHOL_BLOCK, ..., n of the block rows from r0 on.
+
+    A one-row remainder joins the block row before it, since a one-row
+    product takes NumPy's gemv path and rounds apart from the same row in
+    a longer one.  Both the store's block rows (r0 = 0) and the factor's
+    row chunks below a block column (r0 = its end) are cut here, so a
+    chunk is always a block row, or the rows of one below its diagonal
+    block.
+    """
+    cuts = [*range(r0, n, _CHOL_BLOCK), n]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return cuts
+
+
+class _Packed:
+    """A lower triangle of an n x n matrix held as block rows.
+
+    Block row [r0, r1) of ``_row_cuts(0, n)`` is a C-ordered (r1 - r0, r1)
+    view of one flat buffer, columns 0:r1 of those rows; ``blocks`` lists
+    (r0, r1, view).  Entries right of a block row are zero by definition,
+    and the entries above the diagonal inside it start at zero; a build
+    may write some of those in its diagonal tiles, and the factor zeroes
+    them, but nothing reads them as R.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.cuts = _row_cuts(0, n)
+        self.data = np.zeros(sum((r1 - r0) * r1 for r0, r1 in zip(self.cuts, self.cuts[1:])))
+        self.blocks, off = [], 0
+        for r0, r1 in zip(self.cuts, self.cuts[1:]):
+            self.blocks.append((r0, r1, self.data[off : off + (r1 - r0) * r1].reshape(r1 - r0, r1)))
+            off += (r1 - r0) * r1
+
+    @classmethod
+    def from_dense(cls, R: np.ndarray) -> _Packed:
+        """The lower triangle of the square R."""
+        out = cls(R.shape[0])
+        for r0, r1, rows in out.blocks:
+            rows[:] = np.tril(R[r0:r1, :r1], r0)
+        return out
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0:r1, which lie in one block row, over that block row's columns."""
+        b0, b1, rows = self.blocks[bisect.bisect_right(self.cuts, r0) - 1]
+        assert r1 <= b1
+        return rows[r0 - b0 : r1 - b0]
+
+    def dense(self) -> np.ndarray:
+        """The n x n array of the stored entries, zero right of each block row."""
+        A = np.zeros((self.n, self.n))
+        for r0, r1, rows in self.blocks:
+            A[r0:r1, :r1] = rows
+        return A
+
+    def symmetric(self) -> np.ndarray:
+        """The symmetric n x n matrix whose lower triangle is stored."""
+        A = self.dense()
+        for r0, r1, rows in self.blocks:
+            A[:r0, r0:r1] = rows[:, :r0].T
+            tile = A[r0:r1, r0:r1]
+            tile[:] = np.where(np.tri(r1 - r0, dtype=bool), tile, tile.T)
+        return A
+
+
 class _BlockError(np.linalg.LinAlgError):
     """The diagonal block of rows args[0]..args[1] - 1 is not positive definite."""
 
 
-def _factor_in_place(A, threads: int = 1):
-    """Overwrite the lower triangle of the symmetric A with its Cholesky factor.
+def _factor_in_place(A: _Packed, threads: int = 1):
+    """Overwrite the packed lower triangle A of R with R's Cholesky factor.
 
     Left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
     Sec. 4.2): at each step the next _CHOL_BLOCK block column takes one
@@ -227,23 +310,25 @@ def _factor_in_place(A, threads: int = 1):
     factored by np.linalg.cholesky, and the rows below are solved against
     that block's factor (``_solve_panel``, GEMMs against the inverses of
     its _TRSM_LEAF diagonal blocks, inverted once per step).  The rows
-    below run as jobs on ``threads`` workers, chunks of _CHOL_BLOCK rows
-    that each take their update and their solve and write only their own
+    below run as jobs on ``threads`` workers, the chunks ``_row_cuts``
+    gives, each taking its update and its solve and writing only its own
     rows; every boundary comes from _CHOL_BLOCK, so no byte depends on
-    ``threads``.  A one-row remainder joins the chunk before it, since a
-    one-row product takes NumPy's gemv path and rounds apart from the same
-    row in a longer one.  Each job's temporaries are O(_CHOL_BLOCK^2), at
-    most ``threads`` of them at once.  Each step writes its diagonal block's
-    factor whole and zeroes its rows right of that block, so A ends as L
-    with a zero strict upper triangle.  For n <= _CHOL_BLOCK this is one
-    np.linalg.cholesky call on A, so L equals NumPy's bit for bit.  Raises _BlockError, a
-    np.linalg.LinAlgError, when a diagonal block is not positive definite.
+    ``threads``.  Every operand is a view of A's block rows with the shape
+    it has in a dense n x n array, so L is that array's factor bit for
+    bit.  Each job's temporaries are O(_CHOL_BLOCK^2), at most
+    ``threads`` of them at once.  Each step writes its diagonal block's
+    factor whole, zeros above its diagonal included; no step writes right
+    of a diagonal block, so A ends as L with a zero strict upper triangle.
+    For n <= _CHOL_BLOCK this is one np.linalg.cholesky call, so L equals
+    NumPy's bit for bit.  Raises _BlockError, a np.linalg.LinAlgError,
+    when a diagonal block is not positive definite.
     """
-    n, b = A.shape[0], _CHOL_BLOCK
+    n, b = A.n, _CHOL_BLOCK
     lower = np.tri(min(n, b), dtype=bool)
     for j0 in range(0, n, b):
         j1 = min(j0 + b, n)
-        blk, low, left = A[j0:j1, j0:j1], lower[: j1 - j0, : j1 - j0], A[j0:j1, :j0]
+        diag = A.rows(j0, j1)
+        blk, low, left = diag[:, j0:j1], lower[: j1 - j0, : j1 - j0], diag[:, :j0]
         np.subtract(blk, left @ left.T, out=blk, where=low)
         # the updated lower triangle, mirrored: the block of R - L L^T so far
         try:
@@ -251,20 +336,18 @@ def _factor_in_place(A, threads: int = 1):
         except np.linalg.LinAlgError:
             raise _BlockError(j0, j1) from None
         blk[:] = L11
-        A[j0:j1, j1:] = 0.0
         if j1 == n:
             return
         inv = [np.linalg.inv(L11[c : c + _TRSM_LEAF, c : c + _TRSM_LEAF])
                for c in range(0, j1 - j0, _TRSM_LEAF)]
 
         def solve(r0, r1):
-            rows = A[r0:r1, j0:j1] - A[r0:r1, :j0] @ left.T
+            P = A.rows(r0, r1)
+            rows = P[:, j0:j1] - P[:, :j0] @ left.T
             _solve_panel(rows, L11, inv, 0, j1 - j0)
-            A[r0:r1, j0:j1] = rows
+            P[:, j0:j1] = rows
 
-        cuts = [*range(j1, n, b), n]
-        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-            del cuts[-2]
+        cuts = _row_cuts(j1, n)
         _run_jobs([partial(solve, r0, r1) for r0, r1 in zip(cuts, cuts[1:])], threads)
 
 
@@ -430,21 +513,24 @@ def _circulant_sampler(scale, grid):
     )
 
 
-def _stationary_R(scale, grid) -> np.ndarray:
-    """Dense R on the calling thread: the delta* block of metrics.AtomRows,
-    turned into R in place one _BLOCK_ROWS-row strip at a time.
+def _stationary_R(scale, grid) -> _Packed:
+    """Packed R on the calling thread, one _BLOCK_ROWS-row strip at a time.
 
-    Entries are (g2(s) + g2(t) - delta*(s, t)^2) / 2 in that order of
-    operations, so temporaries stay those of a strip beside the n x n
-    result; the block is symmetric bit for bit, so R is too.
+    Each strip of a block row takes the delta* of metrics.AtomRows up to
+    its diagonal tile (``lower_rows``) and turns it into R in place:
+    (g2(s) + g2(t) - delta*(s, t)^2) / 2 in that order of operations, so
+    temporaries stay those of a strip beside the store, and each entry
+    has the bits of the dense, symmetric R.
     """
     g2 = scale.gamma2(grid)
-    R = AtomRows(scale, grid).block(np.arange(grid.size))
-    for r0 in range(0, grid.size, metrics._BLOCK_ROWS):
-        strip = R[r0 : r0 + metrics._BLOCK_ROWS]
-        np.square(strip, out=strip)
-        np.subtract(np.add.outer(g2[r0 : r0 + metrics._BLOCK_ROWS], g2), strip, out=strip)
-        strip *= 0.5
+    atoms, R = AtomRows(scale, grid), _Packed(grid.size)
+    for r0, r1, rows in R.blocks:
+        for a in range(r0, r1, metrics._BLOCK_ROWS):
+            b = min(a + metrics._BLOCK_ROWS, r1)
+            strip = atoms.lower_rows(a, b, rows[a - r0 : b - r0, :b])
+            np.square(strip, out=strip)
+            np.subtract(np.add.outer(g2[a:b], g2[:b]), strip, out=strip)
+            strip *= 0.5
     return R
 
 
@@ -457,17 +543,18 @@ def cov_stationary_increments(scale, grid, threads: int = 1) -> CovMatrix:
     PSD a posteriori.
     """
     grid = _check_grid(scale, grid, threads)
+    circulant = _circulant_sampler(scale, grid)
     cov = CovMatrix(
         grid=grid,
+        # R is built here, so a profile times the build in this call and
+        # the factor alone in cholesky(), which overwrites this store
+        R=None if circulant else _stationary_R(scale, grid),
         label=f"stationary[{scale.name}]",
         build=lambda: _stationary_R(scale, grid),
-        circulant=_circulant_sampler(scale, grid),
+        circulant=circulant,
         threads=threads,
     )
-    if cov.sampler == "cholesky":
-        # R is built here, so a profile times the build in this call and
-        # the factor alone in cholesky(), which overwrites this buffer
-        _ = cov.R
+    if circulant is None:
         cov.cholesky()
     return cov
 
@@ -503,11 +590,12 @@ def cov_volterra(scale, grid, threads: int = 1) -> CovMatrix:
     int_0^t g2'(t-u) du = g2(t).  One pass builds R with _VOLTERRA_ORDER
     Gauss-Legendre nodes per subinterval and, in the same block loop, the
     same entries with half as many, keeping only the running max
-    |R8 - R16| and max |R16|, so the checked build holds one n x n array;
+    |R8 - R16| and max |R16|, so the checked build holds one packed store
+    and writes only the pairs below its diagonal;
     a relative disagreement above 1e-6 raises QuadratureError, and the
     relative change is kept as the covariance's ``quad_rel_change``
     certificate; at this fixed order every built-in family is far below
-    1e-6.  The rows are strided over ``threads`` jobs, each with its own
+    1e-6.  The columns are strided over ``threads`` jobs, each with its own
     maxima, combined exactly by max.  The quadrature runs over _QUAD_BLOCK
     pairs at a time, so its temporaries stay O(_QUAD_BLOCK * nodes) per
     job whatever the grid.
@@ -520,27 +608,29 @@ def cov_volterra(scale, grid, threads: int = 1) -> CovMatrix:
         """R and the relative change max |R8 - R16| / max |R16| of halving the order."""
         n = grid.size
         diag = scale.gamma2(grid)
-        R = np.zeros((n, n))
-        def rows(k):
+        R = _Packed(n)
+        def columns(k):
             change, top = 0.0, np.max(np.abs(diag))
             for i in range(k, n - 1, threads):
                 # grid[i] = min(s, t) for s = grid[i] and every later t, so the
-                # first kernel factors and m * w serve the whole row
+                # first kernel factors and m * w serve the whole column below it
                 m = grid[i]
                 heads = [(m * p, np.sqrt(scale.dgamma2(m * p)), m * w) for p, w in patterns]
-                for j0 in range(i + 1, n, _QUAD_BLOCK):
-                    j1 = min(j0 + _QUAD_BLOCK, n)
-                    gap = np.abs(m - grid[j0:j1])
-                    # each row's sum depends on that row alone
-                    row, half = ((np.sqrt(scale.dgamma2(gap[:, None] + X)) * head * mw).sum(axis=1)
-                                 for X, head, mw in heads)
-                    change = np.maximum(change, np.max(np.abs(half - row)))
-                    top = np.maximum(top, np.max(np.abs(row)))
-                    R[i, j0:j1] = R[j0:j1, i] = row
+                for r0, r1, rows in R.blocks:
+                    for j0 in range(max(i + 1, r0), r1, _QUAD_BLOCK):
+                        j1 = min(j0 + _QUAD_BLOCK, r1)
+                        gap = np.abs(m - grid[j0:j1])
+                        # each pair's sum depends on that pair alone
+                        col, half = ((np.sqrt(scale.dgamma2(gap[:, None] + X)) * head * mw)
+                                     .sum(axis=1) for X, head, mw in heads)
+                        change = np.maximum(change, np.max(np.abs(half - col)))
+                        top = np.maximum(top, np.max(np.abs(col)))
+                        rows[j0 - r0 : j1 - r0, i] = col
             return change, top
 
-        change, top = np.max(_run_jobs([partial(rows, k) for k in range(threads)], threads), 0)
-        np.fill_diagonal(R, diag)
+        change, top = np.max(_run_jobs([partial(columns, k) for k in range(threads)], threads), 0)
+        for r0, r1, rows in R.blocks:
+            np.fill_diagonal(rows[:, r0:], diag[r0:r1])
         return R, float(change / (top or 1.0))
 
     R, rel = build()
@@ -639,10 +729,14 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int =
     _PATH_CHUNK for L @ Z, Z being the normals C-ordered (n, _PATH_CHUNK),
     since a GEMM's rounding can depend on its column count; the last
     block's Z is padded with zero columns, so a path's bytes do not depend
-    on n_paths either.  min(threads, chunks) jobs run on ``threads``
-    workers (at most _PATH_CHUNK); job w draws chunks w, w + jobs, ... in
-    order into buffers of min(chunk, n_paths) rows it allocates once (Z
-    and L @ Z keep their _PATH_CHUNK columns).
+    on n_paths either.  L @ Z is taken one block row of the packed L at a
+    time; every block row but the last is copied into a zero-padded
+    (_CHOL_BLOCK, n) panel first, so each product has the n columns of L
+    that a product with the dense L has, and the same bits.
+    min(threads, chunks) jobs run on ``threads`` workers (at most
+    _PATH_CHUNK); job w draws chunks w, w + jobs, ... in order into
+    buffers of min(chunk, n_paths) rows it allocates once (Z and L @ Z
+    keep their _PATH_CHUNK columns, and the panel is the job's own).
     block[i, j, c] is component c of path p0 + i at grid[j], and the
     block is reused once consume returns.  consume is called once per
     chunk, possibly on a worker thread and in any order, must write only
@@ -673,6 +767,7 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int =
             coef, X = np.zeros((rows, circ.weights.size), dtype=complex), np.empty((rows, circ.m))
         else:
             Z, LZ = np.empty((n, size)), np.empty((n, size))
+            panel = np.zeros((_CHOL_BLOCK, n)) if len(L.blocks) > 1 else None
         for p0 in chunks[w::workers]:
             k = min(size, n_paths - p0)
             for c in range(d):
@@ -684,7 +779,15 @@ def sample_paths(cov: CovMatrix, d: int, n_paths: int, seed: int, threads: int =
                     for i in range(k):
                         Z[:, i] = _substream(seed, p0 + i, c).standard_normal(n)
                     Z[:, k:] = 0.0  # a tail block keeps all _PATH_CHUNK GEMM columns
-                    block[:k, :, c] = np.matmul(L, Z, out=LZ).T[:k]
+                    # widest block row first: the panel starts zero, and each narrower
+                    # one zeroes only the _CHOL_BLOCK columns the wider one wrote right of r1
+                    for r0, r1, L_rows in reversed(L.blocks[:-1]):
+                        panel[:, :r1] = L_rows
+                        panel[:, r1 : r1 + _CHOL_BLOCK] = 0.0
+                        np.matmul(panel, Z, out=LZ[r0:r1])
+                    r0, _, L_rows = L.blocks[-1]
+                    np.matmul(L_rows, Z, out=LZ[r0:])
+                    block[:k, :, c] = LZ.T[:k]
             consume(p0, block[:k])
 
     _run_jobs([partial(job, w) for w in range(workers)], threads)

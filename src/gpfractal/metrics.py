@@ -69,23 +69,36 @@ class AtomRows:
         norms = np.linalg.norm(self.points - self.points[fb], axis=-1)
         return np.maximum.outer(g, norms).ravel()[idx]
 
+    def lower_rows(self, a: int, b: int, out) -> np.ndarray:
+        """Write delta* from time atoms a:b to time atoms 0:b into out, (b - a, b).
+
+        The diagonal tile, whose diagonal is 0, takes one delta* call,
+        which gamma evaluates masked, and the positive gaps left of it
+        another, whole: the one split of a strip, for block() and the
+        covariance builds.  Entries above the diagonal, inside the tile,
+        are written too.
+        """
+        t = self.times
+        out[:, a:] = delta(self.scale, t[a:b, None], t[a:b])
+        out[:, :a] = delta(self.scale, t[a:b, None], t[:a])
+        return out
+
     def block(self, idx) -> np.ndarray:
         """The (k, k) distance matrix among atoms idx, row a = self(idx[a], idx).
 
         Product atoms take one delta* table over the distinct times of idx,
         the time-atom block of those times, and one norm table over its
         distinct points, gathered by np.ix_.  Each strip of _BLOCK_ROWS rows
-        is filled from its diagonal rightward and mirrored below, so
-        temporaries stay small beside the k x k result and each pair is
-        evaluated once.  The mirror is exact:
+        is filled up to its diagonal tile (``lower_rows`` for time atoms)
+        and mirrored above, so temporaries stay small beside the k x k
+        result and each pair is evaluated once.  The mirror is exact:
         fl(t - s) is -fl(s - t), so |t - s|, its gamma and ||x - y|| are
-        the same bits either way.  Time atoms take the square on the
-        diagonal apart from the positive gaps right of it.
+        the same bits either way.
         """
         idx = np.asarray(idx)
         out = np.empty((idx.size, idx.size))
         if self.points is None:
-            t = self.times[idx]
+            times = AtomRows(self.scale, self.times[idx])
         else:
             ti, fi = np.divmod(idx, len(self.points))
             ut, t_of = np.unique(ti, return_inverse=True)
@@ -94,15 +107,14 @@ class AtomRows:
             p = self.points[uf]
             norms = np.linalg.norm(p[None, :, :] - p[:, None, :], axis=-1)
         for a in range(0, idx.size, _BLOCK_ROWS):
-            rows, b = slice(a, a + _BLOCK_ROWS), a + _BLOCK_ROWS
-            upper = out[rows, a:]
+            b = min(a + _BLOCK_ROWS, idx.size)
+            strip = out[a:b, :b]
             if self.points is None:
-                upper[:, :_BLOCK_ROWS] = delta(self.scale, t[rows, None], t[rows])
-                upper[:, _BLOCK_ROWS:] = delta(self.scale, t[rows, None], t[b:])
+                times.lower_rows(a, b, strip)
             else:
-                np.maximum(g[np.ix_(t_of[rows], t_of[a:])], norms[np.ix_(f_of[rows], f_of[a:])],
-                           out=upper)
-            out[a:, rows] = upper.T
+                np.maximum(g[np.ix_(t_of[a:b], t_of[:b])], norms[np.ix_(f_of[a:b], f_of[:b])],
+                           out=strip)
+            out[:a, a:b] = strip[:, :a].T
         return out
 
     def diameter(self) -> float:

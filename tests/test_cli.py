@@ -182,17 +182,24 @@ class TestDims:
     def test_block_budget_is_its_size(self, tmp_path, monkeypatch):
         from gpfractal import cli
 
-        cfg = _write_config(tmp_path, {"gamma": "power:H=0.5", "d": 3, "n_paths": 5,
-                                       "E": {"type": "interval", "a": 0.2, "b": 1.0},
-                                       "grid_n": 64, "seed": 5})
-        need = 8 * 2 * 5 * 64 * 3  # floats of 2 workers x 5 paths x 64 times x d = 3
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", need)
-        assert main(["dims", "--config", cfg, "--out", str(tmp_path / "a"),
-                     "--threads", "2"]) == EXIT_OK
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", need - 1)
-        assert main(["dims", "--config", cfg, "--out", str(tmp_path / "b"),
-                     "--threads", "2"]) == EXIT_CONFIG
-        assert not (tmp_path / "b").exists()
+        for name, E, n_paths, paths in [
+            # circulant: 2 workers x 8-path chunks, above the 9 paths themselves
+            ("circulant", {"type": "interval", "a": 0.2, "b": 1.0}, 9, 2 * 8),
+            # Cholesky on 64 Cantor atoms: 2 workers x 64-path blocks of 70 paths
+            ("cholesky", {"type": "cantor", "zeta": 0.5, "depth": 6}, 70, 2 * 64),
+            # one worker runs: 5 paths make one chunk and one block
+            ("one_worker", {"type": "interval", "a": 0.2, "b": 1.0}, 5, 5),
+        ]:
+            cfg = _write_config(tmp_path, {"gamma": "power:H=0.5", "d": 3, "n_paths": n_paths,
+                                           "E": E, "grid_n": 64, "seed": 5}, f"{name}.json")
+            need = 8 * paths * 64 * 3  # floats of the paths in flight x 64 times x d = 3
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", need)
+            assert main(["dims", "--config", cfg, "--out", str(tmp_path / f"{name}_a"),
+                         "--threads", "2"]) == EXIT_OK, name
+            monkeypatch.setattr(cli, "_BLOCK_BYTES", need - 1)
+            assert main(["dims", "--config", cfg, "--out", str(tmp_path / f"{name}_b"),
+                         "--threads", "2"]) == EXIT_CONFIG, name
+            assert not (tmp_path / f"{name}_b").exists()
 
     def test_cantor_that_does_not_factor_exits_3(self, tmp_path, capsys):
         # the finest delta^2 of this set, about 4e-14, is round-off of R's

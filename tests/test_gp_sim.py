@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestStationaryCov:
         f = PowerScale(0.3)
         grid = np.linspace(0.05, 1.0, 64)
         cov = cov_stationary_increments(f, grid)
-        L = cov.cholesky()
+        L = cov.cholesky().dense()
         resid = np.max(np.abs(L @ L.T - cov.R))
         assert resid <= 1e-8 * np.max(np.abs(cov.R))
 
@@ -446,7 +447,8 @@ class TestBlocks:
         # 2 * 64 + 37 rows: the last strip is partial at either width
         grid = np.sort(np.random.default_rng(5).uniform(0.1, 0.9, 165)) * f.x_max
         assert metrics._BLOCK_ROWS == (block or 64) and grid.size % metrics._BLOCK_ROWS != 0
-        assert np.array_equal(gp_sim._stationary_R(f, grid), _dense_stationary_R(f, grid))
+        assert np.array_equal(gp_sim._stationary_R(f, grid).symmetric(),
+                              _dense_stationary_R(f, grid))
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("f", BLOCK_FAMILIES, ids=lambda f: f.name)
@@ -481,7 +483,7 @@ def _reference_paths(cov, d, n_paths, seed):
             Z = np.empty((cov.n, n_paths))
             for p in range(n_paths):
                 Z[:, p] = gp_sim._substream(seed, p, c).standard_normal(cov.n)
-            values[:, :, c] = (cov.cholesky() @ Z).T
+            values[:, :, c] = (cov.cholesky().dense() @ Z).T
         else:
             circ = cov._circulant
             coef = np.zeros((1, circ.weights.size), dtype=complex)
@@ -641,7 +643,7 @@ class TestThreadedBuilds:
         assert runs[0][0].sampler == runs[0][1].sampler == "cholesky"
         for covs in runs[1:]:
             for want, got in zip(runs[0], covs):
-                assert np.array_equal(got.cholesky(), want.cholesky())
+                assert np.array_equal(got.cholesky().data, want.cholesky().data)
                 assert got.certificate() == want.certificate()
                 assert np.array_equal(got.R, want.R)  # rebuilt on the same workers
         assert "quad_rel_change" in runs[0][1].certificate()
@@ -680,7 +682,7 @@ class TestThreadedBuilds:
         tracemalloc.start()
         try:
             R = gp_sim._stationary_R(f, grid)
-            extra = tracemalloc.get_traced_memory()[1] - R.nbytes
+            extra = tracemalloc.get_traced_memory()[1] - R.data.nbytes
         finally:
             tracemalloc.stop()
         # the delta* strips, gamma's temporaries on them and one strip of
@@ -717,6 +719,13 @@ def _normalized_residual(L, R):
     return worst
 
 
+def _copy(P):
+    """A second packed store with P's bytes."""
+    Q = gp_sim._Packed(P.n)
+    Q.data[:] = P.data
+    return Q
+
+
 def _rank40_300():
     X = np.random.default_rng(11).standard_normal((300, 40))
     R = X @ X.T
@@ -737,14 +746,15 @@ class TestInPlaceFactor:
         grid = np.geomspace(0.05, 1.0, n)
         cov = cov_stationary_increments(f, grid)
         assert cov.sampler == "cholesky"
-        assert np.array_equal(cov.cholesky(), np.linalg.cholesky(_dense_stationary_R(f, grid)))
+        assert np.array_equal(cov.cholesky().dense(),
+                              np.linalg.cholesky(_dense_stationary_R(f, grid)))
 
     @pytest.mark.parametrize("grid", [np.geomspace(0.05, 1.0, 600), _cantor_atoms(1000)],
                              ids=["geometric600", "cantor1000"])
     def test_factor_residual(self, grid):
         assert grid.size % gp_sim._CHOL_BLOCK != 0  # the last block is partial
         cov = cov_stationary_increments(PowerScale(0.5), grid)
-        L = cov.cholesky()
+        L = cov.cholesky().dense()
         assert cov.jitter_used == 0.0
         assert not np.any(np.triu(L, 1))
         R = cov.R
@@ -756,12 +766,12 @@ class TestInPlaceFactor:
         cov = cov_stationary_increments(f, grid)
         assert cov._R is None and cov._chol is not None
         assert np.array_equal(cov.R, _dense_stationary_R(f, grid))
-        assert not np.shares_memory(cov.R, cov.cholesky())
+        assert not np.shares_memory(cov.R, cov.cholesky().data)
         # blocks of 7 make a 20-point Volterra factor blocked too
         monkeypatch.setattr(gp_sim, "_CHOL_BLOCK", 7)
         grid = np.sort(np.random.default_rng(6).uniform(0.1, 0.9, 20))
         cov = cov_volterra(f, grid)
-        L = cov.cholesky()
+        L = cov.cholesky().dense()
         assert np.array_equal(cov.R, _volterra_reference(f, grid, 16))
         assert np.max(np.abs(L @ L.T - cov.R)) <= 1e-13 * np.max(np.abs(cov.R))
 
@@ -799,12 +809,12 @@ class TestInPlaceFactor:
         sys.setswitchinterval(1e-6)
         try:
             for threads in (1, 2, 3, 5):
-                A = R.copy()
+                A = _copy(R)
                 gp_sim._factor_in_place(A, threads)
-                digest = hashlib.sha256(A).hexdigest()
+                digest = hashlib.sha256(A.data).hexdigest()
                 want = want or digest
                 assert digest == want, threads
-                assert not np.any(np.triu(A, 1))  # each step zeroes its rows right of the diagonal
+                assert not np.any(np.triu(A.dense(), 1))  # zero above the diagonal
                 del A
         finally:
             sys.setswitchinterval(interval)
@@ -817,10 +827,10 @@ class TestInPlaceFactor:
         f = PowerScale(H)
         grid = (np.geomspace(0.05, 1.0, 1025) if kind == "geometric"
                 else build_cantor(f, 0.6, 10).atoms)
-        R = gp_sim._stationary_R(f, grid)
-        A = R.copy()
+        A = gp_sim._stationary_R(f, grid)
+        R = A.symmetric()
         gp_sim._factor_in_place(A)
-        assert _normalized_residual(np.tril(A), R) <= 2 * _normalized_residual(_serial_factor(R), R)
+        assert _normalized_residual(A.dense(), R) <= 2 * _normalized_residual(_serial_factor(R), R)
 
     def test_residual_on_4096_cantor_atoms(self):
         # the bench's dims_cantor grid; one solve per panel gives 3.7e-13,
@@ -829,7 +839,7 @@ class TestInPlaceFactor:
         grid = build_cantor(f, 0.6, 12).atoms
         assert grid.size == 4096
         cov = cov_stationary_increments(f, grid)
-        L = cov.cholesky()
+        L = cov.cholesky().dense()
         assert cov.jitter_used == 0.0
         assert _normalized_residual(L, cov.R) <= 1e-14
 
@@ -875,3 +885,121 @@ class TestInPlaceFactor:
             assert cov.sampler == "cholesky" and cov._R is None
             assert peak < 1.5 * 8 * n * n, threads
             del cov
+
+
+def _dense_factor_reference(A, threads=1):
+    """The in-place factor on a dense n x n A, as it was before the packed
+    store, verbatim: the byte reference of the packed factor."""
+    n, b = A.shape[0], gp_sim._CHOL_BLOCK
+    lower = np.tri(min(n, b), dtype=bool)
+    for j0 in range(0, n, b):
+        j1 = min(j0 + b, n)
+        blk, low, left = A[j0:j1, j0:j1], lower[: j1 - j0, : j1 - j0], A[j0:j1, :j0]
+        np.subtract(blk, left @ left.T, out=blk, where=low)
+        # the updated lower triangle, mirrored: the block of R - L L^T so far
+        try:
+            L11 = np.linalg.cholesky(np.where(low, blk, blk.T))
+        except np.linalg.LinAlgError:
+            raise gp_sim._BlockError(j0, j1) from None
+        blk[:] = L11
+        A[j0:j1, j1:] = 0.0
+        if j1 == n:
+            return
+        inv = [np.linalg.inv(L11[c : c + gp_sim._TRSM_LEAF, c : c + gp_sim._TRSM_LEAF])
+               for c in range(0, j1 - j0, gp_sim._TRSM_LEAF)]
+
+        def solve(r0, r1):
+            rows = A[r0:r1, j0:j1] - A[r0:r1, :j0] @ left.T
+            gp_sim._solve_panel(rows, L11, inv, 0, j1 - j0)
+            A[r0:r1, j0:j1] = rows
+
+        cuts = [*range(j1, n, b), n]
+        if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+            del cuts[-2]
+        gp_sim._run_jobs([partial(solve, r0, r1) for r0, r1 in zip(cuts, cuts[1:])], threads)
+
+
+class TestPackedStore:
+    """R and L live as packed lower triangles with the bytes of the dense
+    n x n arrays they replace, in memory bounded by the packed size."""
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 1025, 2049])
+    @pytest.mark.parametrize("H", [0.3, 0.75])
+    def test_stationary_factor_matches_dense(self, H, n):
+        # 257, 513, 1025 and 2049 end in a one-row tail, merged into the
+        # last block row; 256 and 255 are one block row, full and partial
+        f = PowerScale(H)
+        grid = np.geomspace(0.05, 1.0, n)
+        want = _dense_stationary_R(f, grid)
+        _dense_factor_reference(want)
+        for threads in (1, 2, 3):
+            cov = cov_stationary_increments(f, grid, threads)
+            assert cov.sampler == "cholesky"
+            assert np.array_equal(cov.cholesky().dense(), want), threads
+
+    @pytest.mark.parametrize("n", [300, 513])
+    def test_volterra_factor_matches_dense(self, n):
+        cov = cov_volterra(PowerScale(0.3), np.linspace(1 / n, 1.0, n), threads=2)
+        want = cov.R  # rebuilt, and pinned to the unblocked build by TestBlocks
+        _dense_factor_reference(want)
+        assert np.array_equal(cov.cholesky().dense(), want)
+
+    def test_cantor_factor_matches_dense(self):
+        # the bench's dims_cantor grid: 4096 atoms of a depth-12 zeta = 0.6 set
+        f = PowerScale(0.5)
+        cov = cov_stationary_increments(f, build_cantor(f, 0.6, 12).atoms, threads=2)
+        want = cov.R
+        _dense_factor_reference(want, 2)
+        assert np.array_equal(cov.cholesky().dense(), want)
+
+    @pytest.mark.parametrize("n_paths", [97, 130])
+    @pytest.mark.parametrize("n", [513, 600])
+    def test_paths_match_one_dense_product(self, n, n_paths):
+        # the panels of the block rows give the bytes of one L @ Z over the dense L
+        cov = cov_stationary_increments(PowerScale(0.5), np.geomspace(0.05, 1.0, n))
+        want = _reference_paths(cov, d=2, n_paths=n_paths, seed=19)
+        for threads in (1, 2):
+            assert np.array_equal(all_paths(cov, 2, n_paths, 19, threads), want), threads
+
+    def test_store_layout(self):
+        # block rows of _CHOL_BLOCK rows, columns 0:r1, the one-row tail merged
+        P = gp_sim._Packed(513)
+        assert [(r0, r1, rows.shape) for r0, r1, rows in P.blocks] == [
+            (0, 256, (256, 256)), (256, 513, (257, 513))]
+        assert P.data.size == 256 * 256 + 257 * 513
+        assert np.shares_memory(P.rows(512, 513), P.data)
+        R = _dense_stationary_R(PowerScale(0.5), np.geomspace(0.05, 1.0, 513))
+        packed = gp_sim._Packed.from_dense(R)
+        assert np.array_equal(packed.symmetric(), R)
+        assert np.array_equal(packed.dense(), np.tril(R))
+
+    def test_stationary_build_and_factor_are_bounded_by_design(self):
+        # the store, n (n + 256) / 2 floats, and at most five 64-row strips
+        # beside it: an n x n temporary would need 0.6 n^2 more
+        n = 2048
+        grid = np.geomspace(0.05, 1.0, n)
+        tracemalloc.start()
+        try:
+            cov = cov_stationary_increments(PowerScale(0.5), grid, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cov.sampler == "cholesky" and cov._R is None
+        assert peak <= 8 * (n * (n + 257) // 2 + 5 * 64 * n)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cholesky_working_set_is_bounded_by_design(self, threads):
+        # each worker holds one block (64, n, d), the normals Z and L @ Z
+        # (n, 64) and one block-row panel (256, n)
+        n, d = 2048, 3
+        cov = cov_stationary_increments(PowerScale(0.5), np.geomspace(0.05, 1.0, n))
+        sample_paths(cov, d=d, n_paths=1, seed=3, consume=_drop)  # NumPy's lazy imports
+        for n_paths in (64, 130):
+            workers = min(threads, -(-n_paths // 64))
+            tracemalloc.start()
+            try:
+                sample_paths(cov, d=d, n_paths=n_paths, seed=3, threads=threads, consume=_drop)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * workers * (64 * n * d + (2 * 64 + 257) * n) * 8, n_paths

@@ -154,7 +154,7 @@ class TestFactoredRows:
                                "explog:alpha=0.3") for k in (1, 17, 40, 150)
     ] + [("power:H=0.5", 3000)])
     def test_time_block_is_the_full_delta_matrix(self, spec, k):
-        # each strip is filled right of the diagonal and mirrored: the block
+        # each strip is filled left of the diagonal and mirrored: the block
         # must equal delta over every (row, column) pair, bit for bit
         f = parse_scale_spec(spec)
         rng = np.random.default_rng(k)

@@ -158,6 +158,11 @@ ROWS = [
     ("dims_cantor_p130", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256, "n_paths": 130}, []),
     ("dims_cantor_p130_threads3", "dims", {**DIMS, "E": CANTOR_E, "grid_n": 256,
                                            "n_paths": 130}, ["--threads", "3"]),
+    # 1024 atoms: four block rows of the packed R and L, each but the last
+    # multiplied from a zero-padded panel
+    ("dims_cantor_d10", "dims", {**DIMS, "E": {"type": "cantor", "zeta": 0.6, "depth": 10}}, []),
+    ("dims_cantor_d10_threads3", "dims", {**DIMS, "E": {"type": "cantor", "zeta": 0.6,
+                                                        "depth": 10}}, ["--threads", "3"]),
     ("dims_cantor_eps", "dims", {**DIMS, "E": {**CANTOR_E, "eps0": 0.5}, "grid_n": 256}, []),
     ("dims_explog", "dims", {**DIMS, "gamma": "explog:alpha=0.3", "d": 1, "grid_n": 512,
                              "E": {"type": "interval", "a": 0.1, "b": 0.5}}, []),
@@ -362,6 +367,9 @@ ROWS = [
     ("simulate_volterra_n300_threads3", "simulate", {**SIM, "cov": "volterra",
                                                      "grid": {"a": 1 / 300, "b": 1.0, "n": 300}},
      ["--threads", "3"]),
+    # 257 points: one block row of 257 rows, the one-row tail merged; no panel
+    ("simulate_volterra_n257", "simulate", {**SIM, "cov": "volterra",
+                                            "grid": {"a": 1 / 257, "b": 1.0, "n": 257}}, []),
     # 513 points: the first panel's 257 rows are solved as one chunk, 256 rows
     # and the one-row remainder joined to them, at every --threads
     ("simulate_volterra_n513", "simulate", {**SIM, "cov": "volterra",
